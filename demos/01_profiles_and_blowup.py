@@ -6,8 +6,9 @@ t = b^2/4 a quarter of the squared circumference radius:
 
     a'(t) = 4 mu a^2 (a/gamma - 1),     gamma = 2 mu / lambda.
 
-This script integrates a few branches, checks the steady closed forms, and
-compares the detected blow-up times against the separable-integral formula.
+The equation is separable, so each branch is exactly t = C + G(a) and blows
+up at t = C.  This script builds a few branches, checks the steady closed
+forms, and compares the blow-up times against the closed-form formula.
 """
 
 import math
@@ -32,16 +33,16 @@ def main():
     numeric = integrate_profile(make_params(0.0, -1.0), 0.0, 1.0, (0.0, 0.2))
     ts = np.linspace(0.0, 0.2, 9)
     worst = np.max(np.abs(numeric.a(ts) - 1.0 / (1.0 - 4.0 * ts)) * (1.0 - 4.0 * ts))
-    print(f"  adaptive integration vs closed form, max rel err: {worst:.2e}")
+    print(f"  implicit solution vs closed form, max rel err: {worst:.2e}")
 
-    print("\n== blow-up detection ==")
+    print("\n== blow-up times ==")
     for mu, gamma in ((1.0, 0.5), (-1.0, -1.0), (2.0, 0.25)):
         lam = 2.0 * mu / gamma
         prof = integrate_profile(make_params(lam, mu), 0.0, 1.0, (-10.0, 10.0))
         closed = blow_up_time_closed(mu, gamma)
-        detected = prof.t1 if closed > 0 else prof.t0
-        print(f"mu={mu:+.2f} gamma={gamma:+.2f}: detected T = {detected:+.12f}, "
-              f"closed form {closed:+.12f}, diff {abs(detected - closed):.2e}")
+        branch = prof.t1 if closed > 0 else prof.t0
+        print(f"mu={mu:+.2f} gamma={gamma:+.2f}: branch T = {branch:+.12f}, "
+              f"closed form {closed:+.12f}, diff {abs(branch - closed):.2e}")
 
     print("\n== approach to the stable separatrix ==")
     p = make_params(-2.0, -1.0)  # gamma = 1, stable for mu < 0
@@ -51,8 +52,8 @@ def main():
         print(f"  |a({t:g}) - 1| = {abs(prof.a(t) - 1.0):.3e}  "
               f"(rate 4 mu gamma = {4 * p.mu * p.gamma:g})")
 
-    print("\n== equation residual of the dense representation ==")
-    print(f"cigar sampled profile, max residual over 100 samples: "
+    print("\n== equation residual of the evaluated profile ==")
+    print(f"cigar profile, max residual over 100 samples: "
           f"{numeric.max_residual():.2e}")
 
 

@@ -121,7 +121,7 @@ def _build_parser() -> _Parser:
             sp.add_argument(flag, default=None)
         return sp
 
-    add("integrate", "integrate a profile through an anchor",
+    add("integrate", "sample the profile through an anchor",
         ["--lambda", "--mu", "--a0", "--t0", "--window", "--tol", "--samples"])
     add("classify", "family tag of the branch through an anchor",
         ["--lambda", "--mu", "--a0", "--t0", "--tol"])
@@ -189,10 +189,6 @@ def _emit(text: str, opts: dict):
         log.info("wrote %d bytes to %s", len(text), out)
     else:
         sys.stdout.write(text)
-
-
-def _end_json(desc: geometry.EndDescriptor) -> dict:
-    return desc.to_json_dict()
 
 
 def _profile_json(prof: ode.ProfileA, n: int) -> dict:

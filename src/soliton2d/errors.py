@@ -22,17 +22,6 @@ class NonpositiveAnchorError(SolitonError):
     code = "NONPOSITIVE_A"
 
 
-class StepFailureError(SolitonError):
-    """Adaptive stepper could not meet the tolerance away from a blow-up."""
-
-    code = "STEP_FAILURE"
-    usage = False
-
-    def __init__(self, message, last_t=None):
-        super().__init__(message)
-        self.last_t = last_t
-
-
 class DomainError(SolitonError):
     code = "DOMAIN"
 

@@ -6,11 +6,14 @@ Ricci soliton satisfies the autonomous first-order equation
     a'(t) = 4 mu a(t)^2 (a(t)/gamma - 1),      gamma = 2 mu / lambda,
 
 with ``gamma`` infinite in the steady case lambda = 0, where the equation
-collapses to a'(t) = -4 mu a(t)^2 and is solvable in closed form.  This
-module represents profiles on their maximal intervals, integrates them with
-an adaptive embedded Runge-Kutta scheme with dense output, detects blow-up
-and decay, and applies the scaling/translation symmetries of the solution
-space.
+collapses to a'(t) = -4 mu a(t)^2 and is solvable in closed form.  The
+equation is separable: on every monotone branch t = C + G(a), with G the
+exact antiderivative of 1/a' normalized by G(inf) = 0.  So a branch blows up
+exactly at t = C, and decay to 0 or convergence to the separatrix takes
+infinite time.  This module represents profiles on their maximal intervals
+through that implicit solution, evaluates a(t) by inverting G (a tabulated
+first guess polished by Newton steps), and applies the scaling/translation
+symmetries of the solution space.
 """
 
 from __future__ import annotations
@@ -21,27 +24,27 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     DomainError,
     MuZeroError,
     NonpositiveAnchorError,
     NotSteadyError,
-    StepFailureError,
 )
 
 #: Sentinel for gamma in the steady case lambda = 0.
 INFINITE = math.inf
 
-#: Event thresholds for the adaptive integrator.
+#: Halting levels: a window edge at or past the time where a reaches them
+#: counts as reaching the blow-up or decay end.
 A_BLOWUP = 1.0e8
 A_ZERO = 1.0e-10
 
 #: Relative snap width for recognising the constant separatrix a == gamma.
 SEPARATRIX_SNAP = 1.0e-13
 
-#: Default integration tolerance (relative); absolute is tol * 1e-2.
+#: Default tolerance accepted by integrate_profile (the implicit solution is
+#: exact to rounding whatever its value).
 DEFAULT_TOL = 1.0e-10
 
 # Endpoint tag kinds.
@@ -121,17 +124,137 @@ class EndTag:
         return self.kind
 
 
+# ---------------------------------------------------------------------------
+# The implicit solution.  With y = a/gamma and u = -1/y,
+#
+#     4 mu gamma G(a) = log|1 - 1/y| + 1/y = -psi(u),   psi(u) = u - log(1 + u),
+#
+# so t = C + G(a) reads psi(u) = -s with s = 4 mu gamma (t - C).  A branch
+# lies above the separatrix (y > 1), below it (0 < y < 1) or on the far side
+# of a negative gamma (y < 0).  On each, a coordinate v of the a-range and a
+# stretch S of the time make S(v) asymptotically linear at both ends, so a
+# table of S over v gives a first guess that two Newton steps polish to
+# rounding:
+#
+#   NEG   (gamma < 0): v = log(a/|gamma|),       S = log psi          (blow-up, decay)
+#   ABOVE (y > 1)    : v = log(a/gamma - 1),     S = log psi + psi    (blow-up, convergence)
+#   BELOW (0 < y < 1): v = log(a/(gamma - a)),   S = asinh(-psi)      (decay, convergence)
+#
+# On BELOW, -psi = 1 - v + e^-v exactly.
+# ---------------------------------------------------------------------------
+
+_NEG, _ABOVE, _BELOW, _STEADY = "neg", "above", "below", "steady"
+
+# psi(u) = u^2 sum_k (-u)^k / (k + 2); the sum converges to rounding in 20
+# terms for |u| < 1/8, where u - log(1 + u) would cancel.
+_PSI_SERIES = np.array([(-1.0) ** k / (k + 2) for k in range(20)])
+_PSI_SMALL = 0.125
+# v-range kept in evaluation: a up to ~1e152 |gamma| (u^2 stays normal) and
+# down to ~1e-304 |gamma|
+_V_MIN, _V_MAX = -700.0, 350.0
+
+
+def _psi(u: np.ndarray, log1pu: np.ndarray) -> np.ndarray:
+    """u - log(1 + u) given a precise log(1 + u), with a series where they cancel."""
+    out = u - log1pu
+    small = np.abs(u) < _PSI_SMALL
+    if small.any():
+        us = u[small]
+        out[small] = us * us * np.polynomial.polynomial.polyval(us, _PSI_SERIES)
+    return out
+
+
+def _stretch(branch: str, v: np.ndarray):
+    """(S, dS/dv) on one branch class (see the table above)."""
+    if branch == _NEG:
+        u = np.exp(-v)
+        ps = _psi(u, np.log1p(u))
+        return np.log(ps), -(u / (1.0 + u)) * (u / ps)
+    if branch == _ABOVE:
+        p = np.exp(-v)
+        u = -p / (1.0 + p)
+        ps = _psi(u, -np.log1p(p))
+        u2 = u * u
+        return np.log(ps) + ps, -(u2 / ps + u2)
+    em = np.exp(-v)
+    h = 1.0 - v + em
+    return np.arcsinh(h), -(1.0 + em) / np.hypot(1.0, h)
+
+
+def _stretch_target(branch: str, s: np.ndarray) -> np.ndarray:
+    """S at the solution of psi(u) = -s."""
+    if branch == _NEG:
+        return np.log(-s)
+    if branch == _ABOVE:
+        return np.log(-s) - s
+    return np.arcsinh(s)
+
+
+_TABLE_DS = 0.01
+
+
+def _build_table(branch: str) -> tuple[float, np.ndarray]:
+    """(S_0, v_j): the v with S(v_j) = S_0 + j * _TABLE_DS, for v in [-40, 40]."""
+    v_fine = np.linspace(-40.0, 40.0, 8001)
+    s_fine, _ = _stretch(branch, v_fine)
+    s_grid = np.arange(s_fine[-1], s_fine[0], _TABLE_DS)
+    v = np.interp(s_grid, s_fine[::-1], v_fine[::-1])
+    for _ in range(3):
+        s, ds = _stretch(branch, v)
+        v = v - (s - s_grid) / ds
+    return float(s_grid[0]), v
+
+
+_TABLES = {b: _build_table(b) for b in (_NEG, _ABOVE, _BELOW)}
+
+
+def _branch_class(params: SolitonParams, a_ref: float) -> str:
+    g = params.gamma
+    if math.isinf(g):
+        return _STEADY
+    if g < 0.0:
+        return _NEG
+    return _ABOVE if a_ref > g else _BELOW
+
+
+def _level_at(params: SolitonParams, branch: str, dt: np.ndarray) -> np.ndarray:
+    """a on the branch class at times t with t - C = dt (vectorized)."""
+    mu, g = params.mu, params.gamma
+    if branch == _STEADY:
+        return 1.0 / (4.0 * mu * dt)
+    s = 4.0 * mu * g * dt
+    if branch != _BELOW:
+        # blow-up branches have s < 0 inside the domain; keep rounding there
+        s = np.minimum(s, -np.finfo(float).tiny)
+    s_target = _stretch_target(branch, s)
+    s0, vt = _TABLES[branch]
+    x = (s_target - s0) * (1.0 / _TABLE_DS)
+    j = np.clip(x, 0.0, vt.size - 2.0).astype(np.intp)
+    v = vt[j] + (x - j) * (vt[j + 1] - vt[j])  # extrapolates linearly past the table
+    for _ in range(2):
+        np.clip(v, _V_MIN, _V_MAX, out=v)
+        s_v, ds = _stretch(branch, v)
+        v -= (s_v - s_target) / ds
+    np.clip(v, _V_MIN, _V_MAX, out=v)
+    if branch == _NEG:
+        return -g * np.exp(v)
+    if branch == _ABOVE:
+        return g * (1.0 + np.exp(v))
+    return g / (1.0 + np.exp(-v))
+
+
 def _separatrix_time(params: SolitonParams, a: float) -> float:
     """Antiderivative G with G'(a) = 1/a'(a) and G(inf) = 0.
 
-    Exact time-to-level bookkeeping for the separable equation, used for
-    integration horizons and analytic tails; valid on a monotone branch.
+    Exact time-to-level map of the separable equation, valid on a monotone
+    branch: t = C + G(a).
     """
     mu = params.mu
     g = params.gamma
     if math.isinf(g):
         return 1.0 / (4.0 * mu * a)
-    return ((1.0 / g) * math.log(abs(a - g) / a) + 1.0 / a) / (4.0 * mu)
+    u = np.array([-g / a])
+    return -float(_psi(u, np.array([math.log(abs(a - g) / a)]))[0]) / (4.0 * mu * g)
 
 
 def time_between_levels(params: SolitonParams, a_from: float, a_to: float) -> float:
@@ -166,7 +289,8 @@ def blow_up_time_closed(mu: float, gamma: float) -> float:
         return -1.0 / (4.0 * mu)
     if gamma >= 1.0:
         raise DomainError("closed form requires gamma < 1 (log(1 - gamma) undefined)")
-    return (-1.0 - math.log1p(-gamma) / gamma) / (4.0 * mu)
+    # -1 - log(1 - gamma)/gamma = psi(-gamma)/gamma, without its cancellation at small gamma
+    return float(_psi(np.array([-gamma]), np.array([math.log1p(-gamma)]))[0]) / (4.0 * mu * gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -197,56 +321,15 @@ def _fate(params: SolitonParams, a_ref: float, forward: bool) -> tuple[str, Opti
     return FATE_DECAY, 0.0
 
 
-# ---------------------------------------------------------------------------
-# Analytic tail models used past the numerically sampled range.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Tail:
-    """Local model between the sampled edge and the domain endpoint.
-
-    kinds:
-      blowup  : a = |4 lam (T - t)|^(-1/2) + gamma/3, or the exact
-                reciprocal-affine branch 1/(4 mu (t - T)) when lam == 0
-      decay   : a = 1/(4 mu (t - T)) matched at the edge
-      converge: a = a_inf + (a_edge - a_inf) exp(4 mu gamma (t - t_edge))
-    """
-
-    kind: str
-    params: SolitonParams
-    t_edge: float
-    a_edge: float
-    T: float = math.nan
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        p = self.params
-        if self.kind == FATE_BLOWUP:
-            if p.lam == 0.0:
-                return 1.0 / (4.0 * p.mu * (t - self.T))
-            # clamp: evaluation exactly at the (rounded) blow-up time would
-            # otherwise divide by an underflowed zero
-            d = np.maximum(np.abs(4.0 * p.lam * (self.T - t)), np.finfo(float).tiny)
-            return 1.0 / np.sqrt(d) + p.gamma / 3.0
-        if self.kind == FATE_DECAY:
-            return 1.0 / (4.0 * p.mu * (t - self.T))
-        g = p.gamma
-        rate = 4.0 * p.mu * g
-        return g + (self.a_edge - g) * np.exp(rate * (t - self.t_edge))
-
-
-def _blowup_refine(params: SolitonParams, t_last: float, a_last: float) -> float:
-    """Refine the blow-up time from the last good sample.
-
-    Fits the local model a ~ |4 lam (T - t)|^(-1/2) + gamma/3 (lambda != 0)
-    or the exact reciprocal-affine law in the steady case; the correction to
-    the raw halting time is O(a_last^-2).
-    """
-    if params.lam == 0.0:
-        return t_last - 1.0 / (4.0 * params.mu * a_last)
-    core = a_last - params.gamma / 3.0
-    return t_last + 1.0 / (4.0 * params.lam * core * core)
+def _halt_level(params: SolitonParams, a_ref: float, fate: str) -> float:
+    """The a-level past which an end counts as reached (never behind a_ref)."""
+    if fate == FATE_BLOWUP:
+        return max(A_BLOWUP, a_ref)
+    if fate == FATE_DECAY:
+        return min(A_ZERO, a_ref)
+    g = params.gamma
+    dev = min(1e-12 * max(1.0, g), 0.5 * abs(a_ref - g))
+    return g - dev if a_ref < g else g + dev
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +341,12 @@ def _blowup_refine(params: SolitonParams, t_last: float, a_last: float) -> float
 class ProfileA:
     """A positive solution a(t) on its interval with endpoint behavior tags.
 
-    Representation is closed form (reciprocal-affine or constant) or a
-    sampled dense-output interpolant with analytic tail models toward the
-    endpoints.  Symmetry images compose the affine view
-    a(t) = amp * core((t - shift)/tscale), sharing the underlying data.
+    Representation is closed form (reciprocal-affine or constant) or the
+    implicit solution t = C + G(a) of the branch through the anchor.  For the
+    closed forms, symmetry images compose the affine view
+    a(t) = amp * core((t - shift)/tscale); an implicit branch is invariant in
+    form under the symmetries, so its image carries the transformed
+    parameters and C moved like a time.
     """
 
     params: SolitonParams
@@ -271,67 +356,22 @@ class ProfileA:
     t1: float
     tag0: EndTag
     tag1: EndTag
-    kind: str  # "closed_form" | "constant" | "sampled"
+    kind: str  # "closed_form" | "constant" | "implicit"
     phi: float = math.nan  # reciprocal-affine coefficient (closed_form, core view)
     const_value: float = math.nan
-    _fwd: object = None
-    _bwd: object = None
-    _samp_lo: float = math.nan
-    _samp_hi: float = math.nan
-    _tail_lo: Optional[_Tail] = None
-    _tail_hi: Optional[_Tail] = None
-    _grid: Optional[np.ndarray] = None
+    C: float = math.nan  # branch constant of t = C + G(a) (implicit)
     amp: float = 1.0
     tscale: float = 1.0
     shift: float = 0.0
     t0_exact: bool = False
     t1_exact: bool = False
-    tol: float = DEFAULT_TOL
 
     # -- evaluation ---------------------------------------------------------
-
-    @property
-    def t_ref_core(self) -> float:
-        return (self.t_ref - self.shift) / self.tscale
 
     @property
     def _mu_core(self) -> float:
         # the affine view keeps mu_core == mu_view * amp * tscale invariant
         return self.params.mu * self.amp * self.tscale
-
-    def _core(self, s: np.ndarray) -> np.ndarray:
-        """Evaluate the sampled representation at core times s."""
-        out = np.empty_like(s)
-        lo, hi = self._samp_lo, self._samp_hi
-        inside = (s >= lo) & (s <= hi)
-        if np.any(inside):
-            si = s[inside]
-            if self._fwd is None and self._bwd is None:
-                out[inside] = self.a_ref / self.amp
-            else:
-                vals = np.empty_like(si)
-                if self._fwd is None:
-                    use_b = np.ones_like(si, dtype=bool)
-                elif self._bwd is None:
-                    use_b = np.zeros_like(si, dtype=bool)
-                else:
-                    use_b = si <= self.t_ref_core
-                if np.any(use_b):
-                    vals[use_b] = self._bwd(si[use_b])[0]
-                if np.any(~use_b):
-                    vals[~use_b] = self._fwd(si[~use_b])[0]
-                out[inside] = vals
-        below = s < lo
-        if np.any(below):
-            if self._tail_lo is None:
-                raise DomainError("evaluation below the sampled range")
-            out[below] = self._tail_lo(s[below])
-        above = s > hi
-        if np.any(above):
-            if self._tail_hi is None:
-                raise DomainError("evaluation above the sampled range")
-            out[above] = self._tail_hi(s[above])
-        return out
 
     def a(self, t):
         """Profile value(s); valid on the open interval and at finite-limit endpoints."""
@@ -345,7 +385,7 @@ class ProfileA:
         elif self.kind == "closed_form":
             out = self.amp / (4.0 * self._mu_core * ((arr - self.shift) / self.tscale) + self.phi)
         else:
-            out = self.amp * self._core((arr - self.shift) / self.tscale)
+            out = _level_at(self.params, _branch_class(self.params, self.a_ref), arr - self.C)
         return out if np.ndim(t) else float(out[0])
 
     def da(self, t):
@@ -357,9 +397,9 @@ class ProfileA:
     def residual(self, t: float) -> float:
         """Normalized equation residual |a'_fd - rhs(a)| / (1 + |rhs(a)|).
 
-        a'_fd is a five-point finite-difference derivative of the dense
-        representation, taken in the variable 1/a^2 (a >= 1) or 1/a (a < 1)
-        so the differenced quantity stays smooth near blow-up and decay.
+        a'_fd is a five-point finite-difference derivative of the evaluated
+        profile, taken in the variable 1/a^2 (a >= 1) or 1/a (a < 1) so the
+        differenced quantity stays smooth near blow-up and decay.
         """
         t = float(t)
         a0 = self.a(t)
@@ -384,18 +424,29 @@ class ProfileA:
         return abs(da_fd - rhs) / (1.0 + abs(rhs))
 
     def max_residual(self, n: int = 100, margin: float = 0.02) -> float:
-        """Max residual over n uniform samples of the dense range."""
+        """Max residual over n uniform samples of the sample range."""
         lo, hi = self.sample_range(margin)
         return max(self.residual(t) for t in np.linspace(lo, hi, n))
 
+    def _end_sample(self, edge: float, tag: EndTag, forward: bool) -> float:
+        """Sampling edge toward one end: the window edge, or the time at the
+        halting level of a blow-up, decay or convergence end."""
+        if tag.kind in (TRUNCATED, SMOOTH_ORIGIN) or self.is_constant:
+            if math.isfinite(edge):
+                return edge
+            return max(self.t_ref, 0.0) + 1.0 if forward else min(self.t_ref, 0.0) - 1.0
+        fate = {BLOW_UP: FATE_BLOWUP, DECAY_TO_ZERO: FATE_DECAY, CONVERGES: FATE_CONVERGE}[tag.kind]
+        level = _halt_level(self.params, self.a_ref, fate)
+        t = self.t_ref + time_between_levels(self.params, self.a_ref, level)
+        if tag.kind == BLOW_UP:  # stay inside the open end even where the level rounds onto it
+            inside = float(np.nextafter(edge, -math.inf if forward else math.inf))
+            t = min(t, inside) if forward else max(t, inside)
+        return t
+
     def sample_range(self, margin: float = 0.0) -> tuple[float, float]:
         """A finite subinterval of the domain suitable for dense sampling."""
-        if self.kind == "sampled":
-            lo = self._samp_lo * self.tscale + self.shift
-            hi = self._samp_hi * self.tscale + self.shift
-        else:
-            lo = self.t0 if math.isfinite(self.t0) else min(self.t_ref, 0.0) - 1.0
-            hi = self.t1 if math.isfinite(self.t1) else max(self.t_ref, 0.0) + 1.0
+        lo = self._end_sample(self.t0, self.tag0, False)
+        hi = self._end_sample(self.t1, self.tag1, True)
         pad = margin * (hi - lo)
         return lo + pad, hi - pad
 
@@ -415,11 +466,17 @@ class ProfileA:
     # -- export -------------------------------------------------------------
 
     def sample_grid(self, n: int = 0) -> np.ndarray:
-        """Sample times: solver steps when available, else a uniform grid."""
-        if self.kind == "sampled" and self._grid is not None and n == 0:
-            return np.sort(self._grid * self.tscale + self.shift)
+        """Sample times over the sample range: n uniform points, or for n = 0
+        201 points geometric toward a blow-up end (fewer where they round
+        onto the same time)."""
         lo, hi = self.sample_range(0.0)
-        return np.linspace(lo, hi, n if n > 0 else 201)
+        if n > 0:
+            return np.linspace(lo, hi, n)
+        if self.tag1.kind == BLOW_UP:
+            return np.unique(self.t1 - np.geomspace(self.t1 - lo, self.t1 - hi, 201))
+        if self.tag0.kind == BLOW_UP:
+            return np.unique(self.t0 + np.geomspace(lo - self.t0, hi - self.t0, 201))
+        return np.linspace(lo, hi, 201)
 
     def to_csv(self, n: int = 0) -> str:
         """CSV export with header ``t,a,dadt`` at 17 significant digits."""
@@ -475,61 +532,34 @@ def constant_profile(params: SolitonParams, window: tuple[float, float]) -> Prof
     )
 
 
-def _integrate_one_direction(params, t_ref, a_ref, t_end, fate, target, tol):
-    """solve_ivp toward t_end with a terminal event for the predicted fate.
+def implicit_profile(
+    params: SolitonParams, t_ref: float, a_ref: float, C: float, window: tuple[float, float]
+) -> ProfileA:
+    """The branch t = C + G(a) through the level a_ref on window cap its maximal interval.
 
-    Returns (solution, t_stop, a_stop, how) with how in {'event', 'edge'}.
+    An end is reached when the window covers the time at which a passes its
+    halting level (A_BLOWUP, A_ZERO, or 1e-12 from gamma); the blow-up then
+    sits exactly at C, decay and convergence at infinite time.  Otherwise the
+    end is TRUNCATED at the window edge.
     """
-    rtol = max(tol * 1e-2, 5e-14)
-    atol = rtol * 1e-2
-    events = []
-    if fate == FATE_BLOWUP:
-        ev = lambda t, y: y[0] - A_BLOWUP
-        ev.terminal = True
-        events.append(ev)
-    elif fate == FATE_DECAY:
-        ev = lambda t, y: y[0] - A_ZERO
-        ev.terminal = True
-        events.append(ev)
-    elif fate == FATE_CONVERGE:
-        eps = 1e-12 * max(1.0, abs(target))
-        ev = lambda t, y: abs(y[0] - target) - eps
-        ev.terminal = True
-        events.append(ev)
-    sol = solve_ivp(
-        lambda t, y: [params.rhs(y[0])], (t_ref, t_end), [a_ref],
-        method="DOP853", rtol=rtol, atol=atol, dense_output=True, events=events,
+    ends = []
+    for forward, edge in ((False, window[0]), (True, window[1])):
+        fate, target = _fate(params, a_ref, forward)
+        t_halt = C + _separatrix_time(params, _halt_level(params, a_ref, fate))
+        if edge < t_halt if forward else edge > t_halt:
+            ends += [edge, EndTag(TRUNCATED)]
+        elif fate == FATE_BLOWUP:
+            ends += [C, EndTag(BLOW_UP)]
+        else:
+            tag = EndTag(DECAY_TO_ZERO) if fate == FATE_DECAY else EndTag(CONVERGES, target)
+            ends += [math.inf if forward else -math.inf, tag]
+    t0, tag0, t1, tag1 = ends
+    return ProfileA(
+        params=params, t_ref=t_ref, a_ref=a_ref, t0=t0, t1=t1,
+        tag0=tag0, tag1=tag1, kind="implicit", C=C,
+        t0_exact=tag0.kind in (DECAY_TO_ZERO, CONVERGES),
+        t1_exact=tag1.kind in (DECAY_TO_ZERO, CONVERGES),
     )
-    if sol.status == 1:
-        t_stop = float(sol.t_events[0][0])
-        return sol, t_stop, float(sol.sol(t_stop)[0]), "event"
-    if sol.status == 0:
-        return sol, float(sol.t[-1]), float(sol.y[0][-1]), "edge"
-    # Step failure.  Near a blow-up this is expected once the square-root
-    # singularity outruns float spacing; accept the last state as the halt.
-    a_last = float(sol.y[0][-1]) if sol.y.size else a_ref
-    if fate == FATE_BLOWUP and a_last >= 1e3:
-        return sol, float(sol.t[-1]), a_last, "event"
-    raise StepFailureError(
-        f"integrator failed at t = {sol.t[-1]!r}: {sol.message}", last_t=float(sol.t[-1])
-    )
-
-
-def _horizon(params, a_ref, fate, target):
-    """A finite time budget guaranteed to contain the terminal event."""
-    if fate == FATE_BLOWUP:
-        dt = abs(time_between_levels(params, a_ref, math.inf))
-    elif fate == FATE_DECAY:
-        dt = abs(time_between_levels(params, a_ref, 0.5 * A_ZERO))
-    elif fate == FATE_CONVERGE:
-        # exact time to pass strictly inside the convergence event surface
-        g = target
-        eps = 0.4e-12 * max(1.0, abs(g))
-        level = g - eps if a_ref < g else g + eps
-        dt = abs(time_between_levels(params, a_ref, level))
-    else:
-        dt = 1.0
-    return 2.0 * dt + 1.0
 
 
 def integrate_profile(
@@ -539,12 +569,14 @@ def integrate_profile(
     window: tuple[float, float],
     tol: float = DEFAULT_TOL,
 ) -> ProfileA:
-    """Integrate the profile through (t_ref, a_ref) on window cap maximal interval.
+    """The profile through (t_ref, a_ref) on window cap its maximal interval.
 
-    Halts on the blow-up/decay thresholds or on convergence to the stable
-    separatrix; blow-up times are refined with the local square-root (or
-    steady reciprocal) model.  Anchors within SEPARATRIX_SNAP of gamma snap
-    to the constant solution.
+    Solves the separable equation exactly: the branch through the anchor is
+    t = C + G(a) with C = t_ref - G(a_ref), so a blow-up end sits at t = C
+    and decay or convergence ends at infinity (see ``implicit_profile`` for
+    when a window counts as reaching them).  Anchors within SEPARATRIX_SNAP of gamma
+    snap to the constant solution.  ``tol`` must be positive; the result is
+    exact to rounding whatever its value.
     """
     if not math.isfinite(a_ref) or a_ref <= 0.0:
         raise NonpositiveAnchorError("a_ref must be positive")
@@ -558,65 +590,8 @@ def integrate_profile(
     if math.isfinite(g) and g > 0.0 and abs(a_ref - g) <= SEPARATRIX_SNAP * max(1.0, g):
         return constant_profile(params, (t_lo, t_hi))
 
-    samp_lo = samp_hi = t_ref
-    fwd_sol = bwd_sol = None
-    tail_lo = tail_hi = None
-    t0, t1 = t_ref, t_ref
-    tag0, tag1 = EndTag(TRUNCATED), EndTag(TRUNCATED)
-    t0_exact = t1_exact = False
-    grids = [np.array([t_ref])]
-
-    for forward in (True, False):
-        t_edge = t_hi if forward else t_lo
-        if (forward and t_edge <= t_ref) or (not forward and t_edge >= t_ref):
-            continue
-        fate, target = _fate(params, a_ref, forward)
-        t_end = t_edge
-        if math.isinf(t_end):
-            budget = _horizon(params, a_ref, fate, target)
-            t_end = t_ref + budget if forward else t_ref - budget
-        sol, t_stop, a_stop, how = _integrate_one_direction(
-            params, t_ref, a_ref, t_end, fate, target, tol
-        )
-        if sol.t.size >= 2:
-            grids.append(sol.t)
-            dense = sol.sol
-        else:
-            dense = None
-        if forward:
-            fwd_sol, samp_hi = dense, t_stop
-        else:
-            bwd_sol, samp_lo = dense, t_stop
-
-        if how == "edge":
-            endpoint, tag, exact, tail = t_stop, EndTag(TRUNCATED), False, None
-        elif fate == FATE_BLOWUP:
-            T = _blowup_refine(params, t_stop, a_stop)
-            endpoint, tag, exact = T, EndTag(BLOW_UP), False
-            tail = _Tail(FATE_BLOWUP, params, t_stop, a_stop, T)
-        elif fate == FATE_DECAY:
-            c = t_stop - 1.0 / (4.0 * params.mu * a_stop)
-            endpoint = math.inf if forward else -math.inf
-            tag, exact = EndTag(DECAY_TO_ZERO), True
-            tail = _Tail(FATE_DECAY, params, t_stop, a_stop, c)
-        else:
-            endpoint = math.inf if forward else -math.inf
-            tag, exact = EndTag(CONVERGES, target), True
-            tail = _Tail(FATE_CONVERGE, params, t_stop, a_stop)
-
-        if forward:
-            t1, tag1, t1_exact, tail_hi = endpoint, tag, exact, tail
-        else:
-            t0, tag0, t0_exact, tail_lo = endpoint, tag, exact, tail
-
-    profile = ProfileA(
-        params=params, t_ref=t_ref, a_ref=a_ref, t0=t0, t1=t1,
-        tag0=tag0, tag1=tag1, kind="sampled",
-        _fwd=fwd_sol, _bwd=bwd_sol, _samp_lo=samp_lo, _samp_hi=samp_hi,
-        _tail_lo=tail_lo, _tail_hi=tail_hi,
-        _grid=np.unique(np.concatenate(grids)),
-        t0_exact=t0_exact, t1_exact=t1_exact, tol=tol,
-    )
+    C = t_ref - _separatrix_time(params, a_ref)
+    profile = implicit_profile(params, t_ref, a_ref, C, (t_lo, t_hi))
     if profile.t0 == 0.0 and profile.tag0.kind == TRUNCATED:
         if abs(profile.a(0.0) - 1.0) <= 1e-8:
             profile = replace(profile, tag0=EndTag(SMOOTH_ORIGIN))
@@ -658,8 +633,9 @@ def _transform_tag(tag: EndTag, amp: float) -> EndTag:
 def apply_symmetry(profile: ProfileA, action) -> ProfileA:
     """Image of a profile under one of the three solution-space actions.
 
-    The returned profile shares the underlying representation through an
-    affine change of view, so it satisfies the equation for its transformed
+    The returned profile shares the underlying representation (an affine
+    change of view for the closed forms, the moved branch constant for the
+    implicit solution), so it satisfies the equation for its transformed
     parameters to the accuracy of the original data.
     """
     if isinstance(action, Scale):
@@ -694,6 +670,7 @@ def apply_symmetry(profile: ProfileA, action) -> ProfileA:
         tag0=_transform_tag(profile.tag0, amp),
         tag1=_transform_tag(profile.tag1, amp),
         const_value=profile.const_value * amp,
+        C=fwd_t(profile.C),
         amp=profile.amp * amp,
         tscale=profile.tscale * tsc,
         shift=profile.shift * tsc + shf,

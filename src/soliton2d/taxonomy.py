@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from scipy.optimize import brentq
-
 from .errors import DomainError, RangeError
 from .geometry import build_warped_metric, radial_distance, t0_uncertainty
 from .ode import (
@@ -24,11 +22,11 @@ from .ode import (
     DECAY_TO_ZERO,
     SEPARATRIX_SNAP,
     SMOOTH_ORIGIN,
-    EndTag,
     ProfileA,
     SolitonParams,
     _separatrix_time,
     closed_form_profile,
+    implicit_profile,
     integrate_profile,
     time_between_levels,
 )
@@ -80,16 +78,12 @@ class CatalogEntry:
 
 
 def _initial_blowup(profile: ProfileA) -> tuple[float, float, bool]:
-    """(T0, uncertainty, exact) for a branch that blows up in the past."""
-    if profile.tag0.kind == BLOW_UP:
-        return profile.t0, t0_uncertainty(profile), profile.t0_exact
-    fresh = integrate_profile(
-        profile.params, profile.t_ref, profile.a_ref,
-        (-math.inf, profile.t_ref), tol=profile.tol,
-    )
-    if fresh.tag0.kind != BLOW_UP:
-        raise DomainError("expected an initial blow-up on this branch")
-    return fresh.t0, t0_uncertainty(fresh), False
+    """(T0, uncertainty, exact) for a branch that blows up in the past.
+
+    T0 is the branch constant C of t = C + G(a), whatever window the profile
+    was built on.
+    """
+    return profile.C, t0_uncertainty(profile), profile.t0_exact
 
 
 def classify(profile: ProfileA) -> FamilyLabel:
@@ -157,20 +151,12 @@ def disk_boundary_distance(gamma: float) -> float:
 
 
 def _blowup_anchor_profile(params: SolitonParams, T0: float) -> ProfileA:
-    """Profile with an exact initial blow-up at T0, anchored analytically.
-
-    Places the anchor at the level a = 1e6 through the separable-integral
-    relation t(a) = T0 + G(a) (G the exact time-to-level antiderivative with
-    G(inf) = 0), integrates from there, and pins the refined endpoint to the
-    exact T0 after checking agreement.
-    """
+    """Profile with an exact initial blow-up at T0: the branch t = T0 + G(a)
+    (G the exact time-to-level antiderivative with G(inf) = 0), anchored at
+    the level a = 1e6."""
     t_anchor = T0 + _separatrix_time(params, _A_ANCHOR)
-    prof = integrate_profile(params, t_anchor, _A_ANCHOR, (min(0.0, T0), math.inf))
-    if abs(prof.t0 - T0) > 1e-9 * max(1.0, abs(T0)):
-        raise DomainError(
-            f"analytic anchoring inconsistent: refined T0 {prof.t0!r} vs target {T0!r}"
-        )
-    return replace(prof, t0=float(T0), t0_exact=True, tag0=EndTag(BLOW_UP))
+    prof = implicit_profile(params, t_anchor, _A_ANCHOR, T0, (min(0.0, T0), math.inf))
+    return replace(prof, t0_exact=True)
 
 
 def catalog(tag: str, nu: float) -> CatalogEntry:
@@ -200,6 +186,8 @@ def catalog(tag: str, nu: float) -> CatalogEntry:
         prof = closed_form_profile(params, -nu * nu)
         note = "closed form 1/(4t - nu^2) at mu = 1; inner cylinder radius nu"
     elif tag in (G4_PLUS, G4_MINUS):
+        from scipy.optimize import brentq  # local: importing the package stays scipy-free
+
         if tag == G4_PLUS:
             _require_range(tag, nu, 1.0, math.inf)
             hemi = disk_boundary_distance(1e-9)

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -166,3 +170,15 @@ class TestExitCodes:
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("t,a,dadt")
+
+
+class TestImportHygiene:
+    def test_cli_import_loads_no_scipy(self):
+        # scipy costs most of a CLI call's start-up; only the G4 bisection
+        # imports it, at call time
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = "import sys, soliton2d.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert proc.stdout.strip() == "[]"

@@ -11,6 +11,7 @@ from soliton2d import (
     SolitonParams,
     WindowEmptyError,
     build_warped_metric,
+    catalog,
     closed_form_profile,
     curvature_from_a,
     curvature_from_b,
@@ -230,6 +231,13 @@ class TestGeometryReport:
         assert d["complete"] is True
         assert d["outer_end"]["kind"] == "CYLINDER_END"
         assert "radius" in d["outer_end"]
+
+    @pytest.mark.parametrize("tag,nu", [("G11", 0.5114), ("G8", 5.6569)])
+    def test_cusp_entries_report_cusp_end(self, tag, nu):
+        # the blow-up exactly at t = 0 is the cusp, with no fitted tail to miss
+        rep = geometry_report(catalog(tag, nu).profile)
+        assert rep.inner_end.kind == "CUSP_END"
+        assert rep.inner_end.curvature == -1.0
 
     def test_cone_vertex_incomplete(self):
         # a(0) = 2 != 1: flat-cone-like vertex at the origin, not smooth

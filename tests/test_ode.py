@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -325,3 +326,67 @@ class TestCsvExport:
         assert dadt == pytest.approx(4.0 * a * a * (a / prof.params.gamma - 1.0) if math.isfinite(prof.params.gamma) else -4.0 * prof.params.mu * a * a, rel=1e-12)
         # 17 significant digits round-trip
         assert f"{a:.17g}" in lines[-1]
+
+
+def mp_time(lam, mu, a):
+    """G(a) with G' = 1/a' and G(inf) = 0, at the working mpmath precision."""
+    lam, mu, a = mpmath.mpf(lam), mpmath.mpf(mu), mpmath.mpf(a)
+    if lam == 0:
+        return 1 / (4 * mu * a)
+    g = 2 * mu / lam
+    return (mpmath.log(abs(a - g) / a) / g + 1 / a) / (4 * mu)
+
+
+class TestMpmathOracles:
+    """ProfileA.a and the blow-up time against 40-digit mpmath references."""
+
+    # one branch per side of the separatrix and per time direction, with both
+    # signs of lambda and of mu; the comments name the two ends
+    BRANCHES = [
+        (4.0, -1.0, 1.0),   # gamma < 0: decays backward, blows up forward
+        (-2.0, 1.0, 1.0),   # gamma < 0: blows up backward, decays forward
+        (4.0, 1.0, 1.0),    # above gamma = 1/2: converges backward, blows up forward
+        (-4.0, -1.0, 1.0),  # above gamma = 1/2: blows up backward, converges forward
+        (1.0, 1.0, 1.0),    # below gamma = 2: converges backward, decays forward
+        (-1.0, -1.0, 1.0),  # below gamma = 2: decays backward, converges forward
+        (0.0, -1.0, 2.0),   # steady: decays backward, blows up forward
+        (0.0, 1.0, 0.5),    # steady: blows up backward, decays forward
+    ]
+
+    @staticmethod
+    def levels(lam, mu, a_ref):
+        """a-levels spanning the branch up to 1e-6 (relative) from its ends."""
+        if lam == 0.0:
+            return np.geomspace(1e-6, 1e6, 41)
+        g = 2.0 * mu / lam
+        if g < 0.0:
+            return -g * np.geomspace(1e-6, 1e6, 41)
+        if a_ref > g:
+            return g * (1.0 + np.geomspace(1e-6, 1e6, 41))
+        y = np.concatenate([np.geomspace(1e-6, 0.5, 21), 1.0 - np.geomspace(0.4, 1e-6, 20)])
+        return g * y
+
+    @pytest.mark.parametrize("lam,mu,a_ref", BRANCHES)
+    def test_profile_matches_mpmath(self, lam, mu, a_ref):
+        with mpmath.workdps(40):
+            prof = integrate_profile(SolitonParams(lam, mu), 0.0, a_ref, (-math.inf, math.inf))
+            # the branch constant C = t_ref - G(a_ref) to a few ulps ...
+            C_exact = -mp_time(lam, mu, a_ref)
+            assert abs(prof.C - C_exact) <= 4e-16 * abs(C_exact)
+            # ... and a(t) on the branch t = C + G(a) through that C
+            C = mpmath.mpf(prof.C)
+            for level in self.levels(lam, mu, a_ref):
+                t = float(C + mp_time(lam, mu, level))
+                ref = mpmath.findroot(lambda a: C + mp_time(lam, mu, a) - t, mpmath.mpf(level))
+                assert abs(prof.a(t) - ref) <= 1e-13 * ref, (level, t)
+
+    @pytest.mark.parametrize("gamma", [0.99, 0.5, 1e-3, 1e-9, -1e-6, -0.5, -1.0, -40.0, INFINITE])
+    @pytest.mark.parametrize("mu", [1.0, -0.3])
+    def test_blow_up_time_matches_mpmath(self, mu, gamma):
+        with mpmath.workdps(40):
+            if math.isinf(gamma):
+                exact = -1 / (4 * mpmath.mpf(mu))
+            else:
+                g = mpmath.mpf(gamma)
+                exact = (-1 - mpmath.log(1 - g) / g) / (4 * mpmath.mpf(mu))
+            assert abs(blow_up_time_closed(mu, gamma) - exact) <= 1e-15 * abs(exact)

@@ -23,6 +23,7 @@ from soliton2d import (
     total_curvature,
     variation_report,
 )
+from soliton2d.variational import _simpson
 from conftest import FAMILY_SAMPLES, cached_entry, cached_metric, perturbed_cigar_metric
 
 
@@ -34,6 +35,15 @@ def fine_cigar():
 @pytest.fixture(scope="module")
 def tf_bump():
     return bump_variation((0.5, 2.0), psi_amp=1.0)
+
+
+class TestSimpson:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 10, 101, 1000, 1001, 20001])
+    def test_matches_scipy(self, n):
+        x = np.linspace(0.3, 2.9, n)
+        for y in (np.exp(-x) * np.sin(5.0 * x) + 1.0, np.cosh(x), x**3 - 2.0 * x):
+            want = simpson(y, x=x)
+            assert _simpson(y, x) == pytest.approx(want, rel=1e-14, abs=1e-300), n
 
 
 class TestEnergy:
