@@ -2,12 +2,15 @@
 
 In the coordinate t = b^2/4 the metric reads (a^2/t) dt^2 + 4t dtheta^2 with
 a = 1/b', so arc length is recovered from r(t) = r0 + int a(s)/sqrt(s) ds.
-The quadrature runs in w = sqrt(t) (smooth through the origin) with local
-changes of variable toward singular edges: sqrt-type at finite-time blow-up
-with lambda != 0, log-type at steady blow-up and at the lambda < 0 cusp,
-reciprocal toward a decaying t = infinity end.  Gauss curvature follows the
-algebraic identity K = lambda - 2 mu / a; the finite-difference route
--b''/b is kept separate as an independent check.
+The quadrature runs in the branch's own level coordinate v (ode.py), in
+which both a and t = C + G(a) are explicit: a blow-up end is the far end of
+the v-range, a tail below rounding at a geodesic boundary and linear in v at
+a cylinder or cusp; a decay end is a tail in v too, and a cone end grows
+like sqrt(v).  Only next to a regular t = 0 (smooth origin or cone vertex),
+where t = C + (t - C) would cancel, does a short piece run in w = sqrt(t)
+through profile.a.  Gauss curvature follows the algebraic identity
+K = lambda - 2 mu / a; the finite-difference route -b''/b is kept separate
+as an independent check.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ from .errors import (
     WindowEmptyError,
 )
 from .ode import (
+    _V_MAX,
+    _V_MIN,
     BLOW_UP,
     CONVERGES,
     DECAY_TO_ZERO,
@@ -35,9 +40,11 @@ from .ode import (
     TRUNCATED,
     ProfileA,
     SolitonParams,
+    _branch_class,
+    _level_coordinate,
+    _level_point,
     _separatrix_time,
     implicit_profile,
-    time_between_levels,
 )
 
 SMOOTH_ORIGIN_TOL = 1.0e-8
@@ -57,160 +64,164 @@ def curvature_from_a(params: SolitonParams, a) -> float:
 # Arc-length table
 # ---------------------------------------------------------------------------
 
+#: Distance in v from a regular lower edge to the seam where the w = sqrt(t)
+#: piece hands over to the level coordinate.  a changes by a factor of about
+#: e^0.5 there, so t = C + (t - C) no longer cancels, and the 1/sqrt(t)
+#: singularity at the edge stays half a unit of v away from the v nodes.
+_SEAM = 0.5
+_W_SEGMENTS = 16  # Gauss-Legendre segments of the w piece
+#: A decay end (t -> inf, a -> 0) lies at finite distance but is not a
+#: circle of the metric.  Its table stops 60 e-folds of a below the branch
+#: scale, where the rest of the tail is about e^-30 of the radius.
+_DECAY_SPAN = 60.0
+#: v nodes are 1/2 apart across the representable range of blow-up and
+#: decay ends, and grow by 1.25 per segment beyond it, toward a cone end
+#: (r ~ sqrt(v)), which the table follows out to _CONE_SPAN.
+_LINEAR_SPAN = _V_MAX - _V_MIN
+_CONE_SPAN = 1.0e15
+#: w-range of the flat cone a == gamma, where r = 2 gamma w is exact.
+_W_FLAT = 1.0e150
 
-class _Zone:
-    """One quadrature zone [w_a, w_b], smooth in its own variable xi."""
 
-    def __init__(self, kind: str, w_a: float, w_b: float, edge: float = math.nan, n: int = 800):
-        self.kind = kind
-        self.w_a, self.w_b = w_a, w_b
-        self.edge = edge
-        self.n = n
-
-    def xi_of_w(self, w):
-        w = np.asarray(w, dtype=float)
-        if self.kind == "plain":
-            return w
-        if self.kind == "sqrt_hi":
-            return -np.sqrt(np.maximum(self.edge - w, 0.0))
-        if self.kind == "sqrt_lo":
-            return np.sqrt(np.maximum(w - self.edge, 0.0))
-        if self.kind == "log_lo":
-            return np.log(w - self.edge)
-        if self.kind == "log_hi":
-            return -np.log(self.edge - w)
-        if self.kind == "inv_hi":
-            return -1.0 / w
-        raise AssertionError(self.kind)
-
-    def w_of_xi(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        if self.kind == "plain":
-            return xi
-        if self.kind == "sqrt_hi":
-            return self.edge - xi * xi
-        if self.kind == "sqrt_lo":
-            return self.edge + xi * xi
-        if self.kind == "log_lo":
-            return self.edge + np.exp(xi)
-        if self.kind == "log_hi":
-            return self.edge - np.exp(-xi)
-        if self.kind == "inv_hi":
-            return -1.0 / xi
-        raise AssertionError(self.kind)
-
-    def dw_dxi(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        if self.kind == "plain":
-            return np.ones_like(xi)
-        if self.kind == "sqrt_hi":
-            return -2.0 * xi
-        if self.kind == "sqrt_lo":
-            return 2.0 * xi
-        if self.kind in ("log_lo", "log_hi"):
-            return np.exp(xi if self.kind == "log_lo" else -xi)
-        if self.kind == "inv_hi":
-            return 1.0 / (xi * xi)
-        raise AssertionError(self.kind)
-
-    def nodes(self) -> np.ndarray:
-        lo, hi = self.xi_of_w(self.w_a), self.xi_of_w(self.w_b)
-        return np.linspace(float(lo), float(hi), self.n + 1)
+def _v_offsets(span: float) -> np.ndarray:
+    """Offsets of the v nodes from the start of the v piece: 1/8 apart over
+    the first unit (next to the seam), then 1/2 apart, then geometric."""
+    lin = min(span, _LINEAR_SPAN)
+    parts = [np.linspace(0.0, 1.0, 9), np.arange(1.5, lin, 0.5)]
+    if span > lin:
+        parts.append(lin * 1.25 ** np.arange(math.log(span / lin) / math.log(1.25)))
+    s = np.concatenate(parts)
+    return np.append(s[s < span], span)
 
 
 class _ArcTable:
-    """Cumulative arc length r(w) over a union of quadrature zones.
+    """Cumulative arc length r(x) from the circle at t_lo to the one at t_hi.
 
-    Node values come from per-segment Gauss-Legendre in the zone variable;
-    evaluation between nodes adds the exact partial-segment quadrature, so
-    r(w) and its inverse are accurate to quadrature precision everywhere,
-    not just at the nodes (interpolated tables leave node-scale wiggles that
-    finite differencing downstream would amplify by 1/h^2).
+    r = int a/sqrt(t) dt is taken over one coordinate x with a point map
+    x -> (a, t, dr/dx).  Next to a regular lower edge (t = 0 or a window
+    edge) x is w = sqrt(t) up to a seam, and a comes from profile.a.
+    Everywhere else x runs along the branch's level coordinate v
+    (v = sigma x + v_shift, sigma = sign dt/dv), in which a and t are
+    explicit (ode._level_point).  A blow-up end is then v = _V_MAX: a tail
+    below rounding at finite distance, linear in v at a cylinder or cusp.
+    Decay and cone ends are described at _DECAY_SPAN and _CONE_SPAN.
+
+    Node values come from per-segment Gauss-Legendre; evaluation between
+    nodes adds the exact partial-segment quadrature, so r(x) and its inverse
+    are accurate to quadrature precision everywhere, not just at the nodes
+    (interpolated tables leave node-scale wiggles that finite differencing
+    downstream would amplify by 1/h^2).
     """
 
-    def __init__(self, aeval, zones: list[_Zone]):
-        self.aeval = aeval
-        self.zones = zones
-        self._zone_xi = []
-        self._zone_r0 = []  # cumulative r at each zone's xi nodes
-        w_nodes = [np.array([zones[0].w_a])]
-        r_nodes = [np.array([0.0])]
-        r_off = 0.0
-        for z in zones:
-            xi = z.nodes()
-            incr = self._segment_integrals(z, xi)
-            r_cum_full = np.concatenate([[r_off], r_off + np.cumsum(incr)])
-            self._zone_xi.append(xi)
-            self._zone_r0.append(r_cum_full)
-            w_nodes.append(z.w_of_xi(xi[1:]))
-            r_nodes.append(r_cum_full[1:])
-            r_off = r_cum_full[-1]
-        w = np.concatenate(w_nodes)
-        r = np.concatenate(r_nodes)
-        # dedupe seams and any rounding inversions near singular edges
-        keep = np.concatenate([[True], np.diff(w) > 0])
-        self.w, self.r = w[keep], r[keep]
+    def __init__(self, profile: ProfileA, t_lo: float, t_hi: float):
+        self.profile = profile
+        self.x_c = -math.inf  # end of the w piece
+        if profile.is_constant:  # flat cone: the w piece alone
+            t_hi = t_c = min(t_hi, _W_FLAT**2)
+        else:
+            self.branch = _branch_class(profile.params, profile.a_ref)
+            self.sigma = float(np.sign(self._v_point(np.zeros(1))[2][0]))
+            if profile.tag0.kind == BLOW_UP and t_lo == profile.t0:
+                v0, t_c = _V_MAX, -math.inf
+            else:
+                v0 = self._v_at(t_lo) + self.sigma * _SEAM
+                t_c = float(self._v_point(np.array([v0]))[1][0])
+        nodes = []
+        if t_c > t_lo:
+            self.t_w = (t_lo, min(t_c, t_hi))
+            self.x_c = math.sqrt(self.t_w[1])
+            nodes.append(np.linspace(math.sqrt(t_lo), self.x_c, _W_SEGMENTS + 1))
+        if t_c < t_hi:
+            # x goes on from the w piece, or is -v from a blow-up start
+            # (sigma = -1 there), which keeps x small where the branch turns
+            x0 = self.x_c if nodes else -v0
+            self.v_shift = v0 - self.sigma * x0
+            tag1 = profile.tag1.kind
+            if tag1 == BLOW_UP and t_hi == profile.t1:
+                v_end = _V_MAX
+            elif math.isinf(t_hi) and tag1 == DECAY_TO_ZERO:
+                v_end = max(_V_MIN, min(v0, 0.0) - _DECAY_SPAN)
+            elif math.isinf(t_hi):  # convergence to the separatrix
+                v_end = v0 + self.sigma * _CONE_SPAN
+            else:
+                v_end = self._v_at(t_hi)
+            nodes.append(x0 + _v_offsets(abs(v_end - v0)))
+        self.x = np.unique(np.concatenate(nodes))
+        # r = 0 at the node nearest x = 0, where the branch turns, and sums
+        # run outward from there: their rounding stays at the scale of the
+        # turn, not of an infinitely far end cut at the edge of the v-range
+        incr = self._quad(self.x[:-1], self.x[1:])
+        k = int(np.argmin(np.abs(self.x)))
+        self.r = np.concatenate([-np.cumsum(incr[:k][::-1])[::-1], [0.0], np.cumsum(incr[k:])])
 
-    def _segment_integrals(self, z: _Zone, xi: np.ndarray) -> np.ndarray:
-        mid = 0.5 * (xi[1:] + xi[:-1])
-        half = 0.5 * np.diff(xi)
-        pts = mid[:, None] + half[:, None] * _GL_X[None, :]
-        w_pts = z.w_of_xi(pts.ravel())
-        f = 2.0 * self.aeval(w_pts**2) * np.abs(z.dw_dxi(pts.ravel()))
-        f = f.reshape(pts.shape)
-        return (f * _GL_W[None, :]).sum(axis=1) * np.abs(half)
+    def _v_at(self, t: float) -> float:
+        dt = np.array([t - self.profile.C])
+        return float(_level_coordinate(self.profile.params, self.branch, dt)[0])
 
-    def r_of_w(self, w):
+    def _v_point(self, v):
+        return _level_point(self.profile.params, self.branch, self.profile.C, v)
+
+    def point(self, x):
+        """(a, t, dr/dx) at the table coordinate x."""
+        x = np.asarray(x, dtype=float)
+        w_sel = x <= self.x_c
+        if not w_sel.any():
+            return self._v_map(x)
+        if w_sel.all():
+            return self._w_map(x)
+        out = (np.empty_like(x), np.empty_like(x), np.empty_like(x))
+        for sel, piece in ((w_sel, self._w_map), (~w_sel, self._v_map)):
+            for o, val in zip(out, piece(x[sel])):
+                o[sel] = val
+        return out
+
+    def _w_map(self, w):
+        t = np.clip(w * w, *self.t_w)
+        prof = self.profile
+        a = np.full_like(t, prof.params.gamma) if prof.is_constant else prof.a(t)
+        return a, t, 2.0 * a
+
+    def _v_map(self, x):
+        a, t, dt = self._v_point(self.sigma * x + self.v_shift)
+        return a, t, a * np.abs(dt) / np.sqrt(t)
+
+    def x_at(self, t: float) -> float:
+        """Table coordinate of the circle at t."""
+        if math.sqrt(t) <= self.x_c:
+            x = math.sqrt(t)
+        else:
+            x = self.sigma * (self._v_at(t) - self.v_shift)
+        return min(max(x, self.x[0]), self.x[-1])
+
+    def _quad(self, x0, x1):
+        half = 0.5 * (x1 - x0)
+        pts = (0.5 * (x0 + x1))[:, None] + half[:, None] * _GL_X[None, :]
+        f = self.point(pts.ravel())[2].reshape(pts.shape)
+        return (f * _GL_W[None, :]).sum(axis=1) * half
+
+    def r_of_x(self, x):
         """Exact-quadrature arc length: node value plus a partial segment."""
-        w = np.atleast_1d(np.asarray(w, dtype=float))
-        out = np.empty_like(w)
-        done = np.zeros(w.shape, dtype=bool)
-        for z, xi, r0 in zip(self.zones, self._zone_xi, self._zone_r0):
-            sel = (~done) & (w >= z.w_a - 1e-300) & (w <= z.w_b)
-            if z is self.zones[-1]:
-                sel = ~done
-            if not np.any(sel):
-                continue
-            xq = np.asarray(z.xi_of_w(np.clip(w[sel], z.w_a, z.w_b)))
-            idx = np.clip(np.searchsorted(xi, xq) - 1, 0, xi.size - 2)
-            x_lo = xi[idx]
-            mid = 0.5 * (x_lo + xq)
-            half = 0.5 * (xq - x_lo)
-            pts = mid[:, None] + half[:, None] * _GL_X[None, :]
-            w_pts = z.w_of_xi(pts.ravel())
-            f = 2.0 * self.aeval(w_pts**2) * np.abs(z.dw_dxi(pts.ravel()))
-            part = (f.reshape(pts.shape) * _GL_W[None, :]).sum(axis=1) * half
-            out[sel] = r0[idx] + part
-            done |= sel
-        return out if out.size > 1 else float(out[0])
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        j = np.clip(np.searchsorted(self.x, x) - 1, 0, self.x.size - 2)
+        return self.r[j] + self._quad(self.x[j], x)
 
-    def w_of_r(self, r):
+    def x_of_r(self, r):
         """Linear first guess on the nodes polished by Newton on the exact quadrature."""
         r = np.clip(np.atleast_1d(np.asarray(r, dtype=float)), self.r[0], self.r[-1])
-        idx = np.clip(np.searchsorted(self.r, r), 1, self.r.size - 1)
-        w_lo, w_hi = self.w[idx - 1], self.w[idx]
-        w = np.clip(np.interp(r, self.r, self.w), w_lo, w_hi)
+        j = np.clip(np.searchsorted(self.r, r), 1, self.r.size - 1)
+        x_lo, x_hi = self.x[j - 1], self.x[j]
+        x = np.clip(np.interp(r, self.r, self.x), x_lo, x_hi)
         for _ in range(3):
-            val = np.atleast_1d(self.r_of_w(w))
-            slope = 2.0 * self.aeval(w**2)
-            w = np.clip(w - (val - r) / slope, w_lo, w_hi)
-        return w
-
-    @property
-    def r_min(self) -> float:
-        return float(self.r[0])
-
-    @property
-    def r_max(self) -> float:
-        return float(self.r[-1])
+            x = np.clip(x - (self.r_of_x(x) - r) / self.point(x)[2], x_lo, x_hi)
+        return x
 
 
-def _aeval(profile: ProfileA):
-    """Evaluation callable valid on the whole metric t-range."""
-    if profile.is_constant:
-        g = profile.params.gamma
-        return lambda t: np.full_like(np.asarray(t, dtype=float), g)
-    return profile.a
+def _far_edge(profile: ProfileA, t: float) -> bool:
+    """Whether t is a blow-up edge at infinite distance (a cylinder or cusp)."""
+    if profile.is_constant or not (profile.params.lam == 0.0 or t == 0.0):
+        return False
+    ends = ((profile.t0, profile.tag0), (profile.t1, profile.tag1))
+    return any(tag.kind == BLOW_UP and t == edge for edge, tag in ends)
 
 
 def _metric_t_interval(profile: ProfileA) -> tuple[float, float, bool]:
@@ -223,27 +234,6 @@ def _metric_t_interval(profile: ProfileA) -> tuple[float, float, bool]:
         raise DomainError("profile has no t > 0 portion, no metric to build")
     lo_closed = not (profile.t0 >= 0.0 and profile.tag0.kind == BLOW_UP)
     return t_lo, t_hi, lo_closed
-
-
-def _lower_edge_kind(profile: ProfileA) -> Optional[str]:
-    """Quadrature variable toward the lower edge; None for a regular integrand."""
-    if profile.is_constant:
-        return None
-    if profile.t0 >= 0.0 and profile.tag0.kind == BLOW_UP:
-        # steady edge and the t = 0 cusp both give a log-type divergence
-        return "log_lo" if profile.params.lam == 0.0 or profile.t0 == 0.0 else "sqrt_lo"
-    return None
-
-
-def _upper_edge_kind(profile: ProfileA) -> Optional[str]:
-    if profile.is_constant:
-        return None
-    tag = profile.tag1.kind
-    if tag == BLOW_UP:
-        return "log_hi" if profile.params.lam == 0.0 else "sqrt_hi"
-    if tag == DECAY_TO_ZERO:
-        return "inv_hi"
-    return None
 
 
 @dataclass(frozen=True)
@@ -319,135 +309,45 @@ def build_warped_metric(
 
     t_lo, t_hi, lo_closed = _metric_t_interval(profile)
     t_anchor = 0.25 * b0 * b0
-    aeval = _aeval(profile)
     if b0 == 0.0:
         if t_lo > 0.0 or not lo_closed:
             raise DomainError("t = 0 is not in the closure of the profile domain")
-        a0 = float(aeval(0.0))
+        a0 = profile.params.gamma if profile.is_constant else profile.a(0.0)
         if abs(a0 - 1.0) > SMOOTH_ORIGIN_TOL:
             raise NotSmoothOriginError(
                 f"b0 = 0 requires lim a(t) = 1 at t -> 0, got {a0!r}"
             )
-    elif not (t_lo <= t_anchor <= t_hi):
+    elif not (t_lo <= t_anchor <= t_hi) or _far_edge(profile, t_anchor):
         raise DomainError("anchor circle lies outside the profile domain")
 
-    kind_lo = _lower_edge_kind(profile)
-    kind_hi = _upper_edge_kind(profile)
-    lam, mu = profile.params.lam, profile.params.mu
-    w1 = math.sqrt(t_hi) if math.isfinite(t_hi) else math.inf
-    w0 = math.sqrt(t_lo)
-
-    # evaluable edge positions, kept strictly inside singular endpoints
-    if kind_lo == "sqrt_lo":
-        t_a = t_lo + 1.0 / (4.0 * abs(lam) * 1e16)
-        w_a = math.sqrt(t_a)
-        for _ in range(3):
-            w_a = np.nextafter(w_a, math.inf) if w_a <= w0 else w_a
-        w_a = max(w_a, np.nextafter(w0, math.inf))
-    elif kind_lo == "log_lo":
-        gap0 = (t_hi - t_lo) if math.isfinite(t_hi) else 1.0
-        w_a = math.sqrt(t_lo + 1e-10 * gap0)
-    else:
-        w_a = w0
-
-    if kind_hi == "sqrt_hi":
-        t_b = t_hi - 1.0 / (4.0 * abs(lam) * 1e16)
-        w_b = min(math.sqrt(t_b), np.nextafter(w1, 0.0))
-    elif kind_hi == "log_hi":
-        w_b = math.sqrt(t_hi - 1.0 / (4.0 * abs(mu) * 1e9))
-    elif kind_hi == "inv_hi":
-        # plain part up to a moderate level, reciprocal zone for the tail
-        a_level = min(0.01, 0.5 * profile.a_ref if not profile.is_constant else 0.01)
-        t_b = profile.t_ref + time_between_levels(profile.params, profile.a_ref, a_level)
-        w_b = math.sqrt(max(t_b, 4.0 * t_anchor + 1.0))
-    elif profile.is_constant:
-        w_b = math.sqrt(max(4.0 * t_anchor, 1.0))
-    elif profile.tag1.kind == CONVERGES:
-        w_b = math.sqrt(max(profile.sample_range()[1], 4.0 * t_anchor, 1.0))
-    else:  # TRUNCATED upper edge
-        w_b = math.sqrt(profile.t1)
-
-    n_core = max(2000, n_samples)
-
-    def build_table(w_a, w_b):
-        span = w_b - w_a
-        c1 = w_a + (0.3 * span if kind_lo else 0.0)
-        c2 = w_b - (0.3 * span if kind_hi in ("sqrt_hi", "log_hi") else 0.0)
-        zones = []
-        if kind_lo:
-            zones.append(_Zone(kind_lo, w_a, c1, edge=w0))
-        zones.append(_Zone("plain", c1, c2, n=n_core))
-        if kind_hi in ("sqrt_hi", "log_hi"):
-            zones.append(_Zone(kind_hi, c2, w_b, edge=w1))
-        elif kind_hi == "inv_hi":
-            zones.append(_Zone("inv_hi", w_b, 1e9, edge=math.inf))
-        return _ArcTable(aeval, zones)
-
-    table = build_table(w_a, w_b)
-    w_anchor = math.sqrt(t_anchor)
-
-    def offset():
-        return r0 - float(table.r_of_w(w_anchor))
-
-    # extend upward while the end is at infinite distance and not yet covered
-    guard = 0
-    while offset() + table.r_max < r_hi_req and guard < 80:
-        if kind_hi == "log_hi":
-            gap = t_hi - w_b * w_b
-            if gap <= 16.0 * np.finfo(float).tiny:
-                break
-            w_b = math.sqrt(t_hi - gap * 1e-4)
-        elif kind_hi is None and (
-            profile.is_constant
-            or profile.tag1.kind == CONVERGES
-            or (profile.tag1.kind == TRUNCATED and math.isinf(profile.t1))
-        ):
-            w_b *= 2.0
-        else:
-            break  # finite total extent (sqrt blow-up edge or decay tail)
-        table = build_table(w_a, w_b)
-        guard += 1
-
-    # extend downward toward an infinitely far inner edge (cusp / cylinder)
-    guard = 0
-    while offset() + table.r_min > r_lo_req and kind_lo == "log_lo" and guard < 80:
-        gap = w_a * w_a - t_lo
-        if gap < 1e-280:
-            break
-        w_a = math.sqrt(t_lo + gap * 1e-4)
-        table = build_table(w_a, w_b)
-        guard += 1
-
-    off = offset()
-    r_lo = max(r_lo_req, off + table.r_min)
-    r_hi = min(r_hi_req, off + table.r_max)
+    table = _ArcTable(profile, t_lo, t_hi)
+    off = r0 - float(table.r_of_x(table.x_at(t_anchor))[0])
+    extent = (off + float(table.r[0]), off + float(table.r[-1]))
+    r_lo = max(r_lo_req, extent[0])
+    r_hi = min(r_hi_req, extent[1])
     if not r_lo < r_hi:
         raise WindowEmptyError(
             f"requested r-window [{r_lo_req:g}, {r_hi_req:g}] misses the metric extent "
-            f"[{off + table.r_min:g}, {off + table.r_max:g}]"
+            f"[{extent[0]:g}, {extent[1]:g}]"
         )
 
     r = np.linspace(r_lo, r_hi, n_samples)
-    w = np.asarray(table.w_of_r(r - off))
+    x = table.x_of_r(r - off)
     include_origin = b0 == 0.0 and r_lo == r0
-    t = w * w
     if include_origin:
-        w[0], t[0] = 0.0, 0.0
-    a_vals = np.asarray(aeval(t))
+        x[0] = 0.0
+    a_vals, t, _ = table.point(x)
     if include_origin:
         a_vals[0] = 1.0
-    b = 2.0 * w
-    b_prime = 1.0 / a_vals
-    K = profile.params.curvature(a_vals)
     return WarpedMetric(
         params=profile.params,
         r=r,
-        b=b,
-        b_prime=b_prime,
-        K=K,
+        b=2.0 * np.sqrt(t),
+        b_prime=1.0 / a_vals,
+        K=profile.params.curvature(a_vals),
         t_of_r=t,
         closed_form=_detect_closed_form(profile),
-        r_extent=(off + table.r_min, off + table.r_max),
+        r_extent=extent,
         profile=profile,
     )
 
@@ -479,16 +379,20 @@ def metric_from_grid(params: SolitonParams, r: np.ndarray, b: np.ndarray) -> War
     )
 
 
-def radial_distance(profile: ProfileA, t_from: float, t_to: float, n: int = 4000) -> float:
+def radial_distance(profile: ProfileA, t_from: float, t_to: float) -> float:
     """Arc length between the circles at t_from and t_to.
 
-    Both levels must keep the integrand a/sqrt(t) regular (anywhere except a
-    blow-up edge); the smooth origin t = 0 is fine.
+    Both levels lie in the closure of the metric's t-range; either may be a
+    blow-up edge at finite distance (a geodesic boundary).  A cylinder or
+    cusp edge lies at infinite distance and raises.
     """
-    if not 0.0 <= t_from < t_to:
-        raise DomainError("need 0 <= t_from < t_to")
-    zone = _Zone("plain", math.sqrt(t_from), math.sqrt(t_to), n=n)
-    return _ArcTable(_aeval(profile), [zone]).r_max
+    t_lo, t_hi, _ = _metric_t_interval(profile)
+    if not (t_lo <= t_from < t_to <= t_hi and math.isfinite(t_to)):
+        raise DomainError("need t_from < t_to inside the metric's t-range")
+    if _far_edge(profile, t_from) or _far_edge(profile, t_to):
+        raise DomainError("a cylinder or cusp edge lies at infinite distance")
+    r = _ArcTable(profile, t_from, t_to).r
+    return float(r[-1] - r[0])
 
 
 def curvature_from_b(metric: WarpedMetric, r: float) -> float:
@@ -669,7 +573,7 @@ def _outer_descriptor(profile: ProfileA):
     return EndDescriptor(BLOWUP_EDGE), False
 
 
-def geometry_report(profile: ProfileA, tol: float = 1e-8, resolve: bool = True) -> GeometryReport:
+def geometry_report(profile: ProfileA, resolve: bool = True) -> GeometryReport:
     """Completeness, curvature range, and end structure of the metric.
 
     Completeness of each end follows the convergence of the arc-length

@@ -140,7 +140,8 @@ class EndTag:
 #   ABOVE (y > 1)    : v = log(a/gamma - 1),     S = log psi + psi    (blow-up, convergence)
 #   BELOW (0 < y < 1): v = log(a/(gamma - a)),   S = asinh(-psi)      (decay, convergence)
 #
-# On BELOW, -psi = 1 - v + e^-v exactly.
+# On BELOW, -psi = 1 - v + e^-v exactly.  Both a and t are explicit in v
+# (_level_point), so the arc-length quadrature of the metric runs in v too.
 # ---------------------------------------------------------------------------
 
 _NEG, _ABOVE, _BELOW, _STEADY = "neg", "above", "below", "steady"
@@ -164,21 +165,58 @@ def _psi(u: np.ndarray, log1pu: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stretch(branch: str, v: np.ndarray):
-    """(S, dS/dv) on one branch class (see the table above)."""
+def _psi_v(branch: str, v: np.ndarray):
+    """(psi, dpsi/dv) at the level coordinate v of a branch class.
+
+    Written so that each end of the class stays finite: the blow-up side up
+    to _V_MAX, the decay side down to _V_MIN and the convergence side
+    without limit.
+    """
     if branch == _NEG:
         u = np.exp(-v)
-        ps = _psi(u, np.log1p(u))
-        return np.log(ps), -(u / (1.0 + u)) * (u / ps)
+        return _psi(u, np.log1p(u)), -u * (u / (1.0 + u))
     if branch == _ABOVE:
-        p = np.exp(-v)
-        u = -p / (1.0 + p)
-        ps = _psi(u, -np.log1p(p))
-        u2 = u * u
-        return np.log(ps) + ps, -(u2 / ps + u2)
+        u = -1.0 / (1.0 + np.exp(v))
+        return _psi(u, np.minimum(v, 0.0) - np.log1p(np.exp(-np.abs(v)))), -u * u
     em = np.exp(-v)
-    h = 1.0 - v + em
-    return np.arcsinh(h), -(1.0 + em) / np.hypot(1.0, h)
+    return v - 1.0 - em, 1.0 + em
+
+
+def _stretch(branch: str, v: np.ndarray):
+    """(S, dS/dv) on one branch class (see the table above)."""
+    ps, dps = _psi_v(branch, v)
+    if branch == _NEG:
+        return np.log(ps), dps / ps
+    if branch == _ABOVE:
+        return np.log(ps) + ps, dps * (1.0 / ps + 1.0)
+    return np.arcsinh(-ps), -dps / np.hypot(1.0, ps)
+
+
+def _a_of_v(g: float, branch: str, v: np.ndarray) -> np.ndarray:
+    """The level a at coordinate v (v = log a on the steady class)."""
+    if branch == _NEG:
+        return -g * np.exp(v)
+    if branch == _ABOVE:
+        return g * (1.0 + np.exp(v))
+    if branch == _BELOW:
+        return g / (1.0 + np.exp(-v))
+    return np.exp(v)
+
+
+def _level_point(params: SolitonParams, branch: str, C: float, v: np.ndarray):
+    """(a, t, dt/dv) at the level coordinate v of the branch t = C + G(a).
+
+    Both a and t are explicit in v, so no inversion of G is needed:
+    t - C = -psi(u) / (4 mu gamma), or 1 / (4 mu a) on the steady class.
+    """
+    mu = params.mu
+    a = _a_of_v(params.gamma, branch, v)
+    if branch == _STEADY:
+        k = 1.0 / (4.0 * mu * a)
+        return a, C + k, -k
+    ps, dps = _psi_v(branch, v)
+    k = -1.0 / (4.0 * mu * params.gamma)
+    return a, C + k * ps, k * dps
 
 
 def _stretch_target(branch: str, s: np.ndarray) -> np.ndarray:
@@ -217,11 +255,23 @@ def _branch_class(params: SolitonParams, a_ref: float) -> str:
     return _ABOVE if a_ref > g else _BELOW
 
 
-def _level_at(params: SolitonParams, branch: str, dt: np.ndarray) -> np.ndarray:
-    """a on the branch class at times t with t - C = dt (vectorized)."""
+# v-range of each class: its blow-up and decay sides are cut where a stays
+# representable, its convergence side is not
+_V_RANGE = {
+    _NEG: (_V_MIN, _V_MAX),
+    _ABOVE: (-math.inf, _V_MAX),
+    _BELOW: (_V_MIN, math.inf),
+    _STEADY: (_V_MIN, _V_MAX),
+}
+
+
+def _level_coordinate(params: SolitonParams, branch: str, dt: np.ndarray) -> np.ndarray:
+    """The level coordinate v at times t with t - C = dt (vectorized)."""
     mu, g = params.mu, params.gamma
+    lo, hi = _V_RANGE[branch]
     if branch == _STEADY:
-        return 1.0 / (4.0 * mu * dt)
+        with np.errstate(divide="ignore"):
+            return np.clip(-np.log(4.0 * mu * dt), lo, hi)
     s = 4.0 * mu * g * dt
     if branch != _BELOW:
         # blow-up branches have s < 0 inside the domain; keep rounding there
@@ -232,15 +282,21 @@ def _level_at(params: SolitonParams, branch: str, dt: np.ndarray) -> np.ndarray:
     j = np.clip(x, 0.0, vt.size - 2.0).astype(np.intp)
     v = vt[j] + (x - j) * (vt[j + 1] - vt[j])  # extrapolates linearly past the table
     for _ in range(2):
-        np.clip(v, _V_MIN, _V_MAX, out=v)
+        np.clip(v, lo, hi, out=v)
         s_v, ds = _stretch(branch, v)
         v -= (s_v - s_target) / ds
-    np.clip(v, _V_MIN, _V_MAX, out=v)
-    if branch == _NEG:
-        return -g * np.exp(v)
-    if branch == _ABOVE:
-        return g * (1.0 + np.exp(v))
-    return g / (1.0 + np.exp(-v))
+    if branch == _BELOW:
+        # S is logarithmic on the convergence side; past the table (v > 40)
+        # -psi = 1 - v + e^-v = s gives v = 1 - s to rounding
+        v = np.where(s < -39.0, 1.0 - s, v)
+    return np.clip(v, lo, hi, out=v)
+
+
+def _level_at(params: SolitonParams, branch: str, dt: np.ndarray) -> np.ndarray:
+    """a on the branch class at times t with t - C = dt (vectorized)."""
+    if branch == _STEADY:
+        return 1.0 / (4.0 * params.mu * dt)
+    return _a_of_v(params.gamma, branch, _level_coordinate(params, branch, dt))
 
 
 def _separatrix_time(params: SolitonParams, a: float) -> float:
@@ -359,7 +415,7 @@ class ProfileA:
     kind: str  # "closed_form" | "constant" | "implicit"
     phi: float = math.nan  # reciprocal-affine coefficient (closed_form, core view)
     const_value: float = math.nan
-    C: float = math.nan  # branch constant of t = C + G(a) (implicit)
+    C: float = math.nan  # branch constant of t = C + G(a) (implicit, closed_form)
     amp: float = 1.0
     tscale: float = 1.0
     shift: float = 0.0
@@ -513,7 +569,7 @@ def closed_form_profile(params: SolitonParams, phi: float) -> ProfileA:
     a_ref = 1.0 / (4.0 * mu * t_ref + phi)
     return ProfileA(
         params=params, t_ref=t_ref, a_ref=a_ref, t0=t0, t1=t1,
-        tag0=tag0, tag1=tag1, kind="closed_form", phi=phi,
+        tag0=tag0, tag1=tag1, kind="closed_form", phi=phi, C=t_pole,
         t0_exact=True, t1_exact=True,
     )
 

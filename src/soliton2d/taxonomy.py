@@ -137,17 +137,16 @@ def disk_boundary_distance(gamma: float) -> float:
     """Distance from the center to the totally geodesic boundary circle.
 
     The branch through a(0) = 1 above the separatrix, time-normalized so the
-    blow-up sits at t = 1/4 (boundary length 2 pi); the distance is the full
-    radial extent of the reconstructed disk.  Strictly decreasing in gamma on
-    each of (0, 1) and (-inf, 0).
+    blow-up sits at t = 1/4 (boundary length 2 pi); the distance is the
+    radial distance from t = 0 to the blow-up time C.  Strictly decreasing
+    in gamma on each of (0, 1) and (-inf, 0).
     """
     if gamma >= 1.0 or gamma == 0.0:
         raise DomainError("boundary-disk branch requires gamma < 1, gamma != 0")
     mu = -1.0 - math.log1p(-gamma) / gamma
     lam = 2.0 * mu / gamma
     prof = integrate_profile(SolitonParams(lam, mu), 0.0, 1.0, (0.0, math.inf))
-    metric = build_warped_metric(prof, (0.0, 0.0), (0.0, 100.0), n_samples=64)
-    return metric.r_extent[1]
+    return radial_distance(prof, 0.0, prof.C)
 
 
 def _blowup_anchor_profile(params: SolitonParams, T0: float) -> ProfileA:

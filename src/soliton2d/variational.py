@@ -25,8 +25,7 @@ import numpy as np
 
 from .errors import DomainError, WindowError, ZeroCurvatureError
 from .geometry import WarpedMetric
-
-ZERO_K = 1.0e-12
+from .verify import ZERO_K, _central_fields
 
 
 def bump(x):
@@ -203,15 +202,9 @@ def total_curvature(metric: WarpedMetric, window) -> float:
 
 def _u_derivatives(metric: WarpedMetric, sl: slice):
     """(r, b, K, u', u'', b'/b) by central differences on the slice interior."""
-    r, b, K = metric.r[sl], metric.b[sl], metric.K[sl]
-    _check_nonzero_K(K)
-    h = metric.spacing
-    u = np.log(np.abs(K))
-    up = (u[2:] - u[:-2]) / (2.0 * h)
-    upp = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h * h)
-    bp = (b[2:] - b[:-2]) / (2.0 * h)
-    inner = slice(1, -1)
-    return r[inner], b[inner], K[inner], up, upp, bp / b[inner]
+    _check_nonzero_K(metric.K[sl])
+    r, b, K, up, upp, bp = _central_fields(metric, sl)
+    return r, b, K, up, upp, bp / b
 
 
 def first_variation(metric: WarpedMetric, v: VariationField) -> float:

@@ -62,20 +62,16 @@ def _components(K: np.ndarray):
     return [(int(edges[i]), int(edges[i + 1])) for i in range(edges.size - 1)]
 
 
-def _fd_fields(metric: WarpedMetric, lo: int, hi: int):
-    """(interior slice, u', u'', b'_fd) on one sign component by central FD."""
-    r = metric.r[lo:hi]
-    b = metric.b[lo:hi]
-    K = metric.K[lo:hi]
-    if r.size < 5:
-        raise DomainError("sign component too short for interior stencils")
+def _central_fields(metric: WarpedMetric, sl: slice):
+    """(r, b, K, u', u'', b') on the interior of a slice of the metric's grid:
+    central differences of u = log|K| and of b."""
+    r, b, K = metric.r[sl], metric.b[sl], metric.K[sl]
     h = metric.spacing
     u = np.log(np.abs(K))
     up = (u[2:] - u[:-2]) / (2.0 * h)
     upp = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h * h)
     bp = (b[2:] - b[:-2]) / (2.0 * h)
-    inner = slice(1, -1)
-    return r[inner], b[inner], K[inner], up, upp, bp
+    return r[1:-1], b[1:-1], K[1:-1], up, upp, bp
 
 
 def soliton_residual(metric: WarpedMetric) -> ResidualReport:
@@ -90,7 +86,7 @@ def soliton_residual(metric: WarpedMetric) -> ResidualReport:
     for lo, hi in _components(metric.K):
         if hi - lo < 5:
             continue
-        r, b, K, up, upp, bp = _fd_fields(metric, lo, hi)
+        r, b, K, up, upp, bp = _central_fields(metric, slice(lo, hi))
         # the origin circle b = 0 cannot enter the b'/b coefficient
         msk = b > 1e-8
         cot = bp[msk] / b[msk]

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -26,6 +27,15 @@ def perturbed_cigar_metric(h=1e-3, lo=0.2, hi=3.0, amp=0.01, k=3.0) -> WarpedMet
         r=r, b=b, b_prime=bp, K=-bpp / b, t_of_r=0.25 * b * b,
         closed_form=None, r_extent=(lo, hi), profile=None,
     )
+
+
+def mp_time(lam, mu, a):
+    """G(a) with G' = 1/a' and G(inf) = 0, at the working mpmath precision."""
+    lam, mu, a = mpmath.mpf(lam), mpmath.mpf(mu), mpmath.mpf(a)
+    if lam == 0:
+        return 1 / (4 * mu * a)
+    g = 2 * mu / lam
+    return (mpmath.log(abs(a - g) / a) / g + 1 / a) / (4 * mu)
 
 
 # one nu sample per family for suite-wide sweeps (kept light; the acceptance

@@ -182,3 +182,26 @@ class TestImportHygiene:
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, check=True)
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("argv", [
+        ["metric", "--lambda", "-1", "--mu", "-1", "--a0", "1", "--b0", "0",
+         "--r-range", "0,3", "--samples", "51", "--format", "csv"],
+        ["catalog", "--family", "G6", "--nu", "3"],
+    ], ids=["metric_csv", "catalog_g6"])
+    def test_cli_run_loads_no_scipy(self, argv):
+        # the arc-length quadrature and the catalog stay on numpy alone
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = (
+            "import sys\n"
+            "from soliton2d import cli\n"
+            "try:\n"
+            "    cli.main()\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'], file=sys.stderr)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout
+        assert proc.stderr.strip().splitlines()[-1] == "[]"

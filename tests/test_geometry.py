@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -22,7 +23,7 @@ from soliton2d import (
     metric_from_grid,
     radial_distance,
 )
-from conftest import cached_entry
+from conftest import cached_entry, cached_metric
 
 
 class TestCurvatureFromA:
@@ -97,6 +98,20 @@ class TestBuildWarpedMetric:
         prof = integrate_profile(make_params(0.0, -1.0), 0.0, 1.0, (0.0, math.inf))
         m = build_warped_metric(prof, (1.0, math.tanh(1.0)), (0.5, 3.0), 801)
         assert np.max(np.abs(m.b - np.tanh(m.r))) <= 1e-8
+
+
+    def test_anchor_deep_in_cone(self):
+        # t = 2500 on G6 lies far past the stretch table of a(t); there the
+        # metric is the cone b = b0 + (r - r0) / gamma to rounding
+        prof = catalog("G6", math.pi).profile  # gamma = 2
+        m = build_warped_metric(prof, (0.0, 100.0), (-5.0, 5.0), 101)
+        assert_allclose(m.b, 100.0 + 0.5 * m.r, rtol=1e-12)
+
+    def test_cusp_entry_grid_is_smooth(self):
+        # sample positions carry rounding at the scale of the window, not of
+        # the far end of the cusp: log|K| has no node-scale noise to difference
+        m = cached_metric("G8", math.pi)
+        assert np.max(np.abs(np.diff(np.log(np.abs(m.K)), 4))) <= 5e-13
 
 
 class TestCurvatureFromB:
@@ -176,6 +191,87 @@ class TestRadialDistance:
             assert radial_distance(prof, 0.0, t) == pytest.approx(
                 math.atanh(2.0 * math.sqrt(t)), rel=1e-9
             )
+
+
+class TestRadialDistanceMpmath:
+    """radial_distance against a 40-digit mpmath quadrature of dr = a dt/sqrt(t).
+
+    The oracle runs over y = log|a - gamma|, where both a and the closed-form
+    t = t_ref + G(a) - G(a_ref) are explicit, so no level is inverted and the
+    cone or decay tail can be followed to t ~ 1e7.  dr/dy = |gamma / (4 mu a
+    sqrt(t))|.  In the level pairs None is the anchor (t = 0 on G6 and G10)
+    and inf the blow-up edge (the geodesic boundary of G9).
+    """
+
+    CASES = [
+        ("G6", math.pi, [(None, -1.0), (-0.5, -3.0), (None, -4e8)]),
+        ("G10", 1.0, [(None, math.log(1.5)), (math.log(1.5), math.log(1.01)),
+                      (None, math.log1p(1e-8))]),
+        ("G9", 2.0, [(math.inf, 0.0), (math.inf, -20.0)]),
+    ]
+
+    @pytest.mark.parametrize("tag,nu,pairs", CASES, ids=[c[0] for c in CASES])
+    def test_matches_mpmath(self, tag, nu, pairs):
+        prof = catalog(tag, nu).profile
+        with mpmath.workdps(40):
+            lam, mu = mpmath.mpf(prof.params.lam), mpmath.mpf(prof.params.mu)
+            g = 2 * mu / lam
+            sign = 1 if prof.a_ref > g else -1
+
+            def a_of(y):
+                return g + sign * mpmath.exp(y)
+
+            def G(y):
+                return ((y - mpmath.log(a_of(y))) / g + 1 / a_of(y)) / (4 * mu)
+
+            y_ref = mpmath.log(abs(prof.a_ref - g))
+
+            def t_of(y):  # 60 extra bits keep t > 0 at nodes next to the anchor
+                with mpmath.extraprec(60):
+                    return prof.t_ref + G(y) - G(y_ref)
+
+            def dr_dy(y):
+                return abs(g / (4 * mu * a_of(y) * mpmath.sqrt(t_of(y))))
+
+            for y1, y2 in pairs:
+                y2 = mpmath.mpf(y2)
+                if y1 == math.inf:
+                    t_from, pts = prof.t0, [y2, y2 + 1, y2 + 10, mpmath.inf]
+                else:
+                    y1 = y_ref if y1 is None else mpmath.mpf(y1)
+                    t_from = float(t_of(y1))
+                    # breakpoints 16 times closer to y1 each resolve long ranges
+                    n = int(mpmath.log(abs(y2 - y1) + 1, 16)) + 1
+                    pts = [y1] + [y1 + (y2 - y1) * mpmath.mpf(16) ** (k - n) for k in range(n + 1)]
+                ref = abs(mpmath.quad(dr_dy, pts))
+                got = radial_distance(prof, t_from, float(t_of(y2)))
+                assert abs(got - ref) <= 1e-12 * ref, (y1, y2)
+
+    def test_infinitely_far_edges_raise(self):
+        with pytest.raises(DomainError):
+            radial_distance(catalog("G1_CIGAR", 1.0).profile, 0.0, 0.25)  # cylinder
+        with pytest.raises(DomainError):
+            radial_distance(catalog("G11", 1.0).profile, 0.0, 1.0)  # cusp
+
+
+class TestCylinderEnds:
+    """A cylinder end lies at infinite distance: windows deep into it build,
+    with b at the cylinder radius."""
+
+    def test_cigar_outer_cylinder(self):
+        m = build_warped_metric(catalog("G1_CIGAR", 1.0).profile, (0.0, 0.0), (0.0, 50.0), 201)
+        assert m.r[-1] == 50.0
+        assert abs(m.b[-1] - 1.0) <= 1e-12
+
+    def test_g3_inner_cylinder(self):
+        m = build_warped_metric(catalog("G3", 1.0).profile, (0.0, 3.0), (-50.0, 1.0), 201)
+        assert m.r[0] == -50.0
+        assert abs(m.b[0] - 1.0) <= 1e-12
+
+    def test_anchor_on_cylinder_rejected(self):
+        # the cylinder circle itself is not at any finite r
+        with pytest.raises(DomainError):
+            build_warped_metric(catalog("G1_CIGAR", 1.0).profile, (0.0, 1.0), (-1.0, 0.0), 11)
 
 
 class TestGeometryReport:

@@ -25,6 +25,7 @@ from soliton2d import (
     make_params,
 )
 from soliton2d.ode import BLOW_UP, CONVERGES, DECAY_TO_ZERO, SMOOTH_ORIGIN, TRUNCATED
+from conftest import mp_time
 
 
 def separable_time_oracle(mu, gamma, a_from, a_to):
@@ -326,15 +327,6 @@ class TestCsvExport:
         assert dadt == pytest.approx(4.0 * a * a * (a / prof.params.gamma - 1.0) if math.isfinite(prof.params.gamma) else -4.0 * prof.params.mu * a * a, rel=1e-12)
         # 17 significant digits round-trip
         assert f"{a:.17g}" in lines[-1]
-
-
-def mp_time(lam, mu, a):
-    """G(a) with G' = 1/a' and G(inf) = 0, at the working mpmath precision."""
-    lam, mu, a = mpmath.mpf(lam), mpmath.mpf(mu), mpmath.mpf(a)
-    if lam == 0:
-        return 1 / (4 * mu * a)
-    g = 2 * mu / lam
-    return (mpmath.log(abs(a - g) / a) / g + 1 / a) / (4 * mu)
 
 
 class TestMpmathOracles:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,7 +21,23 @@ from soliton2d import (
     make_params,
 )
 from soliton2d.taxonomy import FAMILY_TAGS
-from conftest import FAMILY_SAMPLES, cached_entry
+from conftest import FAMILY_SAMPLES, cached_entry, mp_time
+
+
+def mp_disk_distance(lam, mu):
+    """Distance from a(0) = 1 to the blow-up of the branch, 40-digit mpmath:
+    r = int_1^inf a da / (sqrt(t(a)) |a'(a)|) with t(a) = G(a) - G(1).  t is
+    evaluated with 60 extra bits so that it keeps its sign at quadrature
+    nodes next to a = 1."""
+    with mpmath.workdps(40):
+        lam, mu = mpmath.mpf(lam), mpmath.mpf(mu)
+
+        def f(a):
+            with mpmath.extraprec(60):
+                t = mp_time(lam, mu, a) - mp_time(lam, mu, 1)
+            return a / (mpmath.sqrt(t) * abs(2 * lam * a**3 - 4 * mu * a**2))
+
+        return mpmath.quad(f, [1, 2, 10, 100, mpmath.inf])
 
 
 class TestClassifyDecisionTable:
@@ -137,6 +154,19 @@ class TestCatalog:
         assert d[0] > d[1] > d[2] > 1.0
         dm = [disk_boundary_distance(g) for g in (-10.0, -1.0, -0.1)]
         assert dm[0] > dm[1] > dm[2] > math.pi / 2.0
+
+    @pytest.mark.parametrize("gamma", [0.2, 0.5, 0.8, -0.1, -2.0, -10.0])
+    def test_disk_boundary_distance_matches_mpmath(self, gamma):
+        mu = -1.0 - math.log1p(-gamma) / gamma
+        ref = mp_disk_distance(2.0 * mu / gamma, mu)
+        assert abs(disk_boundary_distance(gamma) - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("tag,nu", [("G4_PLUS", 1.3), ("G4_MINUS", 2.2)])
+    def test_g4_entry_realizes_nu(self, tag, nu):
+        # the reported nu and the true boundary distance of the entry's disk
+        entry = cached_entry(tag, nu)
+        assert abs(entry.nu - nu) <= 1e-12
+        assert abs(mp_disk_distance(entry.params.lam, entry.params.mu) - nu) <= 1e-12
 
     def test_boundary_length_normalizations(self):
         for tag in ("G9", "G12"):
