@@ -22,7 +22,7 @@ def perturbed_cigar(h=1e-3, amp=0.01, k=3.0):
     bp = Tp * (1 + s) + T * sp
     bpp = Tpp * (1 + s) + 2 * Tp * sp + T * spp
     return WarpedMetric(params=SolitonParams(0.0, -1.0), r=r, b=b, b_prime=bp,
-                        K=-bpp / b, t_of_r=0.25 * b * b, closed_form=None,
+                        K=-bpp / b, t_of_r=0.25 * b * b,
                         r_extent=(0.2, 3.0), profile=None)
 
 

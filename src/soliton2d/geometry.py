@@ -177,8 +177,7 @@ class _ArcTable:
 
     def _w_map(self, w):
         t = np.clip(w * w, *self.t_w)
-        prof = self.profile
-        a = np.full_like(t, prof.params.gamma) if prof.is_constant else prof.a(t)
+        a = self.profile.a(t)
         return a, t, 2.0 * a
 
     def _v_map(self, x):
@@ -218,7 +217,7 @@ class _ArcTable:
 
 def _far_edge(profile: ProfileA, t: float) -> bool:
     """Whether t is a blow-up edge at infinite distance (a cylinder or cusp)."""
-    if profile.is_constant or not (profile.params.lam == 0.0 or t == 0.0):
+    if not (profile.params.lam == 0.0 or t == 0.0):
         return False
     ends = ((profile.t0, profile.tag0), (profile.t1, profile.tag1))
     return any(tag.kind == BLOW_UP and t == edge for edge, tag in ends)
@@ -226,8 +225,6 @@ def _far_edge(profile: ProfileA, t: float) -> bool:
 
 def _metric_t_interval(profile: ProfileA) -> tuple[float, float, bool]:
     """(t_lo, t_hi, lo_closed): t-range of the metric and whether t_lo is attainable."""
-    if profile.is_constant:
-        return 0.0, math.inf, True
     t_lo = max(profile.t0, 0.0)
     t_hi = profile.t1
     if t_hi <= t_lo:
@@ -250,7 +247,6 @@ class WarpedMetric:
     b_prime: np.ndarray
     K: np.ndarray
     t_of_r: np.ndarray
-    closed_form: Optional[tuple[str, float]] = None
     r_extent: tuple[float, float] = (-math.inf, math.inf)
     profile: Optional[ProfileA] = None
 
@@ -271,19 +267,6 @@ class WarpedMetric:
         for r, b, bp, k in zip(self.r, self.b, self.b_prime, self.K):
             buf.write(f"{r:.17g},{b:.17g},{bp:.17g},{k:.17g}\n")
         return buf.getvalue()
-
-
-def _detect_closed_form(profile: ProfileA) -> Optional[tuple[str, float]]:
-    p = profile.params
-    if not p.is_steady or profile.kind != "closed_form":
-        return None
-    if p.mu < 0.0:
-        return ("CIGAR", math.sqrt(-p.mu)) if profile.phi == 1.0 else None
-    if profile.phi == 1.0:
-        return ("EXPLODING", math.sqrt(p.mu))
-    if profile.phi <= 0.0:
-        return ("G3", math.sqrt(-profile.phi))
-    return None
 
 
 def build_warped_metric(
@@ -312,7 +295,7 @@ def build_warped_metric(
     if b0 == 0.0:
         if t_lo > 0.0 or not lo_closed:
             raise DomainError("t = 0 is not in the closure of the profile domain")
-        a0 = profile.params.gamma if profile.is_constant else profile.a(0.0)
+        a0 = profile.a(0.0)
         if abs(a0 - 1.0) > SMOOTH_ORIGIN_TOL:
             raise NotSmoothOriginError(
                 f"b0 = 0 requires lim a(t) = 1 at t -> 0, got {a0!r}"
@@ -346,7 +329,6 @@ def build_warped_metric(
         b_prime=1.0 / a_vals,
         K=profile.params.curvature(a_vals),
         t_of_r=t,
-        closed_form=_detect_closed_form(profile),
         r_extent=extent,
         profile=profile,
     )
@@ -375,7 +357,7 @@ def metric_from_grid(params: SolitonParams, r: np.ndarray, b: np.ndarray) -> War
     K = -bpp / b
     return WarpedMetric(
         params=params, r=r, b=b, b_prime=bp, K=K, t_of_r=0.25 * b * b,
-        closed_form=None, r_extent=(float(r[0]), float(r[-1])), profile=None,
+        r_extent=(float(r[0]), float(r[-1])), profile=None,
     )
 
 
@@ -508,7 +490,7 @@ def _check_cusp(profile: ProfileA) -> None:
 
 def _resolve(profile: ProfileA) -> ProfileA:
     """The same branch over its maximal interval when the window cut an end."""
-    if profile.kind != "implicit" or TRUNCATED not in (profile.tag0.kind, profile.tag1.kind):
+    if profile.is_constant or TRUNCATED not in (profile.tag0.kind, profile.tag1.kind):
         return profile
     return implicit_profile(
         profile.params, profile.t_ref, profile.a_ref, profile.C, (-math.inf, math.inf)

@@ -397,12 +397,11 @@ def _halt_level(params: SolitonParams, a_ref: float, fate: str) -> float:
 class ProfileA:
     """A positive solution a(t) on its interval with endpoint behavior tags.
 
-    Representation is closed form (reciprocal-affine or constant) or the
-    implicit solution t = C + G(a) of the branch through the anchor.  For the
-    closed forms, symmetry images compose the affine view
-    a(t) = amp * core((t - shift)/tscale); an implicit branch is invariant in
-    form under the symmetries, so its image carries the transformed
-    parameters and C moved like a time.
+    Representation is the constant separatrix a == gamma (kind "constant")
+    or the implicit solution t = C + G(a) of the branch through the anchor
+    (kind "implicit"), the steady closed forms a = 1/(4 mu (t - C)) included.
+    The form is invariant under the symmetries, so an image carries the
+    transformed parameters and C moved like a time.
     """
 
     params: SolitonParams
@@ -412,22 +411,11 @@ class ProfileA:
     t1: float
     tag0: EndTag
     tag1: EndTag
-    kind: str  # "closed_form" | "constant" | "implicit"
-    phi: float = math.nan  # reciprocal-affine coefficient (closed_form, core view)
-    const_value: float = math.nan
-    C: float = math.nan  # branch constant of t = C + G(a) (implicit, closed_form)
-    amp: float = 1.0
-    tscale: float = 1.0
-    shift: float = 0.0
-    t0_exact: bool = False
-    t1_exact: bool = False
+    kind: str  # "constant" | "implicit"
+    C: float = math.nan  # branch constant of t = C + G(a) (implicit)
+    t0_exact: bool = False  # initial blow-up placed analytically, not inferred
 
     # -- evaluation ---------------------------------------------------------
-
-    @property
-    def _mu_core(self) -> float:
-        # the affine view keeps mu_core == mu_view * amp * tscale invariant
-        return self.params.mu * self.amp * self.tscale
 
     def a(self, t):
         """Profile value(s); valid on the open interval and at finite-limit endpoints."""
@@ -436,10 +424,8 @@ class ProfileA:
         hi_ok = arr < self.t1 if self.tag1.kind == BLOW_UP else arr <= self.t1
         if not np.all(lo_ok & hi_ok):
             raise DomainError(f"t outside profile domain ({self.t0:g}, {self.t1:g})")
-        if self.kind == "constant":
-            out = np.full_like(arr, self.const_value)
-        elif self.kind == "closed_form":
-            out = self.amp / (4.0 * self._mu_core * ((arr - self.shift) / self.tscale) + self.phi)
+        if self.is_constant:
+            out = np.full_like(arr, self.params.gamma)
         else:
             out = _level_at(self.params, _branch_class(self.params, self.a_ref), arr - self.C)
         return out if np.ndim(t) else float(out[0])
@@ -487,7 +473,7 @@ class ProfileA:
     def _end_sample(self, edge: float, tag: EndTag, forward: bool) -> float:
         """Sampling edge toward one end: the window edge, or the time at the
         halting level of a blow-up, decay or convergence end."""
-        if tag.kind in (TRUNCATED, SMOOTH_ORIGIN) or self.is_constant:
+        if tag.kind in (TRUNCATED, SMOOTH_ORIGIN):
             if math.isfinite(edge):
                 return edge
             return max(self.t_ref, 0.0) + 1.0 if forward else min(self.t_ref, 0.0) - 1.0
@@ -552,26 +538,15 @@ class ProfileA:
 
 
 def closed_form_profile(params: SolitonParams, phi: float) -> ProfileA:
-    """Steady-case closed form a(t) = 1/(4 mu t + phi) on its maximal interval."""
+    """Steady-case closed form a(t) = 1/(4 mu t + phi) on its maximal interval.
+
+    It is the steady branch a = 1/(4 mu (t - C)) with pole C = -phi/(4 mu),
+    anchored where a = 1.
+    """
     if not math.isinf(params.gamma):
         raise NotSteadyError("closed form requires lambda = 0 (gamma INFINITE)")
-    mu = params.mu
-    phi = float(phi)
-    t_pole = -phi / (4.0 * mu)
-    if mu < 0.0:
-        t0, t1 = -math.inf, t_pole
-        tag0, tag1 = EndTag(DECAY_TO_ZERO), EndTag(BLOW_UP)
-    else:
-        t0, t1 = t_pole, math.inf
-        tag0, tag1 = EndTag(BLOW_UP), EndTag(DECAY_TO_ZERO)
-    # anchor one unit of 1/(4|mu|) inside the domain, where a = 1
-    t_ref = t_pole + (1.0 if mu > 0 else -1.0) / (4.0 * abs(mu))
-    a_ref = 1.0 / (4.0 * mu * t_ref + phi)
-    return ProfileA(
-        params=params, t_ref=t_ref, a_ref=a_ref, t0=t0, t1=t1,
-        tag0=tag0, tag1=tag1, kind="closed_form", phi=phi, C=t_pole,
-        t0_exact=True, t1_exact=True,
-    )
+    C = -float(phi) / (4.0 * params.mu)
+    return implicit_profile(params, C + 1.0 / (4.0 * params.mu), 1.0, C, (-math.inf, math.inf))
 
 
 def constant_profile(params: SolitonParams, window: tuple[float, float]) -> ProfileA:
@@ -584,7 +559,7 @@ def constant_profile(params: SolitonParams, window: tuple[float, float]) -> Prof
     return ProfileA(
         params=params, t_ref=t_ref, a_ref=g, t0=t_lo, t1=t_hi,
         tag0=EndTag(TRUNCATED), tag1=EndTag(TRUNCATED),
-        kind="constant", const_value=g,
+        kind="constant",
     )
 
 
@@ -613,8 +588,6 @@ def implicit_profile(
     return ProfileA(
         params=params, t_ref=t_ref, a_ref=a_ref, t0=t0, t1=t1,
         tag0=tag0, tag1=tag1, kind="implicit", C=C,
-        t0_exact=tag0.kind in (DECAY_TO_ZERO, CONVERGES),
-        t1_exact=tag1.kind in (DECAY_TO_ZERO, CONVERGES),
     )
 
 
@@ -689,10 +662,10 @@ def _transform_tag(tag: EndTag, amp: float) -> EndTag:
 def apply_symmetry(profile: ProfileA, action) -> ProfileA:
     """Image of a profile under one of the three solution-space actions.
 
-    The returned profile shares the underlying representation (an affine
-    change of view for the closed forms, the moved branch constant for the
-    implicit solution), so it satisfies the equation for its transformed
-    parameters to the accuracy of the original data.
+    The image is the same kind of profile for the transformed parameters:
+    levels scale with the amplitude and times, the branch constant C
+    included, move with the time map, so it satisfies the equation to the
+    accuracy of the original data.
     """
     if isinstance(action, Scale):
         alpha = float(action.alpha)
@@ -725,9 +698,5 @@ def apply_symmetry(profile: ProfileA, action) -> ProfileA:
         t1=fwd_t(profile.t1),
         tag0=_transform_tag(profile.tag0, amp),
         tag1=_transform_tag(profile.tag1, amp),
-        const_value=profile.const_value * amp,
         C=fwd_t(profile.C),
-        amp=profile.amp * amp,
-        tscale=profile.tscale * tsc,
-        shift=profile.shift * tsc + shf,
     )

@@ -25,6 +25,7 @@ from .ode import (
     ProfileA,
     SolitonParams,
     _separatrix_time,
+    blow_up_time_closed,
     closed_form_profile,
     implicit_profile,
     integrate_profile,
@@ -77,15 +78,6 @@ class CatalogEntry:
     normalization_note: str
 
 
-def _initial_blowup(profile: ProfileA) -> tuple[float, float, bool]:
-    """(T0, uncertainty, exact) for a branch that blows up in the past.
-
-    T0 is the branch constant C of t = C + G(a), whatever window the profile
-    was built on.
-    """
-    return profile.C, t0_uncertainty(profile), profile.t0_exact
-
-
 def classify(profile: ProfileA) -> FamilyLabel:
     """Family tag of the solution branch through the profile's anchor."""
     p = profile.params
@@ -110,8 +102,9 @@ def classify(profile: ProfileA) -> FamilyLabel:
         if p.mu < 0.0:
             return FamilyLabel(G4_MINUS)
         below, on, above = G10, G11, G12
-    t0, unc, exact = _initial_blowup(profile)
-    if exact:
+    # T0 is the branch constant C of t = C + G(a), whatever the profile's window
+    t0, unc = profile.C, t0_uncertainty(profile)
+    if profile.t0_exact:
         if t0 == 0.0:
             return FamilyLabel(on, t0, 0.0)
         return FamilyLabel(below if t0 < 0.0 else above, t0, 0.0)
@@ -143,10 +136,19 @@ def disk_boundary_distance(gamma: float) -> float:
     """
     if gamma >= 1.0 or gamma == 0.0:
         raise DomainError("boundary-disk branch requires gamma < 1, gamma != 0")
-    mu = -1.0 - math.log1p(-gamma) / gamma
-    lam = 2.0 * mu / gamma
-    prof = integrate_profile(SolitonParams(lam, mu), 0.0, 1.0, (0.0, math.inf))
+    prof = _disk_profile(gamma)
     return radial_distance(prof, 0.0, prof.C)
+
+
+def _disk_profile(gamma: float) -> ProfileA:
+    """The branch through a(0) = 1 above the separatrix gamma with its blow-up at t = 1/4.
+
+    The blow-up time scales like 1/mu, so mu = 4 T0(mu = 1) =
+    -1 - log(1 - gamma)/gamma, which blow_up_time_closed evaluates without
+    its cancellation at small |gamma|.
+    """
+    mu = 4.0 * blow_up_time_closed(1.0, gamma)
+    return integrate_profile(SolitonParams(2.0 * mu / gamma, mu), 0.0, 1.0, (0.0, math.inf))
 
 
 def _blowup_anchor_profile(params: SolitonParams, T0: float) -> ProfileA:
@@ -210,9 +212,8 @@ def catalog(tag: str, nu: float) -> CatalogEntry:
             s = brentq(lambda s: disk_boundary_distance(-math.exp(s)) - nu,
                        math.log(1e-9), math.log(1e12), xtol=1e-12)
             gamma = -math.exp(s)
-        mu = -1.0 - math.log1p(-gamma) / gamma
-        params = SolitonParams(2.0 * mu / gamma, mu)
-        prof = integrate_profile(params, 0.0, 1.0, (0.0, math.inf))
+        prof = _disk_profile(gamma)
+        params = prof.params
         note = "blow-up time normalized to 1/4 (boundary length 2 pi); gamma by bisection on the boundary distance"
     elif tag == G5:
         _require_range(tag, nu, 0.0, math.inf)

@@ -104,17 +104,6 @@ def soliton_residual(metric: WarpedMetric) -> ResidualReport:
     )
 
 
-def potential_check(metric: WarpedMetric) -> float:
-    """sup |u'(r) - 2 mu b(r)|, the arc-length form of the potential identity."""
-    return soliton_residual(metric).max_potential
-
-
-def killing_check(metric: WarpedMetric) -> float:
-    """sup |u'(r)/b(r) - 2 mu|: the rotated gradient field is Killing iff
-    u'/b is the constant 2 mu."""
-    return soliton_residual(metric).max_killing
-
-
 def smooth_extension_check(profile: ProfileA) -> tuple[bool, float | None]:
     """Whether the metric closes up smoothly over the origin circle.
 
@@ -122,14 +111,9 @@ def smooth_extension_check(profile: ProfileA) -> tuple[bool, float | None]:
     lambda - 2 mu and the curvature gradient vanishes there.
     """
     p = profile.params
-    if profile.is_constant:
-        if profile.t0 > 0.0:
-            raise DomainError("t = 0 is not in the closure of the profile domain")
-        a0 = p.gamma
-    else:
-        if profile.t0 > 0.0 or profile.t1 <= 0.0:
-            raise DomainError("t = 0 is not in the closure of the profile domain")
-        a0 = float(profile.a(0.0))
+    if profile.t0 > 0.0 or profile.t1 <= 0.0:
+        raise DomainError("t = 0 is not in the closure of the profile domain")
+    a0 = float(profile.a(0.0))
     if abs(a0 - 1.0) <= SMOOTH_ORIGIN_TOL:
         return True, p.lam - 2.0 * p.mu
     return False, None

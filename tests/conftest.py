@@ -25,7 +25,7 @@ def perturbed_cigar_metric(h=1e-3, lo=0.2, hi=3.0, amp=0.01, k=3.0) -> WarpedMet
     return WarpedMetric(
         params=SolitonParams(0.0, -1.0),
         r=r, b=b, b_prime=bp, K=-bpp / b, t_of_r=0.25 * b * b,
-        closed_form=None, r_extent=(lo, hi), profile=None,
+        r_extent=(lo, hi), profile=None,
     )
 
 

@@ -205,3 +205,33 @@ class TestImportHygiene:
                               capture_output=True, text=True, check=True)
         assert proc.stdout
         assert proc.stderr.strip().splitlines()[-1] == "[]"
+
+
+# The CLI output contract: the README's JSON examples, the steady closed-form
+# catalog entries and a cone and a cusp entry, compared byte for byte with
+# tests/data/cli_golden.txt (one "$ soliton <args>" line before each stdout).
+GOLDEN = Path(__file__).parent / "data" / "cli_golden.txt"
+GOLDEN_COMMANDS = [
+    "classify --lambda 0 --mu -1 --a0 1 --t0 0 --format json",
+    "report --lambda -1 --mu -1 --a0 1",
+    "verify --lambda 0 --mu -1 --a0 1 --b0 0 --r-range 0,3 --samples 3001",
+    "energy --lambda 0 --mu -1 --a0 1 --b0 0 --r-range 0,3 --window 0.2,2.8",
+    "catalog --family g6 --nu 3.14159",
+    "catalog --list",
+    *(f"catalog --family {fam} --nu {nu}" for fam in ("g1", "g2", "g3") for nu in ("0.7", "0.91")),
+    "catalog --family g6 --nu 0.91",
+    "catalog --family g8 --nu 0.91",
+]
+
+
+def _golden_outputs() -> dict:
+    chunks = GOLDEN.read_text(encoding="utf-8").split("$ soliton ")[1:]
+    return dict(chunk.split("\n", 1) for chunk in chunks)
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("cmd", GOLDEN_COMMANDS)
+    def test_stdout_matches_golden(self, cmd, capsys):
+        code, out, err = run_capture(cmd.split(), capsys)
+        assert code == 0, err
+        assert out == _golden_outputs()[cmd]

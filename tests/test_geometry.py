@@ -14,6 +14,7 @@ from soliton2d import (
     build_warped_metric,
     catalog,
     closed_form_profile,
+    constant_profile,
     curvature_from_a,
     curvature_from_b,
     geodesic_curvature,
@@ -67,6 +68,14 @@ class TestBuildWarpedMetric:
         prof = integrate_profile(make_params(-2.0, -1.0), 0.0, 1.0, (0.0, 10.0))
         m = build_warped_metric(prof, (0.0, 0.0), (0.0, 3.0), 501)
         assert_allclose(m.b, m.r, atol=1e-12)
+
+    def test_constant_profile_window_bounds_metric(self):
+        # the flat plane a == gamma = 1 on t in (0, 5): the disk of radius 2 sqrt(5)
+        prof = constant_profile(make_params(-2.0, -1.0), (0.0, 5.0))
+        m = build_warped_metric(prof, (0.0, 0.0), (0.0, 100.0), 501)
+        assert m.r_extent[1] == pytest.approx(2.0 * prof.params.gamma * math.sqrt(5.0), rel=1e-14)
+        with pytest.raises(DomainError):
+            radial_distance(prof, 0.0, 10.0)
 
     def test_coupling_identity(self, cigar_metric):
         m = cigar_metric

@@ -21,6 +21,7 @@ from soliton2d import (
     apply_symmetry,
     blow_up_time_closed,
     closed_form_profile,
+    geometry_report,
     integrate_profile,
     make_params,
 )
@@ -207,13 +208,28 @@ class TestResidualInvariant:
 
 
 class TestSymmetries:
-    def test_scale_cigar(self):
-        prof = closed_form_profile(make_params(0.0, -1.0), 1.0)
-        out = apply_symmetry(prof, Scale(2.0))
-        ts = np.linspace(-0.2, 0.2, 21)
-        assert_allclose(out.a(ts), 2.0 / (1.0 - 4.0 * ts), rtol=1e-14)
+    @pytest.mark.parametrize("mu,phi,action,analytic,t_pole,ts", [
+        (-1.0, 1.0, Scale(2.0), lambda t: 2.0 / (1.0 - 4.0 * t), 0.25,
+         np.linspace(-0.2, 0.2, 21)),
+        # a(t) = 1/(4t - 1) blows up at t = 1/4; its images are a(t/beta^2) and a(t - tau)
+        (1.0, -1.0, Rescale(1.7), lambda t: 1.0 / (4.0 * t / 1.7**2 - 1.0), 0.25 * 1.7**2,
+         0.25 * 1.7**2 + np.geomspace(0.05, 50.0, 25)),
+        (1.0, -1.0, Translate(0.3), lambda t: 1.0 / (4.0 * (t - 0.3) - 1.0), 0.55,
+         0.55 + np.geomspace(0.05, 50.0, 25)),
+    ], ids=["scale_cigar", "rescale_g3", "translate_g3"])
+    def test_closed_form_images(self, mu, phi, action, analytic, t_pole, ts):
+        out = apply_symmetry(closed_form_profile(make_params(0.0, mu), phi), action)
+        assert t_pole == pytest.approx(out.t1 if mu < 0.0 else out.t0, rel=1e-15)
+        assert_allclose(out.a(ts), analytic(ts), rtol=1e-14)
         # transformed parameters must keep the residual at solver accuracy
         assert max(out.residual(t) for t in ts) <= 1e-10
+
+    def test_scaled_cigar_has_cone_vertex(self):
+        # a(0) = 2 after Scale(2): the origin is a cone of angle 2 pi / 2
+        out = apply_symmetry(closed_form_profile(make_params(0.0, -1.0), 1.0), Scale(2.0))
+        rep = geometry_report(out)
+        assert rep.inner_end.kind == "CONE_END" and not rep.complete_inner
+        assert rep.inner_end.angle == pytest.approx(math.pi, rel=1e-15)
 
     def test_translate_shifts_domain_only(self):
         prof = integrate_profile(make_params(0.0, -1.0), 0.0, 1.0, (0.0, math.inf))

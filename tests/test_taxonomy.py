@@ -20,7 +20,7 @@ from soliton2d import (
     integrate_profile,
     make_params,
 )
-from soliton2d.taxonomy import FAMILY_TAGS
+from soliton2d.taxonomy import FAMILY_TAGS, _disk_profile
 from conftest import FAMILY_SAMPLES, cached_entry, mp_time
 
 
@@ -160,6 +160,17 @@ class TestCatalog:
         mu = -1.0 - math.log1p(-gamma) / gamma
         ref = mp_disk_distance(2.0 * mu / gamma, mu)
         assert abs(disk_boundary_distance(gamma) - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("gamma", [1e-9, -1e-9, 1e-6, 0.5, -2.0])
+    def test_disk_mu_matches_mpmath(self, gamma):
+        # mu = -1 - log(1 - gamma)/gamma puts the disk's blow-up at t = 1/4;
+        # evaluated as written it cancels at small |gamma| (8e-8 off at 1e-9)
+        with mpmath.workdps(40):
+            g = mpmath.mpf(gamma)
+            ref = float(-1 - mpmath.log(1 - g) / g)
+        prof = _disk_profile(gamma)
+        assert abs(prof.params.mu - ref) <= 4 * np.spacing(abs(ref))
+        assert abs(prof.C - 0.25) <= 4 * np.spacing(0.25)
 
     @pytest.mark.parametrize("tag,nu", [("G4_PLUS", 1.3), ("G4_MINUS", 2.2)])
     def test_g4_entry_realizes_nu(self, tag, nu):

@@ -55,7 +55,7 @@ class TestEnergy:
         b = np.sin(r)
         m = WarpedMetric(params=SolitonParams(1.0, 1e-300), r=r, b=b,
                          b_prime=np.cos(r), K=np.ones_like(r), t_of_r=0.25 * b * b,
-                         closed_form=None, r_extent=(0.2, 1.2), profile=None)
+                         r_extent=(0.2, 1.2), profile=None)
         assert energy(m, (0.3, 1.1)) == pytest.approx(0.0, abs=1e-12)
 
     def test_cigar_against_quadrature_oracle(self, fine_cigar):

@@ -10,11 +10,10 @@ from soliton2d import (
     apply_symmetry,
     build_warped_metric,
     closed_form_profile,
+    constant_profile,
     entry_metric,
     integrate_profile,
-    killing_check,
     make_params,
-    potential_check,
     smooth_extension_check,
     soliton_residual,
 )
@@ -30,8 +29,9 @@ class TestSolitonResidual:
 
     def test_potential_and_killing_cigar(self, cigar_metric):
         # analytic identity: u' = -2 tanh r = 2 mu b, u'/b = -2
-        assert potential_check(cigar_metric) <= 1e-6
-        assert killing_check(cigar_metric) <= 1e-6
+        rep = soliton_residual(cigar_metric)
+        assert rep.max_potential <= 1e-6
+        assert rep.max_killing <= 1e-6
 
     def test_perturbation_breaks_identities(self):
         m = perturbed_cigar_metric(h=1e-3)
@@ -49,7 +49,7 @@ class TestSolitonResidual:
         b = np.sin(r)
         m = WarpedMetric(
             params=SolitonParams(1.0, 1e-300), r=r, b=b, b_prime=np.cos(r),
-            K=np.ones_like(r), t_of_r=0.25 * b * b, closed_form=None,
+            K=np.ones_like(r), t_of_r=0.25 * b * b,
             r_extent=(0.2, 1.2), profile=None,
         )
         rep = soliton_residual(m)
@@ -99,6 +99,11 @@ class TestSmoothExtension:
         prof = closed_form_profile(make_params(0.0, 1.0), -1.0)  # domain (1/4, inf)
         with pytest.raises(DomainError):
             smooth_extension_check(prof)
+
+    def test_constant_window_without_origin_raises(self):
+        # the flat plane a == 1 restricted to t in (-5, -1) has no origin circle
+        with pytest.raises(DomainError):
+            smooth_extension_check(constant_profile(make_params(-2.0, -1.0), (-5.0, -1.0)))
 
     def test_g5_origin_curvature(self):
         entry = cached_entry("G5", 1.0)
