@@ -11,7 +11,6 @@ cross-checks the analytic variation at second order in epsilon.
 import math
 
 import numpy as np
-from scipy.integrate import simpson
 
 from soliton2d import (
     bump_variation,
@@ -25,6 +24,7 @@ from soliton2d import (
     total_curvature,
     variation_report,
 )
+from soliton2d.variational import _simpson
 
 
 def main():
@@ -46,8 +46,8 @@ def main():
     v_cf = bump_variation((0.3, 1.2), phi_amp=1.0)
     got = first_variation(g6, v_cf)
     sel = (g6.r >= 0.3) & (g6.r <= 1.2)
-    area_pairing = -g6.params.lam * 2 * math.pi * simpson(
-        np.asarray(v_cf.phi_at(g6.r[sel])) * g6.b[sel], x=g6.r[sel])
+    area_pairing = -g6.params.lam * 2 * math.pi * _simpson(
+        np.asarray(v_cf.phi_at(g6.r[sel])) * g6.b[sel], g6.r[sel])
     print(f"dE = {got:.10f} vs -lambda * 2 pi int phi b dr = {area_pairing:.10f}")
 
     print("\n== finite-difference oracle ==")

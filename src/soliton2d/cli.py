@@ -76,7 +76,7 @@ def _load_config(path: str) -> dict:
 
 
 _NUMERIC_KEYS = {
-    "lam", "mu", "a0", "t0", "b0", "nu", "tol", "eps", "r0", "b0", "h",
+    "lam", "mu", "a0", "t0", "b0", "nu", "eps", "r0", "h",
 }
 _PAIR_KEYS = {"window", "r_range"}
 _INT_KEYS = {"samples"}
@@ -122,20 +122,20 @@ def _build_parser() -> _Parser:
         return sp
 
     add("integrate", "sample the profile through an anchor",
-        ["--lambda", "--mu", "--a0", "--t0", "--window", "--tol", "--samples"])
+        ["--lambda", "--mu", "--a0", "--t0", "--window", "--samples"])
     add("classify", "family tag of the branch through an anchor",
-        ["--lambda", "--mu", "--a0", "--t0", "--tol"])
+        ["--lambda", "--mu", "--a0", "--t0"])
     add("metric", "reconstruct the warped metric on an r-window",
         ["--lambda", "--mu", "--a0", "--t0", "--b0", "--r0",
-         "--r-range", "--samples", "--tol"])
+         "--r-range", "--samples"])
     add("report", "completeness / curvature / end-structure report",
-        ["--lambda", "--mu", "--a0", "--t0", "--tol"])
+        ["--lambda", "--mu", "--a0", "--t0"])
     add("verify", "soliton-equation residuals of the reconstructed metric",
         ["--lambda", "--mu", "--a0", "--t0", "--b0", "--r0",
-         "--r-range", "--samples", "--tol"])
+         "--r-range", "--samples"])
     add("energy", "curvature-entropy window report (variation + conservation)",
         ["--lambda", "--mu", "--a0", "--t0", "--b0", "--r0", "--r-range",
-         "--window", "--samples", "--eps", "--tol"])
+         "--window", "--samples", "--eps"])
     cat = add("catalog", "canonical family representatives",
               ["--family", "--nu", "--samples"])
     cat.add_argument("--list", action="store_true", dest="list_families")
@@ -168,8 +168,7 @@ def _profile_from(opts: dict) -> ode.ProfileA:
     params = ode.make_params(opts["lam"], opts["mu"])
     t0 = opts.get("t0", 0.0)
     window = opts.get("window", (-math.inf, math.inf))
-    tol = opts.get("tol", ode.DEFAULT_TOL)
-    return ode.integrate_profile(params, t0, opts["a0"], window, tol=tol)
+    return ode.integrate_profile(params, t0, opts["a0"], window)
 
 
 def _metric_from(opts: dict) -> geometry.WarpedMetric:

@@ -43,10 +43,6 @@ A_ZERO = 1.0e-10
 #: Relative snap width for recognising the constant separatrix a == gamma.
 SEPARATRIX_SNAP = 1.0e-13
 
-#: Default tolerance accepted by integrate_profile (the implicit solution is
-#: exact to rounding whatever its value).
-DEFAULT_TOL = 1.0e-10
-
 # Endpoint tag kinds.
 BLOW_UP = "BLOW_UP"
 DECAY_TO_ZERO = "DECAY_TO_ZERO"
@@ -78,10 +74,6 @@ class SolitonParams:
         if self.lam == 0.0:
             return INFINITE
         return 2.0 * self.mu / self.lam
-
-    @property
-    def is_steady(self) -> bool:
-        return self.lam == 0.0
 
     @property
     def kind(self) -> str:
@@ -361,13 +353,21 @@ FATE_CONVERGE = "converge"
 FATE_CONSTANT = "constant"
 
 
+def _slope_sign(params: SolitonParams, a: float) -> int:
+    """Sign of a' = 4 mu a^2 (a/gamma - 1) at the level a, from the signs of
+    its factors: the product itself underflows at tiny a."""
+    g = params.gamma
+    side = (a > g) - (a < g) if math.isfinite(g) and g > 0.0 else -1
+    return side if params.mu > 0.0 else -side
+
+
 def _fate(params: SolitonParams, a_ref: float, forward: bool) -> tuple[str, Optional[float]]:
     """Qualitative behavior of the branch through a_ref toward one endpoint."""
     g = params.gamma
-    q = params.rhs(a_ref)
-    if q == 0.0:
+    q = _slope_sign(params, a_ref)
+    if q == 0:
         return FATE_CONSTANT, a_ref
-    rising = (q > 0.0) == forward  # does a increase toward this endpoint
+    rising = (q > 0) == forward  # does a increase toward this endpoint
     if rising:
         if math.isfinite(g) and 0.0 < g and a_ref < g:
             return FATE_CONVERGE, g
@@ -500,10 +500,7 @@ class ProfileA:
         """'increasing', 'decreasing' or 'constant' (phase-line trichotomy)."""
         if self.is_constant:
             return "constant"
-        q = self.params.rhs(self.a_ref)
-        if q == 0.0:
-            return "constant"
-        return "increasing" if q > 0.0 else "decreasing"
+        return {1: "increasing", 0: "constant", -1: "decreasing"}[_slope_sign(self.params, self.a_ref)]
 
     # -- export -------------------------------------------------------------
 
@@ -596,7 +593,6 @@ def integrate_profile(
     t_ref: float,
     a_ref: float,
     window: tuple[float, float],
-    tol: float = DEFAULT_TOL,
 ) -> ProfileA:
     """The profile through (t_ref, a_ref) on window cap its maximal interval.
 
@@ -604,16 +600,13 @@ def integrate_profile(
     t = C + G(a) with C = t_ref - G(a_ref), so a blow-up end sits at t = C
     and decay or convergence ends at infinity (see ``implicit_profile`` for
     when a window counts as reaching them).  Anchors within SEPARATRIX_SNAP of gamma
-    snap to the constant solution.  ``tol`` must be positive; the result is
-    exact to rounding whatever its value.
+    snap to the constant solution.
     """
     if not math.isfinite(a_ref) or a_ref <= 0.0:
         raise NonpositiveAnchorError("a_ref must be positive")
     t_lo, t_hi = float(window[0]), float(window[1])
     if not (t_lo <= t_ref <= t_hi):
         raise DomainError("window must contain t_ref")
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
 
     g = params.gamma
     if math.isfinite(g) and g > 0.0 and abs(a_ref - g) <= SEPARATRIX_SNAP * max(1.0, g):

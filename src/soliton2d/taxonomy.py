@@ -151,6 +151,41 @@ def _disk_profile(gamma: float) -> ProfileA:
     return integrate_profile(SolitonParams(2.0 * mu / gamma, mu), 0.0, 1.0, (0.0, math.inf))
 
 
+def _disk_gamma(tag: str, nu: float) -> tuple[float, float]:
+    """The gamma = 1 - e^x of the boundary disk at distance nu, and that distance.
+
+    The distance rises with x = log(1 - gamma) over (log 1e-12, -1e-9) on
+    G4_PLUS and (1e-9, log 1e12) on G4_MINUS, like 1 + 1/(2|x|) toward
+    gamma -> 1 and near-linearly toward gamma -> -inf.  Chandrupatla's (1997)
+    bracketed iteration stops within 8 ulps of nu, below the distance's own
+    rounding, or on a bracket one ulp of gamma (dx = dgamma / (1 - gamma)) wide.
+    """
+    def point(x):
+        g = -math.expm1(x)
+        d = disk_boundary_distance(g)
+        return x, d - nu, g, d
+
+    x_end = math.log(1e12)
+    b, a = (point(-x_end), point(-1e-9)) if tag == G4_PLUS else (point(1e-9), point(x_end))
+    if not b[1] < 0.0 < a[1]:
+        raise RangeError(f"{tag} boundary distance is attainable only in ({b[3]:.9g}, {a[3]:.9g}); got {nu:g}")
+    c, t = a, 0.5
+    while True:
+        new = point(a[0] + t * (b[0] - a[0]))
+        b, c = (b, a) if (new[1] > 0.0) == (a[1] > 0.0) else (a, b)
+        a = new
+        (xa, fa, _, _), (xb, fb, _, _), (xc, fc, _, _) = a, b, c
+        x, f, g, d = a if abs(fa) < abs(fb) else b
+        tlim = (2.0 * math.ulp(x) + math.ulp(g) / (1.0 - g)) / abs(xb - xa)
+        if abs(f) <= 8.0 * math.ulp(nu) or tlim > 0.5:
+            return g, d
+        xi, phi = (xa - xb) / (xc - xb), (fa - fb) / (fc - fb)
+        t = 0.5  # inverse quadratic interpolation where Chandrupatla's test admits it
+        if phi * phi < xi and (1.0 - phi) ** 2 < 1.0 - xi:
+            t = fa / (fb - fa) * fc / (fb - fc) + (xc - xa) / (xb - xa) * fa / (fc - fa) * fb / (fc - fb)
+        t = min(1.0 - tlim, max(tlim, t))
+
+
 def _blowup_anchor_profile(params: SolitonParams, T0: float) -> ProfileA:
     """Profile with an exact initial blow-up at T0: the branch t = T0 + G(a)
     (G the exact time-to-level antiderivative with G(inf) = 0), anchored at
@@ -165,10 +200,10 @@ def catalog(tag: str, nu: float) -> CatalogEntry:
 
     Normalizations: the steady families use their closed forms; the
     boundary-disk families set the blow-up time to 1/4 (boundary length
-    2 pi) and recover gamma from nu = dist(center, boundary) by bisection;
-    the cusp families fix lambda = -1 with the blow-up exactly at t = 0; the
-    boundary annuli put the blow-up at t = 1/4; cone families are indexed by
-    the cone angle nu = 2 pi / gamma with mu = -1.
+    2 pi) and recover gamma from nu = dist(center, boundary) by a bracketed
+    root solve; the cusp families fix lambda = -1 with the blow-up exactly
+    at t = 0; the boundary annuli put the blow-up at t = 1/4; cone families
+    are indexed by the cone angle nu = 2 pi / gamma with mu = -1.
     """
     nu = float(nu)
     if tag == G1_CIGAR:
@@ -187,31 +222,7 @@ def catalog(tag: str, nu: float) -> CatalogEntry:
         prof = closed_form_profile(params, -nu * nu)
         note = "closed form 1/(4t - nu^2) at mu = 1; inner cylinder radius nu"
     elif tag in (G4_PLUS, G4_MINUS):
-        from scipy.optimize import brentq  # local: importing the package stays scipy-free
-
-        if tag == G4_PLUS:
-            _require_range(tag, nu, 1.0, math.inf)
-            hemi = disk_boundary_distance(1e-9)
-            if nu >= hemi:
-                raise RangeError(
-                    f"G4_PLUS boundary distance is attainable only below {hemi:.9g} "
-                    f"(the constant-curvature limit); got {nu:g}"
-                )
-            gamma = brentq(lambda g: disk_boundary_distance(g) - nu, 1e-9, 1.0 - 1e-12,
-                           xtol=1e-13, rtol=8.9e-16)
-        else:
-            _require_range(tag, nu, math.pi / 2.0, math.inf)
-            lo, hi = -1e12, -1e-9
-            if nu >= disk_boundary_distance(lo):
-                raise RangeError(
-                    f"G4_MINUS boundary distance {nu:g} needs gamma below {lo:g}; "
-                    "outside the numerically supported range"
-                )
-            if nu <= disk_boundary_distance(hi):
-                raise RangeError(f"G4_MINUS requires nu > pi/2, got {nu:g}")
-            s = brentq(lambda s: disk_boundary_distance(-math.exp(s)) - nu,
-                       math.log(1e-9), math.log(1e12), xtol=1e-12)
-            gamma = -math.exp(s)
+        gamma, nu = _disk_gamma(tag, nu)  # nu: the realized distance
         prof = _disk_profile(gamma)
         params = prof.params
         note = "blow-up time normalized to 1/4 (boundary length 2 pi); gamma by bisection on the boundary distance"
@@ -262,12 +273,7 @@ def catalog(tag: str, nu: float) -> CatalogEntry:
     else:
         raise RangeError(f"unknown family tag {tag!r}")
 
-    label = classify(prof)
-    entry_nu = nu
-    if tag in (G4_PLUS, G4_MINUS):
-        # report the realized distance, which bisection matched to nu
-        entry_nu = disk_boundary_distance(params.gamma)
-    return CatalogEntry(family=label, nu=entry_nu, params=params, profile=prof,
+    return CatalogEntry(family=classify(prof), nu=nu, params=params, profile=prof,
                         normalization_note=note)
 
 

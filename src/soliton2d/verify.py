@@ -84,11 +84,11 @@ def soliton_residual(metric: WarpedMetric) -> ResidualReport:
     grids = []
     tf, lap, pot, kil = 0.0, 0.0, 0.0, 0.0
     for lo, hi in _components(metric.K):
-        if hi - lo < 5:
-            continue
         r, b, K, up, upp, bp = _central_fields(metric, slice(lo, hi))
         # the origin circle b = 0 cannot enter the b'/b coefficient
         msk = b > 1e-8
+        if hi - lo < 5 or not msk.any():
+            continue
         cot = bp[msk] / b[msk]
         tf = max(tf, float(np.max(np.abs(upp[msk] - cot * up[msk]))))
         lap = max(lap, float(np.max(np.abs(upp[msk] + cot * up[msk] - 2.0 * (p.lam - K[msk])))))

@@ -56,6 +56,12 @@ class TestCatalogCommand:
         assert code == 1
         assert "RANGE" in err
 
+    @pytest.mark.parametrize("family,nu", [("g4_plus", "1.01"), ("g4_minus", "20")])
+    def test_g4_outside_bracket_exit_one(self, family, nu, capsys):
+        code, _, err = run_capture(["catalog", "--family", family, "--nu", nu], capsys)
+        assert code == 1
+        assert "RANGE" in err
+
 
 class TestIntegrateCommand:
     def test_missing_flag_usage(self, capsys):
@@ -174,8 +180,7 @@ class TestExitCodes:
 
 class TestImportHygiene:
     def test_cli_import_loads_no_scipy(self):
-        # scipy costs most of a CLI call's start-up; only the G4 bisection
-        # imports it, at call time
+        # importing scipy would cost most of a CLI call's start-up
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         code = "import sys, soliton2d.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
@@ -187,9 +192,12 @@ class TestImportHygiene:
         ["metric", "--lambda", "-1", "--mu", "-1", "--a0", "1", "--b0", "0",
          "--r-range", "0,3", "--samples", "51", "--format", "csv"],
         ["catalog", "--family", "G6", "--nu", "3"],
-    ], ids=["metric_csv", "catalog_g6"])
+        ["catalog", "--family", "g4_plus", "--nu", "1.3"],
+        ["catalog", "--family", "g4_minus", "--nu", "2.2"],
+    ], ids=["metric_csv", "catalog_g6", "catalog_g4_plus", "catalog_g4_minus"])
     def test_cli_run_loads_no_scipy(self, argv):
-        # the arc-length quadrature and the catalog stay on numpy alone
+        # the arc-length quadrature and the catalog, G4 root solve included,
+        # stay on numpy alone
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         code = (
@@ -221,6 +229,8 @@ GOLDEN_COMMANDS = [
     *(f"catalog --family {fam} --nu {nu}" for fam in ("g1", "g2", "g3") for nu in ("0.7", "0.91")),
     "catalog --family g6 --nu 0.91",
     "catalog --family g8 --nu 0.91",
+    "catalog --family g4_plus --nu 1.3",
+    "catalog --family g4_minus --nu 2.2",
 ]
 
 

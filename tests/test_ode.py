@@ -198,9 +198,8 @@ class TestResidualInvariant:
         [(0.0, -1.0, 1.0), (0.0, 1.0, 1.0), (-2.0, -1.0, 0.5), (4.0, 1.0, 1.0), (-1.0, 1.0, 1.0)],
     )
     def test_sampled_residual_below_ten_tol(self, lam, mu, a0):
-        tol = 1e-10
-        prof = integrate_profile(SolitonParams(lam, mu), 0.0, a0, (0.0, math.inf), tol=tol)
-        assert prof.max_residual(n=100) <= 10.0 * tol
+        prof = integrate_profile(SolitonParams(lam, mu), 0.0, a0, (0.0, math.inf))
+        assert prof.max_residual(n=100) <= 1e-9
 
     def test_closed_form_residual(self):
         prof = closed_form_profile(make_params(0.0, -1.0), 1.0)
@@ -330,6 +329,14 @@ class TestMonotonicityTrichotomy:
         assert integrate_profile(p, 0.0, 1.0, (0.0, 1.0)).monotonicity() == "constant"
         assert integrate_profile(p, 0.0, 1.0 + 1e-6, (0.0, 1.0)).monotonicity() == "decreasing"
         assert integrate_profile(p, 0.0, 1.0 - 1e-6, (0.0, 1.0)).monotonicity() == "increasing"
+
+    def test_direction_survives_underflow_of_rhs(self):
+        # rhs(1e-200) = 2 lam a^3 - 4 mu a^2 underflows to 0, yet the branch
+        # below gamma = 2 with mu < 0 rises from 0 toward gamma
+        prof = integrate_profile(make_params(-1.0, -1.0), 0.0, 1e-200, (-math.inf, math.inf))
+        assert prof.tag0.kind == DECAY_TO_ZERO
+        assert prof.tag1.kind == CONVERGES and prof.tag1.value == 2.0
+        assert prof.monotonicity() == "increasing"
 
 
 class TestCsvExport:

@@ -20,6 +20,7 @@ from soliton2d import (
     integrate_profile,
     make_params,
 )
+from soliton2d.geometry import radial_distance
 from soliton2d.taxonomy import FAMILY_TAGS, _disk_profile
 from conftest import FAMILY_SAMPLES, cached_entry, mp_time
 
@@ -178,6 +179,32 @@ class TestCatalog:
         entry = cached_entry(tag, nu)
         assert abs(entry.nu - nu) <= 1e-12
         assert abs(mp_disk_distance(entry.params.lam, entry.params.mu) - nu) <= 1e-12
+
+    @pytest.mark.parametrize("tag,nu,budget", [
+        ("G4_PLUS", 1.05, 19), ("G4_PLUS", 1.1, 15), ("G4_PLUS", 1.3, 13),
+        ("G4_PLUS", 1.38, 12), ("G4_PLUS", 1.45, 11), ("G4_PLUS", 1.5, 11),
+        ("G4_MINUS", 1.7, 19), ("G4_MINUS", 2.2, 17), ("G4_MINUS", 3.0, 14),
+    ])
+    def test_g4_solve_accuracy_and_budget(self, tag, nu, budget, monkeypatch):
+        # distance evaluations (about 0.7 ms each) stay within a per-nu budget
+        import soliton2d.taxonomy as tx
+        calls = []
+        monkeypatch.setattr(tx, "disk_boundary_distance",
+                            lambda g: calls.append(g) or disk_boundary_distance(g))
+        entry = catalog(tag, nu)
+        assert len(calls) <= budget
+        assert abs(entry.nu - nu) <= 1e-13 * nu
+        # the reported nu is the boundary distance of the entry's own disk
+        assert entry.nu == radial_distance(entry.profile, 0.0, entry.profile.C)
+
+    @pytest.mark.parametrize("tag,nu", [
+        ("G4_PLUS", 1.01), ("G4_PLUS", 1.0189), ("G4_MINUS", 14.6), ("G4_MINUS", 1e3),
+    ])
+    def test_g4_outside_bracket_raises_range(self, tag, nu):
+        # below the G4_PLUS bracket (gamma = 1 - 1e-12) and above the
+        # G4_MINUS one (gamma = -1e12)
+        with pytest.raises(RangeError):
+            catalog(tag, nu)
 
     def test_boundary_length_normalizations(self):
         for tag in ("G9", "G12"):

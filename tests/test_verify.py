@@ -62,6 +62,14 @@ class TestSolitonResidual:
         with pytest.raises(ZeroCurvatureError):
             soliton_residual(m)
 
+    def test_window_inside_origin_mask_is_typed_error(self):
+        # on (0, 1e-100) every b stays below the 1e-8 origin mask
+        prof = integrate_profile(make_params(0.0, -1e200), 0.0, 1.0, (0.0, math.inf))
+        with np.errstate(over="ignore"):
+            m = build_warped_metric(prof, (0.0, 0.0), (0.0, 1e-100))
+        with pytest.raises(DomainError, match="no usable sign component"):
+            soliton_residual(m)
+
     @pytest.mark.parametrize("tag", sorted(FAMILY_SAMPLES))
     def test_catalog_families_pass(self, tag):
         rep = soliton_residual(cached_metric(tag, FAMILY_SAMPLES[tag]))
