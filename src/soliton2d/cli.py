@@ -75,9 +75,7 @@ def _load_config(path: str) -> dict:
     return out
 
 
-_NUMERIC_KEYS = {
-    "lam", "mu", "a0", "t0", "b0", "nu", "eps", "r0", "h",
-}
+_NUMERIC_KEYS = {"lam", "mu", "a0", "t0", "b0", "nu", "eps", "r0"}
 _PAIR_KEYS = {"window", "r_range"}
 _INT_KEYS = {"samples"}
 
@@ -112,22 +110,22 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="soliton", description=__doc__, add_help=True)
     sub = p.add_subparsers(dest="subcommand")
 
-    def add(name, helptext, flags):
+    def add(name, helptext, flags, formats=("json",)):
         sp = sub.add_parser(name, help=helptext)
         sp.add_argument("--config", default=None, help="key = value file; flags override")
-        sp.add_argument("--format", choices=("csv", "json"), default=None)
+        sp.add_argument("--format", choices=formats, default=None)
         sp.add_argument("--out", default=None, help="write output to this file")
         for flag in flags:
             sp.add_argument(flag, default=None)
         return sp
 
     add("integrate", "sample the profile through an anchor",
-        ["--lambda", "--mu", "--a0", "--t0", "--window", "--samples"])
+        ["--lambda", "--mu", "--a0", "--t0", "--window", "--samples"], ("csv", "json"))
     add("classify", "family tag of the branch through an anchor",
         ["--lambda", "--mu", "--a0", "--t0"])
     add("metric", "reconstruct the warped metric on an r-window",
         ["--lambda", "--mu", "--a0", "--t0", "--b0", "--r0",
-         "--r-range", "--samples"])
+         "--r-range", "--samples"], ("csv", "json"))
     add("report", "completeness / curvature / end-structure report",
         ["--lambda", "--mu", "--a0", "--t0"])
     add("verify", "soliton-equation residuals of the reconstructed metric",

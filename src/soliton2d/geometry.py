@@ -36,14 +36,14 @@ from .ode import (
     BLOW_UP,
     CONVERGES,
     DECAY_TO_ZERO,
-    SMOOTH_ORIGIN,
-    TRUNCATED,
     ProfileA,
     SolitonParams,
     _branch_class,
     _level_coordinate,
     _level_point,
     _separatrix_time,
+    _sorted_unique,
+    constant_profile,
     implicit_profile,
 )
 
@@ -146,7 +146,7 @@ class _ArcTable:
             else:
                 v_end = self._v_at(t_hi)
             nodes.append(x0 + _v_offsets(abs(v_end - v0)))
-        self.x = np.unique(np.concatenate(nodes))
+        self.x = _sorted_unique(np.concatenate(nodes))
         # r = 0 at the node nearest x = 0, where the branch turns, and sums
         # run outward from there: their rounding stays at the scale of the
         # turn, not of an infinitely far end cut at the edge of the v-range
@@ -409,7 +409,6 @@ CYLINDER_END = "CYLINDER_END"
 CUSP_END = "CUSP_END"
 GEODESIC_BOUNDARY = "GEODESIC_BOUNDARY"
 EXPLODING_END = "EXPLODING_END"
-BLOWUP_EDGE = "BLOWUP_EDGE"
 
 POSITIVE = "POSITIVE"
 NEGATIVE = "NEGATIVE"
@@ -475,29 +474,34 @@ def t0_uncertainty(profile: ProfileA) -> float:
     return 8.0 * np.finfo(float).eps * scale
 
 
-def _check_cusp(profile: ProfileA) -> None:
-    """Validate the cusp thresholds: circle length below 1e-4 with K near lambda."""
-    p = profile.params
-    lam, mu = p.lam, p.mu
-    t_len = (0.5e-4) ** 2 / 4.0  # b = 2 sqrt(t) < 1e-4
-    t_K = (1e-3 / 2.0) ** 2 / (4.0 * mu * mu * (-lam)) if lam < 0 else t_len
-    t_c = min(t_len, t_K)
-    a_c = profile.a(t_c)
-    K_c = p.curvature(a_c)
-    if 2.0 * math.sqrt(t_c) >= 1e-4 or abs(K_c - lam) > 1e-3:
-        raise UnresolvedEndError("cusp thresholds not met near t = 0")
+def t0_sign(profile: ProfileA) -> tuple[Optional[int], float]:
+    """Sign of the blow-up time T0 = C and the rounding bound it was decided against.
+
+    Exact (bound 0) when the blow-up was placed analytically (t0_exact), so
+    only such a profile can have T0 = 0: the cusp families are measure zero.
+    Otherwise None while |C| is within t0_uncertainty.
+    """
+    C = profile.C
+    sign = (C > 0.0) - (C < 0.0)
+    if profile.t0_exact:
+        return sign, 0.0
+    unc = t0_uncertainty(profile)
+    return (None if abs(C) <= unc else sign), unc
 
 
 def _resolve(profile: ProfileA) -> ProfileA:
-    """The same branch over its maximal interval when the window cut an end."""
-    if profile.is_constant or TRUNCATED not in (profile.tag0.kind, profile.tag1.kind):
+    """The same branch over its maximal interval."""
+    if profile.t0_exact:  # placed on its maximal interval already
         return profile
+    if profile.is_constant:
+        return constant_profile(profile.params, (-math.inf, math.inf))
     return implicit_profile(
         profile.params, profile.t_ref, profile.a_ref, profile.C, (-math.inf, math.inf)
     )
 
 
 def _inner_descriptor(profile: ProfileA):
+    """The end at t = 0, or at the initial blow-up T0 = C >= 0 of a maximal branch."""
     p = profile.params
     if profile.is_constant:
         g = p.gamma
@@ -510,32 +514,22 @@ def _inner_descriptor(profile: ProfileA):
             return EndDescriptor(SMOOTH_POINT, curvature=p.lam - 2.0 * p.mu), True
         # cone vertex at the origin: finite distance, no smooth extension
         return EndDescriptor(CONE_END, angle=2.0 * math.pi / a0), False
-    if profile.tag0.kind == SMOOTH_ORIGIN:
-        return EndDescriptor(SMOOTH_POINT, curvature=p.lam - 2.0 * p.mu), True
-    if profile.tag0.kind == BLOW_UP:
-        T0 = profile.t0
-        if p.lam == 0.0:
-            return EndDescriptor(CYLINDER_END, radius=2.0 * math.sqrt(T0)), True
-        unc = t0_uncertainty(profile)
-        if profile.t0_exact and T0 == 0.0:
-            _check_cusp(profile)
-            return EndDescriptor(CUSP_END, curvature=p.lam), True
-        if abs(T0) <= unc and not profile.t0_exact:
-            raise UnresolvedEndError(
-                f"initial blow-up time {T0!r} within its uncertainty {unc:g}; "
-                "cusp versus boundary is not decidable numerically"
-            )
-        if T0 > 0.0:
-            return (
-                EndDescriptor(GEODESIC_BOUNDARY, length=4.0 * math.pi * math.sqrt(T0)),
-                False,
-            )
-        raise UnresolvedEndError("negative blow-up time with t-domain at 0")
-    # TRUNCATED with t0 >= 0: window edge, no geometric conclusion
-    return EndDescriptor(BLOWUP_EDGE), False
+    T0 = profile.t0
+    if p.lam == 0.0:
+        return EndDescriptor(CYLINDER_END, radius=2.0 * math.sqrt(T0)), True
+    sign, unc = t0_sign(profile)
+    if sign is None:
+        raise UnresolvedEndError(
+            f"initial blow-up time {T0!r} within its uncertainty {unc:g}; "
+            "cusp versus boundary is not decidable numerically"
+        )
+    if sign == 0:
+        return EndDescriptor(CUSP_END, curvature=p.lam), True
+    return EndDescriptor(GEODESIC_BOUNDARY, length=4.0 * math.pi * math.sqrt(T0)), False
 
 
 def _outer_descriptor(profile: ProfileA):
+    """The end toward t1 of a maximal branch."""
     p = profile.params
     if profile.is_constant:
         return EndDescriptor(CONE_END, angle=2.0 * math.pi / p.gamma), True
@@ -544,29 +538,22 @@ def _outer_descriptor(profile: ProfileA):
         T1 = profile.t1
         if p.lam == 0.0:
             return EndDescriptor(CYLINDER_END, radius=2.0 * math.sqrt(T1)), True
-        return (
-            EndDescriptor(GEODESIC_BOUNDARY, length=4.0 * math.pi * math.sqrt(T1)),
-            False,
-        )
+        return EndDescriptor(GEODESIC_BOUNDARY, length=4.0 * math.pi * math.sqrt(T1)), False
     if tag.kind == DECAY_TO_ZERO:
         return EndDescriptor(EXPLODING_END, nu=math.sqrt(p.mu)), False
-    if tag.kind == CONVERGES:
-        return EndDescriptor(CONE_END, angle=2.0 * math.pi / tag.value), True
-    return EndDescriptor(BLOWUP_EDGE), False
+    return EndDescriptor(CONE_END, angle=2.0 * math.pi / tag.value), True
 
 
-def geometry_report(profile: ProfileA, resolve: bool = True) -> GeometryReport:
+def geometry_report(profile: ProfileA) -> GeometryReport:
     """Completeness, curvature range, and end structure of the metric.
 
-    Completeness of each end follows the convergence of the arc-length
-    element a(t)/sqrt(t) toward it, from the exact tail of the implicit
-    solution at that end; ends cut by the profile's window are resolved by
-    viewing the same branch over its maximal interval first (disable with
-    ``resolve=False`` to report BLOWUP_EDGE instead).
+    The report describes the profile's branch over its maximal interval,
+    whatever window the profile was cut to, so each end is read from the
+    exact end of the implicit solution: completeness follows from the
+    convergence of the arc-length element a(t)/sqrt(t) toward it.
     """
-    if resolve:
-        profile = _resolve(profile)
-    t_lo, t_hi, _ = _metric_t_interval(profile)
+    profile = _resolve(profile)
+    _metric_t_interval(profile)  # raises when the branch has no t > 0 portion
 
     inner, complete_inner = _inner_descriptor(profile)
     outer, complete_outer = _outer_descriptor(profile)
@@ -575,41 +562,26 @@ def geometry_report(profile: ProfileA, resolve: bool = True) -> GeometryReport:
     sign = {"increasing": POSITIVE, "decreasing": NEGATIVE, "constant": ZERO}[mono]
 
     # K = lambda - 2 mu / a is monotone in a and a is monotone in t, so the
-    # curvature range comes from the a-limits over the metric's t-interval
-    p = profile.params
+    # curvature range comes from the limits of a at t = 0 (or the initial
+    # blow-up) and at the outer end; a = inf gives lambda, a = 0 an infinity
     if profile.is_constant:
-        k_vals = [0.0, 0.0]
+        K = np.zeros(2)
     else:
-        limits = []
-        if profile.t0 < 0.0 or profile.tag0.kind in (SMOOTH_ORIGIN, TRUNCATED):
-            limits.append(profile.a(t_lo))
-        elif profile.tag0.kind == BLOW_UP:
-            limits.append(math.inf)
-        if profile.tag1.kind == BLOW_UP:
-            limits.append(math.inf)
-        elif profile.tag1.kind == DECAY_TO_ZERO:
-            limits.append(0.0)
-        elif profile.tag1.kind == CONVERGES:
-            limits.append(profile.tag1.value)
-        else:
-            limits.append(profile.a(profile.t1))
-        k_vals = []
-        for av in limits:
-            if av == 0.0:
-                k_vals.append(-math.inf if p.mu > 0 else math.inf)
-            elif math.isinf(av):
-                k_vals.append(p.lam)
-            else:
-                k_vals.append(p.curvature(av))
-    K_inf, K_sup = min(k_vals), max(k_vals)
+        tag1 = profile.tag1
+        a_ends = np.array([
+            profile.a(0.0) if profile.t0 < 0.0 else math.inf,
+            {BLOW_UP: math.inf, DECAY_TO_ZERO: 0.0, CONVERGES: tag1.value}[tag1.kind],
+        ])
+        with np.errstate(divide="ignore"):
+            K = profile.params.curvature(a_ends)
 
     return GeometryReport(
         complete_inner=complete_inner,
         complete_outer=complete_outer,
         complete=complete_inner and complete_outer,
         curvature_sign=sign,
-        K_inf=float(K_inf),
-        K_sup=float(K_sup),
+        K_inf=float(K.min()),
+        K_sup=float(K.max()),
         inner_end=inner,
         outer_end=outer,
     )

@@ -343,14 +343,9 @@ def blow_up_time_closed(mu: float, gamma: float) -> float:
 
 # ---------------------------------------------------------------------------
 # Phase line analysis.  The equation is autonomous with fixed points at 0 and
-# (when finite and positive) gamma, so the fate of a branch in each time
+# (when finite and positive) gamma, so the end of a branch in each time
 # direction is decided by the sign of a' and the fixed points in the way.
 # ---------------------------------------------------------------------------
-
-FATE_BLOWUP = "blowup"
-FATE_DECAY = "decay"
-FATE_CONVERGE = "converge"
-FATE_CONSTANT = "constant"
 
 
 def _slope_sign(params: SolitonParams, a: float) -> int:
@@ -361,27 +356,20 @@ def _slope_sign(params: SolitonParams, a: float) -> int:
     return side if params.mu > 0.0 else -side
 
 
-def _fate(params: SolitonParams, a_ref: float, forward: bool) -> tuple[str, Optional[float]]:
-    """Qualitative behavior of the branch through a_ref toward one endpoint."""
+def _fate(params: SolitonParams, a_ref: float, forward: bool) -> EndTag:
+    """The end of the nonconstant branch through a_ref in one time direction."""
     g = params.gamma
-    q = _slope_sign(params, a_ref)
-    if q == 0:
-        return FATE_CONSTANT, a_ref
-    rising = (q > 0) == forward  # does a increase toward this endpoint
-    if rising:
-        if math.isfinite(g) and 0.0 < g and a_ref < g:
-            return FATE_CONVERGE, g
-        return FATE_BLOWUP, None
-    if math.isfinite(g) and 0.0 < g < a_ref:
-        return FATE_CONVERGE, g
-    return FATE_DECAY, 0.0
+    rising = (_slope_sign(params, a_ref) > 0) == forward  # does a increase toward this end
+    if math.isfinite(g) and g > 0.0 and (a_ref < g) == rising:
+        return EndTag(CONVERGES, g)
+    return EndTag(BLOW_UP) if rising else EndTag(DECAY_TO_ZERO)
 
 
-def _halt_level(params: SolitonParams, a_ref: float, fate: str) -> float:
-    """The a-level past which an end counts as reached (never behind a_ref)."""
-    if fate == FATE_BLOWUP:
+def _halt_level(params: SolitonParams, a_ref: float, kind: str) -> float:
+    """The a-level past which an end of this kind counts as reached (never behind a_ref)."""
+    if kind == BLOW_UP:
         return max(A_BLOWUP, a_ref)
-    if fate == FATE_DECAY:
+    if kind == DECAY_TO_ZERO:
         return min(A_ZERO, a_ref)
     g = params.gamma
     dev = min(1e-12 * max(1.0, g), 0.5 * abs(a_ref - g))
@@ -391,6 +379,12 @@ def _halt_level(params: SolitonParams, a_ref: float, fate: str) -> float:
 # ---------------------------------------------------------------------------
 # ProfileA
 # ---------------------------------------------------------------------------
+
+
+def _sorted_unique(x: np.ndarray) -> np.ndarray:
+    """np.unique of a float array, without the numpy.ma import np.unique costs."""
+    x = np.sort(x)
+    return x[np.concatenate(([True], x[1:] != x[:-1]))]
 
 
 @dataclass(frozen=True)
@@ -477,8 +471,7 @@ class ProfileA:
             if math.isfinite(edge):
                 return edge
             return max(self.t_ref, 0.0) + 1.0 if forward else min(self.t_ref, 0.0) - 1.0
-        fate = {BLOW_UP: FATE_BLOWUP, DECAY_TO_ZERO: FATE_DECAY, CONVERGES: FATE_CONVERGE}[tag.kind]
-        level = _halt_level(self.params, self.a_ref, fate)
+        level = _halt_level(self.params, self.a_ref, tag.kind)
         t = self.t_ref + time_between_levels(self.params, self.a_ref, level)
         if tag.kind == BLOW_UP:  # stay inside the open end even where the level rounds onto it
             inside = float(np.nextafter(edge, -math.inf if forward else math.inf))
@@ -512,9 +505,9 @@ class ProfileA:
         if n > 0:
             return np.linspace(lo, hi, n)
         if self.tag1.kind == BLOW_UP:
-            return np.unique(self.t1 - np.geomspace(self.t1 - lo, self.t1 - hi, 201))
+            return _sorted_unique(self.t1 - np.geomspace(self.t1 - lo, self.t1 - hi, 201))
         if self.tag0.kind == BLOW_UP:
-            return np.unique(self.t0 + np.geomspace(lo - self.t0, hi - self.t0, 201))
+            return _sorted_unique(self.t0 + np.geomspace(lo - self.t0, hi - self.t0, 201))
         return np.linspace(lo, hi, 201)
 
     def to_csv(self, n: int = 0) -> str:
@@ -568,18 +561,20 @@ def implicit_profile(
     An end is reached when the window covers the time at which a passes its
     halting level (A_BLOWUP, A_ZERO, or 1e-12 from gamma); the blow-up then
     sits exactly at C, decay and convergence at infinite time.  Otherwise the
-    end is TRUNCATED at the window edge.
+    end is TRUNCATED at the window edge.  An anchor on the separatrix
+    a == gamma has no such branch (see ``constant_profile``).
     """
+    if _slope_sign(params, a_ref) == 0:
+        raise DomainError("anchor on the separatrix a == gamma: the branch is constant")
     ends = []
     for forward, edge in ((False, window[0]), (True, window[1])):
-        fate, target = _fate(params, a_ref, forward)
-        t_halt = C + _separatrix_time(params, _halt_level(params, a_ref, fate))
+        tag = _fate(params, a_ref, forward)
+        t_halt = C + _separatrix_time(params, _halt_level(params, a_ref, tag.kind))
         if edge < t_halt if forward else edge > t_halt:
             ends += [edge, EndTag(TRUNCATED)]
-        elif fate == FATE_BLOWUP:
-            ends += [C, EndTag(BLOW_UP)]
+        elif tag.kind == BLOW_UP:
+            ends += [C, tag]
         else:
-            tag = EndTag(DECAY_TO_ZERO) if fate == FATE_DECAY else EndTag(CONVERGES, target)
             ends += [math.inf if forward else -math.inf, tag]
     t0, tag0, t1, tag1 = ends
     return ProfileA(

@@ -4,9 +4,10 @@ The decision table follows the phase-line case analysis: the steady branch
 splits by the sign of mu and the reciprocal-affine coefficient, a finite
 positive separatrix splits by the side of the anchor, and the families with
 an initial blow-up split by the sign of the blow-up time T0.  The sign of
-T0 is only trusted when it exceeds its numerical uncertainty or when the
-profile was anchored analytically (the T0 = 0 cusp families are measure
-zero and are produced exactly by the catalog, never inferred from data).
+T0 is read from geometry.t0_sign: trusted when it exceeds its numerical
+uncertainty or when the profile was anchored analytically (the T0 = 0 cusp
+families are measure zero and are produced exactly by the catalog, never
+inferred from data).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .errors import DomainError, RangeError
-from .geometry import build_warped_metric, radial_distance, t0_uncertainty
+from .geometry import build_warped_metric, radial_distance, t0_sign
 from .ode import (
     BLOW_UP,
     DECAY_TO_ZERO,
@@ -53,8 +54,12 @@ FAMILY_TAGS = (
     G6, G7, G8, G9, G10, G11, G12,
 )
 
-#: Anchor level for the analytic construction of initial blow-up profiles.
+#: Anchor level for the analytic construction of initial blow-up profiles,
+#: raised to 4 gamma where the separatrix lies above it.
 _A_ANCHOR = 1.0e6
+
+#: Levels that bound the window of entry_metric (see there).
+_A_CAP, _A_FLOOR, _CONV_DEV = 50.0, 0.95, 0.02
 
 
 @dataclass(frozen=True)
@@ -103,14 +108,9 @@ def classify(profile: ProfileA) -> FamilyLabel:
             return FamilyLabel(G4_MINUS)
         below, on, above = G10, G11, G12
     # T0 is the branch constant C of t = C + G(a), whatever the profile's window
-    t0, unc = profile.C, t0_uncertainty(profile)
-    if profile.t0_exact:
-        if t0 == 0.0:
-            return FamilyLabel(on, t0, 0.0)
-        return FamilyLabel(below if t0 < 0.0 else above, t0, 0.0)
-    if abs(t0) <= unc:
-        return FamilyLabel(UNRESOLVED_T0_SIGN, t0, unc)
-    return FamilyLabel(below if t0 < 0.0 else above, t0, unc)
+    sign, unc = t0_sign(profile)
+    tag = UNRESOLVED_T0_SIGN if sign is None else {-1: below, 0: on, 1: above}[sign]
+    return FamilyLabel(tag, profile.C, unc)
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +189,10 @@ def _disk_gamma(tag: str, nu: float) -> tuple[float, float]:
 def _blowup_anchor_profile(params: SolitonParams, T0: float) -> ProfileA:
     """Profile with an exact initial blow-up at T0: the branch t = T0 + G(a)
     (G the exact time-to-level antiderivative with G(inf) = 0), anchored at
-    the level a = 1e6."""
-    t_anchor = T0 + _separatrix_time(params, _A_ANCHOR)
-    prof = implicit_profile(params, t_anchor, _A_ANCHOR, T0, (min(0.0, T0), math.inf))
+    the level a = max(1e6, 4 gamma) above the separatrix."""
+    a_anchor = max(_A_ANCHOR, 4.0 * params.gamma)
+    t_anchor = T0 + _separatrix_time(params, a_anchor)
+    prof = implicit_profile(params, t_anchor, a_anchor, T0, (min(0.0, T0), math.inf))
     return replace(prof, t0_exact=True)
 
 
@@ -368,28 +369,26 @@ def _t_at_level(profile: ProfileA, a_level: float) -> float:
     return profile.t_ref + time_between_levels(profile.params, profile.a_ref, a_level)
 
 
-def entry_metric(entry: CatalogEntry, h: float = 1e-3, a_cap: float = 50.0,
-                 a_floor: float = 0.95, conv_dev: float = 0.02):
+def entry_metric(entry: CatalogEntry, h: float = 1e-3):
     """A verification-friendly metric for a catalog entry.
 
     The radial window keeps the profile between moderate levels so that the
-    curvature stays bounded away from zero: blow-up sides stop at a = a_cap,
-    decaying sides at a = a_floor, converging sides where |a - gamma| drops
-    to conv_dev * gamma.  Grid spacing is h.
+    curvature stays bounded away from zero: blow-up sides stop at a = _A_CAP
+    (at least 4 gamma), decaying sides at a = _A_FLOOR, converging sides
+    where |a - gamma| drops to _CONV_DEV * gamma.  Grid spacing is h.
     """
     prof = entry.profile
     p = prof.params
     g = p.gamma
-    if math.isfinite(g) and g > 0.0:
-        a_cap = max(a_cap, 4.0 * g)
+    a_cap = max(_A_CAP, 4.0 * g) if math.isfinite(g) and g > 0.0 else _A_CAP
 
     if prof.tag1.kind == BLOW_UP:
         t_out = _t_at_level(prof, a_cap) if prof.a_ref < a_cap else prof.t_ref
     elif prof.tag1.kind == DECAY_TO_ZERO:
-        t_out = _t_at_level(prof, min(a_floor, 0.75 * prof.a_ref))
+        t_out = _t_at_level(prof, min(_A_FLOOR, 0.75 * prof.a_ref))
     else:  # CONVERGES: stop where a - gamma still carries |K| safely above noise
         dev0 = abs(prof.a_ref - g)
-        dev = min(conv_dev * abs(g), 0.5 * dev0)
+        dev = min(_CONV_DEV * abs(g), 0.5 * dev0)
         level = g + dev if prof.a_ref > g else g - dev
         t_out = _t_at_level(prof, level)
 

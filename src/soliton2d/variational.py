@@ -86,12 +86,10 @@ class VariationField:
         return self.psi(r) if self.psi is not None else np.zeros_like(np.asarray(r, float))
 
 
-def bump_variation(window, phi_amp: float = 0.0, psi_amp: float = 0.0,
-                   center: float | None = None, width: float | None = None) -> VariationField:
-    """Bump-shaped variation supported in the window."""
+def bump_variation(window, phi_amp: float = 0.0, psi_amp: float = 0.0) -> VariationField:
+    """Bump-shaped variation filling the window."""
     r0, r1 = float(window[0]), float(window[1])
-    c = 0.5 * (r0 + r1) if center is None else center
-    wd = 0.5 * (r1 - r0) if width is None else width
+    c, wd = 0.5 * (r0 + r1), 0.5 * (r1 - r0)
 
     def mk(amp):
         if amp == 0.0:
@@ -297,12 +295,8 @@ def variation_report(metric: WarpedMetric, v: VariationField, eps: float = 1e-4)
     """Analytic/finite-difference comparison plus the conservation defect."""
     analytic = first_variation(metric, v)
     fd = fd_variation(metric, v, eps)
-    errs, epss = [], []
-    for k in range(3):
-        e = eps / (2.0**k)
-        errs.append(abs(fd_variation(metric, v, e) - analytic))
-        epss.append(e)
-    errs = np.asarray(errs)
+    epss = [eps, eps / 2.0, eps / 4.0]  # fd is the first point of the slope fit
+    errs = np.abs(np.array([fd] + [fd_variation(metric, v, e) for e in epss[1:]]) - analytic)
     if np.all(errs > 0.0):
         slope = float(np.polyfit(np.log(epss), np.log(errs), 1)[0])
     else:

@@ -62,6 +62,13 @@ class TestCatalogCommand:
         assert code == 1
         assert "RANGE" in err
 
+    def test_g11_large_nu_reports_cusp(self, capsys):
+        code, out, _ = run_capture(["catalog", "--family", "g11", "--nu", "50"], capsys)
+        assert code == 0
+        data = json.loads(out)
+        assert data["family"] == "G11"
+        assert data["report"]["inner_end"] == {"kind": "CUSP_END", "curvature": -1.0}
+
 
 class TestIntegrateCommand:
     def test_missing_flag_usage(self, capsys):
@@ -100,6 +107,20 @@ class TestMetricAndReport:
         assert lines[0] == "r,b,db_dr,K"
         r, b, _, _ = map(float, lines[25].split(","))
         assert b == pytest.approx(math.tanh(r), abs=1e-7)
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--lambda", "0", "--mu", "-1", "--a0", "1"],
+        ["report", "--lambda", "0", "--mu", "-1", "--a0", "1"],
+        ["verify", "--lambda", "0", "--mu", "-1", "--a0", "1", "--b0", "0"],
+        ["energy", "--lambda", "0", "--mu", "-1", "--a0", "1", "--b0", "0"],
+        ["catalog", "--family", "g6", "--nu", "3"],
+    ], ids=lambda argv: argv[0])
+    def test_csv_only_for_sampled_output(self, argv, capsys):
+        # integrate and metric export CSV; the reports are JSON only
+        code, out, err = run_capture(argv + ["--format", "csv"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "--format" in err
 
     def test_report_json(self, capsys):
         code, out, _ = run_capture(
@@ -198,21 +219,38 @@ class TestImportHygiene:
     def test_cli_run_loads_no_scipy(self, argv):
         # the arc-length quadrature and the catalog, G4 root solve included,
         # stay on numpy alone
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
-        code = (
-            "import sys\n"
-            "from soliton2d import cli\n"
-            "try:\n"
-            "    cli.main()\n"
-            "except SystemExit as exc:\n"
-            "    assert exc.code == 0, exc.code\n"
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'], file=sys.stderr)\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
-                              capture_output=True, text=True, check=True)
-        assert proc.stdout
-        assert proc.stderr.strip().splitlines()[-1] == "[]"
+        assert [m for m in _modules_after_run(argv) if m.split(".")[0] == "scipy"] == []
+
+    @pytest.mark.parametrize("argv", [
+        ["metric", "--lambda", "-1", "--mu", "-1", "--a0", "1", "--b0", "0",
+         "--r-range", "0,3", "--samples", "51", "--format", "csv"],
+        ["catalog", "--family", "g4_plus", "--nu", "1.3"],
+        ["catalog", "--family", "g4_minus", "--nu", "2.2"],
+    ], ids=["metric_csv", "catalog_g4_plus", "catalog_g4_minus"])
+    def test_cli_run_loads_no_numpy_ma(self, argv):
+        # np.unique imports numpy.ma (about 15 ms); the arc table and the
+        # sample grid deduplicate without it
+        loaded = _modules_after_run(argv)
+        assert [m for m in loaded if m == "numpy.ma" or m.startswith("numpy.ma.")] == []
+
+
+def _modules_after_run(argv) -> list[str]:
+    """The modules loaded by one successful CLI run in a fresh interpreter."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = (
+        "import sys\n"
+        "from soliton2d import cli\n"
+        "try:\n"
+        "    cli.main()\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print(' '.join(sys.modules), file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout
+    return proc.stderr.strip().splitlines()[-1].split()
 
 
 # The CLI output contract: the README's JSON examples, the steady closed-form

@@ -326,9 +326,6 @@ class TestGeometryReport:
         prof = integrate_profile(make_params(0.0, -1.0), 0.0, 1.0, (0.0, 0.1))
         rep = geometry_report(prof)  # re-integrates the maximal interval
         assert rep.outer_end.kind == "CYLINDER_END"
-        rep_raw = geometry_report(prof, resolve=False)
-        assert rep_raw.outer_end.kind == "BLOWUP_EDGE"
-        assert not rep_raw.complete_outer
 
     def test_json_shape(self):
         prof = integrate_profile(make_params(0.0, -1.0), 0.0, 1.0, (0.0, math.inf))
@@ -337,13 +334,6 @@ class TestGeometryReport:
         assert d["outer_end"]["kind"] == "CYLINDER_END"
         assert "radius" in d["outer_end"]
 
-    @pytest.mark.parametrize("tag,nu", [("G11", 0.5114), ("G8", 5.6569)])
-    def test_cusp_entries_report_cusp_end(self, tag, nu):
-        # the blow-up exactly at t = 0 is the cusp, with no fitted tail to miss
-        rep = geometry_report(catalog(tag, nu).profile)
-        assert rep.inner_end.kind == "CUSP_END"
-        assert rep.inner_end.curvature == -1.0
-
     def test_cone_vertex_incomplete(self):
         # a(0) = 2 != 1: flat-cone-like vertex at the origin, not smooth
         prof = integrate_profile(make_params(0.0, -1.0), 0.0, 2.0, (0.0, math.inf))
@@ -351,6 +341,53 @@ class TestGeometryReport:
         assert rep.inner_end.kind == "CONE_END"
         assert rep.inner_end.angle == pytest.approx(math.pi, rel=1e-8)
         assert not rep.complete_inner
+
+    @pytest.mark.parametrize("tag,nu", [("G11", 0.5114), ("G8", 5.6569)])
+    def test_cusp_entries_report_cusp_end(self, tag, nu):
+        # the blow-up exactly at t = 0 is the cusp, with no fitted tail to miss
+        rep = geometry_report(catalog(tag, nu).profile)
+        assert rep.inner_end.kind == "CUSP_END"
+        assert rep.inner_end.curvature == -1.0
+
+    @pytest.mark.parametrize("nu", [5.0, 50.0, 1e3])
+    def test_g11_cusp_over_whole_range(self, nu):
+        # G11's range is (0, inf); its cusp is decided by T0 = 0 alone, with
+        # no threshold on the circle length or the curvature near t = 0
+        rep = geometry_report(catalog("G11", nu).profile)
+        assert rep.inner_end.kind == "CUSP_END"
+        assert rep.inner_end.curvature == -1.0
+        assert rep.outer_end.kind == "EXPLODING_END"
+
+
+# (lam, mu, t_ref, a_ref, windows): each window truncates an end of the
+# branch through the anchor, or starts it at t = 0
+WINDOWED_BRANCHES = {
+    "cigar": (0.0, -1.0, 0.0, 1.0, [(0.0, 0.1), (-1.0, 0.2), (0.0, math.inf)]),
+    "cigar_before_origin": (0.0, -1.0, -0.5, 1.0 / 3.0, [(-1.0, -0.25)]),
+    "g6": (-1.0, -1.0, 0.0, 1.0, [(0.0, 1.0), (-0.5, 2.0), (0.0, math.inf)]),
+    "cone_vertex": (-1.0, -1.0, 0.0, 0.5, [(0.0, 1.0), (-3.0, 0.5)]),
+    "exploding": (0.0, 1.0, 1.0, 0.2, [(0.5, 2.0), (1.0, math.inf), (-1.0, 1.0)]),
+    "boundary_cone": (-1.0, -1.0, 1.0, 5.0, [(0.9, 1.1), (1.0, math.inf)]),
+    "boundary_exploding": (-2.0, 1.0, 1.0, 3.0, [(0.9, 1.1), (1.0, 50.0)]),
+    "disk": (2.0, -1.0, 0.0, 1.0, [(0.0, 0.05), (-0.1, 0.1)]),
+}
+
+
+class TestReportReadsMaximalBranch:
+    @pytest.mark.parametrize("case", WINDOWED_BRANCHES.values(), ids=WINDOWED_BRANCHES.keys())
+    def test_window_reports_as_maximal_branch(self, case):
+        lam, mu, t_ref, a_ref, windows = case
+        p = make_params(lam, mu)
+        full = geometry_report(integrate_profile(p, t_ref, a_ref, (-math.inf, math.inf)))
+        for window in windows:
+            assert geometry_report(integrate_profile(p, t_ref, a_ref, window)) == full, window
+
+    @pytest.mark.parametrize("window", [(0.0, 5.0), (-5.0, -1.0), (2.0, math.inf)])
+    def test_constant_window_reports_as_whole_cone(self, window):
+        p = make_params(-2.0, -0.5)  # gamma = 1/2: a flat cone of angle 4 pi
+        full = geometry_report(constant_profile(p, (-math.inf, math.inf)))
+        assert full.inner_end.kind == "CONE_END" and full.outer_end.kind == "CONE_END"
+        assert geometry_report(constant_profile(p, window)) == full
 
 
 class TestMetricFromGrid:

@@ -25,7 +25,14 @@ from soliton2d import (
     integrate_profile,
     make_params,
 )
-from soliton2d.ode import BLOW_UP, CONVERGES, DECAY_TO_ZERO, SMOOTH_ORIGIN, TRUNCATED
+from soliton2d.ode import (
+    BLOW_UP,
+    CONVERGES,
+    DECAY_TO_ZERO,
+    SMOOTH_ORIGIN,
+    TRUNCATED,
+    implicit_profile,
+)
 from conftest import mp_time
 
 
@@ -137,6 +144,11 @@ class TestIntegrateProfile:
     def test_nonpositive_anchor(self):
         with pytest.raises(NonpositiveAnchorError):
             integrate_profile(make_params(0.0, 1.0), 0.0, -1.0, (0.0, 1.0))
+
+    def test_implicit_branch_on_separatrix_raises(self):
+        # a == gamma is the constant solution, not a branch t = C + G(a)
+        with pytest.raises(DomainError):
+            implicit_profile(make_params(-2.0, -1.0), 0.0, 1.0, 0.0, (-math.inf, math.inf))
 
     def test_window_must_contain_anchor(self):
         with pytest.raises(DomainError):

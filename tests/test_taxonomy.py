@@ -99,6 +99,18 @@ class TestClassifyDecisionTable:
             assert entry.profile.t0_exact and entry.profile.t0 == 0.0
             assert classify(entry.profile).tag == tag
 
+    @pytest.mark.parametrize("tag,inner", [("G8", "CUSP_END"), ("G9", "GEODESIC_BOUNDARY")])
+    @pytest.mark.parametrize("nu", [1e-8, 1e-6, 2.0 * math.pi * 1e-6])
+    def test_blowup_entries_at_small_cone_angle(self, tag, inner, nu):
+        # gamma = 2 pi / nu reaches and passes the fixed anchor level 1e6; the
+        # anchor must stay above the separatrix for the branch to be G8 / G9
+        entry = catalog(tag, nu)
+        assert entry.family.tag == tag
+        rep = geometry_report(entry.profile)
+        assert rep.inner_end.kind == inner
+        assert rep.outer_end.kind == "CONE_END"
+        assert rep.outer_end.angle == pytest.approx(nu, rel=1e-12)
+
 
 class TestCatalog:
     @pytest.mark.parametrize("tag", FAMILY_TAGS)
