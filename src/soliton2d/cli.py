@@ -140,17 +140,28 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _merge_options(args: argparse.Namespace) -> dict:
+def _merge_options(parser: _Parser, args: argparse.Namespace) -> dict:
+    """Flags over the --config file, whose keys are parsed as flags of the
+    same subcommand, so an unknown key or a bad choice is a usage error."""
+    layers = [args]
+    if args.config:
+        cfg = _load_config(args.config)
+        if "config" in cfg:
+            raise _UsageError(f"{args.config}: a config file cannot name another")
+        flags = [f"--{key.replace('_', '-')}={val}" for key, val in cfg.items()]
+        try:
+            layers.insert(0, parser.parse_args([args.subcommand, *flags]))
+        except _UsageError as exc:
+            raise _UsageError(f"{args.config}: {exc}") from None
     opts = {}
-    if getattr(args, "config", None):
-        for key, val in _load_config(args.config).items():
+    for ns in layers:
+        for key, val in vars(ns).items():
+            if key in ("config", "subcommand") or val is None:
+                continue
             key = "lam" if key == "lambda" else key
-            opts[key] = _coerce(key, val)
-    for key, val in vars(args).items():
-        if key in ("config",) or val is None:
-            continue
-        key = "lam" if key == "lambda" else key
-        opts[key] = _coerce(key, val) if isinstance(val, str) and key not in ("format", "out", "subcommand", "family") else val
+            if isinstance(val, str) and key not in ("format", "out", "family"):
+                val = _coerce(key, val)
+            opts[key] = val
     return opts
 
 
@@ -214,7 +225,7 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
         if args.subcommand is None:
             raise _UsageError(parser.format_usage())
-        opts = _merge_options(args)
+        opts = _merge_options(parser, args)
         cmd = args.subcommand
         fmt = opts.get("format") or "json"
 

@@ -15,13 +15,11 @@ as an independent check.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import (
     DomainError,
@@ -49,7 +47,15 @@ from .ode import (
 
 SMOOTH_ORIGIN_TOL = 1.0e-8
 
-_GL_X, _GL_W = leggauss(7)
+# 7-point Gauss-Legendre nodes and weights on [-1, 1], as leggauss(7) gives them
+_GL_X = np.array([
+    -0.9491079123427586, -0.7415311855993945, -0.4058451513773972, 0.0,
+    0.4058451513773972, 0.7415311855993945, 0.9491079123427586,
+])
+_GL_W = np.array([
+    0.12948496616886973, 0.27970539148927687, 0.3818300505051187, 0.4179591836734693,
+    0.3818300505051187, 0.27970539148927687, 0.12948496616886973,
+])
 
 
 def curvature_from_a(params: SolitonParams, a) -> float:
@@ -81,6 +87,10 @@ _LINEAR_SPAN = _V_MAX - _V_MIN
 _CONE_SPAN = 1.0e15
 #: w-range of the flat cone a == gamma, where r = 2 gamma w is exact.
 _W_FLAT = 1.0e150
+#: x_of_r splits a table segment that holds at least this many samples into
+#: this many equal parts: a cubic-Hermite guess on them is about 32^4 closer
+#: than one on the segment, so a single Newton step reaches rounding.
+_SUB_SEGMENTS = 32
 
 
 def _v_offsets(span: float) -> np.ndarray:
@@ -110,7 +120,9 @@ class _ArcTable:
     nodes adds the exact partial-segment quadrature, so r(x) and its inverse
     are accurate to quadrature precision everywhere, not just at the nodes
     (interpolated tables leave node-scale wiggles that finite differencing
-    downstream would amplify by 1/h^2).
+    downstream would amplify by 1/h^2).  The inverse x_of_r takes a single
+    Newton step on that quadrature from a cubic-Hermite guess on sub-nodes
+    of the segments that hold samples, with one-sided slopes at the seam.
     """
 
     def __init__(self, profile: ProfileA, t_lo: float, t_hi: float):
@@ -161,10 +173,12 @@ class _ArcTable:
     def _v_point(self, v):
         return _level_point(self.profile.params, self.branch, self.profile.C, v)
 
-    def point(self, x):
-        """(a, t, dr/dx) at the table coordinate x."""
+    def point(self, x, w_sel=None):
+        """(a, t, dr/dx) at the table coordinate x, on the w piece where w_sel
+        holds (by default where x <= x_c) and on the v piece elsewhere."""
         x = np.asarray(x, dtype=float)
-        w_sel = x <= self.x_c
+        if w_sel is None:
+            w_sel = x <= self.x_c
         if not w_sel.any():
             return self._v_map(x)
         if w_sel.all():
@@ -205,14 +219,64 @@ class _ArcTable:
         return self.r[j] + self._quad(self.x[j], x)
 
     def x_of_r(self, r):
-        """Linear first guess on the nodes polished by Newton on the exact quadrature."""
+        """Inverse of r_of_x: one Newton step on the exact quadrature from a
+        cubic-Hermite guess on sub-nodes of the segments the samples fall in.
+
+        A segment that holds at least _SUB_SEGMENTS samples is split into
+        that many equal parts (_sub_node_guess).  Samples in sparser segments,
+        where the sub-nodes would cost more than they save, start from the
+        linear guess on the nodes and take two more Newton steps.
+        """
         r = np.clip(np.atleast_1d(np.asarray(r, dtype=float)), self.r[0], self.r[-1])
         j = np.clip(np.searchsorted(self.r, r), 1, self.r.size - 1)
         x_lo, x_hi = self.x[j - 1], self.x[j]
-        x = np.clip(np.interp(r, self.r, self.x), x_lo, x_hi)
-        for _ in range(3):
-            x = np.clip(x - (self.r_of_x(x) - r) / self.point(x)[2], x_lo, x_hi)
+        x = np.interp(r, self.r, self.x)
+        dense = np.bincount(j)[j] >= _SUB_SEGMENTS
+        if dense.any():
+            x[dense] = self._sub_node_guess(r[dense], j[dense])
+        x = self._newton(x, r, x_lo, x_hi)
+        sparse = ~dense
+        if sparse.any():
+            for _ in range(2):
+                x[sparse] = self._newton(x[sparse], r[sparse], x_lo[sparse], x_hi[sparse])
         return x
+
+    def _newton(self, x, r, x_lo, x_hi):
+        x = np.clip(x, x_lo, x_hi)
+        return np.clip(x - (self.r_of_x(x) - r) / self.point(x)[2], x_lo, x_hi)
+
+    def _sub_node_guess(self, r, j):
+        """Cubic-Hermite guess of x(r) for samples r in the segments
+        (x[j - 1], x[j]).
+
+        Each of these segments is split into _SUB_SEGMENTS equal parts, with r
+        from r_of_x at the inner sub-nodes and the node values at the ends.
+        dr/dx at a sub-node is taken on its own segment's piece, so the two
+        sides of the seam x_c get their one-sided slopes (r(x) has a kink
+        there).  Where a slope is zero or not finite (dr/dx underflows toward
+        a blow-up end) the guess is linear.
+        """
+        seg = _sorted_unique(j)
+        m = _SUB_SEGMENTS + 1
+        width = self.x[seg] - self.x[seg - 1]
+        xs = self.x[seg - 1, None] + np.outer(width, np.linspace(0.0, 1.0, m))
+        xs[:, -1] = self.x[seg]
+        rs = np.empty_like(xs)
+        rs[:, 0], rs[:, -1] = self.r[seg - 1], self.r[seg]
+        rs[:, 1:-1] = self.r_of_x(xs[:, 1:-1].ravel()).reshape(seg.size, m - 2)
+        xs, rs = xs.ravel(), rs.ravel()
+        ds = self.point(xs, np.repeat(self.x[seg] <= self.x_c, m))[2]
+
+        # left sub-node of each sample, kept inside its own segment's row
+        row = np.searchsorted(seg, j) * m
+        i = np.clip(np.searchsorted(rs, r, side="right") - 1, row, row + m - 2)
+        x0, dx, r0, h = xs[i], xs[i + 1] - xs[i], rs[i], rs[i + 1] - rs[i]
+        s = np.divide(r - r0, h, out=np.zeros_like(r), where=h > 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m0, m1 = h / ds[i], h / ds[i + 1]  # dx/dr scaled to the sub-segment
+            hermite = s * (1.0 - s) * ((1.0 - s) * m0 - s * m1)
+        ok = np.isfinite(hermite)
+        return x0 + dx * np.where(ok, s * s * (3.0 - 2.0 * s), s) + np.where(ok, hermite, 0.0)
 
 
 def _far_edge(profile: ProfileA, t: float) -> bool:
@@ -262,11 +326,9 @@ class WarpedMetric:
 
     def to_csv(self) -> str:
         """CSV export with header ``r,b,db_dr,K`` at 17 significant digits."""
-        buf = io.StringIO()
-        buf.write("r,b,db_dr,K\n")
-        for r, b, bp, k in zip(self.r, self.b, self.b_prime, self.K):
-            buf.write(f"{r:.17g},{b:.17g},{bp:.17g},{k:.17g}\n")
-        return buf.getvalue()
+        cols = (self.r, self.b, self.b_prime, self.K)
+        row = "{:.17g},{:.17g},{:.17g},{:.17g}\n".format
+        return "r,b,db_dr,K\n" + "".join(map(row, *(col.tolist() for col in cols)))
 
 
 def build_warped_metric(

@@ -18,7 +18,6 @@ symmetries of the solution space.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -153,7 +152,10 @@ def _psi(u: np.ndarray, log1pu: np.ndarray) -> np.ndarray:
     small = np.abs(u) < _PSI_SMALL
     if small.any():
         us = u[small]
-        out[small] = us * us * np.polynomial.polynomial.polyval(us, _PSI_SERIES)
+        series = _PSI_SERIES[-1] + us * 0.0  # Horner, as polyval evaluates it
+        for c in _PSI_SERIES[-2::-1]:
+            series = c + series * us
+        out[small] = us * us * series
     return out
 
 
@@ -513,13 +515,10 @@ class ProfileA:
     def to_csv(self, n: int = 0) -> str:
         """CSV export with header ``t,a,dadt`` at 17 significant digits."""
         ts = self.sample_grid(n)
-        buf = io.StringIO()
-        buf.write("t,a,dadt\n")
         av = np.atleast_1d(self.a(ts))
         dv = np.atleast_1d(self.params.rhs(av))
-        for t, a, d in zip(ts, av, dv):
-            buf.write(f"{t:.17g},{a:.17g},{d:.17g}\n")
-        return buf.getvalue()
+        row = "{:.17g},{:.17g},{:.17g}\n".format
+        return "t,a,dadt\n" + "".join(map(row, ts.tolist(), av.tolist(), dv.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,29 @@ class TestConfigFile:
         assert code == 1
         assert "key = value" in err
 
+    @pytest.mark.parametrize("line, message", [
+        ("tol = 1e-9", "--tol"),        # not a flag of any subcommand
+        ("samples = 11", "--samples"),  # a flag of others, not of report
+        ("format = csv", "invalid choice"),
+    ])
+    def test_key_outside_subcommand_flags(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"lambda = -1\nmu = -1\na0 = 1\n{line}\n")
+        code, out, err = run_capture(["report", "--config", str(cfg)], capsys)
+        assert code == 1
+        assert out == ""
+        assert str(cfg) in err and message in err
+
+    def test_config_with_pairs_and_choices(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lambda = 0\nmu = -1\na0 = 1\nb0 = 0\nr-range = 0,2\n"
+                       "samples = 5\nformat = csv\n")
+        code, out, _ = run_capture(["metric", "--config", str(cfg), "--samples", "3"], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "r,b,db_dr,K"
+        assert [float(line.split(",")[0]) for line in lines[1:]] == [0.0, 1.0, 2.0]
+
 
 class TestExitCodes:
     def test_unknown_flag(self, capsys):
@@ -199,6 +222,16 @@ class TestExitCodes:
         assert target.read_text().startswith("t,a,dadt")
 
 
+# CLI runs that build an arc table: a sampled metric and both G4 catalogs
+ARC_TABLE_RUNS = [
+    ["metric", "--lambda", "-1", "--mu", "-1", "--a0", "1", "--b0", "0",
+     "--r-range", "0,3", "--samples", "51", "--format", "csv"],
+    ["catalog", "--family", "g4_plus", "--nu", "1.3"],
+    ["catalog", "--family", "g4_minus", "--nu", "2.2"],
+]
+ARC_TABLE_RUN_IDS = ["metric_csv", "catalog_g4_plus", "catalog_g4_minus"]
+
+
 class TestImportHygiene:
     def test_cli_import_loads_no_scipy(self):
         # importing scipy would cost most of a CLI call's start-up
@@ -221,17 +254,19 @@ class TestImportHygiene:
         # stay on numpy alone
         assert [m for m in _modules_after_run(argv) if m.split(".")[0] == "scipy"] == []
 
-    @pytest.mark.parametrize("argv", [
-        ["metric", "--lambda", "-1", "--mu", "-1", "--a0", "1", "--b0", "0",
-         "--r-range", "0,3", "--samples", "51", "--format", "csv"],
-        ["catalog", "--family", "g4_plus", "--nu", "1.3"],
-        ["catalog", "--family", "g4_minus", "--nu", "2.2"],
-    ], ids=["metric_csv", "catalog_g4_plus", "catalog_g4_minus"])
+    @pytest.mark.parametrize("argv", ARC_TABLE_RUNS, ids=ARC_TABLE_RUN_IDS)
     def test_cli_run_loads_no_numpy_ma(self, argv):
         # np.unique imports numpy.ma (about 15 ms); the arc table and the
         # sample grid deduplicate without it
         loaded = _modules_after_run(argv)
         assert [m for m in loaded if m == "numpy.ma" or m.startswith("numpy.ma.")] == []
+
+    @pytest.mark.parametrize("argv", ARC_TABLE_RUNS, ids=ARC_TABLE_RUN_IDS)
+    def test_cli_run_loads_no_numpy_polynomial(self, argv):
+        # numpy.polynomial costs about 6 ms of start-up; the quadrature
+        # nodes and the psi series need none of it
+        loaded = _modules_after_run(argv)
+        assert [m for m in loaded if m.startswith("numpy.polynomial")] == []
 
 
 def _modules_after_run(argv) -> list[str]:

@@ -17,14 +17,17 @@ from soliton2d import (
     constant_profile,
     curvature_from_a,
     curvature_from_b,
+    entry_metric,
     geodesic_curvature,
+    geometry,
     geometry_report,
     integrate_profile,
     make_params,
     metric_from_grid,
     radial_distance,
 )
-from conftest import cached_entry, cached_metric
+from soliton2d.taxonomy import FAMILY_TAGS
+from conftest import FAMILY_SAMPLES, cached_entry, cached_metric
 
 
 class TestCurvatureFromA:
@@ -121,6 +124,127 @@ class TestBuildWarpedMetric:
         # the far end of the cusp: log|K| has no node-scale noise to difference
         m = cached_metric("G8", math.pi)
         assert np.max(np.abs(np.diff(np.log(np.abs(m.K)), 4))) <= 5e-13
+
+
+EPS = np.finfo(float).eps
+
+
+def _newton_reference(table, r, steps=5):
+    """x(r) from the linear guess on the table nodes and `steps` Newton steps
+    on the same exact quadrature, each clipped to the sample's segment."""
+    r = np.clip(r, table.r[0], table.r[-1])
+    j = np.clip(np.searchsorted(table.r, r), 1, table.r.size - 1)
+    lo, hi = table.x[j - 1], table.x[j]
+    x = np.clip(np.interp(r, table.r, table.x), lo, hi)
+    for _ in range(steps):
+        x = np.clip(x - (table.r_of_x(x) - r) / table.point(x)[2], lo, hi)
+    return x
+
+
+def _assert_inverts(table, r, x):
+    """x matches the reference to 8 ulp and r_of_x(x) matches r to 4 ulp.
+
+    Rounding r (an ulp of max(1, |r|)) moves the root by that over dr/dx, so
+    the x bound is taken at that scale where it exceeds max(1, |x|): toward a
+    blow-up end dr/dx underflows and x is determined only that far.
+    """
+    r = np.clip(r, table.r[0], table.r[-1])
+    x_ref = _newton_reference(table, r)
+    r_scale = np.maximum(1.0, np.abs(r))
+    x_scale = np.maximum(np.maximum(1.0, np.abs(x_ref)), r_scale / table.point(x_ref)[2])
+    assert np.max(np.abs(x - x_ref) / x_scale) <= 8 * EPS
+    assert np.max(np.abs(table.r_of_x(x) - r) / r_scale) <= 4 * EPS
+
+
+@pytest.fixture
+def inversions(monkeypatch):
+    """(table, r, x) of every _ArcTable.x_of_r call made while the test runs."""
+    calls = []
+    x_of_r = geometry._ArcTable.x_of_r
+
+    def recording(table, r):
+        x = x_of_r(table, r)
+        calls.append((table, np.array(r, dtype=float), x))
+        return x
+
+    monkeypatch.setattr(geometry._ArcTable, "x_of_r", recording)
+    return calls
+
+
+def _blowup_start(tag, nu):
+    prof = catalog(tag, nu).profile
+    return build_warped_metric(prof, (0.0, 2.0 * math.sqrt(prof.t0)), (0.0, 5.0), 20001)
+
+
+def _cigar_table():
+    prof = closed_form_profile(make_params(0.0, -1.0), 1.0)
+    return geometry._ArcTable(prof, *geometry._metric_t_interval(prof)[:2])
+
+
+def test_gauss_legendre_literals_are_leggauss():
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = leggauss(7)
+    assert geometry._GL_X.tobytes() == x.tobytes()
+    assert geometry._GL_W.tobytes() == w.tobytes()
+
+
+class TestArcLengthInverse:
+    """x_of_r against a five-step Newton reference on the same quadrature."""
+
+    @pytest.mark.parametrize("tag", FAMILY_TAGS)
+    def test_entry_metrics(self, tag, inversions):
+        entry_metric(cached_entry(tag, FAMILY_SAMPLES[tag]), h=1e-4)
+        _assert_inverts(*inversions[-1])
+
+    @pytest.mark.parametrize("build", [
+        # across the seam between the w and v pieces
+        lambda: build_warped_metric(closed_form_profile(make_params(0.0, -1.0), 1.0),
+                                    (0.0, 0.0), (0.0, 3.0), 20001),
+        lambda: build_warped_metric(catalog("G7", 3.0 * math.pi).profile,
+                                    (0.0, 0.0), (0.0, 5.0), 20001),
+        lambda: build_warped_metric(catalog("G10", 1.0).profile,
+                                    (0.0, 0.0), (0.0, 5.0), 20001),
+        # far toward a cone end, and from a blow-up (a geodesic boundary)
+        lambda: build_warped_metric(catalog("G6", math.pi).profile,
+                                    (0.0, 0.0), (0.0, 1e3), 20001),
+        lambda: _blowup_start("G9", 2.0),
+        lambda: _blowup_start("G12", 1.0),
+    ], ids=["cigar_seam", "g7_seam", "g10_seam", "g6_far_cone", "g9_blowup", "g12_blowup"])
+    def test_windows(self, build, inversions):
+        build()
+        _assert_inverts(*inversions[-1])
+
+    def test_samples_on_nodes_and_sub_nodes(self):
+        table = _cigar_table()
+        # the segments on both sides of the seam, each with samples on all
+        # of its sub-nodes (so it is split), and every table node alone
+        c = int(np.searchsorted(table.x, table.x_c))
+        segs = np.arange(c - 2, c + 3)
+        frac = np.arange(1, geometry._SUB_SEGMENTS + 1) / geometry._SUB_SEGMENTS
+        width = table.x[segs] - table.x[segs - 1]
+        x_sub = (table.x[segs - 1, None] + np.outer(width, frac)).ravel()
+        for x in (x_sub, table.x):
+            r = table.r_of_x(x)
+            got = table.x_of_r(r)
+            _assert_inverts(table, r, got)
+            assert np.all(np.abs(got - x) <= 8 * EPS * np.maximum(1.0, np.abs(x)))
+
+    def test_one_newton_step_per_sample(self, monkeypatch):
+        # point-map evaluations inside x_of_r: one Newton step costs the
+        # 7-point partial quadrature and a slope, the sub-nodes under one more
+        table = _cigar_table()
+        r = np.linspace(0.0, 3.0, 20001)
+        count = [0]
+        point = geometry._ArcTable.point
+
+        def counting(self, x, w_sel=None):
+            count[0] += np.size(x)
+            return point(self, x, w_sel)
+
+        monkeypatch.setattr(geometry._ArcTable, "point", counting)
+        table.x_of_r(r)
+        assert count[0] <= 9 * r.size
 
 
 class TestCurvatureFromB:
@@ -403,6 +527,13 @@ class TestMetricFromGrid:
 
 
 class TestMetricCsv:
+    def test_matches_per_row_format(self):
+        prof = catalog("G7", 3.0 * math.pi).profile
+        m = build_warped_metric(prof, (0.0, 0.0), (0.0, 4.0), 2001)
+        rows = "".join(f"{r:.17g},{b:.17g},{bp:.17g},{k:.17g}\n"
+                       for r, b, bp, k in zip(m.r, m.b, m.b_prime, m.K))
+        assert m.to_csv() == "r,b,db_dr,K\n" + rows
+
     def test_header_and_roundtrip(self, cigar_metric):
         text = cigar_metric.to_csv()
         lines = text.strip().split("\n")

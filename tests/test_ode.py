@@ -31,6 +31,8 @@ from soliton2d.ode import (
     DECAY_TO_ZERO,
     SMOOTH_ORIGIN,
     TRUNCATED,
+    _PSI_SERIES,
+    _psi,
     implicit_profile,
 )
 from conftest import mp_time
@@ -352,6 +354,14 @@ class TestMonotonicityTrichotomy:
 
 
 class TestCsvExport:
+    def test_matches_per_row_format(self):
+        prof = integrate_profile(make_params(-4.0, -1.0), 0.0, 1.0, (-math.inf, math.inf))
+        ts = prof.sample_grid(2001)
+        av = prof.a(ts)
+        rows = "".join(f"{t:.17g},{a:.17g},{d:.17g}\n"
+                       for t, a, d in zip(ts, av, prof.params.rhs(av)))
+        assert prof.to_csv(2001) == "t,a,dadt\n" + rows
+
     def test_header_and_precision(self):
         prof = integrate_profile(make_params(0.0, -1.0), 0.0, 1.0, (0.0, 0.2))
         text = prof.to_csv()
@@ -362,6 +372,14 @@ class TestCsvExport:
         assert dadt == pytest.approx(4.0 * a * a * (a / prof.params.gamma - 1.0) if math.isfinite(prof.params.gamma) else -4.0 * prof.params.mu * a * a, rel=1e-12)
         # 17 significant digits round-trip
         assert f"{a:.17g}" in lines[-1]
+
+
+def test_psi_series_matches_polyval():
+    # the Horner loop is polyval's own evaluation order: equal bit for bit
+    u = np.random.default_rng(7).uniform(-0.125, 0.125, 10000)
+    u = u[np.abs(u) < 0.125]
+    expected = u * u * np.polynomial.polynomial.polyval(u, _PSI_SERIES)
+    assert _psi(u, np.log1p(u)).tobytes() == expected.tobytes()
 
 
 class TestMpmathOracles:
