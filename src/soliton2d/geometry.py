@@ -15,6 +15,7 @@ as an independent check.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -25,6 +26,7 @@ from .errors import (
     DomainError,
     EdgeError,
     NotSmoothOriginError,
+    RangeError,
     UnresolvedEndError,
     WindowEmptyError,
 )
@@ -47,6 +49,8 @@ from .ode import (
 
 SMOOTH_ORIGIN_TOL = 1.0e-8
 
+_log = logging.getLogger("soliton.geometry")
+
 # 7-point Gauss-Legendre nodes and weights on [-1, 1], as leggauss(7) gives them
 _GL_X = np.array([
     -0.9491079123427586, -0.7415311855993945, -0.4058451513773972, 0.0,
@@ -56,6 +60,22 @@ _GL_W = np.array([
     0.12948496616886973, 0.27970539148927687, 0.3818300505051187, 0.4179591836734693,
     0.3818300505051187, 0.27970539148927687, 0.12948496616886973,
 ])
+
+
+def _antiderivatives() -> np.ndarray:
+    """(8, 7) coefficients of tau^0..tau^7 in int_{-1}^tau of the Lagrange
+    basis at _GL_X, expanded from the products of its linear factors (within
+    about an ulp, where inverting the Vandermonde matrix loses several)."""
+    cols = []
+    for i, xi in enumerate(_GL_X):
+        others = np.delete(_GL_X, i)
+        c = np.polyint(np.poly(others) / np.prod(xi - others))
+        cols.append(c[::-1] - np.polyval(c, -1.0) * (np.arange(8) == 0))
+    return np.array(cols).T
+
+
+#: _ANTI @ f gives the antiderivative from -1 of the interpolant of f at _GL_X
+_ANTI = _antiderivatives()
 
 
 def curvature_from_a(params: SolitonParams, a) -> float:
@@ -88,8 +108,9 @@ _CONE_SPAN = 1.0e15
 #: w-range of the flat cone a == gamma, where r = 2 gamma w is exact.
 _W_FLAT = 1.0e150
 #: x_of_r splits a table segment that holds at least this many samples into
-#: this many equal parts: a cubic-Hermite guess on them is about 32^4 closer
-#: than one on the segment, so a single Newton step reaches rounding.
+#: this many equal parts: on one of them the degree-6 interpolant of dr/dx at
+#: its 7 Gauss-Legendre points integrates to rounding, so inverting r(x)
+#: there costs arithmetic, not point-map evaluations.
 _SUB_SEGMENTS = 32
 
 
@@ -120,13 +141,16 @@ class _ArcTable:
     nodes adds the exact partial-segment quadrature, so r(x) and its inverse
     are accurate to quadrature precision everywhere, not just at the nodes
     (interpolated tables leave node-scale wiggles that finite differencing
-    downstream would amplify by 1/h^2).  The inverse x_of_r takes a single
-    Newton step on that quadrature from a cubic-Hermite guess on sub-nodes
-    of the segments that hold samples, with one-sided slopes at the seam.
+    downstream would amplify by 1/h^2).  The inverse x_of_r inverts, on
+    sub-segments of the segments that hold many samples, the antiderivative
+    of the interpolant of dr/dx at their Gauss-Legendre points, with
+    one-sided slopes at the seam.  `evals` counts point-map evaluations and
+    `segments` the (dense, sparse) segments of the last x_of_r.
     """
 
     def __init__(self, profile: ProfileA, t_lo: float, t_hi: float):
         self.profile = profile
+        self.evals = 0
         self.x_c = -math.inf  # end of the w piece
         if profile.is_constant:  # flat cone: the w piece alone
             t_hi = t_c = min(t_hi, _W_FLAT**2)
@@ -143,6 +167,7 @@ class _ArcTable:
             self.t_w = (t_lo, min(t_c, t_hi))
             self.x_c = math.sqrt(self.t_w[1])
             nodes.append(np.linspace(math.sqrt(t_lo), self.x_c, _W_SEGMENTS + 1))
+        n_w = sum(n.size for n in nodes)
         if t_c < t_hi:
             # x goes on from the w piece, or is -v from a blow-up start
             # (sigma = -1 there), which keeps x small where the branch turns
@@ -159,6 +184,7 @@ class _ArcTable:
                 v_end = self._v_at(t_hi)
             nodes.append(x0 + _v_offsets(abs(v_end - v0)))
         self.x = _sorted_unique(np.concatenate(nodes))
+        self.node_counts = (n_w, sum(n.size for n in nodes) - n_w)  # w and v pieces
         # r = 0 at the node nearest x = 0, where the branch turns, and sums
         # run outward from there: their rounding stays at the scale of the
         # turn, not of an infinitely far end cut at the edge of the v-range
@@ -173,12 +199,12 @@ class _ArcTable:
     def _v_point(self, v):
         return _level_point(self.profile.params, self.branch, self.profile.C, v)
 
-    def point(self, x, w_sel=None):
-        """(a, t, dr/dx) at the table coordinate x, on the w piece where w_sel
-        holds (by default where x <= x_c) and on the v piece elsewhere."""
+    def point(self, x):
+        """(a, t, dr/dx) at the table coordinate x, on the w piece where
+        x <= x_c and on the v piece elsewhere."""
         x = np.asarray(x, dtype=float)
-        if w_sel is None:
-            w_sel = x <= self.x_c
+        self.evals += x.size
+        w_sel = x <= self.x_c
         if not w_sel.any():
             return self._v_map(x)
         if w_sel.all():
@@ -219,64 +245,63 @@ class _ArcTable:
         return self.r[j] + self._quad(self.x[j], x)
 
     def x_of_r(self, r):
-        """Inverse of r_of_x: one Newton step on the exact quadrature from a
-        cubic-Hermite guess on sub-nodes of the segments the samples fall in.
+        """Inverse of r_of_x.
 
         A segment that holds at least _SUB_SEGMENTS samples is split into
-        that many equal parts (_sub_node_guess).  Samples in sparser segments,
-        where the sub-nodes would cost more than they save, start from the
-        linear guess on the nodes and take two more Newton steps.
+        that many equal parts, each with dr/dx at its 7 Gauss-Legendre points
+        (one point-map call for them all; the points are interior, so each
+        side of the seam x_c keeps its own one-sided slope).  On a part, r(x)
+        is the antiderivative of the degree-6 interpolant of these values,
+        which matches the quadrature to rounding, and two Newton steps on it
+        from the linear guess need no further evaluation.  Samples in sparser
+        segments start from the linear guess on the nodes and take three
+        Newton steps on the exact quadrature.
         """
         r = np.clip(np.atleast_1d(np.asarray(r, dtype=float)), self.r[0], self.r[-1])
         j = np.clip(np.searchsorted(self.r, r), 1, self.r.size - 1)
-        x_lo, x_hi = self.x[j - 1], self.x[j]
         x = np.interp(r, self.r, self.x)
-        dense = np.bincount(j)[j] >= _SUB_SEGMENTS
+        held = np.bincount(j)
+        dense = held[j] >= _SUB_SEGMENTS
+        n_dense = int(np.count_nonzero(held >= _SUB_SEGMENTS))
+        self.segments = (n_dense, int(np.count_nonzero(held)) - n_dense)
         if dense.any():
-            x[dense] = self._sub_node_guess(r[dense], j[dense])
-        x = self._newton(x, r, x_lo, x_hi)
+            x[dense] = self._collocation_inverse(r[dense], j[dense])
         sparse = ~dense
         if sparse.any():
-            for _ in range(2):
-                x[sparse] = self._newton(x[sparse], r[sparse], x_lo[sparse], x_hi[sparse])
+            x_lo, x_hi = self.x[j[sparse] - 1], self.x[j[sparse]]
+            for _ in range(3):
+                x[sparse] = self._newton(x[sparse], r[sparse], x_lo, x_hi)
         return x
 
     def _newton(self, x, r, x_lo, x_hi):
         x = np.clip(x, x_lo, x_hi)
         return np.clip(x - (self.r_of_x(x) - r) / self.point(x)[2], x_lo, x_hi)
 
-    def _sub_node_guess(self, r, j):
-        """Cubic-Hermite guess of x(r) for samples r in the segments
-        (x[j - 1], x[j]).
-
-        Each of these segments is split into _SUB_SEGMENTS equal parts, with r
-        from r_of_x at the inner sub-nodes and the node values at the ends.
-        dr/dx at a sub-node is taken on its own segment's piece, so the two
-        sides of the seam x_c get their one-sided slopes (r(x) has a kink
-        there).  Where a slope is zero or not finite (dr/dx underflows toward
-        a blow-up end) the guess is linear.
-        """
-        seg = _sorted_unique(j)
-        m = _SUB_SEGMENTS + 1
-        width = self.x[seg] - self.x[seg - 1]
-        xs = self.x[seg - 1, None] + np.outer(width, np.linspace(0.0, 1.0, m))
-        xs[:, -1] = self.x[seg]
-        rs = np.empty_like(xs)
-        rs[:, 0], rs[:, -1] = self.r[seg - 1], self.r[seg]
-        rs[:, 1:-1] = self.r_of_x(xs[:, 1:-1].ravel()).reshape(seg.size, m - 2)
-        xs, rs = xs.ravel(), rs.ravel()
-        ds = self.point(xs, np.repeat(self.x[seg] <= self.x_c, m))[2]
-
-        # left sub-node of each sample, kept inside its own segment's row
-        row = np.searchsorted(seg, j) * m
-        i = np.clip(np.searchsorted(rs, r, side="right") - 1, row, row + m - 2)
-        x0, dx, r0, h = xs[i], xs[i + 1] - xs[i], rs[i], rs[i + 1] - rs[i]
-        s = np.divide(r - r0, h, out=np.zeros_like(r), where=h > 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            m0, m1 = h / ds[i], h / ds[i + 1]  # dx/dr scaled to the sub-segment
-            hermite = s * (1.0 - s) * ((1.0 - s) * m0 - s * m1)
-        ok = np.isfinite(hermite)
-        return x0 + dx * np.where(ok, s * s * (3.0 - 2.0 * s), s) + np.where(ok, hermite, 0.0)
+    def _collocation_inverse(self, r, j):
+        """x(r) for samples r in the segments (x[j - 1], x[j]), each split
+        into _SUB_SEGMENTS parts of half-width h about their midpoints."""
+        seg, n = _sorted_unique(j), _SUB_SEGMENTS
+        h = np.repeat(0.5 * (self.x[seg] - self.x[seg - 1]) / n, n)
+        mid = np.repeat(self.x[seg - 1], n) + (2 * np.tile(np.arange(n), seg.size) + 1) * h
+        pts = (mid[:, None] + h[:, None] * _GL_X).ravel()
+        f = self.point(pts)[2].reshape(mid.size, -1)
+        # r at the sub-nodes, n + 1 per segment, summed from the segment's start
+        rs = np.cumsum((f @ _GL_W * h).reshape(seg.size, n), axis=1)
+        rs = (self.r[seg - 1, None] + np.hstack([np.zeros((seg.size, 1)), rs])).ravel()
+        row = np.searchsorted(seg, j) * (n + 1)
+        i = np.clip(np.searchsorted(rs, r, side="right") - 1, row, row + n - 1)
+        k = i - row // (n + 1)  # the sample's part
+        hk = h[k]
+        c = (_ANTI @ f.T).take(k, axis=1)  # r(tau) = rs[i] + hk * sum_m c[m] tau^m
+        y, y1 = (r - rs[i]) / hk, (rs[i + 1] - rs[i]) / hk
+        tau = np.divide(2.0 * y, y1, out=np.zeros_like(y), where=y1 > 0.0) - 1.0
+        for _ in range(2):
+            p, dp = c[-1], np.zeros_like(tau)
+            for cm in c[-2::-1]:
+                dp = dp * tau + p
+                p = p * tau + cm
+            tau = np.clip(tau - np.divide(p - y, dp, out=np.zeros_like(y), where=dp > 0.0), -1.0, 1.0)
+        return np.clip(mid[k] + hk * tau, self.x[j - 1], self.x[j])
 
 
 def _far_edge(profile: ProfileA, t: float) -> bool:
@@ -384,6 +409,10 @@ def build_warped_metric(
     a_vals, t, _ = table.point(x)
     if include_origin:
         a_vals[0] = 1.0
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("arc table: %d w and %d v nodes, seam x_c = %r; x_of_r: %d dense and "
+                   "%d sparse segments; %d point-map evaluations for %d samples",
+                   *table.node_counts, table.x_c, *table.segments, table.evals, n_samples)
     return WarpedMetric(
         params=profile.params,
         r=r,
@@ -634,8 +663,10 @@ def geometry_report(profile: ProfileA) -> GeometryReport:
             profile.a(0.0) if profile.t0 < 0.0 else math.inf,
             {BLOW_UP: math.inf, DECAY_TO_ZERO: 0.0, CONVERGES: tag1.value}[tag1.kind],
         ])
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             K = profile.params.curvature(a_ends)
+        if not np.all(np.isfinite(K) | (a_ends == 0.0)):  # K is infinite only at a = 0
+            raise RangeError("the curvature range overflows")
 
     return GeometryReport(
         complete_inner=complete_inner,

@@ -29,6 +29,7 @@ from .errors import (
     MuZeroError,
     NonpositiveAnchorError,
     NotSteadyError,
+    RangeError,
 )
 
 #: Sentinel for gamma in the steady case lambda = 0.
@@ -66,13 +67,15 @@ class SolitonParams:
             raise DomainError("lambda and mu must be finite")
         if self.mu == 0.0:
             raise MuZeroError("mu must be nonzero")
+        if not math.isfinite(4.0 * self.mu):
+            raise RangeError(f"mu = {self.mu:g} overflows the coefficient 4 mu of the profile equation")
 
     @property
     def gamma(self) -> float:
         """Separatrix level 2 mu / lambda, INFINITE when lambda = 0."""
         if self.lam == 0.0:
             return INFINITE
-        return 2.0 * self.mu / self.lam
+        return 2.0 * (self.mu / self.lam)
 
     @property
     def kind(self) -> str:

@@ -207,6 +207,18 @@ class TestExitCodes:
         assert code == 1
         assert "MU_ZERO" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["catalog", "--family", "g5", "--nu", "1e154"],
+        ["catalog", "--family", "g2", "--nu", "1e154"],
+        ["report", "--lambda", "1e308", "--mu", "1e308", "--a0", "1", "--t0", "0"],
+        ["report", "--lambda", "1.7e308", "--mu=-4e307", "--a0", "1", "--t0", "0"],
+    ], ids=["catalog_g5", "catalog_g2", "report_mu", "report_curvature"])
+    def test_overflowing_scale_usage_error(self, argv, capsys):
+        # these printed a G3 family, gamma "inf" or K "nan"/"inf" with exit 0
+        code, out, err = run_capture(argv, capsys)
+        assert (code, out) == (1, "")
+        assert "soliton: RANGE:" in err
+
     def test_no_subcommand(self, capsys):
         code, _, err = run_capture([], capsys)
         assert code == 1

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import mpmath
@@ -9,6 +10,7 @@ from soliton2d import (
     DomainError,
     EdgeError,
     NotSmoothOriginError,
+    RangeError,
     SolitonParams,
     WindowEmptyError,
     build_warped_metric,
@@ -49,6 +51,13 @@ class TestCurvatureFromA:
         ts = np.linspace(0.1, 2.0, 20)  # beyond t ~ 5 the deviation from gamma underflows
         assert prof.monotonicity() == "increasing"
         assert np.all(p.curvature(prof.a(ts)) > 0.0)
+
+
+def test_overflowing_curvature_range_raises():
+    # K = lambda - 2 mu at the smooth origin is about 2.5e308
+    prof = integrate_profile(make_params(1.7e308, -4e307), 0.0, 1.0, (-math.inf, math.inf))
+    with pytest.raises(RangeError):
+        geometry_report(prof)
 
 
 class TestBuildWarpedMetric:
@@ -189,6 +198,27 @@ def test_gauss_legendre_literals_are_leggauss():
     assert geometry._GL_W.tobytes() == w.tobytes()
 
 
+def test_antiderivative_matrix():
+    # column i holds the coefficients of tau^0..tau^7 of int_{-1}^tau L_i,
+    # L_i the Lagrange basis at the nodes; each check below is a polynomial
+    # evaluation, exact to a few ulp of the sum of its terms' magnitudes
+    anti = geometry._ANTI
+    powers = np.arange(8)
+
+    def at(tau, coef):
+        terms = np.asarray(tau)[:, None, None] ** powers[None, :, None] * coef[None]
+        return terms.sum(axis=1), np.maximum(1.0, np.abs(terms).sum(axis=1))
+
+    assert anti.shape == (8, 7)
+    deriv = np.vstack([anti[1:] * powers[1:, None], np.zeros((1, 7))])
+    got, scale = at(geometry._GL_X, deriv)
+    assert np.all(np.abs(got - np.eye(7)) <= 4 * EPS * scale)
+    got, scale = at([-1.0], anti)
+    assert np.all(np.abs(got) <= 4 * EPS * scale)
+    got, scale = at([1.0], anti)
+    assert np.all(np.abs(got - geometry._GL_W) <= 4 * EPS * scale)
+
+
 class TestArcLengthInverse:
     """x_of_r against a five-step Newton reference on the same quadrature."""
 
@@ -230,21 +260,37 @@ class TestArcLengthInverse:
             _assert_inverts(table, r, got)
             assert np.all(np.abs(got - x) <= 8 * EPS * np.maximum(1.0, np.abs(x)))
 
-    def test_one_newton_step_per_sample(self, monkeypatch):
-        # point-map evaluations inside x_of_r: one Newton step costs the
-        # 7-point partial quadrature and a slope, the sub-nodes under one more
+    def test_under_one_point_evaluation_per_sample(self, monkeypatch):
+        # point-map evaluations inside x_of_r: a split segment costs 7 per
+        # sub-segment whatever the number of its samples, and the Newton steps
+        # on its collocation polynomial cost none
         table = _cigar_table()
         r = np.linspace(0.0, 3.0, 20001)
         count = [0]
         point = geometry._ArcTable.point
 
-        def counting(self, x, w_sel=None):
+        def counting(self, x):
             count[0] += np.size(x)
-            return point(self, x, w_sel)
+            return point(self, x)
 
         monkeypatch.setattr(geometry._ArcTable, "point", counting)
         table.x_of_r(r)
-        assert count[0] <= 9 * r.size
+        assert count[0] <= 1 * r.size
+
+
+def test_debug_record_per_metric(caplog):
+    prof = closed_form_profile(make_params(0.0, -1.0), 1.0)
+    with caplog.at_level(logging.DEBUG, logger="soliton.geometry"):
+        build_warped_metric(prof, (0.0, 0.0), (0.0, 3.0), 2001)
+    (record,) = [rec for rec in caplog.records if rec.name == "soliton.geometry"]
+    n_w, n_v, x_c, dense, sparse, evals, samples = record.args
+    table = _cigar_table()
+    assert record.levelno == logging.DEBUG
+    assert (n_w, x_c) == (geometry._W_SEGMENTS + 1, table.x_c)
+    assert n_w + n_v == table.x.size + 1  # the seam node ends the w piece and starts the v piece
+    assert dense > 0 and samples == 2001
+    # the table's own quadrature, the collocation points and one per sample
+    assert evals >= 7 * (table.x.size - 1) + 7 * geometry._SUB_SEGMENTS * dense + samples
 
 
 class TestCurvatureFromB:

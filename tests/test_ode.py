@@ -14,6 +14,7 @@ from soliton2d import (
     MuZeroError,
     NonpositiveAnchorError,
     NotSteadyError,
+    RangeError,
     Rescale,
     Scale,
     SolitonParams,
@@ -67,6 +68,14 @@ class TestMakeParams:
     def test_mu_zero_rejected(self):
         with pytest.raises(MuZeroError):
             make_params(0.5, 0.0)
+
+    def test_overflowing_scale_rejected(self):
+        # gamma = 2 (mu / lambda) is finite here, but 4 mu is not
+        with pytest.raises(RangeError):
+            make_params(1e308, 1e308)
+        with pytest.raises(RangeError):
+            make_params(0.0, -1e308)
+        assert make_params(1e308, 4e307).gamma == 2.0 * 4e307 / 1e308
 
     def test_sign_classification(self):
         assert make_params(1.0, 1.0).kind == "shrinking"

@@ -149,6 +149,14 @@ class TestCatalog:
         with pytest.raises(RangeError):
             catalog("G1_CIGAR", -1.0)
 
+    @pytest.mark.parametrize("tag", ["G5", "G2_EXPLODING"])
+    def test_overflowing_scale_raises(self, tag):
+        # mu = nu^2 = 1e308 overflows 4 mu; both entries used to come out
+        # as G3 with K_inf = K_sup = nan
+        with pytest.raises(RangeError):
+            catalog(tag, 1e154)
+        assert catalog(tag, 1e153).family.tag == tag
+
     def test_g4_plus_unattainable_above_hemisphere(self):
         # the boundary distance tends to the constant-curvature value pi/2
         # as gamma -> 0+, so larger requests cannot be realized
