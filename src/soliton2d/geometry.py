@@ -258,42 +258,50 @@ class _ArcTable:
         Newton steps on the exact quadrature.
         """
         r = np.clip(np.atleast_1d(np.asarray(r, dtype=float)), self.r[0], self.r[-1])
-        j = np.clip(np.searchsorted(self.r, r), 1, self.r.size - 1)
-        x = np.interp(r, self.r, self.x)
-        held = np.bincount(j)
-        dense = held[j] >= _SUB_SEGMENTS
-        n_dense = int(np.count_nonzero(held >= _SUB_SEGMENTS))
+        if np.any(r[1:] < r[:-1]):
+            raise DomainError("x_of_r needs nondecreasing r")
+        # samples held by each segment (x[j - 1], x[j]), j = 1 .. size - 1
+        held = np.diff(np.searchsorted(r, self.r[1:-1], side="right"), prepend=0, append=r.size)
+        is_dense = held >= _SUB_SEGMENTS
+        n_dense = int(np.count_nonzero(is_dense))
         self.segments = (n_dense, int(np.count_nonzero(held)) - n_dense)
-        if dense.any():
-            x[dense] = self._collocation_inverse(r[dense], j[dense])
-        sparse = ~dense
-        if sparse.any():
-            x_lo, x_hi = self.x[j[sparse] - 1], self.x[j[sparse]]
+        dense = np.repeat(is_dense, held)
+        x = np.empty_like(r)
+        if n_dense:
+            x[dense] = self._collocation_inverse(r[dense], np.flatnonzero(is_dense) + 1, held[is_dense])
+        if self.segments[1]:
+            j = np.repeat(np.arange(1, self.r.size), np.where(is_dense, 0, held))
+            r_sp, x_lo, x_hi = r[~dense], self.x[j - 1], self.x[j]
+            x_sp = np.interp(r_sp, self.r, self.x)
             for _ in range(3):
-                x[sparse] = self._newton(x[sparse], r[sparse], x_lo, x_hi)
+                x_sp = self._newton(x_sp, r_sp, x_lo, x_hi)
+            x[~dense] = x_sp
         return x
 
     def _newton(self, x, r, x_lo, x_hi):
         x = np.clip(x, x_lo, x_hi)
         return np.clip(x - (self.r_of_x(x) - r) / self.point(x)[2], x_lo, x_hi)
 
-    def _collocation_inverse(self, r, j):
-        """x(r) for samples r in the segments (x[j - 1], x[j]), each split
-        into _SUB_SEGMENTS parts of half-width h about their midpoints."""
-        seg, n = _sorted_unique(j), _SUB_SEGMENTS
+    def _collocation_inverse(self, r, seg, held):
+        """x(r) for the sorted samples r of the segments (x[seg - 1], x[seg]),
+        `held` of them in each, every segment split into _SUB_SEGMENTS parts
+        of half-width h about their midpoints."""
+        n = _SUB_SEGMENTS
         h = np.repeat(0.5 * (self.x[seg] - self.x[seg - 1]) / n, n)
         mid = np.repeat(self.x[seg - 1], n) + (2 * np.tile(np.arange(n), seg.size) + 1) * h
         pts = (mid[:, None] + h[:, None] * _GL_X).ravel()
         f = self.point(pts)[2].reshape(mid.size, -1)
         # r at the sub-nodes, n + 1 per segment, summed from the segment's start
         rs = np.cumsum((f @ _GL_W * h).reshape(seg.size, n), axis=1)
-        rs = (self.r[seg - 1, None] + np.hstack([np.zeros((seg.size, 1)), rs])).ravel()
-        row = np.searchsorted(seg, j) * (n + 1)
-        i = np.clip(np.searchsorted(rs, r, side="right") - 1, row, row + n - 1)
-        k = i - row // (n + 1)  # the sample's part
-        hk = h[k]
-        c = (_ANTI @ f.T).take(k, axis=1)  # r(tau) = rs[i] + hk * sum_m c[m] tau^m
-        y, y1 = (r - rs[i]) / hk, (rs[i + 1] - rs[i]) / hk
+        rs = self.r[seg - 1, None] + np.hstack([np.zeros((seg.size, 1)), rs])
+        # samples held by each part: merge the samples with the interior sub-nodes
+        end = np.cumsum(held)[:, None]
+        cut = np.clip(np.searchsorted(r, rs[:, 1:n]), end - held[:, None], end)
+        per = np.diff(cut, axis=1, prepend=end - held[:, None], append=end).ravel()
+        hk = np.repeat(h, per)
+        c = np.repeat(_ANTI @ f.T, per, axis=1)  # r(tau) = rs_k + hk * sum_m c[m] tau^m
+        y = (r - np.repeat(rs[:, :n].ravel(), per)) / hk
+        y1 = np.repeat(((rs[:, 1:] - rs[:, :n]).ravel() / h), per)
         tau = np.divide(2.0 * y, y1, out=np.zeros_like(y), where=y1 > 0.0) - 1.0
         for _ in range(2):
             p, dp = c[-1], np.zeros_like(tau)
@@ -301,7 +309,8 @@ class _ArcTable:
                 dp = dp * tau + p
                 p = p * tau + cm
             tau = np.clip(tau - np.divide(p - y, dp, out=np.zeros_like(y), where=dp > 0.0), -1.0, 1.0)
-        return np.clip(mid[k] + hk * tau, self.x[j - 1], self.x[j])
+        return np.clip(np.repeat(mid, per) + hk * tau, np.repeat(self.x[seg - 1], held),
+                       np.repeat(self.x[seg], held))
 
 
 def _far_edge(profile: ProfileA, t: float) -> bool:
