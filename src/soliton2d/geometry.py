@@ -76,6 +76,8 @@ def _antiderivatives() -> np.ndarray:
 
 #: _ANTI @ f gives the antiderivative from -1 of the interpolant of f at _GL_X
 _ANTI = _antiderivatives()
+#: _ENDS @ f gives that interpolant at tau = -1 and 1, the antiderivative's end slopes
+_ENDS = np.arange(8.0) * np.array([[-1.0], [1.0]]) ** np.arange(-1.0, 7.0) @ _ANTI
 
 
 def curvature_from_a(params: SolitonParams, a) -> float:
@@ -141,11 +143,11 @@ class _ArcTable:
     nodes adds the exact partial-segment quadrature, so r(x) and its inverse
     are accurate to quadrature precision everywhere, not just at the nodes
     (interpolated tables leave node-scale wiggles that finite differencing
-    downstream would amplify by 1/h^2).  The inverse x_of_r inverts, on
-    sub-segments of the segments that hold many samples, the antiderivative
-    of the interpolant of dr/dx at their Gauss-Legendre points, with
-    one-sided slopes at the seam.  `evals` counts point-map evaluations and
-    `segments` the (dense, sparse) segments of the last x_of_r.
+    downstream would amplify by 1/h^2).  The inverse x_of_r takes sorted
+    samples and inverts, on sub-segments of the segments that hold many, the
+    antiderivative of the interpolant of dr/dx at their Gauss-Legendre points
+    by one Newton step from a cubic Hermite guess.  `evals` counts point-map
+    evaluations and `segments` the (dense, sparse) segments of the last x_of_r.
     """
 
     def __init__(self, profile: ProfileA, t_lo: float, t_hi: float):
@@ -156,7 +158,8 @@ class _ArcTable:
             t_hi = t_c = min(t_hi, _W_FLAT**2)
         else:
             self.branch = _branch_class(profile.params, profile.a_ref)
-            self.sigma = float(np.sign(self._v_point(np.zeros(1))[2][0]))
+            with np.errstate(all="ignore"):  # only the sign of dt/dv is read at v = 0
+                self.sigma = float(np.sign(self._v_point(np.zeros(1))[2][0]))
             if profile.tag0.kind == BLOW_UP and t_lo == profile.t0:
                 v0, t_c = _V_MAX, -math.inf
             else:
@@ -221,8 +224,8 @@ class _ArcTable:
         return a, t, 2.0 * a
 
     def _v_map(self, x):
-        a, t, dt = self._v_point(self.sigma * x + self.v_shift)
-        return a, t, a * np.abs(dt) / np.sqrt(t)
+        a, t, _, dr = self._v_point(self.sigma * x + self.v_shift)
+        return a, t, dr
 
     def x_at(self, t: float) -> float:
         """Table coordinate of the circle at t."""
@@ -245,71 +248,67 @@ class _ArcTable:
         return self.r[j] + self._quad(self.x[j], x)
 
     def x_of_r(self, r):
-        """Inverse of r_of_x.
+        """Inverse of r_of_x at nondecreasing r (DomainError otherwise).
 
-        A segment that holds at least _SUB_SEGMENTS samples is split into
-        that many equal parts, each with dr/dx at its 7 Gauss-Legendre points
-        (one point-map call for them all; the points are interior, so each
-        side of the seam x_c keeps its own one-sided slope).  On a part, r(x)
-        is the antiderivative of the degree-6 interpolant of these values,
-        which matches the quadrature to rounding, and two Newton steps on it
-        from the linear guess need no further evaluation.  Samples in sparser
-        segments start from the linear guess on the nodes and take three
-        Newton steps on the exact quadrature.
+        Samples are located by merging them with the nodes.  A segment that
+        holds at least _SUB_SEGMENTS samples is split into that many equal
+        parts, with dr/dx at their 7 Gauss-Legendre points (one point-map call;
+        the points are interior, so each side of the seam x_c keeps its own
+        one-sided slope).  On a part, r(x) is the antiderivative of the degree-6
+        interpolant of these values, exact to rounding, and one Newton step on
+        it from a cubic Hermite guess needs no further evaluation.  Sparser
+        segments take three Newton steps on the quadrature from a linear guess.
         """
         r = np.clip(np.atleast_1d(np.asarray(r, dtype=float)), self.r[0], self.r[-1])
         if np.any(r[1:] < r[:-1]):
             raise DomainError("x_of_r needs nondecreasing r")
-        # samples held by each segment (x[j - 1], x[j]), j = 1 .. size - 1
+        # samples held by the segments (x[j - 1], x[j]), j = 1 .. size - 1
         held = np.diff(np.searchsorted(r, self.r[1:-1], side="right"), prepend=0, append=r.size)
         is_dense = held >= _SUB_SEGMENTS
-        n_dense = int(np.count_nonzero(is_dense))
-        self.segments = (n_dense, int(np.count_nonzero(held)) - n_dense)
-        dense = np.repeat(is_dense, held)
-        x = np.empty_like(r)
-        if n_dense:
+        self.segments = (int(is_dense.sum()), int(np.count_nonzero(held[~is_dense])))
+        dense, x = np.repeat(is_dense, held), np.empty_like(r)
+        if self.segments[0]:
             x[dense] = self._collocation_inverse(r[dense], np.flatnonzero(is_dense) + 1, held[is_dense])
         if self.segments[1]:
-            j = np.repeat(np.arange(1, self.r.size), np.where(is_dense, 0, held))
-            r_sp, x_lo, x_hi = r[~dense], self.x[j - 1], self.x[j]
-            x_sp = np.interp(r_sp, self.r, self.x)
+            j, sp = np.repeat(np.arange(1, self.r.size), np.where(is_dense, 0, held)), ~dense
+            x[sp] = np.interp(r[sp], self.r, self.x)
             for _ in range(3):
-                x_sp = self._newton(x_sp, r_sp, x_lo, x_hi)
-            x[~dense] = x_sp
+                x[sp] = self._newton(x[sp], r[sp], self.x[j - 1], self.x[j])
         return x
 
     def _newton(self, x, r, x_lo, x_hi):
         x = np.clip(x, x_lo, x_hi)
-        return np.clip(x - (self.r_of_x(x) - r) / self.point(x)[2], x_lo, x_hi)
+        slope = self.point(x)[2]  # 0 where dr/dx underflows
+        return np.clip(x - np.divide(self.r_of_x(x) - r, slope, out=np.zeros_like(x), where=slope > 0), x_lo, x_hi)
 
     def _collocation_inverse(self, r, seg, held):
-        """x(r) for the sorted samples r of the segments (x[seg - 1], x[seg]),
-        `held` of them in each, every segment split into _SUB_SEGMENTS parts
-        of half-width h about their midpoints."""
+        """x(r) for the sorted samples r, `held` of them in each segment (x[seg - 1], x[seg])."""
         n = _SUB_SEGMENTS
-        h = np.repeat(0.5 * (self.x[seg] - self.x[seg - 1]) / n, n)
+        h = np.repeat(0.5 * (self.x[seg] - self.x[seg - 1]) / n, n)  # n parts of half-width h
         mid = np.repeat(self.x[seg - 1], n) + (2 * np.tile(np.arange(n), seg.size) + 1) * h
         pts = (mid[:, None] + h[:, None] * _GL_X).ravel()
         f = self.point(pts)[2].reshape(mid.size, -1)
         # r at the sub-nodes, n + 1 per segment, summed from the segment's start
         rs = np.cumsum((f @ _GL_W * h).reshape(seg.size, n), axis=1)
         rs = self.r[seg - 1, None] + np.hstack([np.zeros((seg.size, 1)), rs])
-        # samples held by each part: merge the samples with the interior sub-nodes
-        end = np.cumsum(held)[:, None]
+        end = np.cumsum(held)[:, None]  # samples per part: merge them with the sub-nodes
         cut = np.clip(np.searchsorted(r, rs[:, 1:n]), end - held[:, None], end)
         per = np.diff(cut, axis=1, prepend=end - held[:, None], append=end).ravel()
-        hk = np.repeat(h, per)
-        c = np.repeat(_ANTI @ f.T, per, axis=1)  # r(tau) = rs_k + hk * sum_m c[m] tau^m
-        y = (r - np.repeat(rs[:, :n].ravel(), per)) / hk
-        y1 = np.repeat(((rs[:, 1:] - rs[:, :n]).ravel() / h), per)
-        tau = np.divide(2.0 * y, y1, out=np.zeros_like(y), where=y1 > 0.0) - 1.0
-        for _ in range(2):
-            p, dp = c[-1], np.zeros_like(tau)
-            for cm in c[-2::-1]:
-                dp = dp * tau + p
-                p = p * tau + cm
-            tau = np.clip(tau - np.divide(p - y, dp, out=np.zeros_like(y), where=dp > 0.0), -1.0, 1.0)
-        return np.clip(np.repeat(mid, per) + hk * tau, np.repeat(self.x[seg - 1], held),
+        # on a part r = rs_k + h y, y = sum_m c[m] tau^m; the cubic Hermite inverse tau(s),
+        # s = y / y1, has slopes m = dtau/ds at s = 0, 1 (2, linear, unless both are finite)
+        c, y1, d = _ANTI @ f.T, (rs[:, 1:] - rs[:, :n]).ravel() / h, _ENDS @ f.T
+        m = np.divide(y1, d, out=np.zeros_like(d), where=d > 0.0)
+        m[:, ~(np.isfinite(m) & (m > 0.0)).all(axis=0)] = 2.0
+        y = (r - np.repeat(rs[:, :n].ravel(), per)) / np.repeat(h, per)
+        s = y / np.repeat(np.maximum(y1, np.finfo(float).tiny), per)
+        tau = 0.0  # Horner on coefficients repeated per sample, then one Newton step
+        for g in (m.sum(axis=0) - 4.0, 6.0 - 2.0 * m[0] - m[1], m[0]):
+            tau = (tau + np.repeat(g, per)) * s
+        tau, p, dp = np.clip(tau - 1.0, -1.0, 1.0), np.repeat(c[-1], per), 0.0
+        for cm in c[-2::-1]:
+            p, dp = p * tau + np.repeat(cm, per), dp * tau + p
+        tau = np.clip(tau - np.divide(p - y, dp, out=np.zeros_like(y), where=dp > 0.0), -1.0, 1.0)
+        return np.clip(np.repeat(mid, per) + np.repeat(h, per) * tau, np.repeat(self.x[seg - 1], held),
                        np.repeat(self.x[seg], held))
 
 

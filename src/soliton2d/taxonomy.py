@@ -12,6 +12,7 @@ inferred from data).
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -54,6 +55,7 @@ FAMILY_TAGS = (
     G6, G7, G8, G9, G10, G11, G12,
 )
 
+_log = logging.getLogger("soliton.taxonomy")
 #: Anchor level for the analytic construction of initial blow-up profiles,
 #: raised to 4 gamma where the separatrix lies above it.
 _A_ANCHOR = 1.0e6
@@ -169,8 +171,9 @@ def _disk_gamma(tag: str, nu: float) -> tuple[float, float]:
     b, a = (point(-x_end), point(-1e-9)) if tag == G4_PLUS else (point(1e-9), point(x_end))
     if not b[1] < 0.0 < a[1]:
         raise RangeError(f"{tag} boundary distance is attainable only in ({b[3]:.9g}, {a[3]:.9g}); got {nu:g}")
-    c, t = a, 0.5
+    c, t, n = a, 0.5, 0
     while True:
+        n += 1
         new = point(a[0] + t * (b[0] - a[0]))
         b, c = (b, a) if (new[1] > 0.0) == (a[1] > 0.0) else (a, b)
         a = new
@@ -178,6 +181,9 @@ def _disk_gamma(tag: str, nu: float) -> tuple[float, float]:
         x, f, g, d = a if abs(fa) < abs(fb) else b
         tlim = (2.0 * math.ulp(x) + math.ulp(g) / (1.0 - g)) / abs(xb - xa)
         if abs(f) <= 8.0 * math.ulp(nu) or tlim > 0.5:
+            if _log.isEnabledFor(logging.DEBUG):
+                _log.debug("%s gamma solve: %d iterations, %d distance evaluations, |d - nu| = %r, "
+                           "bracket width %r in x", tag, n, n + 2, abs(f), abs(xb - xa))
             return g, d
         xi, phi = (xa - xb) / (xc - xb), (fa - fb) / (fc - fb)
         t = 0.5  # inverse quadratic interpolation where Chandrupatla's test admits it

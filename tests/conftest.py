@@ -56,6 +56,23 @@ FAMILY_SAMPLES = {
     "G12": 1.0,
 }
 
+# three nu per family, across each family's range
+NU_SAMPLES = {
+    "G1_CIGAR": (0.5, 1.0, 2.0),
+    "G2_EXPLODING": (0.5, 1.0, 2.0),
+    "G3": (0.5, 1.0, 2.0),
+    "G4_PLUS": (1.1, 1.3, 1.5),
+    "G4_MINUS": (1.7, 2.2, 3.0),
+    "G5": (0.5, 1.0, 2.0),
+    "G6": (1.5, math.pi, 5.0),
+    "G7": (7.0, 3.0 * math.pi, 12.0),
+    "G8": (1.0, math.pi, 6.0),
+    "G9": (1.0, 2.0, 4.0),
+    "G10": (0.5, 1.0, 2.0),
+    "G11": (1.0, 2.0, 3.0),
+    "G12": (1.0, 2.0, 3.0),
+}
+
 _entry_cache = {}
 _metric_cache = {}
 

@@ -34,23 +34,7 @@ from soliton2d import (
     variation_report,
 )
 from soliton2d.taxonomy import FAMILY_TAGS
-from conftest import cached_entry, cached_metric, perturbed_cigar_metric
-
-NU_SAMPLES = {
-    "G1_CIGAR": (0.5, 1.0, 2.0),
-    "G2_EXPLODING": (0.5, 1.0, 2.0),
-    "G3": (0.5, 1.0, 2.0),
-    "G4_PLUS": (1.1, 1.3, 1.5),
-    "G4_MINUS": (1.7, 2.2, 3.0),
-    "G5": (0.5, 1.0, 2.0),
-    "G6": (1.5, math.pi, 5.0),
-    "G7": (7.0, 3.0 * math.pi, 12.0),
-    "G8": (1.0, math.pi, 6.0),
-    "G9": (1.0, 2.0, 4.0),
-    "G10": (0.5, 1.0, 2.0),
-    "G11": (1.0, 2.0, 3.0),
-    "G12": (1.0, 2.0, 3.0),
-}
+from conftest import NU_SAMPLES, cached_entry, cached_metric, perturbed_cigar_metric
 
 # Residuals are scale covariant (they grow with the entry's curvature scale
 # at fixed grid spacing), so the fixed h = 1e-3 sweep samples each family

@@ -219,6 +219,16 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert "soliton: RANGE:" in err
 
+    def test_metric_next_to_blowup_with_large_mu(self, capsys):
+        # dr/dx underflows to 0 toward the blow-up at t = 1; the Newton step
+        # of the inverse divided 0 by 0 there and printed "b": "nan"
+        code, out, _ = run_capture(
+            ["metric", "--lambda", "-1", "--mu", "1e20", "--a0", "1e6", "--t0", "1",
+             "--b0", "2", "--r-range", "0,1", "--samples", "11"], capsys)
+        assert code == 0
+        assert "nan" not in out
+        assert all(row["b"] == pytest.approx(2.0) for row in json.loads(out)["samples"])
+
     def test_no_subcommand(self, capsys):
         code, _, err = run_capture([], capsys)
         assert code == 1

@@ -29,7 +29,7 @@ from soliton2d import (
     radial_distance,
 )
 from soliton2d.taxonomy import FAMILY_TAGS
-from conftest import FAMILY_SAMPLES, cached_entry, cached_metric
+from conftest import FAMILY_SAMPLES, NU_SAMPLES, cached_entry, cached_metric
 
 
 class TestCurvatureFromA:
@@ -227,6 +227,12 @@ class TestArcLengthInverse:
         entry_metric(cached_entry(tag, FAMILY_SAMPLES[tag]), h=1e-4)
         _assert_inverts(*inversions[-1])
 
+    @pytest.mark.parametrize("tag", FAMILY_TAGS)
+    def test_entry_metric_nu_sweep(self, tag, inversions):
+        for nu in NU_SAMPLES[tag]:
+            entry_metric(cached_entry(tag, nu), h=1e-3)
+            _assert_inverts(*inversions[-1])
+
     @pytest.mark.parametrize("build", [
         # across the seam between the w and v pieces
         lambda: build_warped_metric(closed_form_profile(make_params(0.0, -1.0), 1.0),
@@ -260,6 +266,14 @@ class TestArcLengthInverse:
             _assert_inverts(table, r, got)
             assert np.all(np.abs(got - x) <= 8 * EPS * np.maximum(1.0, np.abs(x)))
 
+    def test_decreasing_samples_rejected(self):
+        # samples are located by merging them with the sorted nodes
+        table = _cigar_table()
+        r = np.linspace(0.0, 3.0, 101)
+        with pytest.raises(DomainError, match="nondecreasing"):
+            table.x_of_r(r[::-1])
+        assert np.array_equal(table.x_of_r(np.repeat(r, 2))[::2], table.x_of_r(r))
+
     def test_under_one_point_evaluation_per_sample(self, monkeypatch):
         # point-map evaluations inside x_of_r: a split segment costs 7 per
         # sub-segment whatever the number of its samples, and the Newton steps
@@ -276,6 +290,29 @@ class TestArcLengthInverse:
         monkeypatch.setattr(geometry._ArcTable, "point", counting)
         table.x_of_r(r)
         assert count[0] <= 1 * r.size
+
+
+class TestCuspEndWithLargeMu:
+    """At a cusp (C = 0) t = k psi underflows toward the end before the arc
+    length does, since k = -1 / (4 mu gamma) ~ 1/nu^4 on G11."""
+
+    @pytest.mark.parametrize("nu", [1e5, 1e10])
+    def test_g11_entry_metric_is_finite(self, nu):
+        prof = cached_entry("G11", nu).profile
+        table = geometry._ArcTable(prof, *geometry._metric_t_interval(prof)[:2])
+        assert np.all(np.isfinite(table.r))
+        m = entry_metric(cached_entry("G11", nu))
+        assert np.all(np.isfinite(m.r_extent))
+        assert all(np.all(np.isfinite(v)) for v in (m.r, m.b, m.b_prime, m.K))
+
+    def test_g11_extent_carries_no_nan(self):
+        # the entry window lies past the table's decay end here (see CHANGES.md)
+        try:
+            m = entry_metric(cached_entry("G11", 1e19))
+        except WindowEmptyError as err:
+            assert "nan" not in str(err)
+        else:
+            assert np.all(np.isfinite(m.r_extent)) and np.all(np.isfinite(m.b))
 
 
 def test_debug_record_per_metric(caplog):

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import mpmath
@@ -216,6 +217,21 @@ class TestCatalog:
         assert abs(entry.nu - nu) <= 1e-13 * nu
         # the reported nu is the boundary distance of the entry's own disk
         assert entry.nu == radial_distance(entry.profile, 0.0, entry.profile.C)
+
+    @pytest.mark.parametrize("tag,nu", [("G4_PLUS", 1.3), ("G4_MINUS", 2.2)])
+    def test_g4_solve_debug_record(self, tag, nu, caplog, monkeypatch):
+        import soliton2d.taxonomy as tx
+        calls = []
+        monkeypatch.setattr(tx, "disk_boundary_distance",
+                            lambda g: calls.append(g) or disk_boundary_distance(g))
+        with caplog.at_level(logging.DEBUG, logger="soliton.taxonomy"):
+            entry = catalog(tag, nu)
+        (record,) = [rec for rec in caplog.records if rec.name == "soliton.taxonomy"]
+        got_tag, iterations, evaluations, miss, width = record.args
+        assert (got_tag, evaluations) == (tag, len(calls))
+        assert iterations == evaluations - 2  # the two bracket ends come first
+        assert miss == abs(entry.nu - nu) <= 8 * math.ulp(nu)
+        assert 0.0 < width < 1e-6  # of the last bracket in x = log(1 - gamma)
 
     @pytest.mark.parametrize("tag,nu", [
         ("G4_PLUS", 1.01), ("G4_PLUS", 1.0189), ("G4_MINUS", 14.6), ("G4_MINUS", 1e3),
