@@ -76,8 +76,8 @@ def _antiderivatives() -> np.ndarray:
 
 #: _ANTI @ f gives the antiderivative from -1 of the interpolant of f at _GL_X
 _ANTI = _antiderivatives()
-#: _ENDS @ f gives that interpolant at tau = -1 and 1, the antiderivative's end slopes
-_ENDS = np.arange(8.0) * np.array([[-1.0], [1.0]]) ** np.arange(-1.0, 7.0) @ _ANTI
+#: _ENDS @ f gives that interpolant at tau = -1 and 1 (einsum: no BLAS start-up at import)
+_ENDS = np.einsum("km,mi->ki", np.arange(8.0) * np.array([[-1.0], [1.0]]) ** np.arange(-1.0, 7.0), _ANTI)
 
 
 def curvature_from_a(params: SolitonParams, a) -> float:
@@ -262,7 +262,6 @@ class _ArcTable:
         r = np.clip(np.atleast_1d(np.asarray(r, dtype=float)), self.r[0], self.r[-1])
         if np.any(r[1:] < r[:-1]):
             raise DomainError("x_of_r needs nondecreasing r")
-        # samples held by the segments (x[j - 1], x[j]), j = 1 .. size - 1
         held = np.diff(np.searchsorted(r, self.r[1:-1], side="right"), prepend=0, append=r.size)
         is_dense = held >= _SUB_SEGMENTS
         self.segments = (int(is_dense.sum()), int(np.count_nonzero(held[~is_dense])))
@@ -294,8 +293,8 @@ class _ArcTable:
         end = np.cumsum(held)[:, None]  # samples per part: merge them with the sub-nodes
         cut = np.clip(np.searchsorted(r, rs[:, 1:n]), end - held[:, None], end)
         per = np.diff(cut, axis=1, prepend=end - held[:, None], append=end).ravel()
-        # on a part r = rs_k + h y, y = sum_m c[m] tau^m; the cubic Hermite inverse tau(s),
-        # s = y / y1, has slopes m = dtau/ds at s = 0, 1 (2, linear, unless both are finite)
+        # on a part r = rs_k + h y, y = sum_m c[m] tau^m; the cubic Hermite inverse tau(s), s = y / y1,
+        # has slopes m = dtau/ds at s = 0, 1 (2, linear, unless both are positive and finite)
         c, y1, d = _ANTI @ f.T, (rs[:, 1:] - rs[:, :n]).ravel() / h, _ENDS @ f.T
         m = np.divide(y1, d, out=np.zeros_like(d), where=d > 0.0)
         m[:, ~(np.isfinite(m) & (m > 0.0)).all(axis=0)] = 2.0

@@ -203,9 +203,8 @@ def _a_of_v(g: float, branch: str, v: np.ndarray) -> np.ndarray:
 def _level_point(params: SolitonParams, branch: str, C: float, v: np.ndarray):
     """(a, t, dt/dv, dr/dv) at the level coordinate v of the branch t = C + G(a).
 
-    Both are explicit in v (no inversion of G): t - C = k psi(u), k = -1 / (4 mu
-    gamma), or k = 1 / (4 mu a) and psi = 1 on the steady class.  The arc length
-    dr/dv = a |dt/dv| / sqrt(t) is a sqrt|k| |dpsi| / sqrt|psi| at C = 0: t underflows first.
+    Both a and t are explicit in v: t - C = k psi(u) with k = -1 / (4 mu gamma),
+    or k = 1 / (4 mu a) and psi = 1 on the steady class; dr/dv = a |dt/dv| / sqrt(t).
     """
     a = _a_of_v(params.gamma, branch, v)
     if branch == _STEADY:
@@ -213,8 +212,10 @@ def _level_point(params: SolitonParams, branch: str, C: float, v: np.ndarray):
     else:
         k, (ps, dps) = -1.0 / (4.0 * params.mu * params.gamma), _psi_v(branch, v)
     t, dt = C + k * ps, k * dps
-    return a, t, dt, (a * np.sqrt(np.abs(k)) * np.abs(dps) / np.sqrt(np.abs(ps)) if C == 0.0
-                      else a * np.abs(dt) / np.sqrt(t))
+    if C == 0.0:  # toward a cusp end t = k psi underflows long before dr/dv does
+        return a, t, dt, a * np.sqrt(np.abs(k)) * np.abs(dps) / np.sqrt(np.abs(ps))
+    del ps, dps  # the arc table's quadrature sets the peak memory here
+    return a, t, dt, a * np.abs(dt) / np.sqrt(t)
 
 
 def _stretch_target(branch: str, s: np.ndarray) -> np.ndarray:
