@@ -3,14 +3,14 @@
 In the coordinate t = b^2/4 the metric reads (a^2/t) dt^2 + 4t dtheta^2 with
 a = 1/b', so arc length is recovered from r(t) = r0 + int a(s)/sqrt(s) ds.
 The quadrature runs in the branch's own level coordinate v (ode.py), in
-which both a and t = C + G(a) are explicit: a blow-up end is the far end of
-the v-range, a tail below rounding at a geodesic boundary and linear in v at
-a cylinder or cusp; a decay end is a tail in v too, and a cone end grows
-like sqrt(v).  Only next to a regular t = 0 (smooth origin or cone vertex),
-where t = C + (t - C) would cancel, does a short piece run in w = sqrt(t)
-through profile.a.  Gauss curvature follows the algebraic identity
-K = lambda - 2 mu / a; the finite-difference route -b''/b is kept separate
-as an independent check.
+which both a and t = C + G(a) are explicit.  Its nodes are 1/2 apart where
+dr/dv varies on the unit scale and grow where it is constant (toward a
+cylinder or cusp) or follows the cone law; a tail toward a geodesic boundary
+stops once the rest of r is below an ulp.  Only next to a regular t = 0
+(smooth origin or cone vertex), where t = C + (t - C) would cancel, does a
+short piece run in w = sqrt(t) through profile.a.  Gauss curvature follows
+the algebraic identity K = lambda - 2 mu / a; the finite-difference route
+-b''/b is kept separate as an independent check.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .ode import (
     ProfileA,
     SolitonParams,
     _branch_class,
+    _fate,
     _level_coordinate,
     _level_point,
     _separatrix_time,
@@ -102,10 +103,10 @@ _W_SEGMENTS = 16  # Gauss-Legendre segments of the w piece
 #: circle of the metric.  Its table stops 60 e-folds of a below the branch
 #: scale, where the rest of the tail is about e^-30 of the radius.
 _DECAY_SPAN = 60.0
-#: v nodes are 1/2 apart across the representable range of blow-up and
-#: decay ends, and grow by 1.25 per segment beyond it, toward a cone end
-#: (r ~ sqrt(v)), which the table follows out to _CONE_SPAN.
-_LINEAR_SPAN = _V_MAX - _V_MIN
+#: Past _V_FLAT from the branch's centre the e^-|v| terms of dr/dv are below
+#: an ulp: it is constant toward a cylinder or cusp and follows r ~ sqrt(v)
+#: toward a cone (out to _CONE_SPAN), and v nodes grow by 1.25 per segment.
+_V_FLAT = -math.log(math.ulp(1.0))
 _CONE_SPAN = 1.0e15
 #: w-range of the flat cone a == gamma, where r = 2 gamma w is exact.
 _W_FLAT = 1.0e150
@@ -116,15 +117,22 @@ _W_FLAT = 1.0e150
 _SUB_SEGMENTS = 32
 
 
-def _v_offsets(span: float) -> np.ndarray:
-    """Offsets of the v nodes from the start of the v piece: 1/8 apart over
-    the first unit (next to the seam), then 1/2 apart, then geometric."""
-    lin = min(span, _LINEAR_SPAN)
-    parts = [np.linspace(0.0, 1.0, 9), np.arange(1.5, lin, 0.5)]
-    if span > lin:
-        parts.append(lin * 1.25 ** np.arange(math.log(span / lin) / math.log(1.25)))
-    s = np.concatenate(parts)
-    return np.append(s[s < span], span)
+def _v_offsets(span: float, c: float, grow_lo: bool, grow_hi: bool):
+    """Offsets of the v nodes out to span, 1/8 apart over the first unit (next
+    to the seam) and then 1/2, but past _V_FLAT of the centre's offset c on a
+    side that grows, growing away from c, or from the start if c is behind it
+    like the cone law's singularity; and the counts 1/2 apart within and beyond
+    _V_FLAT of c and grown."""
+    lo = c - _V_FLAT if grow_lo else -math.inf
+    hi = max(c + _V_FLAT, 2.0) if grow_hi else math.inf
+    unit = np.concatenate([np.linspace(0.0, 1.0, 9), np.arange(1.5, min(span, hi), 0.5)])
+    g = 1.25 ** np.arange(math.log(span + 2.0) / math.log(1.25))
+    grown = np.concatenate([c - (c - lo) * g, max(c, 0.0) + (hi - max(c, 0.0)) * g])
+    s = _sorted_unique(np.concatenate([[0.0, span], unit[(unit > lo) & (unit < span)],
+                                       grown[(grown > 0.0) & (grown < span)]]))
+    in_grown, beyond = (s < lo) | (s > hi), np.abs(s - c) > _V_FLAT
+    n_grown, n_beyond = np.count_nonzero(in_grown), np.count_nonzero(beyond & ~in_grown)
+    return s, (s.size - n_grown - n_beyond, n_grown, n_beyond)
 
 
 class _ArcTable:
@@ -135,9 +143,12 @@ class _ArcTable:
     edge) x is w = sqrt(t) up to a seam, and a comes from profile.a.
     Everywhere else x runs along the branch's level coordinate v
     (v = sigma x + v_shift, sigma = sign dt/dv), in which a and t are
-    explicit (ode._level_point).  A blow-up end is then v = _V_MAX: a tail
-    below rounding at finite distance, linear in v at a cylinder or cusp.
-    Decay and cone ends are described at _DECAY_SPAN and _CONE_SPAN.
+    explicit (ode._level_point), and the nodes follow dr/dv (_v_offsets).
+    Cylinder and cusp ends lie at v = _V_MAX, decay and cone ends at
+    _DECAY_SPAN and _CONE_SPAN.  A geodesic boundary (C > 0 at v = inf) is
+    cut where the rest of r is below an ulp of the part from ve = 1/2 (or the
+    v piece's nearer end), since r = 0 is no nearer it: int a dt from v to it
+    is log1p(e^-v) / (4 |mu|), over sqrt(t) with t between t(ve) and C.
 
     Node values come from per-segment Gauss-Legendre; evaluation between
     nodes adds the exact partial-segment quadrature, so r(x) and its inverse
@@ -147,7 +158,8 @@ class _ArcTable:
     samples and inverts, on sub-segments of the segments that hold many, the
     antiderivative of the interpolant of dr/dx at their Gauss-Legendre points
     by one Newton step from a cubic Hermite guess.  `evals` counts point-map
-    evaluations and `segments` the (dense, sparse) segments of the last x_of_r.
+    evaluations (`table_evals` of them for the table itself) and `segments`
+    the (dense, sparse) segments of the last x_of_r.
     """
 
     def __init__(self, profile: ProfileA, t_lo: float, t_hi: float):
@@ -160,7 +172,8 @@ class _ArcTable:
             self.branch = _branch_class(profile.params, profile.a_ref)
             with np.errstate(all="ignore"):  # only the sign of dt/dv is read at v = 0
                 self.sigma = float(np.sign(self._v_point(np.zeros(1))[2][0]))
-            if profile.tag0.kind == BLOW_UP and t_lo == profile.t0:
+            blow0 = profile.tag0.kind == BLOW_UP and t_lo == profile.t0
+            if blow0:
                 v0, t_c = _V_MAX, -math.inf
             else:
                 v0 = self._v_at(t_lo) + self.sigma * _SEAM
@@ -170,13 +183,9 @@ class _ArcTable:
             self.t_w = (t_lo, min(t_c, t_hi))
             self.x_c = math.sqrt(self.t_w[1])
             nodes.append(np.linspace(math.sqrt(t_lo), self.x_c, _W_SEGMENTS + 1))
-        n_w = sum(n.size for n in nodes)
+        n_w, zones = sum(n.size for n in nodes), (0, 0, 0)
         if t_c < t_hi:
-            # x goes on from the w piece, or is -v from a blow-up start
-            # (sigma = -1 there), which keeps x small where the branch turns
-            x0 = self.x_c if nodes else -v0
-            self.v_shift = v0 - self.sigma * x0
-            tag1 = profile.tag1.kind
+            tag1, C, steady = profile.tag1.kind, profile.C, math.isinf(profile.params.gamma)
             if tag1 == BLOW_UP and t_hi == profile.t1:
                 v_end = _V_MAX
             elif math.isinf(t_hi) and tag1 == DECAY_TO_ZERO:
@@ -185,15 +194,31 @@ class _ArcTable:
                 v_end = v0 + self.sigma * _CONE_SPAN
             else:
                 v_end = self._v_at(t_hi)
-            nodes.append(x0 + _v_offsets(abs(v_end - v0)))
+            if C > 0.0 and profile.a_ref > profile.params.gamma:  # a geodesic boundary at v = inf
+                ve = min(max(0.5, min(v0, v_end)), max(v0, v_end))  # r = 0 lies no nearer it
+                te = float(self._v_point(np.array([ve]))[1][0])
+                v_stop = math.ceil(2.0 * _V_FLAT + 2.0 * math.log(2.0 / np.logaddexp(0.0, -ve))
+                                   + abs(math.log(te / C))) / 2.0  # on the half-unit node grid
+                v0, v_end = min(v0, v_stop), min(v_end, v_stop)
+            # x goes on from the w piece, or is sigma v, which keeps x small where the branch turns
+            x0 = self.x_c if nodes else self.sigma * v0
+            self.v_shift = v0 - self.sigma * x0
+            # dr/dv is flat toward a cusp (C = 0) or cylinder (steady), where its e^-|v - c| terms
+            # centre on v = 0, or on the turn of t - C = e^-v / (4 mu); it follows a law toward a cone
+            flat, kind1 = (C == 0.0) != steady, _fate(profile.params, profile.a_ref, True).kind
+            c = -math.log(4.0 * abs(profile.params.mu)) - math.log(abs(C)) if steady and C != 0.0 else 0.0
+            s, zones = _v_offsets(abs(v_end - v0), self.sigma * (c - v0), blow0 and flat,
+                                  kind1 == CONVERGES or (kind1 == BLOW_UP and flat))
+            nodes.append(x0 + s)
         self.x = _sorted_unique(np.concatenate(nodes))
-        self.node_counts = (n_w, sum(n.size for n in nodes) - n_w)  # w and v pieces
+        self.node_counts = (n_w, *zones)  # w piece and v zones
         # r = 0 at the node nearest x = 0, where the branch turns, and sums
         # run outward from there: their rounding stays at the scale of the
         # turn, not of an infinitely far end cut at the edge of the v-range
         incr = self._quad(self.x[:-1], self.x[1:])
         k = int(np.argmin(np.abs(self.x)))
         self.r = np.concatenate([-np.cumsum(incr[:k][::-1])[::-1], [0.0], np.cumsum(incr[k:])])
+        self.table_evals = self.evals
 
     def _v_at(self, t: float) -> float:
         dt = np.array([t - self.profile.C])
@@ -417,9 +442,10 @@ def build_warped_metric(
     if include_origin:
         a_vals[0] = 1.0
     if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("arc table: %d w and %d v nodes, seam x_c = %r; x_of_r: %d dense and "
-                   "%d sparse segments; %d point-map evaluations for %d samples",
-                   *table.node_counts, table.x_c, *table.segments, table.evals, n_samples)
+        _log.debug("arc table: %d w nodes, v nodes %d 1/2 apart within _V_FLAT of the centre, %d grown and %d "
+                   "1/2 apart beyond, seam x_c = %r; x_of_r: %d dense and %d sparse segments; %d table and %d "
+                   "inverse point-map evaluations for %d samples", *table.node_counts, table.x_c,
+                   *table.segments, table.table_evals, table.evals - table.table_evals, n_samples)
     return WarpedMetric(
         params=profile.params,
         r=r,

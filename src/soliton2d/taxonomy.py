@@ -57,7 +57,7 @@ FAMILY_TAGS = (
 
 _log = logging.getLogger("soliton.taxonomy")
 #: Anchor level for the analytic construction of initial blow-up profiles,
-#: raised to 4 gamma where the separatrix lies above it.
+#: raised to 4 |gamma| where the branch's scale is larger.
 _A_ANCHOR = 1.0e6
 
 #: Levels that bound the window of entry_metric (see there).
@@ -195,8 +195,8 @@ def _disk_gamma(tag: str, nu: float) -> tuple[float, float]:
 def _blowup_anchor_profile(params: SolitonParams, T0: float) -> ProfileA:
     """Profile with an exact initial blow-up at T0: the branch t = T0 + G(a)
     (G the exact time-to-level antiderivative with G(inf) = 0), anchored at
-    the level a = max(1e6, 4 gamma) above the separatrix."""
-    a_anchor = max(_A_ANCHOR, 4.0 * params.gamma)
+    the level a = max(1e6, 4 |gamma|) on the blow-up side of the branch."""
+    a_anchor = max(_A_ANCHOR, 4.0 * abs(params.gamma))
     t_anchor = T0 + _separatrix_time(params, a_anchor)
     prof = implicit_profile(params, t_anchor, a_anchor, T0, (min(0.0, T0), math.inf))
     return replace(prof, t0_exact=True)
@@ -267,8 +267,8 @@ def catalog(tag: str, nu: float) -> CatalogEntry:
         params = SolitonParams(-2.0 * nu * nu, nu * nu)  # gamma = -1
         prof = integrate_profile(params, 0.0, 1.0, (-math.inf, math.inf))
         note = "mu = nu^2 fixes the decaying-end scale; canonical gamma = -1"
-    elif tag == G11:
-        _require_range(tag, nu, 0.0, math.inf)
+    elif tag == G11:  # its times scale like 1/(8 nu^4), kept a normal number
+        _require_range(tag, nu, 0.0, (8.0 * 2.0**-1022) ** -0.25)
         params = SolitonParams(-1.0, nu * nu)  # gamma = -2 nu^2
         prof = _blowup_anchor_profile(params, 0.0)
         note = "lambda = -1 with the blow-up exactly at t = 0 (cusp end); mu = nu^2"
@@ -381,17 +381,20 @@ def entry_metric(entry: CatalogEntry, h: float = 1e-3):
     The radial window keeps the profile between moderate levels so that the
     curvature stays bounded away from zero: blow-up sides stop at a = _A_CAP
     (at least 4 gamma), decaying sides at a = _A_FLOOR, converging sides
-    where |a - gamma| drops to _CONV_DEV * gamma.  Grid spacing is h.
+    where |a - gamma| drops to _CONV_DEV * gamma.  Decaying sides stop no
+    lower than |gamma| / 4, and annuli start 16 times higher: in a / |gamma|
+    G11 is one metric at every nu.  Grid spacing is h.
     """
     prof = entry.profile
     p = prof.params
     g = p.gamma
     a_cap = max(_A_CAP, 4.0 * g) if math.isfinite(g) and g > 0.0 else _A_CAP
+    a_floor = max(min(_A_FLOOR, 0.75 * prof.a_ref), 0.25 * abs(g) if math.isfinite(g) else 0.0)
 
     if prof.tag1.kind == BLOW_UP:
         t_out = _t_at_level(prof, a_cap) if prof.a_ref < a_cap else prof.t_ref
     elif prof.tag1.kind == DECAY_TO_ZERO:
-        t_out = _t_at_level(prof, min(_A_FLOOR, 0.75 * prof.a_ref))
+        t_out = _t_at_level(prof, a_floor)
     else:  # CONVERGES: stop where a - gamma still carries |K| safely above noise
         dev0 = abs(prof.a_ref - g)
         dev = min(_CONV_DEV * abs(g), 0.5 * dev0)
@@ -404,7 +407,7 @@ def entry_metric(entry: CatalogEntry, h: float = 1e-3):
         return build_warped_metric(prof, (0.0, 0.0), (0.0, r_out),
                                    n_samples=int(round(r_out / h)) + 1)
     # annulus: anchor r = 0 at the circle of the moderate inner level
-    t_in = _t_at_level(prof, a_cap)
+    t_in = _t_at_level(prof, max(a_cap, 16.0 * a_floor))
     if not t_in < t_out:
         raise DomainError("degenerate verification window; adjust the level caps")
     b_anchor = 2.0 * math.sqrt(t_in)

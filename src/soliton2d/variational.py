@@ -17,6 +17,7 @@ independent of the analytic formula.
 
 from __future__ import annotations
 
+import contextvars
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -237,8 +238,27 @@ def _central4(f: np.ndarray, h: float):
     return d1, d2
 
 
-def _perturbed_energy(metric: WarpedMetric, v: VariationField, eps: float,
-                      sl: slice) -> float:
+#: (metric, v, fields) while a variation_report runs: its three fd_variation
+#: calls share the fields, which do not depend on eps
+_REPORT: contextvars.ContextVar = contextvars.ContextVar("variation_report", default=None)
+
+
+def _perturbation(metric: WarpedMetric, v: VariationField):
+    """(r, p, q, p', q', q'', b, K, b'/b) of _perturbed_energy on the support
+    padded by 3 points (r and the last three on the interior [2:-2])."""
+    shared = _REPORT.get()
+    if shared and shared[0] is metric and shared[1] is v:
+        return shared[2]
+    sl = _window_slice(metric, (v.r0, v.r1), pad=3)
+    r = metric.r[sl]
+    phi, psi = np.asarray(v.phi_at(r)), np.asarray(v.psi_at(r))
+    p, q = phi + psi, phi - psi
+    (p1, _), (q1, q2) = _central4(p, metric.spacing), _central4(q, metric.spacing)
+    b, K = metric.b[sl][2:-2], metric.K[sl][2:-2]
+    return r[2:-2], p, q, p1, q1, q2, b, K, metric.b_prime[sl][2:-2] / b
+
+
+def _perturbed_energy(fields, eps: float) -> float:
     """Energy of g + eps h rebuilt from the perturbed first fundamental form.
 
     With p = phi + psi and q = phi - psi the perturbed metric is the warped
@@ -250,28 +270,19 @@ def _perturbed_energy(metric: WarpedMetric, v: VariationField, eps: float,
     and the rounding does not grow as eps shrinks.  No derivative of log|K|
     enters, which keeps the oracle independent of the analytic variation.
     """
-    r = metric.r[sl]
-    phi = np.asarray(v.phi_at(r))
-    psi = np.asarray(v.psi_at(r))
-    p, q = phi + psi, phi - psi
+    r, p, q, p1, q1, q2, b, K, cot = fields
     g_rr = 1.0 + eps * p
     g_tt_fac = 1.0 + eps * q
     if np.any(g_rr <= 0.0) or np.any(g_tt_fac <= 0.0):
         raise DomainError("perturbation too large: metric degenerates")
-    h = metric.spacing
-    p1, _ = _central4(p, h)
-    q1, q2 = _central4(q, h)
-    inner = slice(2, -2)
-    b, K = metric.b[sl][inner], metric.K[sl][inner]
-    cot = metric.b_prime[sl][inner] / b
-    g_rr, g_tt_fac = g_rr[inner], g_tt_fac[inner]
+    g_rr, g_tt_fac = g_rr[2:-2], g_tt_fac[2:-2]
     la = 0.5 * eps * p1 / g_rr               # A'/A
     lq = 0.5 * eps * q1 / g_tt_fac           # Q'/Q, Q = sqrt(1 + eps q)
     qq = 0.5 * eps * q2 / g_tt_fac - lq * lq  # Q''/Q
     Kt = (K - 2.0 * cot * lq - qq + (cot + lq) * la) / g_rr
     _check_nonzero_K(Kt)
     integrand = Kt * np.log(np.abs(Kt)) * b * np.sqrt(g_rr * g_tt_fac)
-    return 2.0 * math.pi * _simpson(integrand, r[inner])
+    return 2.0 * math.pi * _simpson(integrand, r)
 
 
 def fd_variation(metric: WarpedMetric, v: VariationField, eps: float = 1e-4) -> float:
@@ -285,18 +296,20 @@ def fd_variation(metric: WarpedMetric, v: VariationField, eps: float = 1e-4) -> 
     """
     if eps <= 0.0:
         raise DomainError("eps must be positive")
-    sl = _window_slice(metric, (v.r0, v.r1), pad=3)
-    e_plus = _perturbed_energy(metric, v, +eps, sl)
-    e_minus = _perturbed_energy(metric, v, -eps, sl)
-    return float((e_plus - e_minus) / (2.0 * eps))
+    fields = _perturbation(metric, v)
+    return float((_perturbed_energy(fields, +eps) - _perturbed_energy(fields, -eps)) / (2.0 * eps))
 
 
 def variation_report(metric: WarpedMetric, v: VariationField, eps: float = 1e-4) -> dict:
     """Analytic/finite-difference comparison plus the conservation defect."""
     analytic = first_variation(metric, v)
-    fd = fd_variation(metric, v, eps)
     epss = [eps, eps / 2.0, eps / 4.0]  # fd is the first point of the slope fit
-    errs = np.abs(np.array([fd] + [fd_variation(metric, v, e) for e in epss[1:]]) - analytic)
+    token = _REPORT.set((metric, v, _perturbation(metric, v)))
+    try:
+        fd = fd_variation(metric, v, eps)
+        errs = np.abs(np.array([fd] + [fd_variation(metric, v, e) for e in epss[1:]]) - analytic)
+    finally:
+        _REPORT.reset(token)
     if np.all(errs > 0.0):
         slope = float(np.polyfit(np.log(epss), np.log(errs), 1)[0])
     else:

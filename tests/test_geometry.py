@@ -19,6 +19,7 @@ from soliton2d import (
     constant_profile,
     curvature_from_a,
     curvature_from_b,
+    disk_boundary_distance,
     entry_metric,
     geodesic_curvature,
     geometry,
@@ -128,6 +129,14 @@ class TestBuildWarpedMetric:
         m = build_warped_metric(prof, (0.0, 100.0), (-5.0, 5.0), 101)
         assert_allclose(m.b, 100.0 + 0.5 * m.r, rtol=1e-12)
 
+    def test_cone_past_a_cusp(self):
+        # the G8 table starts at its cusp; far along its cone b' = 1/gamma to
+        # rounding, which holds only if the grown segments follow r ~ sqrt(v)
+        # from the branch's centre, behind which the cone law's singularity lies
+        prof = catalog("G8", math.pi).profile
+        m = build_warped_metric(prof, (0.0, 2.0 * math.sqrt(prof.t_ref)), (25.0, 2000.0), 4001)
+        assert_allclose(m.b, m.b[0] + (m.r - m.r[0]) / prof.params.gamma, rtol=1e-13)
+
     def test_cusp_entry_grid_is_smooth(self):
         # sample positions carry rounding at the scale of the window, not of
         # the far end of the cusp: log|K| has no node-scale noise to difference
@@ -183,6 +192,20 @@ def inversions(monkeypatch):
 def _blowup_start(tag, nu):
     prof = catalog(tag, nu).profile
     return build_warped_metric(prof, (0.0, 2.0 * math.sqrt(prof.t0)), (0.0, 5.0), 20001)
+
+
+def _g11_cusp_side():
+    prof = catalog("G11", 1.0).profile  # anchored at a = 1e6, r = 0 at v = log(5e5)
+    return build_warped_metric(prof, (0.0, 2.0 * math.sqrt(prof.t_ref)), (-300.0, -50.0), 20001)
+
+
+GROWN_WINDOWS = [
+    # the cigar's cylinder, the G11 cusp and far along the G6 cone
+    lambda: build_warped_metric(closed_form_profile(make_params(0.0, -1.0), 1.0),
+                                (0.0, 0.0), (100.0, 175.0), 20001),
+    _g11_cusp_side,
+    lambda: build_warped_metric(catalog("G6", math.pi).profile, (0.0, 0.0), (1e4, 1e6), 20001),
+]
 
 
 def _cigar_table():
@@ -246,10 +269,21 @@ class TestArcLengthInverse:
                                     (0.0, 0.0), (0.0, 1e3), 20001),
         lambda: _blowup_start("G9", 2.0),
         lambda: _blowup_start("G12", 1.0),
-    ], ids=["cigar_seam", "g7_seam", "g10_seam", "g6_far_cone", "g9_blowup", "g12_blowup"])
+        # wholly inside grown segments (test_grown_windows)
+        *GROWN_WINDOWS,
+    ], ids=["cigar_seam", "g7_seam", "g10_seam", "g6_far_cone", "g9_blowup", "g12_blowup",
+            "cigar_cylinder", "g11_cusp", "g6_cone_grown"])
     def test_windows(self, build, inversions):
         build()
         _assert_inverts(*inversions[-1])
+
+    @pytest.mark.parametrize("build", GROWN_WINDOWS, ids=["cigar_cylinder", "g11_cusp", "g6_cone_grown"])
+    def test_grown_windows(self, build, inversions):
+        # every sample lies in a segment grown past the 1/2 spacing of the band
+        build()
+        table, _, x = inversions[-1]
+        seg = np.clip(np.searchsorted(table.x, x), 1, table.x.size - 1)
+        assert np.all(table.x[seg] - table.x[seg - 1] > 0.5)
 
     def test_samples_on_nodes_and_sub_nodes(self):
         table = _cigar_table()
@@ -305,8 +339,24 @@ class TestCuspEndWithLargeMu:
         assert np.all(np.isfinite(m.r_extent))
         assert all(np.all(np.isfinite(v)) for v in (m.r, m.b, m.b_prime, m.K))
 
+    @pytest.mark.parametrize("nu", [1e5, 1e14, 1e30])
+    def test_g11_entry_window_resolves(self, nu):
+        # K = -1 - 2 nu^2 / a, so in a / |gamma| the entry is the same metric
+        # at every nu: its window levels scale with |gamma| and keep the
+        # samples of nu = 3, where fixed levels left 1 sample or none
+        ref = entry_metric(cached_entry("G11", 3.0))
+        m = entry_metric(cached_entry("G11", nu))
+        assert m.r.size == ref.r.size
+        assert_allclose(m.r, ref.r, rtol=1e-12)
+        assert_allclose(m.K, ref.K, rtol=1e-12)
+
+    def test_g11_times_below_normal_raise(self):
+        # the times of G11 scale like 1/(8 nu^4)
+        with pytest.raises(RangeError):
+            catalog("G11", 1e77)
+
     def test_g11_extent_carries_no_nan(self):
-        # the entry window lies past the table's decay end here (see CHANGES.md)
+        # the entry window once lay past the table's decay end here
         try:
             m = entry_metric(cached_entry("G11", 1e19))
         except WindowEmptyError as err:
@@ -320,14 +370,48 @@ def test_debug_record_per_metric(caplog):
     with caplog.at_level(logging.DEBUG, logger="soliton.geometry"):
         build_warped_metric(prof, (0.0, 0.0), (0.0, 3.0), 2001)
     (record,) = [rec for rec in caplog.records if rec.name == "soliton.geometry"]
-    n_w, n_v, x_c, dense, sparse, evals, samples = record.args
+    n_w, n_unit, n_grown, n_beyond, x_c, dense, sparse, table_evals, inverse_evals, samples = record.args
     table = _cigar_table()
     assert record.levelno == logging.DEBUG
     assert (n_w, x_c) == (geometry._W_SEGMENTS + 1, table.x_c)
-    assert n_w + n_v == table.x.size + 1  # the seam node ends the w piece and starts the v piece
+    # the seam node ends the w piece and starts the v piece
+    assert n_w + n_unit + n_grown + n_beyond == table.x.size + 1
+    # the cylinder end grows; toward it dr/dv is flat past _V_FLAT, so no node lies 1/2 apart beyond
+    assert n_grown > 0 and n_beyond == 0
     assert dense > 0 and samples == 2001
-    # the table's own quadrature, the collocation points and one per sample
-    assert evals >= 7 * (table.x.size - 1) + 7 * geometry._SUB_SEGMENTS * dense + samples
+    # the table's own quadrature; then the collocation points and one per sample
+    assert table_evals == 7 * (table.x.size - 1)
+    assert inverse_evals >= 7 * geometry._SUB_SEGMENTS * dense + samples
+
+
+@pytest.mark.parametrize("case,parent", [("cigar", 5047), ("g4_plus_disk", 5054), ("g12_entry", 5782)])
+def test_table_evaluations_budget(case, parent, monkeypatch):
+    """Point-map evaluations of the largest arc table are at most a third of
+    those of the table that spaced its v nodes 1/2 apart over the whole
+    representable v-range (the counts in `parent`)."""
+    gamma = cached_entry("G4_PLUS", 1.45).params.gamma
+    run = {
+        "cigar": lambda: build_warped_metric(closed_form_profile(make_params(0.0, -1.0), 1.0),
+                                             (0.0, 0.0), (0.0, 5.0), 2001),
+        "g4_plus_disk": lambda: disk_boundary_distance(gamma),
+        "g12_entry": lambda: entry_metric(cached_entry("G12", 1.0)),
+    }[case]
+    counts, count = [], [0]
+    point, init = geometry._ArcTable.point, geometry._ArcTable.__init__
+
+    def counting_point(self, x):
+        count[0] += np.size(x)
+        return point(self, x)
+
+    def counting_init(self, *args):
+        start = count[0]
+        init(self, *args)
+        counts.append(count[0] - start)
+
+    monkeypatch.setattr(geometry._ArcTable, "point", counting_point)
+    monkeypatch.setattr(geometry._ArcTable, "__init__", counting_init)
+    run()
+    assert counts and max(counts) <= parent / 3
 
 
 class TestCurvatureFromB:
@@ -420,10 +504,12 @@ class TestRadialDistanceMpmath:
     """
 
     CASES = [
-        ("G6", math.pi, [(None, -1.0), (-0.5, -3.0), (None, -4e8)]),
+        ("G6", math.pi, [(None, -1.0), (-0.5, -3.0), (None, -4e8), (-40.0, -60.0)]),
         ("G10", 1.0, [(None, math.log(1.5)), (math.log(1.5), math.log(1.01)),
                       (None, math.log1p(1e-8))]),
-        ("G9", 2.0, [(math.inf, 0.0), (math.inf, -20.0)]),
+        ("G9", 2.0, [(math.inf, 0.0), (math.inf, -20.0), (math.inf, -40.0)]),
+        # from the geodesic boundary, where the table stops its tail
+        ("G12", 1.0, [(math.inf, 0.5), (math.inf, 3.0)]),
     ]
 
     @pytest.mark.parametrize("tag,nu,pairs", CASES, ids=[c[0] for c in CASES])
