@@ -118,11 +118,12 @@ _SUB_SEGMENTS = 32
 
 
 def _v_offsets(span: float, c: float, grow_lo: bool, grow_hi: bool):
-    """Offsets of the v nodes out to span, 1/8 apart over the first unit (next
-    to the seam) and then 1/2, but past _V_FLAT of the centre's offset c on a
-    side that grows, growing away from c, or from the start if c is behind it
-    like the cone law's singularity; and the counts 1/2 apart within and beyond
-    _V_FLAT of c and grown."""
+    """Offsets of the v nodes from the start of the v piece out to span, and
+    how many lie 1/2 apart within _V_FLAT of the offset c of the centre, in a
+    grown zone and 1/2 apart beyond _V_FLAT.  They are 1/8 apart over the
+    first unit (next to the seam), then 1/2 apart, except past _V_FLAT of c
+    on a side that grows: there they grow by 1.25 per segment away from c, or
+    from the start if c lies behind it (as does the cone law's singularity)."""
     lo = c - _V_FLAT if grow_lo else -math.inf
     hi = max(c + _V_FLAT, 2.0) if grow_hi else math.inf
     unit = np.concatenate([np.linspace(0.0, 1.0, 9), np.arange(1.5, min(span, hi), 0.5)])

@@ -570,6 +570,16 @@ class TestCylinderEnds:
         assert m.r[0] == -50.0
         assert abs(m.b[0] - 1.0) <= 1e-12
 
+    def test_steady_turn_past_the_v_range(self):
+        # G3 at nu = 1e-100 turns at v = -log(nu^2) = 460, past _V_MAX = 350:
+        # across the table t - C = e^-v / 4 >> C and dr/dv = e^(v/2) / 2 grows,
+        # so its nodes stay 1/2 apart up to the cylinder end
+        prof = catalog("G3", 1e-100).profile
+        table = geometry._ArcTable(prof, *geometry._metric_t_interval(prof)[:2])
+        k = int(np.argmin(np.abs(table.x)))
+        v_k = table.sigma * table.x[k] + table.v_shift
+        assert -table.r[0] == pytest.approx(math.exp(geometry._V_MAX / 2) - math.exp(v_k / 2), rel=1e-14)
+
     def test_anchor_on_cylinder_rejected(self):
         # the cylinder circle itself is not at any finite r
         with pytest.raises(DomainError):
