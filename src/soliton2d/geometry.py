@@ -122,17 +122,18 @@ def _v_offsets(span: float, c: float, grow_lo: bool, grow_hi: bool):
     how many lie 1/2 apart within _V_FLAT of the offset c of the centre, in a
     grown zone and 1/2 apart beyond _V_FLAT.  They are 1/8 apart over the
     first unit (next to the seam), then 1/2 apart, except past _V_FLAT of c
-    on a side that grows: there they grow by 1.25 per segment away from c, or
-    from the start if c lies behind it (as does the cone law's singularity)."""
+    on a side that grows.  There they grow by 1.25 per segment away from the
+    start, or on the far side away from c where c lies ahead of the start:
+    the singularity of a cone law lies behind whichever they grow from."""
     lo = c - _V_FLAT if grow_lo else -math.inf
     hi = max(c + _V_FLAT, 2.0) if grow_hi else math.inf
-    unit = np.concatenate([np.linspace(0.0, 1.0, 9), np.arange(1.5, min(span, hi), 0.5)])
     g = 1.25 ** np.arange(math.log(span + 2.0) / math.log(1.25))
-    grown = np.concatenate([c - (c - lo) * g, max(c, 0.0) + (hi - max(c, 0.0)) * g])
-    s = _sorted_unique(np.concatenate([[0.0, span], unit[(unit > lo) & (unit < span)],
-                                       grown[(grown > 0.0) & (grown < span)]]))
-    in_grown, beyond = (s < lo) | (s > hi), np.abs(s - c) > _V_FLAT
-    n_grown, n_beyond = np.count_nonzero(in_grown), np.count_nonzero(beyond & ~in_grown)
+    s = np.concatenate([np.linspace(0.0, 1.0, 9), [1.5, span], 2.0 * g[2.0 * g < lo],
+                        np.arange(max(2.0, math.ceil(2.0 * lo) / 2.0 if grow_lo else 2.0), min(span, hi), 0.5),
+                        max(c, 0.0) + (hi - max(c, 0.0)) * g])
+    s = _sorted_unique(s[s <= span])
+    grown, beyond = ((s > 2.0) & (s < lo)) | (s > hi), np.abs(s - c) > _V_FLAT
+    n_grown, n_beyond = np.count_nonzero(grown), np.count_nonzero(beyond & ~grown)
     return s, (s.size - n_grown - n_beyond, n_grown, n_beyond)
 
 
@@ -206,9 +207,10 @@ class _ArcTable:
             self.v_shift = v0 - self.sigma * x0
             # dr/dv is flat toward a cusp (C = 0) or cylinder (steady), where its e^-|v - c| terms
             # centre on v = 0, or on the turn of t - C = e^-v / (4 mu); it follows a law toward a cone
-            flat, kind1 = (C == 0.0) != steady, _fate(profile.params, profile.a_ref, True).kind
+            flat = (C == 0.0) != steady
+            kind0, kind1 = (_fate(profile.params, profile.a_ref, forward).kind for forward in (False, True))
             c = -math.log(4.0 * abs(profile.params.mu)) - math.log(abs(C)) if steady and C != 0.0 else 0.0
-            s, zones = _v_offsets(abs(v_end - v0), self.sigma * (c - v0), blow0 and flat,
+            s, zones = _v_offsets(abs(v_end - v0), self.sigma * (c - v0), kind0 == CONVERGES or (blow0 and flat),
                                   kind1 == CONVERGES or (kind1 == BLOW_UP and flat))
             nodes.append(x0 + s)
         self.x = _sorted_unique(np.concatenate(nodes))

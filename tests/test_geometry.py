@@ -549,6 +549,30 @@ class TestRadialDistanceMpmath:
                 got = radial_distance(prof, t_from, float(t_of(y2)))
                 assert abs(got - ref) <= 1e-12 * ref, (y1, y2)
 
+    def test_boundary_from_far_along_the_cone(self):
+        # t = 0 of this G4_PLUS-type branch lies some 2300 units of v out on
+        # the cone side of its turn, so its table follows the cone law from
+        # there (nodes growing away from the singularity of the law at t = 0)
+        # and is 1/2 apart again across the turn: nodes grown across the turn
+        # once put the distance to the boundary 1.5 % off
+        prof = integrate_profile(make_params(0.179, 5.57), 1.693, 90.09, (-math.inf, math.inf))
+        with mpmath.workdps(40):
+            mu, g = mpmath.mpf(prof.params.mu), 2 * mpmath.mpf(prof.params.mu) / mpmath.mpf(prof.params.lam)
+
+            def G(y):  # t = C + G, with a = g + e^y above the separatrix
+                a = g + mpmath.exp(y)
+                return ((y - mpmath.log(a)) / g + 1 / a) / (4 * mu)
+
+            def dr_dy(y):
+                a = g + mpmath.exp(y)
+                return g / (4 * mu * a * mpmath.sqrt(abs(prof.C + G(y))))  # abs: t(y0) rounds to +-0
+
+            y0 = mpmath.findroot(lambda y: prof.C + G(y), -2345)  # t = 0
+            pts = [y0 + d for d in (0, 1, 10, 100, 1000)] + [-300, -100, -30, -10, 0, 10, 30, 100, mpmath.inf]
+            ref = mpmath.quad(dr_dy, pts)
+        got = radial_distance(prof, 0.0, prof.C)
+        assert abs(got - ref) <= 1e-12 * ref
+
     def test_infinitely_far_edges_raise(self):
         with pytest.raises(DomainError):
             radial_distance(catalog("G1_CIGAR", 1.0).profile, 0.0, 0.25)  # cylinder
