@@ -124,7 +124,7 @@ def _v_offsets(span: float, c: float, grow_lo: bool, grow_hi: bool):
     first unit (next to the seam), then 1/2 apart, except past _V_FLAT of c
     on a side that grows.  There they grow by 1.25 per segment away from the
     start, or on the far side away from c where c lies ahead of the start:
-    the singularity of a cone law lies behind whichever they grow from."""
+    a cone law's singularity lies behind the start or within the band."""
     lo = c - _V_FLAT if grow_lo else -math.inf
     hi = max(c + _V_FLAT, 2.0) if grow_hi else math.inf
     g = 1.25 ** np.arange(math.log(span + 2.0) / math.log(1.25))
