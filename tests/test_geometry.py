@@ -132,7 +132,8 @@ class TestBuildWarpedMetric:
     def test_cone_past_a_cusp(self):
         # the G8 table starts at its cusp; far along its cone b' = 1/gamma to
         # rounding, which holds only if the grown segments follow r ~ sqrt(v)
-        # from the branch's centre, behind which the cone law's singularity lies
+        # out from the branch's centre (the cone law's singularity lies within
+        # the band there), not from the cusp end 350 units of v away
         prof = catalog("G8", math.pi).profile
         m = build_warped_metric(prof, (0.0, 2.0 * math.sqrt(prof.t_ref)), (25.0, 2000.0), 4001)
         assert_allclose(m.b, m.b[0] + (m.r - m.r[0]) / prof.params.gamma, rtol=1e-13)
@@ -554,7 +555,7 @@ class TestRadialDistanceMpmath:
         # the cone side of its turn, so its table follows the cone law from
         # there (nodes growing away from the singularity of the law at t = 0)
         # and is 1/2 apart again across the turn: nodes grown across the turn
-        # once put the distance to the boundary 1.5 % off
+        # once put this distance to the boundary 0.26 % off
         prof = integrate_profile(make_params(0.179, 5.57), 1.693, 90.09, (-math.inf, math.inf))
         with mpmath.workdps(40):
             mu, g = mpmath.mpf(prof.params.mu), 2 * mpmath.mpf(prof.params.mu) / mpmath.mpf(prof.params.lam)
