@@ -110,11 +110,22 @@ _V_FLAT = -math.log(math.ulp(1.0))
 _CONE_SPAN = 1.0e15
 #: w-range of the flat cone a == gamma, where r = 2 gamma w is exact.
 _W_FLAT = 1.0e150
-#: x_of_r splits a table segment that holds at least this many samples into
-#: this many equal parts: on one of them the degree-6 interpolant of dr/dx at
-#: its 7 Gauss-Legendre points integrates to rounding, so inverting r(x)
-#: there costs arithmetic, not point-map evaluations.
-_SUB_SEGMENTS = 32
+_MAX_PARTS = 32  # x_of_r splits a table segment into at most this many equal parts
+
+
+def _parts(f, x, r):
+    """Parts of each segment (nodes x, r; f: dr/dx at its Gauss-Legendre points) for x_of_r.
+
+    There r = r_start + half y(tau), y = _ANTI @ f, with coefficients c_k ~ c1 rho^(k-1).  On n
+    parts the dropped c8 and the error of one Newton step from a cubic Hermite guess (25 rho^7 of
+    tau on y = tau + rho tau^2) are 1 and 25 times half c1 rho^7 n^-8; n keeps their sum below
+    half an ulp of max(1, |r|) (r = 0 lies at a node)."""
+    c = np.abs(_ANTI @ f.T)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rho = np.max((c[2:] / np.maximum(c[1], np.finfo(float).tiny)) ** (1.0 / np.arange(1, 7))[:, None], axis=0)
+        err = np.nan_to_num(13.0 * np.diff(x) * c[1] * rho**7)
+    tol = 0.5 * np.finfo(float).eps * np.maximum(1.0, np.minimum(np.abs(r[:-1]), np.abs(r[1:])))
+    return np.clip(np.ceil((err / tol) ** 0.125), 1, _MAX_PARTS).astype(int)
 
 
 def _v_offsets(span: float, c: float, grow_lo: bool, grow_hi: bool):
@@ -156,12 +167,11 @@ class _ArcTable:
     nodes adds the exact partial-segment quadrature, so r(x) and its inverse
     are accurate to quadrature precision everywhere, not just at the nodes
     (interpolated tables leave node-scale wiggles that finite differencing
-    downstream would amplify by 1/h^2).  The inverse x_of_r takes sorted
-    samples and inverts, on sub-segments of the segments that hold many, the
-    antiderivative of the interpolant of dr/dx at their Gauss-Legendre points
-    by one Newton step from a cubic Hermite guess.  `evals` counts point-map
-    evaluations (`table_evals` of them for the table itself) and `segments`
-    the (dense, sparse) segments of the last x_of_r.
+    downstream would amplify by 1/h^2).  x_of_r inverts sorted samples by
+    collocation on parts of the segments that hold them, as many parts as an
+    error estimate from the table's own quadrature asks for (`parts`).
+    `evals` counts point-map evaluations (`table_evals` of them for the table
+    itself) and `segments` the (segments, parts) of the last x_of_r.
     """
 
     def __init__(self, profile: ProfileA, t_lo: float, t_hi: float):
@@ -218,9 +228,10 @@ class _ArcTable:
         # r = 0 at the node nearest x = 0, where the branch turns, and sums
         # run outward from there: their rounding stays at the scale of the
         # turn, not of an infinitely far end cut at the edge of the v-range
-        incr = self._quad(self.x[:-1], self.x[1:])
+        incr, f = self._quad(self.x[:-1], self.x[1:])
         k = int(np.argmin(np.abs(self.x)))
         self.r = np.concatenate([-np.cumsum(incr[:k][::-1])[::-1], [0.0], np.cumsum(incr[k:])])
+        self.parts = _parts(f, self.x, self.r)
         self.table_evals = self.evals
 
     def _v_at(self, t: float) -> float:
@@ -264,79 +275,70 @@ class _ArcTable:
         return min(max(x, self.x[0]), self.x[-1])
 
     def _quad(self, x0, x1):
+        """Gauss-Legendre integral of dr/dx over each (x0, x1), and dr/dx at its 7 points."""
         half = 0.5 * (x1 - x0)
         pts = (0.5 * (x0 + x1))[:, None] + half[:, None] * _GL_X[None, :]
         f = self.point(pts.ravel())[2].reshape(pts.shape)
-        return (f * _GL_W[None, :]).sum(axis=1) * half
+        return (f * _GL_W[None, :]).sum(axis=1) * half, f
 
     def r_of_x(self, x):
         """Exact-quadrature arc length: node value plus a partial segment."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         j = np.clip(np.searchsorted(self.x, x) - 1, 0, self.x.size - 2)
-        return self.r[j] + self._quad(self.x[j], x)
+        return self.r[j] + self._quad(self.x[j], x)[0]
 
     def x_of_r(self, r):
         """Inverse of r_of_x at nondecreasing r (DomainError otherwise).
 
-        Samples are located by merging them with the nodes.  A segment that
-        holds at least _SUB_SEGMENTS samples is split into that many equal
-        parts, with dr/dx at their 7 Gauss-Legendre points (one point-map call;
-        the points are interior, so each side of the seam x_c keeps its own
-        one-sided slope).  On a part, r(x) is the antiderivative of the degree-6
-        interpolant of these values, exact to rounding, and one Newton step on
-        it from a cubic Hermite guess needs no further evaluation.  Sparser
-        segments take three Newton steps on the quadrature from a linear guess.
-        """
+        Samples are located by merging them with the nodes.  Each segment
+        that holds one is split into its parts (_parts), with dr/dx at their
+        7 Gauss-Legendre points (one point-map call; they are interior, so
+        each side of the seam x_c keeps its own one-sided slope).  On a part
+        r(x) is the antiderivative of their degree-6 interpolant, exact to
+        rounding, and one Newton step on it from a cubic Hermite guess needs
+        no further evaluation."""
         r = np.clip(np.atleast_1d(np.asarray(r, dtype=float)), self.r[0], self.r[-1])
         if np.any(r[1:] < r[:-1]):
             raise DomainError("x_of_r needs nondecreasing r")
         held = np.diff(np.searchsorted(r, self.r[1:-1], side="right"), prepend=0, append=r.size)
-        is_dense = held >= _SUB_SEGMENTS
-        self.segments = (int(is_dense.sum()), int(np.count_nonzero(held[~is_dense])))
-        dense, x = np.repeat(is_dense, held), np.empty_like(r)
-        if self.segments[0]:
-            x[dense] = self._collocation_inverse(r[dense], np.flatnonzero(is_dense) + 1, held[is_dense])
-        if self.segments[1]:
-            j, sp = np.repeat(np.arange(1, self.r.size), np.where(is_dense, 0, held)), ~dense
-            x[sp] = np.interp(r[sp], self.r, self.x)
-            for _ in range(3):
-                x[sp] = self._newton(x[sp], r[sp], self.x[j - 1], self.x[j])
-        return x
-
-    def _newton(self, x, r, x_lo, x_hi):
-        x = np.clip(x, x_lo, x_hi)
-        slope = self.point(x)[2]  # 0 where dr/dx underflows
-        return np.clip(x - np.divide(self.r_of_x(x) - r, slope, out=np.zeros_like(x), where=slope > 0), x_lo, x_hi)
-
-    def _collocation_inverse(self, r, seg, held):
-        """x(r) for the sorted samples r, `held` of them in each segment (x[seg - 1], x[seg])."""
-        n = _SUB_SEGMENTS
-        h = np.repeat(0.5 * (self.x[seg] - self.x[seg - 1]) / n, n)  # n parts of half-width h
-        mid = np.repeat(self.x[seg - 1], n) + (2 * np.tile(np.arange(n), seg.size) + 1) * h
+        seg = np.flatnonzero(held) + 1  # the segments that hold samples, held[seg - 1] each, in n parts
+        held, n = held[seg - 1], self.parts[seg - 1]
+        self.segments = (seg.size, int(n.sum()))
+        h = np.repeat(0.5 * (self.x[seg] - self.x[seg - 1]) / n, n)  # parts of half-width h
+        k = np.arange(h.size) - np.repeat(np.cumsum(n) - n, n)  # index of a part in its segment
+        mid = np.repeat(self.x[seg - 1], n) + (2 * k + 1) * h
         pts = (mid[:, None] + h[:, None] * _GL_X).ravel()
         f = self.point(pts)[2].reshape(mid.size, -1)
-        # r at the sub-nodes, n + 1 per segment, summed from the segment's start
-        rs = np.cumsum((f @ _GL_W * h).reshape(seg.size, n), axis=1)
-        rs = self.r[seg - 1, None] + np.hstack([np.zeros((seg.size, 1)), rs])
-        end = np.cumsum(held)[:, None]  # samples per part: merge them with the sub-nodes
-        cut = np.clip(np.searchsorted(r, rs[:, 1:n]), end - held[:, None], end)
-        per = np.diff(cut, axis=1, prepend=end - held[:, None], append=end).ravel()
+        # r at the sub-nodes, summed from the segment's start; rows are padded with empty parts
+        real = np.arange(n.max(initial=1)) < n[:, None]
+        rs = np.zeros(real.shape)
+        rs[real] = f @ _GL_W * h
+        rs = self.r[seg - 1, None] + np.hstack([np.zeros((seg.size, 1)), np.cumsum(rs, axis=1)])
+        end = np.cumsum(held)[:, None]  # samples per part: merge them with the inner sub-nodes
+        cut = np.where(real[:, 1:], np.clip(np.searchsorted(r, rs[:, 1:-1]), end - held[:, None], end), end)
+        per = np.diff(cut, axis=1, prepend=end - held[:, None], append=end)[real]
         # on a part r = rs_k + h y, y = sum_m c[m] tau^m; the cubic Hermite inverse tau(s), s = y / y1,
         # has slopes m = dtau/ds at s = 0, 1 (2, linear, unless both are positive and finite)
-        c, y1, d = _ANTI @ f.T, (rs[:, 1:] - rs[:, :n]).ravel() / h, _ENDS @ f.T
+        c, y1, d = _ANTI @ (f - f[:, 3:4]).T, np.diff(rs, axis=1)[real] / h, _ENDS @ f.T
+        c[:2] += f[:, 3]  # less the centre value, c[2:] round with the variation of f, not with f
         m = np.divide(y1, d, out=np.zeros_like(d), where=d > 0.0)
         m[:, ~(np.isfinite(m) & (m > 0.0)).all(axis=0)] = 2.0
-        y = (r - np.repeat(rs[:, :n].ravel(), per)) / np.repeat(h, per)
+        y = (r - np.repeat(rs[:, :-1][real], per)) / np.repeat(h, per)
         s = y / np.repeat(np.maximum(y1, np.finfo(float).tiny), per)
-        tau = 0.0  # Horner on coefficients repeated per sample, then one Newton step
-        for g in (m.sum(axis=0) - 4.0, 6.0 - 2.0 * m[0] - m[1], m[0]):
-            tau = (tau + np.repeat(g, per)) * s
-        tau, p, dp = np.clip(tau - 1.0, -1.0, 1.0), np.repeat(c[-1], per), 0.0
-        for cm in c[-2::-1]:
-            p, dp = p * tau + np.repeat(cm, per), dp * tau + p
+        tau, p, dp = np.zeros_like(y), np.repeat(c[-1], per), np.zeros_like(y)
+        for g in (m.sum(axis=0) - 4.0, 6.0 - 2.0 * m[0] - m[1], m[0]):  # Horner, in place
+            tau += np.repeat(g, per)
+            tau *= s
+        np.clip(tau - 1.0, -1.0, 1.0, out=tau)
+        for cm in c[-2::-1]:  # then one Newton step
+            dp *= tau
+            dp += p
+            p *= tau
+            p += np.repeat(cm, per)
         tau = np.clip(tau - np.divide(p - y, dp, out=np.zeros_like(y), where=dp > 0.0), -1.0, 1.0)
-        return np.clip(np.repeat(mid, per) + np.repeat(h, per) * tau, np.repeat(self.x[seg - 1], held),
-                       np.repeat(self.x[seg], held))
+        tau *= np.repeat(h, per)
+        tau += np.repeat(mid, per)
+        return np.clip(tau, np.repeat(self.x[seg - 1], held), np.repeat(self.x[seg], held), out=tau)
 
 
 def _far_edge(profile: ProfileA, t: float) -> bool:
@@ -446,7 +448,7 @@ def build_warped_metric(
         a_vals[0] = 1.0
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("arc table: %d w nodes, v nodes %d 1/2 apart within _V_FLAT of the centre, %d grown and %d "
-                   "1/2 apart beyond, seam x_c = %r; x_of_r: %d dense and %d sparse segments; %d table and %d "
+                   "1/2 apart beyond, seam x_c = %r; x_of_r: %d segments in %d parts; %d table and %d "
                    "inverse point-map evaluations for %d samples", *table.node_counts, table.x_c,
                    *table.segments, table.table_evals, table.evals - table.table_evals, n_samples)
     return WarpedMetric(

@@ -18,6 +18,7 @@ symmetries of the solution space.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -230,8 +231,9 @@ def _stretch_target(branch: str, s: np.ndarray) -> np.ndarray:
 _TABLE_DS = 0.01
 
 
-def _build_table(branch: str) -> tuple[float, np.ndarray]:
-    """(S_0, v_j): the v with S(v_j) = S_0 + j * _TABLE_DS, for v in [-40, 40]."""
+@functools.cache
+def _level_table(branch: str) -> tuple[float, np.ndarray]:
+    """(S_0, v_j): the v with S(v_j) = S_0 + j * _TABLE_DS, for v in [-40, 40]; built on first use."""
     v_fine = np.linspace(-40.0, 40.0, 8001)
     s_fine, _ = _stretch(branch, v_fine)
     s_grid = np.arange(s_fine[-1], s_fine[0], _TABLE_DS)
@@ -240,9 +242,6 @@ def _build_table(branch: str) -> tuple[float, np.ndarray]:
         s, ds = _stretch(branch, v)
         v = v - (s - s_grid) / ds
     return float(s_grid[0]), v
-
-
-_TABLES = {b: _build_table(b) for b in (_NEG, _ABOVE, _BELOW)}
 
 
 def _branch_class(params: SolitonParams, a_ref: float) -> str:
@@ -276,7 +275,7 @@ def _level_coordinate(params: SolitonParams, branch: str, dt: np.ndarray) -> np.
         # blow-up branches have s < 0 inside the domain; keep rounding there
         s = np.minimum(s, -np.finfo(float).tiny)
     s_target = _stretch_target(branch, s)
-    s0, vt = _TABLES[branch]
+    s0, vt = _level_table(branch)
     x = (s_target - s0) * (1.0 / _TABLE_DS)
     j = np.clip(x, 0.0, vt.size - 2.0).astype(np.intp)
     v = vt[j] + (x - j) * (vt[j + 1] - vt[j])  # extrapolates linearly past the table

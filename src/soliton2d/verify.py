@@ -85,8 +85,8 @@ def soliton_residual(metric: WarpedMetric) -> ResidualReport:
     tf, lap, pot, kil = 0.0, 0.0, 0.0, 0.0
     for lo, hi in _components(metric.K):
         r, b, K, up, upp, bp = _central_fields(metric, slice(lo, hi))
-        # the origin circle b = 0 cannot enter the b'/b coefficient
-        msk = b > 1e-8
+        # the origin circle b = 0 cannot enter the b'/b coefficient; b is relative to its maximum
+        msk = b > 1e-8 * np.max(np.abs(metric.b))
         if hi - lo < 5 or not msk.any():
             continue
         cot = bp[msk] / b[msk]

@@ -209,6 +209,14 @@ GROWN_WINDOWS = [
 ]
 
 
+def _g6_to_50(n):
+    return build_warped_metric(catalog("G6", math.pi).profile, (0.0, 0.0), (0.0, 50.0), n)
+
+
+def _cigar_to_100():
+    return build_warped_metric(closed_form_profile(make_params(0.0, -1.0), 1.0), (0.0, 0.0), (0.0, 100.0), 101)
+
+
 def _cigar_table():
     prof = closed_form_profile(make_params(0.0, -1.0), 1.0)
     return geometry._ArcTable(prof, *geometry._metric_t_interval(prof)[:2])
@@ -272,8 +280,14 @@ class TestArcLengthInverse:
         lambda: _blowup_start("G12", 1.0),
         # wholly inside grown segments (test_grown_windows)
         *GROWN_WINDOWS,
+        # segments that hold few samples each, and the G4_PLUS disk out to its boundary
+        lambda: _g6_to_50(20001),
+        lambda: _g6_to_50(201),
+        _cigar_to_100,
+        lambda: build_warped_metric(catalog("G4_PLUS", 1.45).profile, (0.0, 0.0), (0.0, 1e3), 20001),
     ], ids=["cigar_seam", "g7_seam", "g10_seam", "g6_far_cone", "g9_blowup", "g12_blowup",
-            "cigar_cylinder", "g11_cusp", "g6_cone_grown"])
+            "cigar_cylinder", "g11_cusp", "g6_cone_grown", "g6_to_50", "g6_to_50_sparse",
+            "cigar_to_100_sparse", "g4_plus_to_boundary"])
     def test_windows(self, build, inversions):
         build()
         _assert_inverts(*inversions[-1])
@@ -289,12 +303,12 @@ class TestArcLengthInverse:
     def test_samples_on_nodes_and_sub_nodes(self):
         table = _cigar_table()
         # the segments on both sides of the seam, each with samples on all
-        # of its sub-nodes (so it is split), and every table node alone
+        # of the sub-nodes between its parts, and every table node alone
         c = int(np.searchsorted(table.x, table.x_c))
         segs = np.arange(c - 2, c + 3)
-        frac = np.arange(1, geometry._SUB_SEGMENTS + 1) / geometry._SUB_SEGMENTS
-        width = table.x[segs] - table.x[segs - 1]
-        x_sub = (table.x[segs - 1, None] + np.outer(width, frac)).ravel()
+        assert np.all(table.parts[segs - 1] > 1)  # so each of them is split
+        x_sub = np.concatenate([table.x[s - 1] + (table.x[s] - table.x[s - 1]) * np.arange(1, n + 1) / n
+                                for s, n in zip(segs, table.parts[segs - 1])])
         for x in (x_sub, table.x):
             r = table.r_of_x(x)
             got = table.x_of_r(r)
@@ -371,7 +385,7 @@ def test_debug_record_per_metric(caplog):
     with caplog.at_level(logging.DEBUG, logger="soliton.geometry"):
         build_warped_metric(prof, (0.0, 0.0), (0.0, 3.0), 2001)
     (record,) = [rec for rec in caplog.records if rec.name == "soliton.geometry"]
-    n_w, n_unit, n_grown, n_beyond, x_c, dense, sparse, table_evals, inverse_evals, samples = record.args
+    n_w, n_unit, n_grown, n_beyond, x_c, segments, parts, table_evals, inverse_evals, samples = record.args
     table = _cigar_table()
     assert record.levelno == logging.DEBUG
     assert (n_w, x_c) == (geometry._W_SEGMENTS + 1, table.x_c)
@@ -379,10 +393,28 @@ def test_debug_record_per_metric(caplog):
     assert n_w + n_unit + n_grown + n_beyond == table.x.size + 1
     # the cylinder end grows; toward it dr/dv is flat past _V_FLAT, so no node lies 1/2 apart beyond
     assert n_grown > 0 and n_beyond == 0
-    assert dense > 0 and samples == 2001
-    # the table's own quadrature; then the collocation points and one per sample
+    assert samples == 2001
+    # every segment that holds a sample is split into its parts
+    held = np.unique(np.clip(np.searchsorted(table.r, np.linspace(0.0, 3.0, samples)), 1, table.x.size - 1))
+    assert segments == held.size and parts == table.parts[held - 1].sum()
+    assert segments <= parts <= geometry._MAX_PARTS * segments
+    # the table's own quadrature; then the anchor's, 7 per part and one per sample
     assert table_evals == 7 * (table.x.size - 1)
-    assert inverse_evals >= 7 * geometry._SUB_SEGMENTS * dense + samples
+    assert inverse_evals == 7 + 7 * parts + samples
+
+
+@pytest.mark.parametrize("build,budget", [(lambda: _g6_to_50(20001), 64792 // 2), (_cigar_to_100, 2532)],
+                         ids=["g6_to_50", "cigar_to_100_sparse"])
+def test_inverse_evaluations_budget(build, budget, caplog):
+    """Point-map evaluations of the inverse (anchor, parts and samples) on
+    windows whose segments hold few samples each.  An inverse that took three
+    Newton steps on the exact quadrature in each segment holding fewer than
+    32 samples made 64792 on the G6 window and 2532 on the cigar's; this one
+    makes at most half as many on the first and no more on the second."""
+    with caplog.at_level(logging.DEBUG, logger="soliton.geometry"):
+        build()
+    (record,) = [rec for rec in caplog.records if rec.name == "soliton.geometry"]
+    assert record.args[-2] <= budget
 
 
 @pytest.mark.parametrize("case,parent", [("cigar", 5047), ("g4_plus_disk", 5054), ("g12_entry", 5782)])
@@ -508,7 +540,7 @@ class TestRadialDistanceMpmath:
         ("G6", math.pi, [(None, -1.0), (-0.5, -3.0), (None, -4e8), (-40.0, -60.0)]),
         ("G10", 1.0, [(None, math.log(1.5)), (math.log(1.5), math.log(1.01)),
                       (None, math.log1p(1e-8))]),
-        ("G9", 2.0, [(math.inf, 0.0), (math.inf, -20.0), (math.inf, -40.0)]),
+        ("G9", 2.0, [(math.inf, 0.0), (math.inf, -20.0), (math.inf, -40.0), (math.inf, -60.0)]),
         # from the geodesic boundary, where the table stops its tail
         ("G12", 1.0, [(math.inf, 0.5), (math.inf, 3.0)]),
     ]
@@ -538,8 +570,8 @@ class TestRadialDistanceMpmath:
 
             for y1, y2 in pairs:
                 y2 = mpmath.mpf(y2)
-                if y1 == math.inf:
-                    t_from, pts = prof.t0, [y2, y2 + 1, y2 + 10, mpmath.inf]
+                if y1 == math.inf:  # breakpoints doubling their distance from y2 resolve far levels
+                    t_from, pts = prof.t0, [y2] + [y2 + 2**k for k in range(10)] + [mpmath.inf]
                 else:
                     y1 = y_ref if y1 is None else mpmath.mpf(y1)
                     t_from = float(t_of(y1))

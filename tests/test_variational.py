@@ -248,4 +248,6 @@ class TestVariationReport:
         analytic = first_variation(fine_cigar, tf_bump)
         errs = [abs(fd(fine_cigar, tf_bump, e) - analytic) for e in calls]
         assert rep["finite_difference"] == fd(fine_cigar, tf_bump, 1e-3)
-        assert rep["slope_estimate"] == float(np.polyfit(np.log(calls), np.log(errs), 1)[0])
+        assert rep["slope_estimate"] == math.log(errs[2] / errs[0]) / math.log(0.25)
+        # the least-squares slope through three points equally spaced in log(eps)
+        assert rep["slope_estimate"] == pytest.approx(np.polyfit(np.log(calls), np.log(errs), 1)[0], rel=1e-12)

@@ -62,13 +62,22 @@ class TestSolitonResidual:
         with pytest.raises(ZeroCurvatureError):
             soliton_residual(m)
 
-    def test_window_inside_origin_mask_is_typed_error(self):
-        # on (0, 1e-100) every b stays below the 1e-8 origin mask
-        prof = integrate_profile(make_params(0.0, -1e200), 0.0, 1.0, (0.0, math.inf))
-        with np.errstate(over="ignore"):
-            m = build_warped_metric(prof, (0.0, 0.0), (0.0, 1e-100))
+    def test_grid_without_usable_component_is_typed_error(self):
+        # the central differences need five samples of one curvature sign
+        prof = integrate_profile(make_params(0.0, -1.0), 0.0, 1.0, (0.0, math.inf))
+        m = build_warped_metric(prof, (0.0, 0.0), (0.0, 1.0), 4)
         with pytest.raises(DomainError, match="no usable sign component"):
             soliton_residual(m)
+
+    @pytest.mark.parametrize("nu", [2e4, 1e5, 1e12])
+    def test_origin_mask_is_relative(self, nu):
+        # in a / |gamma| the G11 entry is one metric at every nu, with b about
+        # 1.1 / nu^2: an absolute origin mask b > 1e-8 left no sample from
+        # nu of about 1.1e4 on
+        ref = soliton_residual(entry_metric(cached_entry("G11", 3.0)))
+        rep = soliton_residual(entry_metric(cached_entry("G11", nu)))
+        for name in ("max_tracefree", "max_laplace", "max_potential"):
+            assert getattr(rep, name) == pytest.approx(getattr(ref, name), rel=1e-3), name
 
     @pytest.mark.parametrize("tag", sorted(FAMILY_SAMPLES))
     def test_catalog_families_pass(self, tag):
