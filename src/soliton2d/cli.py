@@ -12,6 +12,7 @@ import argparse
 import logging
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -27,6 +28,11 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a value such as -2e-3 or -1,0.2 is a value, not a flag
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     # argparse exits with code 2 on bad flags; the contract here is exit 1
     def error(self, message):
         raise _UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
@@ -75,35 +81,25 @@ def _load_config(path: str) -> dict:
     return out
 
 
-_NUMERIC_KEYS = {"lam", "mu", "a0", "t0", "b0", "nu", "eps", "r0"}
-_PAIR_KEYS = {"window", "r_range"}
-_INT_KEYS = {"samples"}
-
-
-def _coerce(key: str, val: str):
-    if key in _INT_KEYS:
-        try:
-            return int(val)
-        except ValueError:
-            raise _UsageError(f"--{key}: {val!r} is not an integer") from None
-    if key in _PAIR_KEYS:
-        parts = val.split(",")
-        if len(parts) != 2:
-            raise _UsageError(f"--{key} expects two comma-separated numbers")
-        return (_parse_real(parts[0], key), _parse_real(parts[1], key))
-    if key in _NUMERIC_KEYS:
-        return _parse_real(val, key)
-    return val
-
-
-def _parse_real(text: str, key: str) -> float:
+def _real(text: str) -> float:
     try:
         v = float(text)
     except ValueError:
-        raise _UsageError(f"--{key}: {text!r} is not a number") from None
+        v = math.nan
     if math.isnan(v):
-        raise _UsageError(f"--{key} must not be NaN")
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
     return v
+
+
+def _real_pair(text: str) -> tuple[float, float]:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError(f"{text!r} is not two comma-separated numbers")
+    return _real(parts[0]), _real(parts[1])
+
+
+#: the value flags that are not a single real number
+_FLAG_TYPES = {"--window": _real_pair, "--r-range": _real_pair, "--samples": int, "--family": str}
 
 
 def _build_parser() -> _Parser:
@@ -116,7 +112,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--format", choices=formats, default=None)
         sp.add_argument("--out", default=None, help="write output to this file")
         for flag in flags:
-            sp.add_argument(flag, default=None)
+            sp.add_argument(flag, type=_FLAG_TYPES.get(flag, _real))
         return sp
 
     add("integrate", "sample the profile through an anchor",
@@ -142,7 +138,7 @@ def _build_parser() -> _Parser:
 
 def _merge_options(parser: _Parser, args: argparse.Namespace) -> dict:
     """Flags over the --config file, whose keys are parsed as flags of the
-    same subcommand, so an unknown key or a bad choice is a usage error."""
+    same subcommand, so an unknown key or a bad value is a usage error."""
     layers = [args]
     if args.config:
         cfg = _load_config(args.config)
@@ -155,26 +151,21 @@ def _merge_options(parser: _Parser, args: argparse.Namespace) -> dict:
             raise _UsageError(f"{args.config}: {exc}") from None
     opts = {}
     for ns in layers:
-        for key, val in vars(ns).items():
-            if key in ("config", "subcommand") or val is None:
-                continue
-            key = "lam" if key == "lambda" else key
-            if isinstance(val, str) and key not in ("format", "out", "family"):
-                val = _coerce(key, val)
-            opts[key] = val
+        opts.update((key, val) for key, val in vars(ns).items()
+                    if val is not None and key not in ("config", "subcommand"))
     return opts
 
 
 def _require(opts: dict, *keys):
     missing = [k for k in keys if k not in opts]
     if missing:
-        flags = ", ".join("--" + ("lambda" if k == "lam" else k.replace("_", "-")) for k in missing)
+        flags = ", ".join("--" + k.replace("_", "-") for k in missing)
         raise _UsageError(f"missing required option(s): {flags}")
 
 
 def _profile_from(opts: dict) -> ode.ProfileA:
-    _require(opts, "lam", "mu", "a0")
-    params = ode.make_params(opts["lam"], opts["mu"])
+    _require(opts, "lambda", "mu", "a0")
+    params = ode.make_params(opts["lambda"], opts["mu"])
     t0 = opts.get("t0", 0.0)
     window = opts.get("window", (-math.inf, math.inf))
     return ode.integrate_profile(params, t0, opts["a0"], window)
@@ -205,7 +196,7 @@ def _profile_json(prof: ode.ProfileA, n: int) -> dict:
     return {
         "lambda": prof.params.lam,
         "mu": prof.params.mu,
-        "gamma": "inf" if math.isinf(prof.params.gamma) else prof.params.gamma,
+        "gamma": prof.params.gamma,
         "t0": prof.t0,
         "t1": prof.t1,
         "tag0": str(prof.tag0),
@@ -245,7 +236,7 @@ def run(argv: list[str]) -> int:
                 payload["t0_uncertainty"] = label.t0_uncertainty
             payload["lambda"] = prof.params.lam
             payload["mu"] = prof.params.mu
-            payload["gamma"] = "inf" if math.isinf(prof.params.gamma) else prof.params.gamma
+            payload["gamma"] = prof.params.gamma
             _emit(_json(payload), opts)
         elif cmd == "metric":
             metric = _metric_from(opts)
@@ -289,7 +280,7 @@ def run(argv: list[str]) -> int:
                     "nu": entry.nu,
                     "lambda": entry.params.lam,
                     "mu": entry.params.mu,
-                    "gamma": "inf" if math.isinf(entry.params.gamma) else entry.params.gamma,
+                    "gamma": entry.params.gamma,
                     "normalization": entry.normalization_note,
                     "report": rep.to_json_dict(),
                 }

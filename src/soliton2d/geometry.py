@@ -36,6 +36,7 @@ from .ode import (
     BLOW_UP,
     CONVERGES,
     DECAY_TO_ZERO,
+    SMOOTH_ORIGIN_TOL,
     ProfileA,
     SolitonParams,
     _branch_class,
@@ -47,8 +48,6 @@ from .ode import (
     constant_profile,
     implicit_profile,
 )
-
-SMOOTH_ORIGIN_TOL = 1.0e-8
 
 _log = logging.getLogger("soliton.geometry")
 

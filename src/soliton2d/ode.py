@@ -51,6 +51,9 @@ CONVERGES = "CONVERGES"
 SMOOTH_ORIGIN = "SMOOTH_ORIGIN"
 TRUNCATED = "TRUNCATED"
 
+#: |a(0) - 1| below which a window starting at t = 0 closes up smoothly (SMOOTH_ORIGIN)
+SMOOTH_ORIGIN_TOL = 1.0e-8
+
 
 @dataclass(frozen=True)
 class SolitonParams:
@@ -101,8 +104,6 @@ class SolitonParams:
 
 def make_params(lam: float, mu: float) -> SolitonParams:
     """Validated constructor for :class:`SolitonParams`."""
-    if mu == 0.0:
-        raise MuZeroError("mu must be nonzero")
     return SolitonParams(float(lam), float(mu))
 
 
@@ -613,7 +614,7 @@ def integrate_profile(
     C = t_ref - _separatrix_time(params, a_ref)
     profile = implicit_profile(params, t_ref, a_ref, C, (t_lo, t_hi))
     if profile.t0 == 0.0 and profile.tag0.kind == TRUNCATED:
-        if abs(profile.a(0.0) - 1.0) <= 1e-8:
+        if abs(profile.a(0.0) - 1.0) <= SMOOTH_ORIGIN_TOL:
             profile = replace(profile, tag0=EndTag(SMOOTH_ORIGIN))
     return profile
 

@@ -12,6 +12,7 @@ inferred from data).
 
 from __future__ import annotations
 
+import copy
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -285,7 +286,9 @@ def catalog(tag: str, nu: float) -> CatalogEntry:
 
 
 # Machine-readable family table: topology, parameter range, completeness,
-# curvature sign, end structure.
+# curvature sign, end structure.  The two boundary-disk branches count as one
+# family G4 (their disjoint parameter ranges are given together), matching the
+# enumeration of twelve.
 CATALOG_TABLE = [
     {"family": G1_CIGAR, "topology": "plane", "nu_range": "(0, inf)",
      "complete": True, "curvature_sign": "POSITIVE",
@@ -299,15 +302,12 @@ CATALOG_TABLE = [
      "complete": False, "curvature_sign": "NEGATIVE",
      "inner_end": "CYLINDER_END", "outer_end": "EXPLODING_END",
      "notes": "steady; cylinder radius nu at the far end"},
-    {"family": G4_PLUS, "topology": "disk", "nu_range": "(1, inf)",
+    {"family": "G4", "topology": "disk", "nu_range": "(1, inf) / (pi/2, inf)",
      "complete": False, "curvature_sign": "POSITIVE",
      "inner_end": "SMOOTH_POINT", "outer_end": "GEODESIC_BOUNDARY",
      "notes": "shrinking; boundary length 2 pi; nu = dist(center, boundary), "
-              "attainable below pi/2 (constant-curvature limit)"},
-    {"family": G4_MINUS, "topology": "disk", "nu_range": "(pi/2, inf)",
-     "complete": False, "curvature_sign": "POSITIVE",
-     "inner_end": "SMOOTH_POINT", "outer_end": "GEODESIC_BOUNDARY",
-     "notes": "shrinking; boundary length 2 pi; nu = dist(center, boundary)"},
+              "attainable below pi/2 (constant-curvature limit)",
+     "branches": [G4_PLUS, G4_MINUS]},
     {"family": G5, "topology": "plane", "nu_range": "(0, inf)",
      "complete": False, "curvature_sign": "NEGATIVE",
      "inner_end": "SMOOTH_POINT", "outer_end": "EXPLODING_END",
@@ -344,26 +344,8 @@ CATALOG_TABLE = [
 
 
 def catalog_listing() -> list[dict]:
-    """The twelve-family table as JSON-ready dictionaries.
-
-    The two boundary-disk branches count as one family (their disjoint
-    parameter ranges are reported together), matching the enumeration of
-    twelve.
-    """
-    rows = []
-    for row in CATALOG_TABLE:
-        if row["family"] == G4_MINUS:
-            continue
-        if row["family"] == G4_PLUS:
-            minus = next(r for r in CATALOG_TABLE if r["family"] == G4_MINUS)
-            merged = dict(row)
-            merged["family"] = "G4"
-            merged["branches"] = [G4_PLUS, G4_MINUS]
-            merged["nu_range"] = f"{row['nu_range']} / {minus['nu_range']}"
-            rows.append(merged)
-        else:
-            rows.append(dict(row))
-    return rows
+    """The twelve-family table as fresh JSON-ready dictionaries."""
+    return copy.deepcopy(CATALOG_TABLE)
 
 
 # ---------------------------------------------------------------------------

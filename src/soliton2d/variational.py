@@ -17,7 +17,6 @@ independent of the analytic formula.
 
 from __future__ import annotations
 
-import contextvars
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -171,19 +170,16 @@ def _band_integral(metric: WarpedMetric, window, f_of_bK) -> float:
     sl = _window_slice(metric, (r0, r1))
     r, b, K = metric.r[sl], metric.b[sl], metric.K[sl]
     _check_nonzero_K(K)
-    total = _simpson(f_of_bK(b, K), r)
-    for edge, node_r, node_f in ((r0, r[0], None), (r1, r[-1], None)):
+    f = f_of_bK(b, K)
+    total = _simpson(f, r)
+    for edge, node_r, node_f in ((r0, r[0], f[0]), (r1, r[-1], f[-1])):
         gap = abs(node_r - edge)
         if gap > 1e-300:
             be = float(np.interp(edge, metric.r, metric.b))
             Ke = float(np.interp(edge, metric.r, metric.K))
             _check_nonzero_K(np.array([Ke]))
             f_edge = float(f_of_bK(np.array([be]), np.array([Ke]))[0])
-            f_node = float(f_of_bK(
-                np.array([b[0] if edge == r0 else b[-1]]),
-                np.array([K[0] if edge == r0 else K[-1]]),
-            )[0])
-            total += 0.5 * (f_edge + f_node) * gap
+            total += 0.5 * (f_edge + node_f) * gap
     return total
 
 
@@ -199,19 +195,14 @@ def total_curvature(metric: WarpedMetric, window) -> float:
     return 2.0 * math.pi * _band_integral(metric, window, lambda b, K: K * b)
 
 
-def _u_derivatives(metric: WarpedMetric, sl: slice):
-    """(r, b, K, u', u'', b'/b) by central differences on the slice interior."""
-    _check_nonzero_K(metric.K[sl])
-    r, b, K, up, upp, bp = _central_fields(metric, sl)
-    return r, b, K, up, upp, bp / b
-
-
 def first_variation(metric: WarpedMetric, v: VariationField) -> float:
     """Analytic first variation of E along the field v (radial reduction)."""
     if v.r0 < metric.r[0] - 1e-12 or v.r1 > metric.r[-1] + 1e-12:
         raise WindowError("variation support exceeds the metric domain")
     sl = _window_slice(metric, (v.r0, v.r1), pad=2)
-    r, b, K, up, upp, cot = _u_derivatives(metric, sl)
+    _check_nonzero_K(metric.K[sl])
+    r, b, K, up, upp, bp = _central_fields(metric, sl)
+    cot = bp / b
     phi = np.asarray(v.phi_at(r))
     psi = np.asarray(v.psi_at(r))
     trace_term = -0.25 * _simpson(2.0 * phi * (upp + cot * up + 2.0 * K) * 2.0 * math.pi * b, r)
@@ -226,8 +217,9 @@ def noether_defect(metric: WarpedMetric, window) -> float:
     metrics, and the profile equation pins the constant to 2 lambda.
     """
     sl = _window_slice(metric, window)
-    r, b, K, up, upp, cot = _u_derivatives(metric, sl)
-    return float(np.max(np.abs(upp + cot * up + 2.0 * K - 2.0 * metric.params.lam)))
+    _check_nonzero_K(metric.K[sl])
+    _, b, K, up, upp, bp = _central_fields(metric, sl)
+    return float(np.max(np.abs(upp + bp / b * up + 2.0 * K - 2.0 * metric.params.lam)))
 
 
 def _central4(f: np.ndarray, h: float):
@@ -238,17 +230,9 @@ def _central4(f: np.ndarray, h: float):
     return d1, d2
 
 
-#: (metric, v, fields) while a variation_report runs: its three fd_variation
-#: calls share the fields, which do not depend on eps
-_REPORT: contextvars.ContextVar = contextvars.ContextVar("variation_report", default=None)
-
-
 def _perturbation(metric: WarpedMetric, v: VariationField):
     """(r, p, q, p', q', q'', b, K, b'/b) of _perturbed_energy on the support
     padded by 3 points (r and the last three on the interior [2:-2])."""
-    shared = _REPORT.get()
-    if shared and shared[0] is metric and shared[1] is v:
-        return shared[2]
     sl = _window_slice(metric, (v.r0, v.r1), pad=3)
     r = metric.r[sl]
     phi, psi = np.asarray(v.phi_at(r)), np.asarray(v.psi_at(r))
@@ -285,6 +269,13 @@ def _perturbed_energy(fields, eps: float) -> float:
     return 2.0 * math.pi * _simpson(integrand, r)
 
 
+def _fd_quotient(fields, eps: float) -> float:
+    """(E[g + eps h] - E[g - eps h]) / (2 eps) on the fields of _perturbation."""
+    if eps <= 0.0:
+        raise DomainError("eps must be positive")
+    return float((_perturbed_energy(fields, +eps) - _perturbed_energy(fields, -eps)) / (2.0 * eps))
+
+
 def fd_variation(metric: WarpedMetric, v: VariationField, eps: float = 1e-4) -> float:
     """Central-difference variation (E[g + eps h] - E[g - eps h]) / (2 eps).
 
@@ -294,28 +285,22 @@ def fd_variation(metric: WarpedMetric, v: VariationField, eps: float = 1e-4) -> 
     _perturbed_energy), so the quotient's error is O(eps^2) plus a rounding
     floor of about 1e-10 that does not grow as eps shrinks.
     """
-    if eps <= 0.0:
-        raise DomainError("eps must be positive")
-    fields = _perturbation(metric, v)
-    return float((_perturbed_energy(fields, +eps) - _perturbed_energy(fields, -eps)) / (2.0 * eps))
+    return _fd_quotient(_perturbation(metric, v), eps)
 
 
 def variation_report(metric: WarpedMetric, v: VariationField, eps: float = 1e-4) -> dict:
     """Analytic/finite-difference comparison plus the conservation defect."""
     analytic = first_variation(metric, v)
-    token = _REPORT.set((metric, v, _perturbation(metric, v)))
-    try:
-        fd = fd_variation(metric, v, eps)  # the first point of the slope fit over eps, eps / 2, eps / 4
-        errs = np.abs(np.array([fd] + [fd_variation(metric, v, e) for e in (eps / 2.0, eps / 4.0)]) - analytic)
-    finally:
-        _REPORT.reset(token)
+    fields = _perturbation(metric, v)  # independent of eps: one set for eps, eps / 2 and eps / 4
+    fds = np.array([_fd_quotient(fields, e) for e in (eps, eps / 2.0, eps / 4.0)])
+    errs = np.abs(fds - analytic)
     if np.all(errs > 0.0):  # least squares through log(eps) equally spaced by log 2
         slope = math.log(errs[2] / errs[0]) / math.log(0.25)
     else:
         slope = math.inf  # differences vanished below roundoff
     return {
         "analytic": analytic,
-        "finite_difference": fd,
+        "finite_difference": float(fds[0]),
         "eps": eps,
         "slope_estimate": slope,
         "noether_defect": noether_defect(metric, (v.r0, v.r1)),

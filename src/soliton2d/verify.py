@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ZeroCurvatureError
-from .geometry import SMOOTH_ORIGIN_TOL, WarpedMetric
-from .ode import ProfileA
+from .geometry import WarpedMetric
+from .ode import SMOOTH_ORIGIN_TOL, ProfileA
 
 ZERO_K = 1.0e-12
 

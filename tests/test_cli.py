@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from soliton2d.cli import run
+from soliton2d.cli import _build_parser, _UsageError, run
 
 
 def run_capture(argv, capsys):
@@ -147,6 +148,98 @@ class TestMetricAndReport:
         data = json.loads(out)
         assert set(data) >= {"analytic", "finite_difference", "eps",
                              "slope_estimate", "noether_defect", "energy"}
+
+
+class TestIntegrateJson:
+    def test_steady_smooth_origin(self, capsys):
+        # JSON is the default format; gamma of a steady branch is written "inf"
+        code, out, _ = run_capture(
+            ["integrate", "--lambda", "0", "--mu", "-1", "--a0", "1", "--t0", "0",
+             "--window", "0,0.2", "--samples", "9"], capsys)
+        assert code == 0
+        data = json.loads(out)
+        assert (data["gamma"], data["tag0"], data["tag1"]) == ("inf", "SMOOTH_ORIGIN", "TRUNCATED")
+        assert len(data["samples"]) == 9
+        assert data["samples"][-1] == {"t": 0.2, "a": pytest.approx(5.0, rel=1e-12)}
+
+    def test_converging_end(self, capsys):
+        code, out, _ = run_capture(
+            ["integrate", "--lambda", "-2", "--mu", "-1", "--a0", "0.5", "--t0", "0",
+             "--window", "0,inf", "--samples", "5"], capsys)
+        assert code == 0
+        data = json.loads(out)
+        assert (data["gamma"], data["t1"], data["tag1"]) == (1.0, "inf", "CONVERGES(1)")
+        assert len(data["samples"]) == 5
+
+
+class TestNegativeValues:
+    def test_exponent_value(self, capsys):
+        # argparse alone reads -2e-3 as an unknown flag
+        code, out, err = run_capture(
+            ["classify", "--lambda", "-2e-3", "--mu", "1", "--a0", "1"], capsys)
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert (data["family"], data["lambda"], data["gamma"]) == ("G10", -2e-3, -1000.0)
+
+    def test_pair_value(self, capsys):
+        code, out, err = run_capture(
+            ["integrate", "--lambda", "0", "--mu", "-1", "--a0", "1", "--t0", "0",
+             "--window", "-1,0.2", "--samples", "3"], capsys)
+        assert (code, err) == (0, "")
+        assert [row["t"] for row in json.loads(out)["samples"]] == [-1.0, -0.4, 0.2]
+
+    def test_missing_value_still_an_error(self, capsys):
+        code, out, err = run_capture(["classify", "--lambda", "--mu", "1", "--a0", "1"], capsys)
+        assert (code, out) == (1, "")
+        assert "argument --lambda: expected one argument" in err
+
+
+# one bad value per kind of flag: (subcommand and other flags, flag, value)
+BAD_VALUES = [
+    (["classify", "--mu", "1", "--a0", "1"], "--lambda", "x"),
+    (["classify", "--mu", "1", "--a0", "1"], "--lambda", "nan"),
+    (["metric", "--lambda", "0", "--mu", "-1", "--a0", "1"], "--r-range", "1"),
+    (["metric", "--lambda", "0", "--mu", "-1", "--a0", "1"], "--samples", "2.5"),
+]
+
+
+class TestValueErrors:
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    @pytest.mark.parametrize("argv, flag, value", BAD_VALUES,
+                             ids=["number", "nan", "pair", "samples"])
+    def test_message_names_the_flag(self, tmp_path, capsys, argv, flag, value, via_config):
+        if via_config:
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(f"{flag[2:]} = {value}\n")
+            argv = argv + ["--config", str(cfg)]
+        else:
+            argv = argv + [flag, value]
+        code, out, err = run_capture(argv, capsys)
+        assert (code, out) == (1, "")
+        assert f"argument {flag}: " in err and repr(value) in err
+        assert not via_config or err.startswith(f"{cfg}: ")
+
+    def test_every_value_flag_is_numeric(self):
+        # a value flag either converts its text to numbers or is one of the
+        # four text flags, so no raw string reaches the library
+        parser = _build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        seen = set()
+        for name, sp in sub.choices.items():
+            for action in sp._actions:
+                if action.nargs == 0 or action.option_strings[-1] in (
+                        "--family", "--format", "--out", "--config"):
+                    continue
+                flag = action.option_strings[-1]
+                seen.add(flag)
+                try:
+                    value = vars(parser.parse_args([name, flag, "2"]))[action.dest]
+                except _UsageError:
+                    value = vars(parser.parse_args([name, flag, "2,3"]))[action.dest]
+                for x in value if isinstance(value, tuple) else (value,):
+                    assert type(x) in (int, float), (name, flag, value)
+        assert seen == {"--lambda", "--mu", "--a0", "--t0", "--b0", "--r0", "--r-range",
+                        "--window", "--samples", "--eps", "--nu"}
 
 
 class TestConfigFile:

@@ -261,6 +261,17 @@ class TestCatalog:
         complete = {row["family"] for row in rows if row["complete"]}
         assert complete == {"G1_CIGAR", "G6", "G7", "G8"}
 
+    def test_listing_rows_are_fresh(self):
+        # the table is stored as listed; a caller's edits must not reach it
+        want = catalog_listing()
+        rows = catalog_listing()
+        g4 = next(row for row in rows if row["family"] == "G4")
+        g4["branches"].append("G4_ZERO")
+        g4["nu_range"] = "(0, 1)"
+        rows[0]["family"] = "G0"
+        rows.pop()
+        assert catalog_listing() == want
+
 
 class TestScalingConsistency:
     def test_cigar_family_is_one_orbit(self):
