@@ -57,8 +57,6 @@ def _fmt(x) -> str:
         return "[" + ", ".join(_fmt(v) for v in x) + "]"
     if isinstance(x, dict):
         return "{" + ", ".join(f'{_fmt(str(k))}: {_fmt(v)}' for k, v in x.items()) + "}"
-    if isinstance(x, np.floating):
-        return _fmt(float(x))
     raise TypeError(f"cannot serialize {type(x)!r}")
 
 
@@ -131,7 +129,7 @@ def _build_parser() -> _Parser:
         ["--lambda", "--mu", "--a0", "--t0", "--b0", "--r0", "--r-range",
          "--window", "--samples", "--eps"])
     cat = add("catalog", "canonical family representatives",
-              ["--family", "--nu", "--samples"])
+              ["--family", "--nu"])
     cat.add_argument("--list", action="store_true", dest="list_families")
     return p
 

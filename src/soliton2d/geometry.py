@@ -36,7 +36,6 @@ from .ode import (
     BLOW_UP,
     CONVERGES,
     DECAY_TO_ZERO,
-    SMOOTH_ORIGIN_TOL,
     ProfileA,
     SolitonParams,
     _branch_class,
@@ -47,6 +46,7 @@ from .ode import (
     _sorted_unique,
     constant_profile,
     implicit_profile,
+    is_smooth_origin,
 )
 
 _log = logging.getLogger("soliton.geometry")
@@ -419,7 +419,7 @@ def build_warped_metric(
         if t_lo > 0.0 or not lo_closed:
             raise DomainError("t = 0 is not in the closure of the profile domain")
         a0 = profile.a(0.0)
-        if abs(a0 - 1.0) > SMOOTH_ORIGIN_TOL:
+        if not is_smooth_origin(a0):
             raise NotSmoothOriginError(
                 f"b0 = 0 requires lim a(t) = 1 at t -> 0, got {a0!r}"
             )
@@ -628,20 +628,14 @@ def _resolve(profile: ProfileA) -> ProfileA:
     )
 
 
-def _inner_descriptor(profile: ProfileA):
+def _inner_descriptor(profile: ProfileA, a_in: float):
     """The end at t = 0, or at the initial blow-up T0 = C >= 0 of a maximal branch."""
     p = profile.params
-    if profile.is_constant:
-        g = p.gamma
-        if abs(g - 1.0) <= SMOOTH_ORIGIN_TOL:
-            return EndDescriptor(SMOOTH_POINT, curvature=0.0), True
-        return EndDescriptor(CONE_END, angle=2.0 * math.pi / g), False
-    if profile.t0 < 0.0:
-        a0 = profile.a(0.0)
-        if abs(a0 - 1.0) <= SMOOTH_ORIGIN_TOL:
-            return EndDescriptor(SMOOTH_POINT, curvature=p.lam - 2.0 * p.mu), True
+    if profile.is_constant or profile.t0 < 0.0:
+        if is_smooth_origin(a_in):
+            return EndDescriptor(SMOOTH_POINT, curvature=0.0 if profile.is_constant else p.lam - 2.0 * p.mu), True
         # cone vertex at the origin: finite distance, no smooth extension
-        return EndDescriptor(CONE_END, angle=2.0 * math.pi / a0), False
+        return EndDescriptor(CONE_END, angle=2.0 * math.pi / a_in), False
     T0 = profile.t0
     if p.lam == 0.0:
         return EndDescriptor(CYLINDER_END, radius=2.0 * math.sqrt(T0)), True
@@ -656,20 +650,17 @@ def _inner_descriptor(profile: ProfileA):
     return EndDescriptor(GEODESIC_BOUNDARY, length=4.0 * math.pi * math.sqrt(T0)), False
 
 
-def _outer_descriptor(profile: ProfileA):
-    """The end toward t1 of a maximal branch."""
+def _outer_descriptor(profile: ProfileA, a_out: float):
+    """The end toward t1 of a maximal branch, at the level a_out."""
     p = profile.params
-    if profile.is_constant:
-        return EndDescriptor(CONE_END, angle=2.0 * math.pi / p.gamma), True
-    tag = profile.tag1
-    if tag.kind == BLOW_UP:
+    if a_out == math.inf:
         T1 = profile.t1
         if p.lam == 0.0:
             return EndDescriptor(CYLINDER_END, radius=2.0 * math.sqrt(T1)), True
         return EndDescriptor(GEODESIC_BOUNDARY, length=4.0 * math.pi * math.sqrt(T1)), False
-    if tag.kind == DECAY_TO_ZERO:
+    if a_out == 0.0:
         return EndDescriptor(EXPLODING_END, nu=math.sqrt(p.mu)), False
-    return EndDescriptor(CONE_END, angle=2.0 * math.pi / tag.value), True
+    return EndDescriptor(CONE_END, angle=2.0 * math.pi / a_out), True
 
 
 def geometry_report(profile: ProfileA) -> GeometryReport:
@@ -683,27 +674,28 @@ def geometry_report(profile: ProfileA) -> GeometryReport:
     profile = _resolve(profile)
     _metric_t_interval(profile)  # raises when the branch has no t > 0 portion
 
-    inner, complete_inner = _inner_descriptor(profile)
-    outer, complete_outer = _outer_descriptor(profile)
+    # the levels of a at t = 0 (inf at an initial blow-up) and at the outer
+    # end, both gamma on the separatrix
+    if profile.is_constant:
+        a_ends = np.full(2, profile.params.gamma)
+    else:
+        tag1 = profile.tag1
+        a_ends = np.array([profile.a(0.0) if profile.t0 < 0.0 else math.inf,
+                           {BLOW_UP: math.inf, DECAY_TO_ZERO: 0.0, CONVERGES: tag1.value}[tag1.kind]])
+    a_in, a_out = a_ends.tolist()
+    inner, complete_inner = _inner_descriptor(profile, a_in)
+    outer, complete_outer = _outer_descriptor(profile, a_out)
 
     mono = profile.monotonicity()
     sign = {"increasing": POSITIVE, "decreasing": NEGATIVE, "constant": ZERO}[mono]
 
     # K = lambda - 2 mu / a is monotone in a and a is monotone in t, so the
-    # curvature range comes from the limits of a at t = 0 (or the initial
-    # blow-up) and at the outer end; a = inf gives lambda, a = 0 an infinity
-    if profile.is_constant:
-        K = np.zeros(2)
-    else:
-        tag1 = profile.tag1
-        a_ends = np.array([
-            profile.a(0.0) if profile.t0 < 0.0 else math.inf,
-            {BLOW_UP: math.inf, DECAY_TO_ZERO: 0.0, CONVERGES: tag1.value}[tag1.kind],
-        ])
-        with np.errstate(divide="ignore", over="ignore"):
-            K = profile.params.curvature(a_ends)
-        if not np.all(np.isfinite(K) | (a_ends == 0.0)):  # K is infinite only at a = 0
-            raise RangeError("the curvature range overflows")
+    # curvature range comes from the end levels: a = inf gives lambda, a = 0
+    # an infinity, and K vanishes on the separatrix
+    with np.errstate(divide="ignore", over="ignore"):
+        K = np.zeros(2) if profile.is_constant else profile.params.curvature(a_ends)
+    if not np.all(np.isfinite(K) | (a_ends == 0.0)):  # K is infinite only at a = 0
+        raise RangeError("the curvature range overflows")
 
     return GeometryReport(
         complete_inner=complete_inner,

@@ -55,6 +55,11 @@ TRUNCATED = "TRUNCATED"
 SMOOTH_ORIGIN_TOL = 1.0e-8
 
 
+def is_smooth_origin(a0: float) -> bool:
+    """Whether the level a(0) = a0 closes the metric up smoothly over t = 0."""
+    return abs(a0 - 1.0) <= SMOOTH_ORIGIN_TOL
+
+
 @dataclass(frozen=True)
 class SolitonParams:
     """The pair (lambda, mu); gamma = 2 mu / lambda is derived.
@@ -67,12 +72,16 @@ class SolitonParams:
     mu: float
 
     def __post_init__(self):
+        object.__setattr__(self, "lam", float(self.lam))
+        object.__setattr__(self, "mu", float(self.mu))
         if not (math.isfinite(self.lam) and math.isfinite(self.mu)):
             raise DomainError("lambda and mu must be finite")
         if self.mu == 0.0:
             raise MuZeroError("mu must be nonzero")
         if not math.isfinite(4.0 * self.mu):
             raise RangeError(f"mu = {self.mu:g} overflows the coefficient 4 mu of the profile equation")
+        if self.lam != 0.0 and not 0.0 < abs(self.gamma) < math.inf:
+            raise RangeError(f"gamma = 2 mu / lambda overflows or underflows to {self.gamma:g} at lambda = {self.lam:g}")
 
     @property
     def gamma(self) -> float:
@@ -104,7 +113,7 @@ class SolitonParams:
 
 def make_params(lam: float, mu: float) -> SolitonParams:
     """Validated constructor for :class:`SolitonParams`."""
-    return SolitonParams(float(lam), float(mu))
+    return SolitonParams(lam, mu)
 
 
 @dataclass(frozen=True)
@@ -601,6 +610,7 @@ def integrate_profile(
     when a window counts as reaching them).  Anchors within SEPARATRIX_SNAP of gamma
     snap to the constant solution.
     """
+    t_ref, a_ref = float(t_ref), float(a_ref)
     if not math.isfinite(a_ref) or a_ref <= 0.0:
         raise NonpositiveAnchorError("a_ref must be positive")
     t_lo, t_hi = float(window[0]), float(window[1])
@@ -614,7 +624,7 @@ def integrate_profile(
     C = t_ref - _separatrix_time(params, a_ref)
     profile = implicit_profile(params, t_ref, a_ref, C, (t_lo, t_hi))
     if profile.t0 == 0.0 and profile.tag0.kind == TRUNCATED:
-        if abs(profile.a(0.0) - 1.0) <= SMOOTH_ORIGIN_TOL:
+        if is_smooth_origin(profile.a(0.0)):
             profile = replace(profile, tag0=EndTag(SMOOTH_ORIGIN))
     return profile
 

@@ -137,8 +137,6 @@ def disk_boundary_distance(gamma: float) -> float:
     radial distance from t = 0 to the blow-up time C.  Strictly decreasing
     in gamma on each of (0, 1) and (-inf, 0).
     """
-    if gamma >= 1.0 or gamma == 0.0:
-        raise DomainError("boundary-disk branch requires gamma < 1, gamma != 0")
     prof = _disk_profile(gamma)
     return radial_distance(prof, 0.0, prof.C)
 
@@ -233,7 +231,7 @@ def catalog(tag: str, nu: float) -> CatalogEntry:
         gamma, nu = _disk_gamma(tag, nu)  # nu: the realized distance
         prof = _disk_profile(gamma)
         params = prof.params
-        note = "blow-up time normalized to 1/4 (boundary length 2 pi); gamma by bisection on the boundary distance"
+        note = "blow-up time normalized to 1/4 (boundary length 2 pi); gamma by Chandrupatla's bracketed iteration on the boundary distance"
     elif tag == G5:
         _require_range(tag, nu, 0.0, math.inf)
         params = SolitonParams(nu * nu, nu * nu)  # gamma = 2
@@ -302,7 +300,7 @@ CATALOG_TABLE = [
      "complete": False, "curvature_sign": "NEGATIVE",
      "inner_end": "CYLINDER_END", "outer_end": "EXPLODING_END",
      "notes": "steady; cylinder radius nu at the far end"},
-    {"family": "G4", "topology": "disk", "nu_range": "(1, inf) / (pi/2, inf)",
+    {"family": "G4", "topology": "disk", "nu_range": "(1, pi/2) / (pi/2, inf)",
      "complete": False, "curvature_sign": "POSITIVE",
      "inner_end": "SMOOTH_POINT", "outer_end": "GEODESIC_BOUNDARY",
      "notes": "shrinking; boundary length 2 pi; nu = dist(center, boundary), "
@@ -383,16 +381,12 @@ def entry_metric(entry: CatalogEntry, h: float = 1e-3):
         level = g + dev if prof.a_ref > g else g - dev
         t_out = _t_at_level(prof, level)
 
+    # r = 0 at a smooth inner edge t = 0, or on an annulus at the circle of
+    # the moderate inner level
     smooth_inner = prof.t0 < 0.0 or prof.tag0.kind == SMOOTH_ORIGIN
-    if smooth_inner:
-        r_out = radial_distance(prof, 0.0, t_out)
-        return build_warped_metric(prof, (0.0, 0.0), (0.0, r_out),
-                                   n_samples=int(round(r_out / h)) + 1)
-    # annulus: anchor r = 0 at the circle of the moderate inner level
-    t_in = _t_at_level(prof, max(a_cap, 16.0 * a_floor))
+    t_in = 0.0 if smooth_inner else _t_at_level(prof, max(a_cap, 16.0 * a_floor))
     if not t_in < t_out:
         raise DomainError("degenerate verification window; adjust the level caps")
-    b_anchor = 2.0 * math.sqrt(t_in)
     r_out = radial_distance(prof, t_in, t_out)
-    return build_warped_metric(prof, (0.0, b_anchor), (0.0, r_out),
+    return build_warped_metric(prof, (0.0, 2.0 * math.sqrt(t_in)), (0.0, r_out),
                                n_samples=int(round(r_out / h)) + 1)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, ZeroCurvatureError
 from .geometry import WarpedMetric
-from .ode import SMOOTH_ORIGIN_TOL, ProfileA
+from .ode import ProfileA, is_smooth_origin
 
 ZERO_K = 1.0e-12
 
@@ -113,7 +113,6 @@ def smooth_extension_check(profile: ProfileA) -> tuple[bool, float | None]:
     p = profile.params
     if profile.t0 > 0.0 or profile.t1 <= 0.0:
         raise DomainError("t = 0 is not in the closure of the profile domain")
-    a0 = float(profile.a(0.0))
-    if abs(a0 - 1.0) <= SMOOTH_ORIGIN_TOL:
+    if is_smooth_origin(profile.a(0.0)):
         return True, p.lam - 2.0 * p.mu
     return False, None

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from soliton2d import make_params
 from soliton2d.cli import _build_parser, _UsageError, run
+from soliton2d.ode import _separatrix_time
 
 
 def run_capture(argv, capsys):
@@ -62,6 +64,12 @@ class TestCatalogCommand:
         code, _, err = run_capture(["catalog", "--family", family, "--nu", nu], capsys)
         assert code == 1
         assert "RANGE" in err
+
+    def test_samples_is_not_a_catalog_flag(self, capsys):
+        # catalog samples nothing; the flag was accepted and ignored
+        code, out, err = run_capture(["catalog", "--family", "g6", "--nu", "1", "--samples", "5"], capsys)
+        assert (code, out) == (1, "")
+        assert "--samples" in err
 
     def test_g11_large_nu_reports_cusp(self, capsys):
         code, out, _ = run_capture(["catalog", "--family", "g11", "--nu", "50"], capsys)
@@ -170,6 +178,43 @@ class TestIntegrateJson:
         data = json.loads(out)
         assert (data["gamma"], data["t1"], data["tag1"]) == (1.0, "inf", "CONVERGES(1)")
         assert len(data["samples"]) == 5
+
+
+    def test_default_grid_toward_blow_up(self, capsys):
+        # 201 samples geometric toward the blow-up at t = 1/4, up to a = A_BLOWUP
+        code, out, _ = run_capture(
+            ["integrate", "--lambda", "0", "--mu", "-1", "--a0", "1", "--window", "0,1"], capsys)
+        assert code == 0
+        data = json.loads(out)
+        t = [row["t"] for row in data["samples"]]
+        assert len(t) == 201 and all(x < y for x, y in zip(t, t[1:]))
+        assert (t[0], t[-1]) == (0.0, pytest.approx(0.2499999975, rel=1e-12))
+        assert data["samples"][-1]["a"] == pytest.approx(1e8, rel=1e-8)
+        assert (data["tag0"], data["tag1"]) == ("SMOOTH_ORIGIN", "BLOW_UP")
+
+
+class TestReportEnds:
+    def test_flat_plane(self, capsys):
+        # gamma = a0 = 1: the separatrix closes up smoothly, K = 0 throughout
+        code, out, _ = run_capture(["report", "--lambda", "2", "--mu", "1", "--a0", "1"], capsys)
+        assert code == 0
+        data = json.loads(out)
+        assert data["inner_end"] == {"kind": "SMOOTH_POINT", "curvature": 0.0}
+        assert data["outer_end"] == {"kind": "CONE_END", "angle": pytest.approx(2.0 * math.pi, rel=1e-15)}
+        assert (data["K_inf"], data["K_sup"], data["complete"]) == (0.0, 0.0, True)
+
+    def test_unresolved_blow_up_time(self, capsys):
+        # the blow-up lands on t = 0 to rounding: cusp versus boundary is undecidable
+        t0 = repr(_separatrix_time(make_params(-1.0, 1.0), 1.0))
+        flags = ["--lambda", "-1", "--mu", "1", "--a0", "1", "--t0", t0]
+        code, out, err = run_capture(["report", *flags], capsys)
+        assert (code, out) == (2, "")
+        assert "numerical failure UNRESOLVED_END" in err
+        code, out, _ = run_capture(["classify", *flags], capsys)
+        assert code == 0
+        data = json.loads(out)
+        assert data["family"] == "UNRESOLVED_T0_SIGN"
+        assert abs(data["t0_estimate"]) <= data["t0_uncertainty"]
 
 
 class TestNegativeValues:
@@ -308,6 +353,18 @@ class TestExitCodes:
     ], ids=["catalog_g5", "catalog_g2", "report_mu", "report_curvature"])
     def test_overflowing_scale_usage_error(self, argv, capsys):
         # these printed a G3 family, gamma "inf" or K "nan"/"inf" with exit 0
+        code, out, err = run_capture(argv, capsys)
+        assert (code, out) == (1, "")
+        assert "soliton: RANGE:" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--lambda", "1e-300", "--mu", "-1e10", "--a0", "1"],
+        ["report", "--lambda", "1e-300", "--mu", "-1e10", "--a0", "1"],
+        ["classify", "--lambda", "1e300", "--mu", "1e-300", "--a0", "1"],
+    ], ids=["classify_gamma_overflow", "report_gamma_overflow", "classify_gamma_underflow"])
+    def test_gamma_outside_float_range_usage_error(self, argv, capsys):
+        # these printed G1_CIGAR against a GEODESIC_BOUNDARY report, and an
+        # internal ZeroDivisionError with exit 2
         code, out, err = run_capture(argv, capsys)
         assert (code, out) == (1, "")
         assert "soliton: RANGE:" in err

@@ -29,6 +29,7 @@ from soliton2d import (
     metric_from_grid,
     radial_distance,
 )
+from soliton2d.geometry import EndDescriptor
 from soliton2d.taxonomy import FAMILY_TAGS
 from conftest import FAMILY_SAMPLES, NU_SAMPLES, cached_entry, cached_metric
 
@@ -748,6 +749,15 @@ class TestReportReadsMaximalBranch:
         full = geometry_report(constant_profile(p, (-math.inf, math.inf)))
         assert full.inner_end.kind == "CONE_END" and full.outer_end.kind == "CONE_END"
         assert geometry_report(constant_profile(p, window)) == full
+
+    def test_near_flat_separatrix_is_flat(self):
+        # gamma = 1 + 1e-10 is a smooth origin, and the plane is reported
+        # flat, although lambda - 2 mu is -2e-10
+        p = make_params(2.0, 1.0 + 1e-10)
+        rep = geometry_report(constant_profile(p, (-math.inf, math.inf)))
+        assert rep.inner_end == EndDescriptor("SMOOTH_POINT", curvature=0.0)
+        assert rep.outer_end == EndDescriptor("CONE_END", angle=2.0 * math.pi / p.gamma)
+        assert (rep.K_inf, rep.K_sup, rep.complete) == (0.0, 0.0, True)
 
 
 class TestMetricFromGrid:

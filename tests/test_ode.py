@@ -21,6 +21,7 @@ from soliton2d import (
     Translate,
     apply_symmetry,
     blow_up_time_closed,
+    classify,
     closed_form_profile,
     geometry_report,
     integrate_profile,
@@ -76,6 +77,26 @@ class TestMakeParams:
         with pytest.raises(RangeError):
             make_params(0.0, -1e308)
         assert make_params(1e308, 4e307).gamma == 2.0 * 4e307 / 1e308
+
+    @pytest.mark.parametrize("lam,mu", [(1e-300, -1e10), (-1e-300, 1e10), (1e300, 1e-300)],
+                             ids=["gamma_-inf", "gamma_+inf", "gamma_0"])
+    def test_gamma_outside_float_range_rejected(self, lam, mu):
+        # 2 mu / lambda overflows or underflows: the first read as steady
+        # (G1_CIGAR), the last divided by gamma = 0
+        with pytest.raises(RangeError, match="gamma"):
+            make_params(lam, mu)
+        with pytest.raises(RangeError):
+            SolitonParams(lam, mu)
+
+    def test_numpy_scalars_become_floats(self):
+        # numpy bools do not subtract: the phase-line and T0 signs raised TypeError
+        p = SolitonParams(np.float64(-1.0), np.float64(-1.0))
+        assert type(p.lam) is float and type(p.mu) is float
+        assert classify(integrate_profile(p, 0.0, 1.0, (-math.inf, math.inf))).tag == "G6"
+        prof = integrate_profile(make_params(-1.0, -1.0), np.float64(0.0), np.float64(3.0),
+                                 (-math.inf, math.inf))
+        assert type(prof.a_ref) is float and type(prof.t_ref) is float
+        assert classify(prof).tag == "G7"
 
     def test_sign_classification(self):
         assert make_params(1.0, 1.0).kind == "shrinking"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from soliton2d import (
+    DomainError,
     RangeError,
     Rescale,
     Scale,
@@ -23,7 +24,7 @@ from soliton2d import (
 )
 from soliton2d.geometry import radial_distance
 from soliton2d.taxonomy import FAMILY_TAGS, _disk_profile
-from conftest import FAMILY_SAMPLES, cached_entry, mp_time
+from conftest import FAMILY_SAMPLES, NU_SAMPLES, cached_entry, mp_time
 
 
 def mp_disk_distance(lam, mu):
@@ -177,6 +178,12 @@ class TestCatalog:
         dm = [disk_boundary_distance(g) for g in (-10.0, -1.0, -0.1)]
         assert dm[0] > dm[1] > dm[2] > math.pi / 2.0
 
+    @pytest.mark.parametrize("gamma", [1.0, 1.5, 0.0])
+    def test_disk_boundary_distance_outside_its_gammas(self, gamma):
+        # the disk branch needs gamma < 1, gamma != 0 (checked by blow_up_time_closed)
+        with pytest.raises(DomainError):
+            disk_boundary_distance(gamma)
+
     @pytest.mark.parametrize("gamma", [0.2, 0.5, 0.8, -0.1, -2.0, -10.0])
     def test_disk_boundary_distance_matches_mpmath(self, gamma):
         mu = -1.0 - math.log1p(-gamma) / gamma
@@ -271,6 +278,29 @@ class TestCatalog:
         rows[0]["family"] = "G0"
         rows.pop()
         assert catalog_listing() == want
+
+    @pytest.mark.parametrize("tag", FAMILY_TAGS)
+    def test_listing_row_matches_catalog_report(self, tag):
+        # the listing states what the report of each catalog entry finds
+        row = next(row for row in catalog_listing()
+                   if row["family"] == tag or tag in row.get("branches", ()))
+        for nu in NU_SAMPLES[tag]:
+            rep = geometry_report(cached_entry(tag, nu).profile)
+            got = (rep.complete, rep.curvature_sign, rep.inner_end.kind, rep.outer_end.kind)
+            assert got == (row["complete"], row["curvature_sign"], row["inner_end"], row["outer_end"]), nu
+
+    def test_listing_g4_ranges_meet_at_half_pi(self):
+        g4 = next(row for row in catalog_listing() if row["family"] == "G4")
+        assert g4["nu_range"] == "(1, pi/2) / (pi/2, inf)"
+        # each branch stops at pi/2, the distance of the constant-curvature limit
+        with pytest.raises(RangeError):
+            catalog("G4_PLUS", 0.5 * math.pi + 1e-3)
+        with pytest.raises(RangeError):
+            catalog("G4_MINUS", 0.5 * math.pi - 1e-3)
+
+    def test_g4_note_names_the_root_solve(self):
+        note = cached_entry("G4_PLUS", 1.3).normalization_note
+        assert "Chandrupatla" in note and "bisection" not in note
 
 
 class TestScalingConsistency:
