@@ -47,7 +47,7 @@ def _fmt(x) -> str:
         return format(x, ".17g")
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, int):
         return str(int(x))
     if x is None:
         return "null"

@@ -43,6 +43,7 @@ from .ode import (
     _level_coordinate,
     _level_point,
     _separatrix_time,
+    _slope_sign,
     _sorted_unique,
     constant_profile,
     implicit_profile,
@@ -154,7 +155,7 @@ class _ArcTable:
     x -> (a, t, dr/dx).  Next to a regular lower edge (t = 0 or a window
     edge) x is w = sqrt(t) up to a seam, and a comes from profile.a.
     Everywhere else x runs along the branch's level coordinate v
-    (v = sigma x + v_shift, sigma = sign dt/dv), in which a and t are
+    (v = sigma x + v_shift, sigma = sign dt/dv = sign a'), in which a and t are
     explicit (ode._level_point), and the nodes follow dr/dv (_v_offsets).
     Cylinder and cusp ends lie at v = _V_MAX, decay and cone ends at
     _DECAY_SPAN and _CONE_SPAN.  A geodesic boundary (C > 0 at v = inf) is
@@ -181,8 +182,7 @@ class _ArcTable:
             t_hi = t_c = min(t_hi, _W_FLAT**2)
         else:
             self.branch = _branch_class(profile.params, profile.a_ref)
-            with np.errstate(all="ignore"):  # only the sign of dt/dv is read at v = 0
-                self.sigma = float(np.sign(self._v_point(np.zeros(1))[2][0]))
+            self.sigma = _slope_sign(profile.params, profile.a_ref)
             blow0 = profile.tag0.kind == BLOW_UP and t_lo == profile.t0
             if blow0:
                 v0, t_c = _V_MAX, -math.inf
@@ -341,21 +341,18 @@ class _ArcTable:
 
 
 def _far_edge(profile: ProfileA, t: float) -> bool:
-    """Whether t is a blow-up edge at infinite distance (a cylinder or cusp)."""
-    if not (profile.params.lam == 0.0 or t == 0.0):
-        return False
+    """Whether t >= 0 is a blow-up edge at infinite distance (a cylinder or cusp)."""
     ends = ((profile.t0, profile.tag0), (profile.t1, profile.tag1))
-    return any(tag.kind == BLOW_UP and t == edge for edge, tag in ends)
+    return any(tag.kind == BLOW_UP and t == edge for edge, tag in ends) and _blowup_end(profile.params, t)[1]
 
 
-def _metric_t_interval(profile: ProfileA) -> tuple[float, float, bool]:
-    """(t_lo, t_hi, lo_closed): t-range of the metric and whether t_lo is attainable."""
+def _metric_t_interval(profile: ProfileA) -> tuple[float, float]:
+    """(t_lo, t_hi): t-range of the metric."""
     t_lo = max(profile.t0, 0.0)
     t_hi = profile.t1
     if t_hi <= t_lo:
         raise DomainError("profile has no t > 0 portion, no metric to build")
-    lo_closed = not (profile.t0 >= 0.0 and profile.tag0.kind == BLOW_UP)
-    return t_lo, t_hi, lo_closed
+    return t_lo, t_hi
 
 
 @dataclass(frozen=True)
@@ -401,10 +398,11 @@ def build_warped_metric(
     """Reconstruct the metric on a uniform r-grid inside r_window.
 
     The anchor (r0, b0) places the radial coordinate: t = b0^2/4 must lie in
-    the closure of the profile's t-domain, and b0 = 0 additionally requires
-    the smooth-extension condition lim_{t->0} a = 1, in which case the grid
-    starts at the origin with b'(0) = 1.  The window is clipped to the extent
-    reachable from the profile data; an empty intersection raises.
+    the closure of the profile's t-domain at finite distance, and b0 = 0
+    additionally requires the smooth-extension condition lim_{t->0} a = 1,
+    in which case the grid starts at the origin with b'(0) = 1.  The window
+    is clipped to the extent reachable from the profile data; an empty
+    intersection raises.
     """
     r0, b0 = float(anchor[0]), float(anchor[1])
     if b0 < 0.0:
@@ -413,18 +411,16 @@ def build_warped_metric(
     if not r_lo_req < r_hi_req:
         raise WindowEmptyError("empty r-window")
 
-    t_lo, t_hi, lo_closed = _metric_t_interval(profile)
+    t_lo, t_hi = _metric_t_interval(profile)
     t_anchor = 0.25 * b0 * b0
+    if not (t_lo <= t_anchor <= t_hi) or _far_edge(profile, t_anchor):
+        raise DomainError("anchor circle lies outside the profile domain")
     if b0 == 0.0:
-        if t_lo > 0.0 or not lo_closed:
-            raise DomainError("t = 0 is not in the closure of the profile domain")
         a0 = profile.a(0.0)
         if not is_smooth_origin(a0):
             raise NotSmoothOriginError(
                 f"b0 = 0 requires lim a(t) = 1 at t -> 0, got {a0!r}"
             )
-    elif not (t_lo <= t_anchor <= t_hi) or _far_edge(profile, t_anchor):
-        raise DomainError("anchor circle lies outside the profile domain")
 
     table = _ArcTable(profile, t_lo, t_hi)
     off = r0 - float(table.r_of_x(table.x_at(t_anchor))[0])
@@ -496,7 +492,7 @@ def radial_distance(profile: ProfileA, t_from: float, t_to: float) -> float:
     blow-up edge at finite distance (a geodesic boundary).  A cylinder or
     cusp edge lies at infinite distance and raises.
     """
-    t_lo, t_hi, _ = _metric_t_interval(profile)
+    t_lo, t_hi = _metric_t_interval(profile)
     if not (t_lo <= t_from < t_to <= t_hi and math.isfinite(t_to)):
         raise DomainError("need t_from < t_to inside the metric's t-range")
     if _far_edge(profile, t_from) or _far_edge(profile, t_to):
@@ -597,8 +593,9 @@ def t0_uncertainty(profile: ProfileA) -> float:
     and gamma amplified by the condition number |a G'(a)| = |a / a'(a)|.
     """
     p, a = profile.params, profile.a_ref
-    scale = (abs(profile.t0) + abs(profile.t_ref) + abs(_separatrix_time(p, a))
-             + abs(a / p.rhs(a)))
+    slope = p.rhs(a)  # where a' underflows, |a / a'| = 1 / |4 mu a (a/gamma - 1)| from its factors
+    cond = abs(a / slope) if slope else 1.0 / max(abs(4.0 * p.mu * a * (a / p.gamma - 1.0)), np.finfo(float).tiny)
+    scale = abs(profile.t0) + abs(profile.t_ref) + abs(_separatrix_time(p, a)) + cond
     return 8.0 * np.finfo(float).eps * scale
 
 
@@ -619,13 +616,20 @@ def t0_sign(profile: ProfileA) -> tuple[Optional[int], float]:
 
 def _resolve(profile: ProfileA) -> ProfileA:
     """The same branch over its maximal interval."""
-    if profile.t0_exact:  # placed on its maximal interval already
-        return profile
     if profile.is_constant:
         return constant_profile(profile.params, (-math.inf, math.inf))
-    return implicit_profile(
-        profile.params, profile.t_ref, profile.a_ref, profile.C, (-math.inf, math.inf)
-    )
+    return implicit_profile(profile.params, profile.t_ref, profile.a_ref, profile.C, (-math.inf, math.inf),
+                            profile.t0_exact)
+
+
+def _blowup_end(p: SolitonParams, T: float):
+    """The end a blow-up at T >= 0 makes and whether it lies at infinite distance:
+    a cylinder when lambda = 0, a cusp at T = 0, and a geodesic boundary otherwise."""
+    if p.lam == 0.0:
+        return EndDescriptor(CYLINDER_END, radius=2.0 * math.sqrt(T)), True
+    if T == 0.0:
+        return EndDescriptor(CUSP_END, curvature=p.lam), True
+    return EndDescriptor(GEODESIC_BOUNDARY, length=4.0 * math.pi * math.sqrt(T)), False
 
 
 def _inner_descriptor(profile: ProfileA, a_in: float):
@@ -634,30 +638,23 @@ def _inner_descriptor(profile: ProfileA, a_in: float):
     if profile.is_constant or profile.t0 < 0.0:
         if is_smooth_origin(a_in):
             return EndDescriptor(SMOOTH_POINT, curvature=0.0 if profile.is_constant else p.lam - 2.0 * p.mu), True
+        if a_in == 0.0:
+            raise RangeError("a(0) underflows to 0, so the cone angle 2 pi / a(0) overflows")
         # cone vertex at the origin: finite distance, no smooth extension
         return EndDescriptor(CONE_END, angle=2.0 * math.pi / a_in), False
-    T0 = profile.t0
-    if p.lam == 0.0:
-        return EndDescriptor(CYLINDER_END, radius=2.0 * math.sqrt(T0)), True
-    sign, unc = t0_sign(profile)
-    if sign is None:
-        raise UnresolvedEndError(
-            f"initial blow-up time {T0!r} within its uncertainty {unc:g}; "
-            "cusp versus boundary is not decidable numerically"
-        )
-    if sign == 0:
-        return EndDescriptor(CUSP_END, curvature=p.lam), True
-    return EndDescriptor(GEODESIC_BOUNDARY, length=4.0 * math.pi * math.sqrt(T0)), False
+    if p.lam != 0.0:
+        sign, unc = t0_sign(profile)
+        if sign is None:
+            raise UnresolvedEndError(f"initial blow-up time {profile.t0!r} within its uncertainty {unc:g}; "
+                                     "cusp versus boundary is not decidable numerically")
+    return _blowup_end(p, profile.t0)
 
 
 def _outer_descriptor(profile: ProfileA, a_out: float):
     """The end toward t1 of a maximal branch, at the level a_out."""
     p = profile.params
     if a_out == math.inf:
-        T1 = profile.t1
-        if p.lam == 0.0:
-            return EndDescriptor(CYLINDER_END, radius=2.0 * math.sqrt(T1)), True
-        return EndDescriptor(GEODESIC_BOUNDARY, length=4.0 * math.pi * math.sqrt(T1)), False
+        return _blowup_end(p, profile.t1)
     if a_out == 0.0:
         return EndDescriptor(EXPLODING_END, nu=math.sqrt(p.mu)), False
     return EndDescriptor(CONE_END, angle=2.0 * math.pi / a_out), True

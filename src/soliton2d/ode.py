@@ -41,9 +41,6 @@ INFINITE = math.inf
 A_BLOWUP = 1.0e8
 A_ZERO = 1.0e-10
 
-#: Relative snap width for recognising the constant separatrix a == gamma.
-SEPARATRIX_SNAP = 1.0e-13
-
 # Endpoint tag kinds.
 BLOW_UP = "BLOW_UP"
 DECAY_TO_ZERO = "DECAY_TO_ZERO"
@@ -53,11 +50,18 @@ TRUNCATED = "TRUNCATED"
 
 #: |a(0) - 1| below which a window starting at t = 0 closes up smoothly (SMOOTH_ORIGIN)
 SMOOTH_ORIGIN_TOL = 1.0e-8
+#: Relative snap width for recognising the constant separatrix a == gamma.
+SEPARATRIX_SNAP = 1.0e-13
 
 
 def is_smooth_origin(a0: float) -> bool:
     """Whether the level a(0) = a0 closes the metric up smoothly over t = 0."""
     return abs(a0 - 1.0) <= SMOOTH_ORIGIN_TOL
+
+
+def on_separatrix(params: SolitonParams, a: float) -> bool:
+    """Whether the level a lies within SEPARATRIX_SNAP of a finite positive gamma."""
+    return 0.0 < params.gamma < math.inf and abs(a - params.gamma) <= SEPARATRIX_SNAP * max(1.0, params.gamma)
 
 
 @dataclass(frozen=True)
@@ -313,12 +317,14 @@ def _separatrix_time(params: SolitonParams, a: float) -> float:
     Exact time-to-level map of the separable equation, valid on a monotone
     branch: t = C + G(a).
     """
-    mu = params.mu
     g = params.gamma
+    k = 4.0 * params.mu * (a if math.isinf(g) else g)  # G = 1/k on the steady class
+    if k == 0.0:
+        raise RangeError(f"4 mu {'a' if math.isinf(g) else 'gamma'} underflows to 0 at mu = {params.mu:g}, a = {a:g}")
     if math.isinf(g):
-        return 1.0 / (4.0 * mu * a)
+        return 1.0 / k
     u = np.array([-g / a])
-    return -float(_psi(u, np.array([math.log(abs(a - g) / a)]))[0]) / (4.0 * mu * g)
+    return -float(_psi(u, np.array([math.log(abs(a - g) / a)]))[0]) / k
 
 
 def time_between_levels(params: SolitonParams, a_from: float, a_to: float) -> float:
@@ -407,11 +413,11 @@ def _sorted_unique(x: np.ndarray) -> np.ndarray:
 class ProfileA:
     """A positive solution a(t) on its interval with endpoint behavior tags.
 
-    Representation is the constant separatrix a == gamma (kind "constant")
-    or the implicit solution t = C + G(a) of the branch through the anchor
-    (kind "implicit"), the steady closed forms a = 1/(4 mu (t - C)) included.
-    The form is invariant under the symmetries, so an image carries the
-    transformed parameters and C moved like a time.
+    Representation is the constant separatrix a == gamma (C is nan) or the
+    implicit solution t = C + G(a) of the branch through the anchor, the
+    steady closed forms a = 1/(4 mu (t - C)) included.  The form is
+    invariant under the symmetries, so an image carries the transformed
+    parameters and C moved like a time.
     """
 
     params: SolitonParams
@@ -421,8 +427,7 @@ class ProfileA:
     t1: float
     tag0: EndTag
     tag1: EndTag
-    kind: str  # "constant" | "implicit"
-    C: float = math.nan  # branch constant of t = C + G(a) (implicit)
+    C: float = math.nan  # branch constant of t = C + G(a); nan on the separatrix
     t0_exact: bool = False  # initial blow-up placed analytically, not inferred
 
     # -- evaluation ---------------------------------------------------------
@@ -439,10 +444,6 @@ class ProfileA:
         else:
             out = _level_at(self.params, _branch_class(self.params, self.a_ref), arr - self.C)
         return out if np.ndim(t) else float(out[0])
-
-    def da(self, t):
-        """Exact derivative through the equation itself, a' = rhs(a)."""
-        return self.params.rhs(self.a(t))
 
     # -- diagnostics --------------------------------------------------------
 
@@ -503,7 +504,7 @@ class ProfileA:
 
     @property
     def is_constant(self) -> bool:
-        return self.kind == "constant"
+        return math.isnan(self.C)
 
     def monotonicity(self) -> str:
         """'increasing', 'decreasing' or 'constant' (phase-line trichotomy)."""
@@ -562,23 +563,23 @@ def constant_profile(params: SolitonParams, window: tuple[float, float]) -> Prof
     return ProfileA(
         params=params, t_ref=t_ref, a_ref=g, t0=t_lo, t1=t_hi,
         tag0=EndTag(TRUNCATED), tag1=EndTag(TRUNCATED),
-        kind="constant",
     )
 
 
-def implicit_profile(
-    params: SolitonParams, t_ref: float, a_ref: float, C: float, window: tuple[float, float]
-) -> ProfileA:
+def implicit_profile(params: SolitonParams, t_ref: float, a_ref: float, C: float, window: tuple[float, float],
+                     t0_exact: bool = False) -> ProfileA:
     """The branch t = C + G(a) through the level a_ref on window cap its maximal interval.
 
     An end is reached when the window covers the time at which a passes its
     halting level (A_BLOWUP, A_ZERO, or 1e-12 from gamma); the blow-up then
     sits exactly at C, decay and convergence at infinite time.  Otherwise the
     end is TRUNCATED at the window edge.  An anchor on the separatrix
-    a == gamma has no such branch (see ``constant_profile``).
+    a == gamma has no such branch (see ``constant_profile``), nor does a nan C.
     """
     if _slope_sign(params, a_ref) == 0:
         raise DomainError("anchor on the separatrix a == gamma: the branch is constant")
+    if math.isnan(C):
+        raise RangeError(f"the branch constant C is nan: G(a) overflows at a = {a_ref:g}")
     ends = []
     for forward, edge in ((False, window[0]), (True, window[1])):
         tag = _fate(params, a_ref, forward)
@@ -592,7 +593,7 @@ def implicit_profile(
     t0, tag0, t1, tag1 = ends
     return ProfileA(
         params=params, t_ref=t_ref, a_ref=a_ref, t0=t0, t1=t1,
-        tag0=tag0, tag1=tag1, kind="implicit", C=C,
+        tag0=tag0, tag1=tag1, C=C, t0_exact=t0_exact,
     )
 
 
@@ -617,15 +618,15 @@ def integrate_profile(
     if not (t_lo <= t_ref <= t_hi):
         raise DomainError("window must contain t_ref")
 
-    g = params.gamma
-    if math.isfinite(g) and g > 0.0 and abs(a_ref - g) <= SEPARATRIX_SNAP * max(1.0, g):
+    if on_separatrix(params, a_ref):
         return constant_profile(params, (t_lo, t_hi))
 
-    C = t_ref - _separatrix_time(params, a_ref)
-    profile = implicit_profile(params, t_ref, a_ref, C, (t_lo, t_hi))
-    if profile.t0 == 0.0 and profile.tag0.kind == TRUNCATED:
-        if is_smooth_origin(profile.a(0.0)):
-            profile = replace(profile, tag0=EndTag(SMOOTH_ORIGIN))
+    G = _separatrix_time(params, a_ref)
+    if G == 0.0 == t_ref:  # G vanishes only at a = inf: C = -G lost its sign
+        raise RangeError(f"G(a) underflows to 0 at a = {a_ref:g}, so the sign of C = -G is lost")
+    profile = implicit_profile(params, t_ref, a_ref, t_ref - G, (t_lo, t_hi))
+    if profile.t0 == 0.0 and profile.tag0.kind == TRUNCATED and is_smooth_origin(profile.a(0.0)):
+        profile = replace(profile, tag0=EndTag(SMOOTH_ORIGIN))
     return profile
 
 
@@ -685,6 +686,8 @@ def apply_symmetry(profile: ProfileA, action) -> ProfileA:
     elif isinstance(action, Translate):
         new_params = profile.params
         amp, tsc, shf = 1.0, 1.0, float(action.tau)
+        if not math.isfinite(shf):
+            raise DomainError("tau must be finite")
     else:
         raise DomainError(f"unknown symmetry action {action!r}")
 

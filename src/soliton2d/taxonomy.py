@@ -1,7 +1,7 @@
 """Classification into the twelve solution families and canonical catalog.
 
 The decision table follows the phase-line case analysis: the steady branch
-splits by the sign of mu and the reciprocal-affine coefficient, a finite
+splits by the sign of mu and of its blow-up time C, a finite
 positive separatrix splits by the side of the anchor, and the families with
 an initial blow-up split by the sign of the blow-up time T0.  The sign of
 T0 is read from geometry.t0_sign: trusted when it exceeds its numerical
@@ -15,7 +15,7 @@ from __future__ import annotations
 import copy
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError, RangeError
@@ -23,7 +23,6 @@ from .geometry import build_warped_metric, radial_distance, t0_sign
 from .ode import (
     BLOW_UP,
     DECAY_TO_ZERO,
-    SEPARATRIX_SNAP,
     SMOOTH_ORIGIN,
     ProfileA,
     SolitonParams,
@@ -32,6 +31,7 @@ from .ode import (
     closed_form_profile,
     implicit_profile,
     integrate_profile,
+    on_separatrix,
     time_between_levels,
 )
 
@@ -94,11 +94,10 @@ def classify(profile: ProfileA) -> FamilyLabel:
         return FamilyLabel(FLAT_SEPARATRIX)
     a0 = profile.a_ref
     if math.isinf(g):
-        phi = 1.0 / a0 - 4.0 * p.mu * profile.t_ref
         if p.mu < 0.0:
             return FamilyLabel(G1_CIGAR)
-        return FamilyLabel(G2_EXPLODING) if phi > 0.0 else FamilyLabel(G3)
-    if g > 0.0 and abs(a0 - g) <= SEPARATRIX_SNAP * max(1.0, g):
+        return FamilyLabel(G2_EXPLODING) if profile.C < 0.0 else FamilyLabel(G3)
+    if on_separatrix(p, a0):
         return FamilyLabel(FLAT_SEPARATRIX)
     if g > 0.0:
         if p.mu > 0.0:
@@ -121,12 +120,9 @@ def classify(profile: ProfileA) -> FamilyLabel:
 # ---------------------------------------------------------------------------
 
 
-def _require_range(tag: str, nu: float, lo: float, hi: float, lo_open=True, hi_open=True):
-    ok = (nu > lo if lo_open else nu >= lo) and (nu < hi if hi_open else nu <= hi)
-    if not ok:
-        lo_b = "(" if lo_open else "["
-        hi_b = ")" if hi_open else "]"
-        raise RangeError(f"{tag} requires nu in {lo_b}{lo:g}, {hi:g}{hi_b}, got {nu:g}")
+def _require_range(tag: str, nu: float, lo: float, hi: float, lo_open=True):
+    if not ((nu > lo if lo_open else nu >= lo) and nu < hi):
+        raise RangeError(f"{tag} requires nu in {'(' if lo_open else '['}{lo:g}, {hi:g}), got {nu:g}")
 
 
 def disk_boundary_distance(gamma: float) -> float:
@@ -197,8 +193,7 @@ def _blowup_anchor_profile(params: SolitonParams, T0: float) -> ProfileA:
     the level a = max(1e6, 4 |gamma|) on the blow-up side of the branch."""
     a_anchor = max(_A_ANCHOR, 4.0 * abs(params.gamma))
     t_anchor = T0 + _separatrix_time(params, a_anchor)
-    prof = implicit_profile(params, t_anchor, a_anchor, T0, (min(0.0, T0), math.inf))
-    return replace(prof, t0_exact=True)
+    return implicit_profile(params, t_anchor, a_anchor, T0, (min(0.0, T0), math.inf), t0_exact=True)
 
 
 def catalog(tag: str, nu: float) -> CatalogEntry:

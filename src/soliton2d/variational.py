@@ -201,12 +201,11 @@ def first_variation(metric: WarpedMetric, v: VariationField) -> float:
         raise WindowError("variation support exceeds the metric domain")
     sl = _window_slice(metric, (v.r0, v.r1), pad=2)
     _check_nonzero_K(metric.K[sl])
-    r, b, K, up, upp, bp = _central_fields(metric, sl)
-    cot = bp / b
+    r, b, K, _, plus, minus = _central_fields(metric, sl)
     phi = np.asarray(v.phi_at(r))
     psi = np.asarray(v.psi_at(r))
-    trace_term = -0.25 * _simpson(2.0 * phi * (upp + cot * up + 2.0 * K) * 2.0 * math.pi * b, r)
-    tf_term = 0.5 * _simpson(psi * (upp - cot * up) * 2.0 * math.pi * b, r)
+    trace_term = -0.25 * _simpson(2.0 * phi * (plus + 2.0 * K) * 2.0 * math.pi * b, r)
+    tf_term = 0.5 * _simpson(psi * minus * 2.0 * math.pi * b, r)
     return float(trace_term + tf_term)
 
 
@@ -218,8 +217,8 @@ def noether_defect(metric: WarpedMetric, window) -> float:
     """
     sl = _window_slice(metric, window)
     _check_nonzero_K(metric.K[sl])
-    _, b, K, up, upp, bp = _central_fields(metric, sl)
-    return float(np.max(np.abs(upp + bp / b * up + 2.0 * K - 2.0 * metric.params.lam)))
+    _, _, K, _, plus, _ = _central_fields(metric, sl)
+    return float(np.max(np.abs(plus + 2.0 * K - 2.0 * metric.params.lam)))
 
 
 def _central4(f: np.ndarray, h: float):

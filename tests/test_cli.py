@@ -369,6 +369,37 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert "soliton: RANGE:" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--lambda", "0", "--mu", "-6.4e-286", "--a0", "2.4e-159"],
+        ["classify", "--lambda", "5.06e-144", "--mu", "3.63e138", "--a0", "1.7e-126"],
+        ["report", "--lambda", "5.06e-144", "--mu", "3.63e138", "--a0", "1.7e-126"],
+        ["classify", "--lambda", "0", "--mu", "1.1e169", "--a0", "3.8e169"],
+        ["report", "--lambda", "0", "--mu", "1.1e169", "--a0", "3.8e169"],
+        ["report", "--lambda", "0", "--mu", "-2.385431410574351e+197", "--a0", "4.336074798850423e-223",
+         "--t0", "9.987123255918306e+220"],
+    ], ids=["time_scale_underflow", "nan_C_classify", "nan_C_report", "C_sign_lost_classify",
+            "C_sign_lost_report", "cone_angle_overflow"])
+    def test_branch_time_outside_float_range(self, argv, capsys):
+        # internal ZeroDivisionError / IndexError (exit 2), or G5 and G2_EXPLODING
+        # against an IndexError and a CYLINDER_END of radius 0 from report
+        code, out, err = run_capture(argv, capsys)
+        assert (code, out) == (1, "")
+        assert "soliton: RANGE:" in err
+
+    def test_underflowing_slope_keeps_a_blow_up_bound(self, capsys):
+        # a' = 2 lambda a^3 - 4 mu a^2 underflows to 0 at the anchor; the T0
+        # bound divided by it and classify exited 2
+        flags = ["--lambda", "-8.540649283685946e+44", "--mu", "14.380112391088037",
+                 "--a0", "3.6517407237882324e-165", "--t0", "-4.068318887140987e-244"]
+        code, out, _ = run_capture(["classify", *flags], capsys)
+        label = json.loads(out)
+        assert code == 0 and label["family"] == "G10"
+        assert 0.0 < label["t0_uncertainty"] < abs(label["t0_estimate"])
+        code, out, _ = run_capture(["report", *flags], capsys)
+        rep = json.loads(out)
+        assert code == 0
+        assert (rep["inner_end"]["kind"], rep["outer_end"]["kind"]) == ("CONE_END", "EXPLODING_END")
+
     def test_metric_next_to_blowup_with_large_mu(self, capsys):
         # dr/dx underflows to 0 toward the blow-up at t = 1; the Newton step
         # of the inverse divided 0 by 0 there and printed "b": "nan"

@@ -614,6 +614,47 @@ class TestRadialDistanceMpmath:
             radial_distance(catalog("G11", 1.0).profile, 0.0, 1.0)  # cusp
 
 
+class TestBlowUpEnds:
+    """One rule names a blow-up end at T >= 0: a cylinder when lambda = 0, a
+    cusp at T = 0, both at infinite distance, and a geodesic boundary
+    otherwise."""
+
+    @pytest.mark.parametrize("tag", ["G8", "G9", "G3"])
+    def test_origin_anchor_off_the_domain(self, tag):
+        # the cusp (G8) and cylinder (G3) lie at infinite distance, and the
+        # G9 boundary leaves no t = 0: b0 = 0 is an anchor like any other
+        prof = catalog(tag, 1.0).profile
+        with pytest.raises(DomainError, match="anchor circle lies outside the profile domain"):
+            build_warped_metric(prof, (0.0, 0.0), (0.0, 1.0), 11)
+
+    @pytest.mark.parametrize("tag,kind", [("G3", "CYLINDER_END"), ("G8", "CUSP_END"), ("G9", "GEODESIC_BOUNDARY")])
+    def test_inner_end_and_distance(self, tag, kind):
+        prof = catalog(tag, 1.0).profile
+        rep = geometry_report(prof)
+        assert rep.inner_end.kind == kind and rep.complete_inner == (kind != "GEODESIC_BOUNDARY")
+        assert geometry._far_edge(prof, prof.t0) == rep.complete_inner
+
+    def test_a0_underflow_is_a_range_error(self):
+        # a(0) underflows to 0 on a steady branch: the cone angle 2 pi / a(0) divided by zero
+        prof = integrate_profile(make_params(0.0, -2.385431410574351e+197), 9.987123255918306e+220,
+                                 4.336074798850423e-223, (-math.inf, math.inf))
+        with np.errstate(over="ignore"), pytest.raises(RangeError, match="a\\(0\\) underflows"):
+            geometry_report(prof)
+
+    @pytest.mark.parametrize("lam,mu,a_ref", [
+        (-1.0, 1.0, 0.5), (-1.0, -1.0, 0.5), (1.0, 1.0, 3.0), (1.0, -1.0, 3.0),
+        (1.0, 1.0, 1.0), (-1.0, -2.0, 1.0), (0.0, 1.0, 1.0), (0.0, -1.0, 1.0),
+    ])
+    def test_table_direction_is_the_slope_sign(self, lam, mu, a_ref):
+        # a rises with v on every branch class, so sign dt/dv = sign a'
+        prof = integrate_profile(make_params(lam, mu), 0.0, a_ref, (-math.inf, math.inf))
+        table = geometry._ArcTable(prof, *geometry._metric_t_interval(prof))
+        with np.errstate(all="ignore"):  # dr/dv is not read, and t < 0 at some v
+            dt_dv = table._v_point(np.linspace(-5.0, 5.0, 11))[2]
+        assert np.all(np.sign(dt_dv) == table.sigma)
+        assert table.sigma == np.sign(prof.params.rhs(a_ref))
+
+
 class TestCylinderEnds:
     """A cylinder end lies at infinite distance: windows deep into it build,
     with b at the cylinder radius."""

@@ -35,6 +35,7 @@ from soliton2d.ode import (
     TRUNCATED,
     _PSI_SERIES,
     _psi,
+    _separatrix_time,
     implicit_profile,
 )
 from conftest import mp_time
@@ -465,3 +466,62 @@ class TestMpmathOracles:
                 g = mpmath.mpf(gamma)
                 exact = (-1 - mpmath.log(1 - g) / g) / (4 * mpmath.mpf(mu))
             assert abs(blow_up_time_closed(mu, gamma) - exact) <= 1e-15 * abs(exact)
+
+
+class TestBranchTimesOutsideFloatRange:
+    """Where a branch's time leaves the float range, a typed RangeError, not
+    an internal ZeroDivisionError or IndexError or a profile that contradicts
+    its own report."""
+
+    @pytest.mark.parametrize("lam,mu,a", [
+        (0.0, -6.4e-286, 2.4e-159),  # 4 mu a underflows on the steady class
+        (1e100, 1e-200, 1.0),  # 4 mu gamma underflows (gamma = 2e-300)
+    ], ids=["steady", "gamma"])
+    def test_time_scale_underflow(self, lam, mu, a):
+        p = make_params(lam, mu)
+        with pytest.raises(RangeError, match="underflows to 0"):
+            _separatrix_time(p, a)
+        with pytest.raises(RangeError):
+            integrate_profile(p, 0.0, a, (-math.inf, math.inf))
+
+    def test_nan_branch_constant(self):
+        # G(a_ref) overflows: C is nan and the profile would be read as the separatrix
+        p = make_params(5.06e-144, 3.63e138)
+        with pytest.raises(RangeError, match="C is nan"):
+            integrate_profile(p, 0.0, 1.7e-126, (-math.inf, math.inf))
+        with pytest.raises(RangeError, match="C is nan"):
+            implicit_profile(p, 0.0, 1.0, math.nan, (-math.inf, math.inf))
+
+    def test_underflowing_G_at_zero_time(self):
+        # G(3.8e169) = 1 / (4 mu a) underflows to 0, so C = 0 - G has lost its sign
+        p = make_params(0.0, 1.1e169)
+        with pytest.raises(RangeError, match="sign of C"):
+            integrate_profile(p, 0.0, 3.8e169, (-math.inf, math.inf))
+        # away from t_ref = 0, C = t_ref is correctly rounded: the inner cylinder at C = 1
+        prof = integrate_profile(p, 1.0, 3.8e169, (-math.inf, math.inf))
+        assert prof.C == 1.0 and classify(prof).tag == "G3"
+        rep = geometry_report(prof)
+        assert rep.inner_end.kind == "CYLINDER_END" and rep.inner_end.radius == 2.0
+
+
+class TestProfileKindFromC:
+    def test_separatrix_has_nan_C(self):
+        p = make_params(1.0, 1.0)
+        flat = integrate_profile(p, 0.0, 2.0, (0.0, 1.0))
+        assert flat.is_constant and math.isnan(flat.C)
+        assert not integrate_profile(p, 0.0, 1.0, (0.0, 1.0)).is_constant
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    def test_translate_by_non_finite_tau(self, tau):
+        # Translate(nan) gave nan times, and classify called the image G1_CIGAR
+        prof = integrate_profile(make_params(0.0, -1.0), 0.0, 1.0, (0.0, math.inf))
+        with pytest.raises(DomainError, match="tau must be finite"):
+            apply_symmetry(prof, Translate(tau))
+
+    def test_t0_exact_through_the_constructor(self):
+        # the branch through a = 1e6 with its initial blow-up at t = 0
+        p = make_params(-1.0, 1.0)
+        t_ref = _separatrix_time(p, 1e6)
+        prof = implicit_profile(p, t_ref, 1e6, 0.0, (0.0, math.inf), t0_exact=True)
+        assert prof.t0_exact and prof.t0 == 0.0 and prof.tag0.kind == BLOW_UP
+        assert not implicit_profile(p, t_ref, 1e6, 0.0, (0.0, math.inf)).t0_exact

@@ -4,10 +4,13 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from soliton2d import (
     DomainError,
     RangeError,
+    SolitonError,
     Rescale,
     Scale,
     SolitonParams,
@@ -23,7 +26,7 @@ from soliton2d import (
     make_params,
 )
 from soliton2d.geometry import radial_distance
-from soliton2d.taxonomy import FAMILY_TAGS, _disk_profile
+from soliton2d.taxonomy import CATALOG_TABLE, FAMILY_TAGS, _disk_profile
 from conftest import FAMILY_SAMPLES, NU_SAMPLES, cached_entry, mp_time
 
 
@@ -345,3 +348,48 @@ class TestScalingConsistency:
         t0 = prof.t0
         moved = apply_symmetry(prof, Translate(-2.0 * t0))
         assert classify(moved).tag == "G12"
+
+
+# ends the report must show for each family: the inner end (else a smooth
+# point or cone vertex at t = 0) and the outer end of its listing row
+_INNER_END = {"G3": "CYLINDER_END", "G8": "CUSP_END", "G11": "CUSP_END",
+              "G9": "GEODESIC_BOUNDARY", "G12": "GEODESIC_BOUNDARY"}
+_OUTER_END = {row["family"]: row["outer_end"] for row in CATALOG_TABLE}
+_OUTER_END.update(G4_PLUS=_OUTER_END["G4"], G4_MINUS=_OUTER_END["G4"], FLAT_SEPARATRIX="CONE_END")
+
+
+def _signed_scale():
+    return st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([-1.0, 1.0]), st.floats(-300.0, 300.0))
+
+
+class TestEveryScale:
+    """integrate, classify and report at scales up to 1e+-300: each raises
+    nothing but SolitonError, and where classify and report both return,
+    the report's ends are those of the family."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(lam=st.just(0.0) | _signed_scale(), mu=_signed_scale(),
+           a0=st.builds(lambda e: 10.0**e, st.floats(-300.0, 300.0)), t0=st.just(0.0) | _signed_scale())
+    @example(lam=5.06e-144, mu=3.63e138, a0=1.7e-126, t0=0.0)
+    @example(lam=0.0, mu=-6.4e-286, a0=2.4e-159, t0=0.0)
+    @example(lam=0.0, mu=1.1e169, a0=3.8e169, t0=0.0)
+    @example(lam=-8.540649283685946e+44, mu=14.380112391088037, a0=3.6517407237882324e-165,
+             t0=-4.068318887140987e-244)
+    @example(lam=0.0, mu=-2.385431410574351e+197, a0=4.336074798850423e-223, t0=9.987123255918306e+220)
+    def test_typed_and_consistent(self, lam, mu, a0, t0):
+        try:
+            prof = integrate_profile(make_params(lam, mu), t0, a0, (-math.inf, math.inf))
+        except SolitonError:
+            return
+        try:
+            tag = classify(prof).tag
+        except SolitonError:
+            tag = None
+        try:
+            rep = geometry_report(prof)
+        except SolitonError:
+            return
+        if tag in _OUTER_END:
+            inner = _INNER_END.get(tag)
+            assert rep.inner_end.kind in ((inner,) if inner else ("SMOOTH_POINT", "CONE_END")), tag
+            assert rep.outer_end.kind == _OUTER_END[tag], tag
