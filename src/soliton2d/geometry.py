@@ -6,11 +6,11 @@ The quadrature runs in the branch's own level coordinate v (ode.py), in
 which both a and t = C + G(a) are explicit.  Its nodes are 1/2 apart where
 dr/dv varies on the unit scale and grow where it is constant (toward a
 cylinder or cusp) or follows the cone law; a tail toward a geodesic boundary
-stops once the rest of r is below an ulp.  Only next to a regular t = 0
-(smooth origin or cone vertex), where t = C + (t - C) would cancel, does a
-short piece run in w = sqrt(t) through profile.a.  Gauss curvature follows
-the algebraic identity K = lambda - 2 mu / a; the finite-difference route
--b''/b is kept separate as an independent check.
+stops once the rest of r is below an ulp.  Only from a lower edge at or
+next to a regular t = 0 (smooth origin or cone vertex), where t = C + (t - C)
+would cancel, does a short piece run in w = sqrt(t) through profile.a.
+Gauss curvature follows the algebraic identity K = lambda - 2 mu / a; the
+finite-difference route -b''/b is kept separate as an independent check.
 """
 
 from __future__ import annotations
@@ -152,16 +152,17 @@ class _ArcTable:
     """Cumulative arc length r(x) from the circle at t_lo to the one at t_hi.
 
     r = int a/sqrt(t) dt is taken over one coordinate x with a point map
-    x -> (a, t, dr/dx).  Next to a regular lower edge (t = 0 or a window
-    edge) x is w = sqrt(t) up to a seam, and a comes from profile.a.
-    Everywhere else x runs along the branch's level coordinate v
-    (v = sigma x + v_shift, sigma = sign dt/dv = sign a'), in which a and t are
-    explicit (ode._level_point), and the nodes follow dr/dv (_v_offsets).
-    Cylinder and cusp ends lie at v = _V_MAX, decay and cone ends at
-    _DECAY_SPAN and _CONE_SPAN.  A geodesic boundary (C > 0 at v = inf) is
-    cut where the rest of r is below an ulp of the part from ve = 1/2 (or the
-    v piece's nearer end), since r = 0 is no nearer it: int a dt from v to it
-    is log1p(e^-v) / (4 |mu|), over sqrt(t) with t between t(ve) and C.
+    x -> (a, t, dr/dx).  From a lower edge t_lo at or near t = 0 (t rises by
+    more than t_lo over the half unit of v to a seam) x is w = sqrt(t) up to
+    the seam, and a comes from profile.a.  Everywhere else, where t keeps its
+    digits but w barely moves over a segment, x runs along the branch's level
+    coordinate v (v = sigma x + v_shift, sigma = sign dt/dv = sign a'), in
+    which a and t are explicit (ode._level_point), and the nodes follow dr/dv
+    (_v_offsets).  Cylinder and cusp ends lie at v = _V_MAX, decay and cone
+    ends at _DECAY_SPAN and _CONE_SPAN.  A geodesic boundary (C > 0 at v = inf)
+    is cut where the rest of r is below an ulp of the part from ve = 1/2 (or
+    the v piece's nearer end), since r = 0 is no nearer it: int a dt from v to
+    it is log1p(e^-v) / (4 |mu|), over sqrt(t) with t between t(ve) and C.
 
     Node values come from per-segment Gauss-Legendre; evaluation between
     nodes adds the exact partial-segment quadrature, so r(x) and its inverse
@@ -187,8 +188,10 @@ class _ArcTable:
             if blow0:
                 v0, t_c = _V_MAX, -math.inf
             else:
-                v0 = self._v_at(t_lo) + self.sigma * _SEAM
-                t_c = float(self._v_point(np.array([v0]))[1][0])
+                v0 = self._v_at(t_lo)
+                t_c = float(self._v_point(np.array([v0 + self.sigma * _SEAM]))[1][0])
+                # a w piece up to the seam next to t = 0; an edge farther out starts on v
+                v0, t_c = (v0 + self.sigma * _SEAM, t_c) if t_c - t_lo >= t_lo else (v0, -math.inf)
         nodes = []
         if t_c > t_lo:
             self.t_w = (t_lo, min(t_c, t_hi))
@@ -361,6 +364,7 @@ class WarpedMetric:
 
     t_of_r = b^2/4 is exact; b' = 1/a(t) and K = lambda - 2 mu/a along built
     metrics, or finite-difference values for metrics built from raw b data.
+    r_extent: the r-range of the branch (build_warped_metric), window (entry_metric) or grid.
     """
 
     params: SolitonParams
@@ -407,35 +411,35 @@ def build_warped_metric(
     r0, b0 = float(anchor[0]), float(anchor[1])
     if b0 < 0.0:
         raise DomainError("anchor b0 must be nonnegative")
-    r_lo_req, r_hi_req = float(r_window[0]), float(r_window[1])
-    if not r_lo_req < r_hi_req:
+    if not float(r_window[0]) < float(r_window[1]):
         raise WindowEmptyError("empty r-window")
 
     t_lo, t_hi = _metric_t_interval(profile)
     t_anchor = 0.25 * b0 * b0
     if not (t_lo <= t_anchor <= t_hi) or _far_edge(profile, t_anchor):
         raise DomainError("anchor circle lies outside the profile domain")
-    if b0 == 0.0:
-        a0 = profile.a(0.0)
-        if not is_smooth_origin(a0):
-            raise NotSmoothOriginError(
-                f"b0 = 0 requires lim a(t) = 1 at t -> 0, got {a0!r}"
-            )
+    return _sampled_metric(_ArcTable(profile, t_lo, t_hi), r0, t_anchor, r_window, n_samples, b0 == 0.0)
 
-    table = _ArcTable(profile, t_lo, t_hi)
+
+def _sampled_metric(table: _ArcTable, r0: float, t_anchor: float, r_window, n: int, origin: bool) -> WarpedMetric:
+    """The metric on n samples over r_window, clipped to the table's extent, with r = r0 at
+    the circle t_anchor; with origin that circle is a smooth origin, where the grid may start."""
+    profile = table.profile
+    if origin and not is_smooth_origin(a0 := profile.a(0.0)):
+        raise NotSmoothOriginError(f"b0 = 0 requires lim a(t) = 1 at t -> 0, got {a0!r}")
     off = r0 - float(table.r_of_x(table.x_at(t_anchor))[0])
     extent = (off + float(table.r[0]), off + float(table.r[-1]))
-    r_lo = max(r_lo_req, extent[0])
-    r_hi = min(r_hi_req, extent[1])
+    r_lo = max(float(r_window[0]), extent[0])
+    r_hi = min(float(r_window[1]), extent[1])
     if not r_lo < r_hi:
         raise WindowEmptyError(
-            f"requested r-window [{r_lo_req:g}, {r_hi_req:g}] misses the metric extent "
+            f"requested r-window [{r_window[0]:g}, {r_window[1]:g}] misses the metric extent "
             f"[{extent[0]:g}, {extent[1]:g}]"
         )
 
-    r = np.linspace(r_lo, r_hi, n_samples)
+    r = np.linspace(r_lo, r_hi, n)
     x = table.x_of_r(r - off)
-    include_origin = b0 == 0.0 and r_lo == r0
+    include_origin = origin and r_lo == r0
     if include_origin:
         x[0] = 0.0
     a_vals, t, _ = table.point(x)
@@ -445,7 +449,7 @@ def build_warped_metric(
         _log.debug("arc table: %d w nodes, v nodes %d 1/2 apart within _V_FLAT of the centre, %d grown and %d "
                    "1/2 apart beyond, seam x_c = %r; x_of_r: %d segments in %d parts; %d table and %d "
                    "inverse point-map evaluations for %d samples", *table.node_counts, table.x_c,
-                   *table.segments, table.table_evals, table.evals - table.table_evals, n_samples)
+                   *table.segments, table.table_evals, table.evals - table.table_evals, n)
     return WarpedMetric(
         params=profile.params,
         r=r,
@@ -492,13 +496,18 @@ def radial_distance(profile: ProfileA, t_from: float, t_to: float) -> float:
     blow-up edge at finite distance (a geodesic boundary).  A cylinder or
     cusp edge lies at infinite distance and raises.
     """
+    r = _window_table(profile, t_from, t_to).r
+    return float(r[-1] - r[0])
+
+
+def _window_table(profile: ProfileA, t_from: float, t_to: float) -> _ArcTable:
+    """The arc table from the circle at t_from to the one at t_to, both at finite distance."""
     t_lo, t_hi = _metric_t_interval(profile)
     if not (t_lo <= t_from < t_to <= t_hi and math.isfinite(t_to)):
         raise DomainError("need t_from < t_to inside the metric's t-range")
     if _far_edge(profile, t_from) or _far_edge(profile, t_to):
         raise DomainError("a cylinder or cusp edge lies at infinite distance")
-    r = _ArcTable(profile, t_from, t_to).r
-    return float(r[-1] - r[0])
+    return _ArcTable(profile, t_from, t_to)
 
 
 def curvature_from_b(metric: WarpedMetric, r: float) -> float:
@@ -688,9 +697,10 @@ def geometry_report(profile: ProfileA) -> GeometryReport:
 
     # K = lambda - 2 mu / a is monotone in a and a is monotone in t, so the
     # curvature range comes from the end levels: a = inf gives lambda, a = 0
-    # an infinity, and K vanishes on the separatrix
+    # an infinity, and the separatrix level a = gamma exactly 0 (to which
+    # lambda - 2 mu / gamma only rounds)
     with np.errstate(divide="ignore", over="ignore"):
-        K = np.zeros(2) if profile.is_constant else profile.params.curvature(a_ends)
+        K = np.where(a_ends == profile.params.gamma, 0.0, profile.params.curvature(a_ends))
     if not np.all(np.isfinite(K) | (a_ends == 0.0)):  # K is infinite only at a = 0
         raise RangeError("the curvature range overflows")
 

@@ -307,7 +307,8 @@ def _level_coordinate(params: SolitonParams, branch: str, dt: np.ndarray) -> np.
 def _level_at(params: SolitonParams, branch: str, dt: np.ndarray) -> np.ndarray:
     """a on the branch class at times t with t - C = dt (vectorized)."""
     if branch == _STEADY:
-        return 1.0 / (4.0 * params.mu * dt)
+        with np.errstate(over="ignore"):  # a underflows to 0 where 4 mu dt overflows
+            return 1.0 / (4.0 * params.mu * dt)
     return _a_of_v(params.gamma, branch, _level_coordinate(params, branch, dt))
 
 
@@ -615,8 +616,8 @@ def integrate_profile(
     if not math.isfinite(a_ref) or a_ref <= 0.0:
         raise NonpositiveAnchorError("a_ref must be positive")
     t_lo, t_hi = float(window[0]), float(window[1])
-    if not (t_lo <= t_ref <= t_hi):
-        raise DomainError("window must contain t_ref")
+    if not (math.isfinite(t_ref) and t_lo <= t_ref <= t_hi):
+        raise DomainError("window must contain a finite t_ref")
 
     if on_separatrix(params, a_ref):
         return constant_profile(params, (t_lo, t_hi))

@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DomainError, RangeError
-from .geometry import build_warped_metric, radial_distance, t0_sign
+from .errors import RangeError
+from .geometry import _sampled_metric, _window_table, radial_distance, t0_sign
 from .ode import (
     BLOW_UP,
     DECAY_TO_ZERO,
@@ -358,7 +358,8 @@ def entry_metric(entry: CatalogEntry, h: float = 1e-3):
     (at least 4 gamma), decaying sides at a = _A_FLOOR, converging sides
     where |a - gamma| drops to _CONV_DEV * gamma.  Decaying sides stop no
     lower than |gamma| / 4, and annuli start 16 times higher: in a / |gamma|
-    G11 is one metric at every nu.  Grid spacing is h.
+    G11 is one metric at every nu.  Grid spacing is h.  One arc table over
+    the window both measures and samples it, so r_extent is the window.
     """
     prof = entry.profile
     p = prof.params
@@ -380,8 +381,6 @@ def entry_metric(entry: CatalogEntry, h: float = 1e-3):
     # the moderate inner level
     smooth_inner = prof.t0 < 0.0 or prof.tag0.kind == SMOOTH_ORIGIN
     t_in = 0.0 if smooth_inner else _t_at_level(prof, max(a_cap, 16.0 * a_floor))
-    if not t_in < t_out:
-        raise DomainError("degenerate verification window; adjust the level caps")
-    r_out = radial_distance(prof, t_in, t_out)
-    return build_warped_metric(prof, (0.0, 2.0 * math.sqrt(t_in)), (0.0, r_out),
-                               n_samples=int(round(r_out / h)) + 1)
+    table = _window_table(prof, t_in, t_out)
+    r_out = float(table.r[-1] - table.r[0])
+    return _sampled_metric(table, 0.0, t_in, (0.0, r_out), int(round(r_out / h)) + 1, t_in == 0.0)

@@ -194,6 +194,15 @@ class TestIntegrateJson:
 
 
 class TestReportEnds:
+    def test_cone_end_curvature_is_zero(self, capsys):
+        # lambda - 2 mu / gamma rounded to -4.4e-16 here, against a POSITIVE sign
+        code, out, _ = run_capture(
+            ["report", "--lambda", "-3.4797432379500255", "--mu", "-0.3206639236865883",
+             "--a0", "0.14166853450308778", "--t0", "0"], capsys)
+        rep = json.loads(out)
+        assert code == 0 and rep["outer_end"]["kind"] == "CONE_END"
+        assert rep["curvature_sign"] == "POSITIVE" and rep["K_inf"] == 0.0
+
     def test_flat_plane(self, capsys):
         # gamma = a0 = 1: the separatrix closes up smoothly, K = 0 throughout
         code, out, _ = run_capture(["report", "--lambda", "2", "--mu", "1", "--a0", "1"], capsys)
@@ -385,6 +394,23 @@ class TestExitCodes:
         code, out, err = run_capture(argv, capsys)
         assert (code, out) == (1, "")
         assert "soliton: RANGE:" in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_typed_error_without_numpy_warning(self, capsys):
+        # 4 mu (t - C) overflows in a(t) on the steady branch; numpy's overflow
+        # warning reached stderr ahead of the RANGE line
+        code, out, err = run_capture(
+            ["report", "--lambda", "0", "--mu", "-2.385431410574351e+197", "--a0", "4.336074798850423e-223",
+             "--t0", "9.987123255918306e+220"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("soliton: RANGE:")
+
+    @pytest.mark.parametrize("command", ["classify", "report"])
+    def test_infinite_anchor_time_domain_error(self, command, capsys):
+        # classify printed G1_CIGAR from C = inf with exit 0, report a RANGE error
+        code, out, err = run_capture([command, "--lambda", "0", "--mu", "-1", "--a0", "1", "--t0", "inf"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("soliton: DOMAIN:")
 
     def test_underflowing_slope_keeps_a_blow_up_bound(self, capsys):
         # a' = 2 lambda a^3 - 4 mu a^2 underflows to 0 at the anchor; the T0

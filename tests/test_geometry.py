@@ -342,6 +342,26 @@ class TestArcLengthInverse:
         assert count[0] <= 1 * r.size
 
 
+@pytest.mark.parametrize("tag", FAMILY_TAGS)
+def test_one_table_per_entry_metric(tag, monkeypatch, caplog):
+    # the window (t_in, t_out) is measured and sampled on the same table
+    entry = cached_entry(tag, FAMILY_SAMPLES[tag])
+    tables = []
+    init = geometry._ArcTable.__init__
+
+    def counting(self, *args):
+        tables.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(geometry._ArcTable, "__init__", counting)
+    with caplog.at_level(logging.DEBUG, logger="soliton.geometry"):
+        m = entry_metric(entry)
+    assert len(tables) == 1
+    assert len([rec for rec in caplog.records if rec.name == "soliton.geometry"]) == 1
+    # the entry metric's extent is its window
+    assert m.r_extent == (0.0, m.r[-1])
+
+
 class TestCuspEndWithLargeMu:
     """At a cusp (C = 0) t = k psi underflows toward the end before the arc
     length does, since k = -1 / (4 mu gamma) ~ 1/nu^4 on G11."""
@@ -525,6 +545,19 @@ class TestRadialDistance:
             assert radial_distance(prof, 0.0, t) == pytest.approx(
                 math.atanh(2.0 * math.sqrt(t)), rel=1e-9
             )
+
+    @pytest.mark.parametrize("t_from", [1e-300, 1e-12, 1e-6, 1e-3, 1e-2, 0.1, 0.24])
+    def test_cigar_from_interior_edges(self, t_from):
+        # tables from next to t = 0, which open with the w piece, to next to
+        # the cylinder end, which start on the level coordinate
+        prof = catalog("G1_CIGAR", 1.0).profile
+        for t_to in (0.05, 0.2, 0.2499, 0.25 - 1e-9):
+            if not t_from < t_to:
+                continue
+            with mpmath.workdps(40):
+                ref = float(mpmath.atanh(2 * mpmath.sqrt(t_to)) - mpmath.atanh(2 * mpmath.sqrt(t_from)))
+            got = radial_distance(prof, t_from, t_to)
+            assert abs(got - ref) <= 4 * EPS * max(1.0, ref), (t_from, t_to)
 
 
 class TestRadialDistanceMpmath:

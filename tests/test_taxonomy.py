@@ -393,3 +393,33 @@ class TestEveryScale:
             inner = _INNER_END.get(tag)
             assert rep.inner_end.kind in ((inner,) if inner else ("SMOOTH_POINT", "CONE_END")), tag
             assert rep.outer_end.kind == _OUTER_END[tag], tag
+
+
+def _moderate_scale():
+    return st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([-1.0, 1.0]), st.floats(-2.0, 2.0))
+
+
+class TestCurvatureSign:
+    """The report's curvature sign agrees with its K range: POSITIVE means
+    K_inf >= 0, NEGATIVE means K_sup <= 0 and ZERO means both are 0.  a0 is
+    drawn on its own scale or as a multiple of |gamma|, which reaches the
+    cone ends a -> gamma, where K is exactly 0."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(lam=st.just(0.0) | _moderate_scale() | _signed_scale(), mu=_moderate_scale() | _signed_scale(),
+           a0=st.builds(lambda e: 10.0**e, st.floats(-2.0, 2.0) | st.floats(-300.0, 300.0)),
+           of_gamma=st.booleans(), t0=st.just(0.0) | _moderate_scale() | _signed_scale())
+    @example(lam=-3.4797432379500255, mu=-0.3206639236865883, a0=0.14166853450308778, of_gamma=False, t0=0.0)
+    def test_sign_matches_range(self, lam, mu, a0, of_gamma, t0):
+        try:
+            params = make_params(lam, mu)
+            a0 = a0 * abs(params.gamma) if of_gamma and math.isfinite(params.gamma) else a0
+            rep = geometry_report(integrate_profile(params, t0, a0, (-math.inf, math.inf)))
+        except SolitonError:
+            return
+        if rep.curvature_sign == "POSITIVE":
+            assert rep.K_inf >= 0.0
+        elif rep.curvature_sign == "NEGATIVE":
+            assert rep.K_sup <= 0.0
+        else:
+            assert rep.curvature_sign == "ZERO" and rep.K_inf == rep.K_sup == 0.0
