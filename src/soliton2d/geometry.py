@@ -6,9 +6,14 @@ The quadrature runs in the branch's own level coordinate v (ode.py), in
 which both a and t = C + G(a) are explicit.  Its nodes are 1/2 apart where
 dr/dv varies on the unit scale and grow where it is constant (toward a
 cylinder or cusp) or follows the cone law; a tail toward a geodesic boundary
-stops once the rest of r is below an ulp.  Only from a lower edge at or
-next to a regular t = 0 (smooth origin or cone vertex), where t = C + (t - C)
-would cancel, does a short piece run in w = sqrt(t) through profile.a.
+stops once the rest of r is below an ulp.  From a lower edge at or next to a
+regular t = 0 (smooth origin or cone vertex), where t = C + (t - C) would
+cancel, a near-edge piece runs up to a seam: where the caller holds the
+edges' levels (entry_metric), in x with x^2 = t_lo + c |v - v_lo|, in which a
+and t = t_lo + rise (ode._rise) are explicit, so no level is inverted; where
+it holds only times (radial_distance, build_warped_metric), in w = sqrt(t)
+through profile.a, which keeps their values bit for bit.  An edge next to a
+cusp (C = 0) starts on v at x = 0.
 Gauss curvature follows the algebraic identity K = lambda - 2 mu / a; the
 finite-difference route -b''/b is kept separate as an independent check.
 """
@@ -42,9 +47,11 @@ from .ode import (
     _fate,
     _level_coordinate,
     _level_point,
+    _rise,
     _separatrix_time,
     _slope_sign,
     _sorted_unique,
+    _v_of_level,
     constant_profile,
     implicit_profile,
     is_smooth_origin,
@@ -93,12 +100,12 @@ def curvature_from_a(params: SolitonParams, a) -> float:
 # Arc-length table
 # ---------------------------------------------------------------------------
 
-#: Distance in v from a regular lower edge to the seam where the w = sqrt(t)
+#: Distance in v from a regular lower edge to the seam where the near-edge
 #: piece hands over to the level coordinate.  a changes by a factor of about
 #: e^0.5 there, so t = C + (t - C) no longer cancels, and the 1/sqrt(t)
 #: singularity at the edge stays half a unit of v away from the v nodes.
 _SEAM = 0.5
-_W_SEGMENTS = 16  # Gauss-Legendre segments of the w piece
+_EDGE_SEGMENTS = 16  # Gauss-Legendre segments of the near-edge piece
 #: A decay end (t -> inf, a -> 0) lies at finite distance but is not a
 #: circle of the metric.  Its table stops 60 e-folds of a below the branch
 #: scale, where the rest of the tail is about e^-30 of the radius.
@@ -114,7 +121,8 @@ _MAX_PARTS = 32  # x_of_r splits a table segment into at most this many equal pa
 
 
 def _parts(f, x, r):
-    """Parts of each segment (nodes x, r; f: dr/dx at its Gauss-Legendre points) for x_of_r.
+    """Parts of each segment (nodes x, r; f: dr/dx at its Gauss-Legendre points) for x_of_r,
+    and the largest estimate over its tolerance.
 
     There r = r_start + half y(tau), y = _ANTI @ f, with coefficients c_k ~ c1 rho^(k-1).  On n
     parts the dropped c8 and the error of one Newton step from a cubic Hermite guess (25 rho^7 of
@@ -124,8 +132,8 @@ def _parts(f, x, r):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         rho = np.max((c[2:] / np.maximum(c[1], np.finfo(float).tiny)) ** (1.0 / np.arange(1, 7))[:, None], axis=0)
         err = np.nan_to_num(13.0 * np.diff(x) * c[1] * rho**7)
-    tol = 0.5 * np.finfo(float).eps * np.maximum(1.0, np.minimum(np.abs(r[:-1]), np.abs(r[1:])))
-    return np.clip(np.ceil((err / tol) ** 0.125), 1, _MAX_PARTS).astype(int)
+    ratio = err / (0.5 * np.finfo(float).eps * np.maximum(1.0, np.minimum(np.abs(r[:-1]), np.abs(r[1:]))))
+    return np.clip(np.ceil(ratio ** 0.125), 1, _MAX_PARTS).astype(int), float(ratio.max())
 
 
 def _v_offsets(span: float, c: float, grow_lo: bool, grow_hi: bool):
@@ -152,17 +160,23 @@ class _ArcTable:
     """Cumulative arc length r(x) from the circle at t_lo to the one at t_hi.
 
     r = int a/sqrt(t) dt is taken over one coordinate x with a point map
-    x -> (a, t, dr/dx).  From a lower edge t_lo at or near t = 0 (t rises by
-    more than t_lo over the half unit of v to a seam) x is w = sqrt(t) up to
-    the seam, and a comes from profile.a.  Everywhere else, where t keeps its
-    digits but w barely moves over a segment, x runs along the branch's level
-    coordinate v (v = sigma x + v_shift, sigma = sign dt/dv = sign a'), in
-    which a and t are explicit (ode._level_point), and the nodes follow dr/dv
-    (_v_offsets).  Cylinder and cusp ends lie at v = _V_MAX, decay and cone
-    ends at _DECAY_SPAN and _CONE_SPAN.  A geodesic boundary (C > 0 at v = inf)
-    is cut where the rest of r is below an ulp of the part from ve = 1/2 (or
-    the v piece's nearer end), since r = 0 is no nearer it: int a dt from v to
-    it is log1p(e^-v) / (4 |mu|), over sqrt(t) with t between t(ve) and C.
+    x -> (a, t, dr/dx).  From a lower edge t_lo at or near a regular t = 0
+    (t rises by more than t_lo over the half unit of v to a seam), where
+    C + (t - C) would cancel, a near-edge piece runs up to the seam.  Given
+    the edges' levels a_lo, a_hi (`levels`) it is explicit: x^2 = t_lo +
+    c |v - v_lo| (c = |dt/dv| at the edge, so x ~ sqrt(t)), a from v and
+    t = t_lo + ode._rise; from 0 < t_lo its first nodes grow geometrically,
+    since dr/dx has a pole near x = 0.  Given times alone, x is w = sqrt(t)
+    and a comes from profile.a.  Elsewhere x runs along the branch's level
+    coordinate v (v = sigma x + v_shift, sigma = sign dt/dv = sign a'; x = 0
+    at an edge next to a cusp, C = 0), in which a and t are explicit, with
+    nodes that follow dr/dv (_v_offsets).  An edge's v comes from its level
+    where the caller holds it, else by inverting its time.  Cylinder and
+    cusp ends lie at v = _V_MAX, decay and cone ends at _DECAY_SPAN and
+    _CONE_SPAN.  A geodesic boundary (C > 0 at v = inf) is cut where the rest
+    of r is below an ulp of the part from ve = 1/2 (or the v piece's nearer
+    end), since r = 0 is no nearer it: int a dt from v to it is
+    log1p(e^-v) / (4 |mu|), over sqrt(t) with t between t(ve) and C.
 
     Node values come from per-segment Gauss-Legendre; evaluation between
     nodes adds the exact partial-segment quadrature, so r(x) and its inverse
@@ -170,36 +184,52 @@ class _ArcTable:
     (interpolated tables leave node-scale wiggles that finite differencing
     downstream would amplify by 1/h^2).  x_of_r inverts sorted samples by
     collocation on parts of the segments that hold them, as many parts as an
-    error estimate from the table's own quadrature asks for (`parts`).
-    `evals` counts point-map evaluations (`table_evals` of them for the table
-    itself) and `segments` the (segments, parts) of the last x_of_r.
+    error estimate from the table's own quadrature asks for (`parts`; `worst`
+    is the largest estimate over its tolerance).  `start` names the table's
+    start, `evals` counts point-map evaluations (`table_evals` of them for the
+    table itself) and `segments` the (segments, parts) of the last x_of_r.
     """
 
-    def __init__(self, profile: ProfileA, t_lo: float, t_hi: float):
-        self.profile = profile
-        self.evals = 0
-        self.x_c = -math.inf  # end of the w piece
-        if profile.is_constant:  # flat cone: the w piece alone
+    def __init__(self, profile: ProfileA, t_lo: float, t_hi: float, a_lo=None, a_hi=None):
+        self.profile, self.t_lo, self.evals = profile, t_lo, 0
+        # the near-edge piece in v where both edges' levels are given, else in w
+        self.levels = a_lo is not None and a_hi is not None and not profile.is_constant
+        self.x_c = t_c = -math.inf  # end of the near-edge piece
+        if profile.is_constant:  # flat cone: the near-edge piece alone
             t_hi = t_c = min(t_hi, _W_FLAT**2)
         else:
-            self.branch = _branch_class(profile.params, profile.a_ref)
-            self.sigma = _slope_sign(profile.params, profile.a_ref)
+            p, C = profile.params, profile.C
+            self.branch, self.sigma = _branch_class(p, profile.a_ref), _slope_sign(p, profile.a_ref)
             blow0 = profile.tag0.kind == BLOW_UP and t_lo == profile.t0
-            if blow0:
-                v0, t_c = _V_MAX, -math.inf
-            else:
-                v0 = self._v_at(t_lo)
-                t_c = float(self._v_point(np.array([v0 + self.sigma * _SEAM]))[1][0])
-                # a w piece up to the seam next to t = 0; an edge farther out starts on v
-                v0, t_c = (v0 + self.sigma * _SEAM, t_c) if t_c - t_lo >= t_lo else (v0, -math.inf)
+            cusp = C == 0.0 and not blow0  # t = k psi has its digits: v starts at x = 0 there
+            self.v_lo = v0 = _V_MAX if blow0 else self._v_at(t_lo, a_lo)
+            if not (blow0 or cusp):
+                with np.errstate(over="ignore"):  # checked next
+                    rise, self.c = _rise(p, self.branch, v0, np.array([self.sigma * _SEAM]))
+                if not (math.isfinite(C) and 0.0 < self.c < math.inf):
+                    raise RangeError(f"t = C + G(a) leaves the float range at t = {t_lo:g} (C = {C:g}, "
+                                     f"|dt/dv| = {self.c:g})")
+                v_seam = np.array([v0 + self.sigma * _SEAM])
+                seam = t_lo + float(rise[0]) if self.levels else float(self._v_point(v_seam)[1][0])
+                if seam - t_lo >= t_lo:  # the near-edge piece up to the seam
+                    t_c, v0 = seam, v0 + self.sigma * _SEAM
+        self.start = "near-edge piece" if t_c > t_lo else "v from " + (
+            "a blow-up" if blow0 else "a cusp edge" if cusp else "an interior edge")
         nodes = []
         if t_c > t_lo:
-            self.t_w = (t_lo, min(t_c, t_hi))
-            self.x_c = math.sqrt(self.t_w[1])
-            nodes.append(np.linspace(math.sqrt(t_lo), self.x_c, _W_SEGMENTS + 1))
-        n_w, zones = sum(n.size for n in nodes), (0, 0, 0)
+            x_lo = math.sqrt(t_lo)
+            if self.levels:  # x^2 = t_lo + c |v - v_lo|, with a pole of dr/dx near x = 0 where t_lo > 0
+                span = _SEAM if t_hi >= t_c else abs(self._v_at(t_hi, a_hi) - self.v_lo)
+                self.x_c = math.sqrt(t_lo + self.c * span)
+                if t_lo > 0.0:
+                    nodes.append(x_lo * 1.25 ** np.arange(1.0, math.log(self.x_c / x_lo) / math.log(1.25)))
+            else:  # w = sqrt(t)
+                self.t_w = (t_lo, min(t_c, t_hi))
+                self.x_c = math.sqrt(self.t_w[1])
+            nodes.append(np.linspace(x_lo, self.x_c, _EDGE_SEGMENTS + 1))
+        n_edge, zones = sum(n.size for n in nodes), (0, 0, 0)
         if t_c < t_hi:
-            tag1, C, steady = profile.tag1.kind, profile.C, math.isinf(profile.params.gamma)
+            tag1, steady = profile.tag1.kind, math.isinf(profile.params.gamma)
             if tag1 == BLOW_UP and t_hi == profile.t1:
                 v_end = _V_MAX
             elif math.isinf(t_hi) and tag1 == DECAY_TO_ZERO:
@@ -207,15 +237,15 @@ class _ArcTable:
             elif math.isinf(t_hi):  # convergence to the separatrix
                 v_end = v0 + self.sigma * _CONE_SPAN
             else:
-                v_end = self._v_at(t_hi)
+                v_end = self._v_at(t_hi, a_hi)
             if C > 0.0 and profile.a_ref > profile.params.gamma:  # a geodesic boundary at v = inf
                 ve = min(max(0.5, min(v0, v_end)), max(v0, v_end))  # r = 0 lies no nearer it
                 te = float(self._v_point(np.array([ve]))[1][0])
                 v_stop = math.ceil(2.0 * _V_FLAT + 2.0 * math.log(2.0 / np.logaddexp(0.0, -ve))
                                    + abs(math.log(te / C))) / 2.0  # on the half-unit node grid
                 v0, v_end = min(v0, v_stop), min(v_end, v_stop)
-            # x goes on from the w piece, or is sigma v, which keeps x small where the branch turns
-            x0 = self.x_c if nodes else self.sigma * v0
+            # x goes on from the near-edge piece, is 0 at a cusp-side edge, or is sigma v: small where r is
+            x0 = self.x_c if nodes else 0.0 if cusp else self.sigma * v0
             self.v_shift = v0 - self.sigma * x0
             # dr/dv is flat toward a cusp (C = 0) or cylinder (steady), where its e^-|v - c| terms
             # centre on v = 0, or on the turn of t - C = e^-v / (4 mu); it follows a law toward a cone
@@ -226,50 +256,60 @@ class _ArcTable:
                                   kind1 == CONVERGES or (kind1 == BLOW_UP and flat))
             nodes.append(x0 + s)
         self.x = _sorted_unique(np.concatenate(nodes))
-        self.node_counts = (n_w, *zones)  # w piece and v zones
+        self.node_counts = (n_edge, *zones)  # near-edge piece and v zones
         # r = 0 at the node nearest x = 0, where the branch turns, and sums
         # run outward from there: their rounding stays at the scale of the
         # turn, not of an infinitely far end cut at the edge of the v-range
         incr, f = self._quad(self.x[:-1], self.x[1:])
         k = int(np.argmin(np.abs(self.x)))
         self.r = np.concatenate([-np.cumsum(incr[:k][::-1])[::-1], [0.0], np.cumsum(incr[k:])])
-        self.parts = _parts(f, self.x, self.r)
+        self.parts, self.worst = _parts(f, self.x, self.r)
         self.table_evals = self.evals
 
-    def _v_at(self, t: float) -> float:
-        dt = np.array([t - self.profile.C])
-        return float(_level_coordinate(self.profile.params, self.branch, dt)[0])
+    def _v_at(self, t: float, a: Optional[float] = None) -> float:
+        """Level coordinate of the circle at t, from its level a where the caller holds it."""
+        if a is not None:
+            return _v_of_level(self.profile.params, self.branch, a)
+        return float(_level_coordinate(self.profile.params, self.branch, np.array([t - self.profile.C]))[0])
 
     def _v_point(self, v):
         return _level_point(self.profile.params, self.branch, self.profile.C, v)
 
     def point(self, x):
-        """(a, t, dr/dx) at the table coordinate x, on the w piece where
-        x <= x_c and on the v piece elsewhere."""
+        """(a, t, dr/dx) at the table coordinate x, on the near-edge piece
+        where x <= x_c and on the v piece elsewhere."""
         x = np.asarray(x, dtype=float)
         self.evals += x.size
-        w_sel = x <= self.x_c
-        if not w_sel.any():
+        edge = x <= self.x_c
+        if not edge.any():
             return self._v_map(x)
-        if w_sel.all():
-            return self._w_map(x)
+        if edge.all():
+            return self._edge_map(x)
         out = (np.empty_like(x), np.empty_like(x), np.empty_like(x))
-        for sel, piece in ((w_sel, self._w_map), (~w_sel, self._v_map)):
+        for sel, piece in ((edge, self._edge_map), (~edge, self._v_map)):
             for o, val in zip(out, piece(x[sel])):
                 o[sel] = val
         return out
 
-    def _w_map(self, w):
-        t = np.clip(w * w, *self.t_w)
-        a = self.profile.a(t)
-        return a, t, 2.0 * a
+    def _edge_map(self, x):
+        """(a, t, dr/dx) on the near-edge piece: in v explicitly, with dr/dx = dr/dv 2x / c, or in
+        w = sqrt(t) with a from profile.a, dr/dw = 2a."""
+        if not self.levels:
+            t = np.clip(x * x, *self.t_w)
+            a = self.profile.a(t)
+            return a, t, 2.0 * a
+        p, d = self.profile.params, (self.sigma / self.c) * (x * x - self.t_lo)  # d = v - v_lo
+        with np.errstate(divide="ignore", invalid="ignore"):  # at x = t = 0 dr/dx is its limit 2a
+            a, t, _, dr = _level_point(p, self.branch, self.profile.C, self.v_lo + d,
+                                       self.t_lo + _rise(p, self.branch, self.v_lo, d)[0])
+            return a, t, np.where(t > 0.0, dr * (2.0 / self.c) * x, 2.0 * a)
 
     def _v_map(self, x):
         a, t, _, dr = self._v_point(self.sigma * x + self.v_shift)
         return a, t, dr
 
     def x_at(self, t: float) -> float:
-        """Table coordinate of the circle at t."""
+        """Table coordinate of the circle at t, on a table with its near-edge piece in w."""
         if math.sqrt(t) <= self.x_c:
             x = math.sqrt(t)
         else:
@@ -418,16 +458,17 @@ def build_warped_metric(
     t_anchor = 0.25 * b0 * b0
     if not (t_lo <= t_anchor <= t_hi) or _far_edge(profile, t_anchor):
         raise DomainError("anchor circle lies outside the profile domain")
-    return _sampled_metric(_ArcTable(profile, t_lo, t_hi), r0, t_anchor, r_window, n_samples, b0 == 0.0)
+    table = _ArcTable(profile, t_lo, t_hi)
+    return _sampled_metric(table, r0, table.x_at(t_anchor), r_window, n_samples, b0 == 0.0)
 
 
-def _sampled_metric(table: _ArcTable, r0: float, t_anchor: float, r_window, n: int, origin: bool) -> WarpedMetric:
+def _sampled_metric(table: _ArcTable, r0: float, x_anchor: float, r_window, n: int, origin: bool) -> WarpedMetric:
     """The metric on n samples over r_window, clipped to the table's extent, with r = r0 at
-    the circle t_anchor; with origin that circle is a smooth origin, where the grid may start."""
+    the table coordinate x_anchor; with origin that is a smooth origin, where the grid may start."""
     profile = table.profile
-    if origin and not is_smooth_origin(a0 := profile.a(0.0)):
+    if origin and not is_smooth_origin(a0 := float(table._edge_map(table.x[:1])[0][0])):
         raise NotSmoothOriginError(f"b0 = 0 requires lim a(t) = 1 at t -> 0, got {a0!r}")
-    off = r0 - float(table.r_of_x(table.x_at(t_anchor))[0])
+    off = r0 - float(table.r_of_x(x_anchor)[0])
     extent = (off + float(table.r[0]), off + float(table.r[-1]))
     r_lo = max(float(r_window[0]), extent[0])
     r_hi = min(float(r_window[1]), extent[1])
@@ -446,10 +487,11 @@ def _sampled_metric(table: _ArcTable, r0: float, t_anchor: float, r_window, n: i
     if include_origin:
         a_vals[0] = 1.0
     if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("arc table: %d w nodes, v nodes %d 1/2 apart within _V_FLAT of the centre, %d grown and %d "
-                   "1/2 apart beyond, seam x_c = %r; x_of_r: %d segments in %d parts; %d table and %d "
-                   "inverse point-map evaluations for %d samples", *table.node_counts, table.x_c,
-                   *table.segments, table.table_evals, table.evals - table.table_evals, n)
+        _log.debug("arc table from %s: %d near-edge nodes, v nodes %d 1/2 apart within _V_FLAT of the centre, "
+                   "%d grown and %d 1/2 apart beyond, seam x_c = %r; x_of_r: %d segments in %d parts, worst "
+                   "estimate %.3g of its tolerance; %d table and %d inverse point-map evaluations for %d samples",
+                   table.start, *table.node_counts, table.x_c, *table.segments, table.worst, table.table_evals,
+                   table.evals - table.table_evals, n)
     return WarpedMetric(
         params=profile.params,
         r=r,
@@ -500,14 +542,14 @@ def radial_distance(profile: ProfileA, t_from: float, t_to: float) -> float:
     return float(r[-1] - r[0])
 
 
-def _window_table(profile: ProfileA, t_from: float, t_to: float) -> _ArcTable:
-    """The arc table from the circle at t_from to the one at t_to, both at finite distance."""
+def _window_table(profile: ProfileA, t_from: float, t_to: float, a_from=None, a_to=None) -> _ArcTable:
+    """The arc table between the circles at t_from and t_to (levels a_from, a_to where known), at finite distance."""
     t_lo, t_hi = _metric_t_interval(profile)
     if not (t_lo <= t_from < t_to <= t_hi and math.isfinite(t_to)):
         raise DomainError("need t_from < t_to inside the metric's t-range")
     if _far_edge(profile, t_from) or _far_edge(profile, t_to):
         raise DomainError("a cylinder or cusp edge lies at infinite distance")
-    return _ArcTable(profile, t_from, t_to)
+    return _ArcTable(profile, t_from, t_to, a_from, a_to)
 
 
 def curvature_from_b(metric: WarpedMetric, r: float) -> float:
@@ -602,8 +644,10 @@ def t0_uncertainty(profile: ProfileA) -> float:
     and gamma amplified by the condition number |a G'(a)| = |a / a'(a)|.
     """
     p, a = profile.params, profile.a_ref
-    slope = p.rhs(a)  # where a' underflows, |a / a'| = 1 / |4 mu a (a/gamma - 1)| from its factors
-    cond = abs(a / slope) if slope else 1.0 / max(abs(4.0 * p.mu * a * (a / p.gamma - 1.0)), np.finfo(float).tiny)
+    with np.errstate(over="ignore", invalid="ignore"):  # where a' under- or overflows, |a / a'| =
+        slope = p.rhs(a)  # 1 / |4 mu a (a/gamma - 1)| from its factors
+    cond = abs(a / slope) if 0.0 < abs(slope) < math.inf else 1.0 / max(abs(4.0 * p.mu * a * (a / p.gamma - 1.0)),
+                                                                         np.finfo(float).tiny)
     scale = abs(profile.t0) + abs(profile.t_ref) + abs(_separatrix_time(p, a)) + cond
     return 8.0 * np.finfo(float).eps * scale
 

@@ -60,8 +60,8 @@ def is_smooth_origin(a0: float) -> bool:
 
 
 def on_separatrix(params: SolitonParams, a: float) -> bool:
-    """Whether the level a lies within SEPARATRIX_SNAP of a finite positive gamma."""
-    return 0.0 < params.gamma < math.inf and abs(a - params.gamma) <= SEPARATRIX_SNAP * max(1.0, params.gamma)
+    """Whether the level a lies within SEPARATRIX_SNAP * gamma of a finite positive gamma."""
+    return 0.0 < params.gamma < math.inf and abs(a - params.gamma) <= SEPARATRIX_SNAP * params.gamma
 
 
 @dataclass(frozen=True)
@@ -215,22 +215,48 @@ def _a_of_v(g: float, branch: str, v: np.ndarray) -> np.ndarray:
     return np.exp(v)
 
 
-def _level_point(params: SolitonParams, branch: str, C: float, v: np.ndarray):
+def _v_of_level(params: SolitonParams, branch: str, a: float) -> float:
+    """The level coordinate of the level a (the inverse of _a_of_v), clipped to the class's v-range."""
+    g, (lo, hi) = params.gamma, _V_RANGE[branch]
+    y = a / -g if branch == _NEG else (a - g) / g if branch == _ABOVE else a / (g - a) if branch == _BELOW else a
+    return min(max(math.log(y) if y > 0.0 else -math.inf, lo), hi)  # y underflows at extreme scales
+
+
+def _level_point(params: SolitonParams, branch: str, C: float, v: np.ndarray, t: Optional[np.ndarray] = None):
     """(a, t, dt/dv, dr/dv) at the level coordinate v of the branch t = C + G(a).
 
     Both a and t are explicit in v: t - C = k psi(u) with k = -1 / (4 mu gamma),
     or k = 1 / (4 mu a) and psi = 1 on the steady class; dr/dv = a |dt/dv| / sqrt(t).
+    A t given by the caller (a rise from a regular t = 0, where C + k psi cancels) is kept.
     """
     a = _a_of_v(params.gamma, branch, v)
     if branch == _STEADY:
         k, ps, dps = 1.0 / (4.0 * params.mu * a), 1.0, -1.0
     else:
         k, (ps, dps) = -1.0 / (4.0 * params.mu * params.gamma), _psi_v(branch, v)
-    t, dt = C + k * ps, k * dps
+    t, dt = C + k * ps if t is None else t, k * dps
     if C == 0.0:  # toward a cusp end t = k psi underflows long before dr/dv does
         return a, t, dt, a * np.sqrt(np.abs(k)) * np.abs(dps) / np.sqrt(np.abs(ps))
     del ps, dps  # the arc table's quadrature sets the peak memory here
     return a, t, dt, a * np.abs(dt) / np.sqrt(t)
+
+
+def _rise(params: SolitonParams, branch: str, v_lo: float, d: np.ndarray):
+    """(t(v_lo + d) - t(v_lo), |dt/dv| at v_lo) for |d| <= 1/2, without the cancellation of C + k psi.
+    On NEG and ABOVE psi(u) - psi(u_lo) = A q - log1p(q), A = 1 + u_lo, q = (u - u_lo) / A, cancels by
+    A / |A - 1| (1 + e^v_lo, e^v_lo); where that passes 4 it is taken as (A - 1) q + psi(q)."""
+    k = 1.0 / (4.0 * params.mu) if branch == _STEADY else -1.0 / (4.0 * params.mu * params.gamma)
+    E = math.exp(v_lo if branch in (_NEG, _ABOVE) else -v_lo)
+    if branch == _STEADY:  # t - C = k e^-v
+        return k * E * np.expm1(-d), abs(k) * E
+    if branch == _BELOW:  # psi = v - 1 - e^-v
+        return k * (d - E * np.expm1(-d)), abs(k) * (1.0 + E)
+    if branch == _NEG:  # E = 1 / u_lo; on ABOVE E = -1 / u_lo - 1 underflows far along the cone
+        q, A, A1 = np.expm1(-d) / (1.0 + E), 1.0 + 1.0 / E, 1.0 / E
+    else:
+        q, A, A1 = np.expm1(d) / (1.0 + E * np.exp(d)), E / (1.0 + E), -1.0 / (1.0 + E)
+    log1pq = np.log1p(q)
+    return k * (A * q - log1pq if A <= 4.0 * abs(A1) else A1 * q + _psi(q, log1pq)), abs(k * A1) / (1.0 + E)
 
 
 def _stretch_target(branch: str, s: np.ndarray) -> np.ndarray:
@@ -284,24 +310,25 @@ def _level_coordinate(params: SolitonParams, branch: str, dt: np.ndarray) -> np.
     if branch == _STEADY:
         with np.errstate(divide="ignore"):
             return np.clip(-np.log(4.0 * mu * dt), lo, hi)
-    s = 4.0 * mu * g * dt
-    if branch != _BELOW:
-        # blow-up branches have s < 0 inside the domain; keep rounding there
-        s = np.minimum(s, -np.finfo(float).tiny)
-    s_target = _stretch_target(branch, s)
-    s0, vt = _level_table(branch)
-    x = (s_target - s0) * (1.0 / _TABLE_DS)
-    j = np.clip(x, 0.0, vt.size - 2.0).astype(np.intp)
-    v = vt[j] + (x - j) * (vt[j + 1] - vt[j])  # extrapolates linearly past the table
-    for _ in range(2):
-        np.clip(v, lo, hi, out=v)
-        s_v, ds = _stretch(branch, v)
-        v -= (s_v - s_target) / ds
-    if branch == _BELOW:
-        # S is logarithmic on the convergence side; past the table (v > 40)
-        # -psi = 1 - v + e^-v = s gives v = 1 - s to rounding
-        v = np.where(s < -39.0, 1.0 - s, v)
-    return np.clip(v, lo, hi, out=v)
+    with np.errstate(over="ignore", invalid="ignore"):  # s overflows at extreme scales: v is nan there
+        s = 4.0 * mu * g * dt
+        if branch != _BELOW:
+            # blow-up branches have s < 0 inside the domain; keep rounding there
+            s = np.minimum(s, -np.finfo(float).tiny)
+        s_target = _stretch_target(branch, s)
+        s0, vt = _level_table(branch)
+        x = (s_target - s0) * (1.0 / _TABLE_DS)
+        j = np.clip(x, 0.0, vt.size - 2.0).astype(np.intp)
+        v = vt[j] + (x - j) * (vt[j + 1] - vt[j])  # extrapolates linearly past the table
+        for _ in range(2):
+            np.clip(v, lo, hi, out=v)
+            s_v, ds = _stretch(branch, v)
+            v -= (s_v - s_target) / ds
+        if branch == _BELOW:
+            # S is logarithmic on the convergence side; past the table (v > 40)
+            # -psi = 1 - v + e^-v = s gives v = 1 - s to rounding
+            v = np.where(s < -39.0, 1.0 - s, v)
+        return np.clip(v, lo, hi, out=v)
 
 
 def _level_at(params: SolitonParams, branch: str, dt: np.ndarray) -> np.ndarray:
@@ -325,7 +352,8 @@ def _separatrix_time(params: SolitonParams, a: float) -> float:
     if math.isinf(g):
         return 1.0 / k
     u = np.array([-g / a])
-    return -float(_psi(u, np.array([math.log(abs(a - g) / a)]))[0]) / k
+    with np.errstate(invalid="ignore"):  # u overflows where a << |gamma|: G is nan, and the caller raises
+        return -float(_psi(u, np.array([math.log(abs(a - g) / a)]))[0]) / k
 
 
 def time_between_levels(params: SolitonParams, a_from: float, a_to: float) -> float:
@@ -609,8 +637,8 @@ def integrate_profile(
     Solves the separable equation exactly: the branch through the anchor is
     t = C + G(a) with C = t_ref - G(a_ref), so a blow-up end sits at t = C
     and decay or convergence ends at infinity (see ``implicit_profile`` for
-    when a window counts as reaching them).  Anchors within SEPARATRIX_SNAP of gamma
-    snap to the constant solution.
+    when a window counts as reaching them).  Anchors within SEPARATRIX_SNAP * gamma
+    of gamma snap to the constant solution.
     """
     t_ref, a_ref = float(t_ref), float(a_ref)
     if not math.isfinite(a_ref) or a_ref <= 0.0:

@@ -368,19 +368,21 @@ def entry_metric(entry: CatalogEntry, h: float = 1e-3):
     a_floor = max(min(_A_FLOOR, 0.75 * prof.a_ref), 0.25 * abs(g) if math.isfinite(g) else 0.0)
 
     if prof.tag1.kind == BLOW_UP:
-        t_out = _t_at_level(prof, a_cap) if prof.a_ref < a_cap else prof.t_ref
+        a_out = max(a_cap, prof.a_ref)
     elif prof.tag1.kind == DECAY_TO_ZERO:
-        t_out = _t_at_level(prof, a_floor)
+        a_out = a_floor
     else:  # CONVERGES: stop where a - gamma still carries |K| safely above noise
-        dev0 = abs(prof.a_ref - g)
-        dev = min(_CONV_DEV * abs(g), 0.5 * dev0)
-        level = g + dev if prof.a_ref > g else g - dev
-        t_out = _t_at_level(prof, level)
+        dev = min(_CONV_DEV * abs(g), 0.5 * abs(prof.a_ref - g))
+        a_out = g + dev if prof.a_ref > g else g - dev
 
     # r = 0 at a smooth inner edge t = 0, or on an annulus at the circle of
-    # the moderate inner level
+    # the moderate inner level; the table reads each edge's v from its level
     smooth_inner = prof.t0 < 0.0 or prof.tag0.kind == SMOOTH_ORIGIN
-    t_in = 0.0 if smooth_inner else _t_at_level(prof, max(a_cap, 16.0 * a_floor))
-    table = _window_table(prof, t_in, t_out)
+    if smooth_inner:  # catalog entries are anchored there
+        t_in, a_in = 0.0, prof.a_ref if prof.t_ref == 0.0 else None
+    else:
+        a_in = max(a_cap, 16.0 * a_floor)
+        t_in = _t_at_level(prof, a_in)
+    table = _window_table(prof, t_in, _t_at_level(prof, a_out), a_in, a_out)
     r_out = float(table.r[-1] - table.r[0])
-    return _sampled_metric(table, 0.0, t_in, (0.0, r_out), int(round(r_out / h)) + 1, t_in == 0.0)
+    return _sampled_metric(table, 0.0, table.x[0], (0.0, r_out), int(round(r_out / h)) + 1, t_in == 0.0)

@@ -29,6 +29,11 @@ class TestClassifyCommand:
         assert data["family"] == "G1_CIGAR"
         assert data["gamma"] == "inf"
 
+    def test_snap_is_relative_to_gamma(self, capsys):
+        # a0 = 1.5e36 gamma lies within 1e-13 of gamma = 2e-50, and printed FLAT_SEPARATRIX
+        code, out, _ = run_capture(["classify", "--lambda", "1", "--mu", "1e-50", "--a0", "3e-14"], capsys)
+        assert code == 0 and json.loads(out)["family"] == "G4_PLUS"
+
     def test_g7_with_estimate(self, capsys):
         code, out, _ = run_capture(
             ["classify", "--lambda", "-4", "--mu", "-1", "--a0", "1"], capsys)
@@ -404,6 +409,16 @@ class TestExitCodes:
              "--t0", "9.987123255918306e+220"], capsys)
         assert (code, out) == (1, "")
         assert err.startswith("soliton: RANGE:")
+
+    def test_result_without_numpy_warning(self):
+        # a' = 2 lambda a^3 - 4 mu a^2 overflows in the T0 bound; numpy's overflow warning reached
+        # stderr ahead of the G7 result
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-m", "soliton2d.cli", "classify", "--lambda", "-1", "--mu", "-1",
+                               "--a0", "1e103", "--t0", "0"], env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["family"] == "G7"
 
     @pytest.mark.parametrize("command", ["classify", "report"])
     def test_infinite_anchor_time_domain_error(self, command, capsys):

@@ -29,9 +29,10 @@ from soliton2d import (
     metric_from_grid,
     radial_distance,
 )
+from soliton2d import ode
 from soliton2d.geometry import EndDescriptor
 from soliton2d.taxonomy import FAMILY_TAGS
-from conftest import FAMILY_SAMPLES, NU_SAMPLES, cached_entry, cached_metric
+from conftest import FAMILY_SAMPLES, NU_SAMPLES, cached_entry, cached_metric, mp_time
 
 
 class TestCurvatureFromA:
@@ -406,12 +407,13 @@ def test_debug_record_per_metric(caplog):
     with caplog.at_level(logging.DEBUG, logger="soliton.geometry"):
         build_warped_metric(prof, (0.0, 0.0), (0.0, 3.0), 2001)
     (record,) = [rec for rec in caplog.records if rec.name == "soliton.geometry"]
-    n_w, n_unit, n_grown, n_beyond, x_c, segments, parts, table_evals, inverse_evals, samples = record.args
+    (start, n_edge, n_unit, n_grown, n_beyond, x_c, segments, parts, worst, table_evals, inverse_evals,
+     samples) = record.args
     table = _cigar_table()
     assert record.levelno == logging.DEBUG
-    assert (n_w, x_c) == (geometry._W_SEGMENTS + 1, table.x_c)
-    # the seam node ends the w piece and starts the v piece
-    assert n_w + n_unit + n_grown + n_beyond == table.x.size + 1
+    assert (start, n_edge, x_c) == ("near-edge piece", geometry._EDGE_SEGMENTS + 1, table.x_c)
+    # the seam node ends the near-edge piece and starts the v piece
+    assert n_edge + n_unit + n_grown + n_beyond == table.x.size + 1
     # the cylinder end grows; toward it dr/dv is flat past _V_FLAT, so no node lies 1/2 apart beyond
     assert n_grown > 0 and n_beyond == 0
     assert samples == 2001
@@ -419,9 +421,25 @@ def test_debug_record_per_metric(caplog):
     held = np.unique(np.clip(np.searchsorted(table.r, np.linspace(0.0, 3.0, samples)), 1, table.x.size - 1))
     assert segments == held.size and parts == table.parts[held - 1].sum()
     assert segments <= parts <= geometry._MAX_PARTS * segments
+    # the worst estimate over its tolerance sets the most parts of any segment
+    assert worst == table.worst and table.parts.max() == min(max(math.ceil(worst ** 0.125), 1), geometry._MAX_PARTS)
     # the table's own quadrature; then the anchor's, 7 per part and one per sample
     assert table_evals == 7 * (table.x.size - 1)
     assert inverse_evals == 7 + 7 * parts + samples
+
+
+@pytest.mark.parametrize("build,start", [
+    (lambda: _blowup_start("G9", 2.0), "v from a blow-up"),
+    (lambda: entry_metric(cached_entry("G11", 1.0)), "v from a cusp edge"),
+    (lambda: entry_metric(cached_entry("G12", 1.0)), "v from an interior edge"),
+    (lambda: entry_metric(cached_entry("G6", math.pi)), "near-edge piece"),
+], ids=["g9_blowup", "g11_cusp_window", "g12_annulus_window", "g6_origin"])
+def test_debug_record_names_the_start(build, start, caplog):
+    with caplog.at_level(logging.DEBUG, logger="soliton.geometry"):
+        build()
+    (record,) = [rec for rec in caplog.records if rec.name == "soliton.geometry"]
+    assert record.args[0] == start and record.args[1] == (start == "near-edge piece") * (geometry._EDGE_SEGMENTS + 1)
+    assert math.isfinite(record.args[8]) and record.args[8] >= 0.0
 
 
 @pytest.mark.parametrize("build,budget", [(lambda: _g6_to_50(20001), 64792 // 2), (_cigar_to_100, 2532)],
@@ -548,7 +566,7 @@ class TestRadialDistance:
 
     @pytest.mark.parametrize("t_from", [1e-300, 1e-12, 1e-6, 1e-3, 1e-2, 0.1, 0.24])
     def test_cigar_from_interior_edges(self, t_from):
-        # tables from next to t = 0, which open with the w piece, to next to
+        # tables from next to t = 0, which open with the near-edge piece, to next to
         # the cylinder end, which start on the level coordinate
         prof = catalog("G1_CIGAR", 1.0).profile
         for t_to in (0.05, 0.2, 0.2499, 0.25 - 1e-9):
@@ -558,6 +576,82 @@ class TestRadialDistance:
                 ref = float(mpmath.atanh(2 * mpmath.sqrt(t_to)) - mpmath.atanh(2 * mpmath.sqrt(t_from)))
             got = radial_distance(prof, t_from, t_to)
             assert abs(got - ref) <= 4 * EPS * max(1.0, ref), (t_from, t_to)
+
+
+class TestNearEdgePiece:
+    """Tables that open at or next to a regular t = 0, on one branch of each class, against a
+    40-digit mpmath quadrature over the level a, where dr = a da / (sqrt(t(a)) |a'(a)|), from
+    edges at and near t = 0 to windows ending inside the near-edge piece (t_to = 0.04) and past
+    its seam: radial_distance, which holds the edges' times (the piece in w = sqrt(t)), and the
+    window table of the same edges given by their levels (the piece explicit in v)."""
+
+    CASES = [("G2_EXPLODING", 1.0, 0.3), ("G10", 1.0, 0.4), ("G7", 3.0 * math.pi, 0.7), ("G6", math.pi, 1.8)]
+
+    @pytest.mark.parametrize("tag,nu,a_far", CASES, ids=["steady", "neg", "above", "below"])
+    @pytest.mark.parametrize("t_from", [0.0, 1e-12, 1e-6, 1e-2])
+    def test_radial_distance_matches_mpmath(self, tag, nu, a_far, t_from):
+        prof = catalog(tag, nu).profile
+        with mpmath.workdps(40):
+            lam, mu, a_ref = (mpmath.mpf(x) for x in (prof.params.lam, prof.params.mu, prof.a_ref))
+
+            def t_of(a):  # the profile is anchored at t_ref = 0
+                with mpmath.extraprec(60):
+                    return mp_time(lam, mu, a) - mp_time(lam, mu, a_ref)
+
+            def level(t):
+                return a_ref if t == 0 else mpmath.findroot(lambda a: t_of(a) - t, (a_ref, a_far), solver="anderson")
+
+            def dr_da(y):  # at a = a_from + y; nodes that round onto a_from hold under 1e-20 of r
+                with mpmath.extraprec(60):
+                    a = a_from + y
+                    t = t_of(a)
+                    return a / (mpmath.sqrt(t) * abs(2 * lam * a**3 - 4 * mu * a**2)) if t > 0 else 0
+
+            a_from = level(t_from)
+            for a_to in (level(mpmath.mpf(0.04)), mpmath.mpf(a_far)):
+                pts = [0] + [(a_to - a_from) * mpmath.mpf(2) ** -k for k in range(8, -1, -1)]
+                ref = float(abs(mpmath.quad(dr_da, pts)))
+                t_to = float(t_of(a_to))
+                table = geometry._window_table(prof, t_from, t_to, float(a_from), float(a_to))
+                assert table.levels and table.start == "near-edge piece"
+                for got in (radial_distance(prof, t_from, t_to), float(table.r[-1] - table.r[0])):
+                    assert abs(got - ref) <= 4 * EPS * max(1.0, ref), (float(a_to), got, ref)
+
+
+def _count_level_inversions(monkeypatch):
+    """Sizes of the t arrays every ode._level_coordinate call inverts while the test runs."""
+    sizes = []
+    invert = geometry._level_coordinate
+
+    def counting(params, branch, dt):
+        sizes.append(np.size(dt))
+        return invert(params, branch, dt)
+
+    monkeypatch.setattr(geometry, "_level_coordinate", counting)
+    monkeypatch.setattr(ode, "_level_coordinate", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("tag", FAMILY_TAGS)
+def test_entry_metric_inverts_no_level(tag, monkeypatch):
+    # every edge of an entry window is read from its level, and the samples from the point map
+    entry = cached_entry(tag, FAMILY_SAMPLES[tag])
+    sizes = _count_level_inversions(monkeypatch)
+    entry_metric(entry)
+    assert sizes == []
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("lam,mu,a0", [
+    (-4.34892564534987e-44, 4.2733610360622594e-181, 1.0),  # |dt/dv| = 1 / (4 mu gamma ...) overflows
+    (-3.51803444315493e-76, -1.9954481924456055e+96, 2.06395796731846e-176),  # C = G(a0) = inf
+    (1.5990606360856977e-141, 9.490762255336447e-141, 4.974582825776629e-212),  # C = -inf
+])
+def test_edge_outside_float_range_raises(lam, mu, a0):
+    # the near-edge piece has no digits; the table built from nan nodes and raised untyped errors
+    prof = integrate_profile(make_params(lam, mu), 0.0, a0, (-math.inf, math.inf))
+    with pytest.raises(RangeError, match="leaves the float range"):
+        radial_distance(prof, 1e-9, 1e-3)
 
 
 class TestRadialDistanceMpmath:

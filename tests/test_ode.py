@@ -375,6 +375,17 @@ class TestMonotonicityTrichotomy:
         assert integrate_profile(p, 0.0, 1.0 + 1e-6, (0.0, 1.0)).monotonicity() == "decreasing"
         assert integrate_profile(p, 0.0, 1.0 - 1e-6, (0.0, 1.0)).monotonicity() == "increasing"
 
+    def test_snap_is_relative_to_gamma(self):
+        # gamma = 2e-50: a0 = 3e-14 lies 1.5e36 gamma off the separatrix, though within 1e-13 of it
+        p = make_params(1.0, 1e-50)
+        assert not integrate_profile(p, 0.0, 3e-14, (0.0, 1.0)).is_constant
+        assert integrate_profile(p, 0.0, p.gamma * (1.0 + 5e-14), (0.0, 1.0)).is_constant
+        assert not integrate_profile(p, 0.0, p.gamma * (1.0 + 1e-12), (0.0, 1.0)).is_constant
+        # and the same anchors at gamma = 2e50 (the snap was relative there already)
+        q = make_params(1.0, 1e50)
+        assert integrate_profile(q, 0.0, q.gamma * (1.0 + 5e-14), (0.0, 1.0)).is_constant
+        assert not integrate_profile(q, 0.0, q.gamma * (1.0 + 1e-12), (0.0, 1.0)).is_constant
+
     def test_direction_survives_underflow_of_rhs(self):
         # rhs(1e-200) = 2 lam a^3 - 4 mu a^2 underflows to 0, yet the branch
         # below gamma = 2 with mu < 0 rises from 0 toward gamma

@@ -367,6 +367,7 @@ class TestEveryScale:
     nothing but SolitonError, and where classify and report both return,
     the report's ends are those of the family."""
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=400, deadline=None)
     @given(lam=st.just(0.0) | _signed_scale(), mu=_signed_scale(),
            a0=st.builds(lambda e: 10.0**e, st.floats(-300.0, 300.0)), t0=st.just(0.0) | _signed_scale())
