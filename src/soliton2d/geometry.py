@@ -8,12 +8,11 @@ dr/dv varies on the unit scale and grow where it is constant (toward a
 cylinder or cusp) or follows the cone law; a tail toward a geodesic boundary
 stops once the rest of r is below an ulp.  From a lower edge at or next to a
 regular t = 0 (smooth origin or cone vertex), where t = C + (t - C) would
-cancel, a near-edge piece runs up to a seam: where the caller holds the
-edges' levels (entry_metric), in x with x^2 = t_lo + c |v - v_lo|, in which a
-and t = t_lo + rise (ode._rise) are explicit, so no level is inverted; where
-it holds only times (radial_distance, build_warped_metric), in w = sqrt(t)
-through profile.a, which keeps their values bit for bit.  An edge next to a
-cusp (C = 0) starts on v at x = 0.
+cancel, a near-edge piece runs up to a seam in x with x^2 = t_lo + c |v - v_lo|,
+in which a and t = t_lo + rise (ode._rise) are explicit too.  An edge's v comes
+from its level where the caller holds it (entry_metric), so no level is
+inverted, else from one scalar inversion of its time (radial_distance,
+build_warped_metric).  An edge next to a cusp (C = 0) starts on v at x = 0.
 Gauss curvature follows the algebraic identity K = lambda - 2 mu / a; the
 finite-difference route -b''/b is kept separate as an independent check.
 """
@@ -115,8 +114,8 @@ _DECAY_SPAN = 60.0
 #: toward a cone (out to _CONE_SPAN), and v nodes grow by 1.25 per segment.
 _V_FLAT = -math.log(math.ulp(1.0))
 _CONE_SPAN = 1.0e15
-#: w-range of the flat cone a == gamma, where r = 2 gamma w is exact.
-_W_FLAT = 1.0e150
+#: x-range of the flat cone a == gamma, where t = x^2 and r = 2 gamma x are exact.
+_X_FLAT = 1.0e150
 _MAX_PARTS = 32  # x_of_r splits a table segment into at most this many equal parts
 
 
@@ -162,16 +161,17 @@ class _ArcTable:
     r = int a/sqrt(t) dt is taken over one coordinate x with a point map
     x -> (a, t, dr/dx).  From a lower edge t_lo at or near a regular t = 0
     (t rises by more than t_lo over the half unit of v to a seam), where
-    C + (t - C) would cancel, a near-edge piece runs up to the seam.  Given
-    the edges' levels a_lo, a_hi (`levels`) it is explicit: x^2 = t_lo +
-    c |v - v_lo| (c = |dt/dv| at the edge, so x ~ sqrt(t)), a from v and
-    t = t_lo + ode._rise; from 0 < t_lo its first nodes grow geometrically,
-    since dr/dx has a pole near x = 0.  Given times alone, x is w = sqrt(t)
-    and a comes from profile.a.  Elsewhere x runs along the branch's level
+    C + (t - C) would cancel, a near-edge piece runs up to the seam.  It is
+    explicit: x^2 = t_lo + c |v - v_lo| (c = |dt/dv| at the edge, so
+    x ~ sqrt(t)), a from v and t = t_lo + ode._rise; from 0 < t_lo its first
+    nodes grow geometrically, since dr/dx has a pole near x = 0.  On the flat
+    cone a == gamma the piece is the whole table, with t = x^2 and
+    dr/dx = 2 gamma.  Elsewhere x runs along the branch's level
     coordinate v (v = sigma x + v_shift, sigma = sign dt/dv = sign a'; x = 0
     at an edge next to a cusp, C = 0), in which a and t are explicit, with
     nodes that follow dr/dv (_v_offsets).  An edge's v comes from its level
-    where the caller holds it, else by inverting its time.  Cylinder and
+    where the caller holds it, else from one scalar inversion of its time,
+    and so does the circle of x_at.  Cylinder and
     cusp ends lie at v = _V_MAX, decay and cone ends at _DECAY_SPAN and
     _CONE_SPAN.  A geodesic boundary (C > 0 at v = inf) is cut where the rest
     of r is below an ulp of the part from ve = 1/2 (or the v piece's nearer
@@ -192,11 +192,9 @@ class _ArcTable:
 
     def __init__(self, profile: ProfileA, t_lo: float, t_hi: float, a_lo=None, a_hi=None):
         self.profile, self.t_lo, self.evals = profile, t_lo, 0
-        # the near-edge piece in v where both edges' levels are given, else in w
-        self.levels = a_lo is not None and a_hi is not None and not profile.is_constant
         self.x_c = t_c = -math.inf  # end of the near-edge piece
-        if profile.is_constant:  # flat cone: the near-edge piece alone
-            t_hi = t_c = min(t_hi, _W_FLAT**2)
+        if profile.is_constant:  # flat cone: the near-edge piece alone, t = x^2
+            t_hi = t_c = min(t_hi, _X_FLAT**2)
         else:
             p, C = profile.params, profile.C
             self.branch, self.sigma = _branch_class(p, profile.a_ref), _slope_sign(p, profile.a_ref)
@@ -209,8 +207,7 @@ class _ArcTable:
                 if not (math.isfinite(C) and 0.0 < self.c < math.inf):
                     raise RangeError(f"t = C + G(a) leaves the float range at t = {t_lo:g} (C = {C:g}, "
                                      f"|dt/dv| = {self.c:g})")
-                v_seam = np.array([v0 + self.sigma * _SEAM])
-                seam = t_lo + float(rise[0]) if self.levels else float(self._v_point(v_seam)[1][0])
+                seam = t_lo + float(rise[0])
                 if seam - t_lo >= t_lo:  # the near-edge piece up to the seam
                     t_c, v0 = seam, v0 + self.sigma * _SEAM
         self.start = "near-edge piece" if t_c > t_lo else "v from " + (
@@ -218,14 +215,13 @@ class _ArcTable:
         nodes = []
         if t_c > t_lo:
             x_lo = math.sqrt(t_lo)
-            if self.levels:  # x^2 = t_lo + c |v - v_lo|, with a pole of dr/dx near x = 0 where t_lo > 0
+            if profile.is_constant:
+                self.x_c = math.sqrt(t_hi)
+            else:  # x^2 = t_lo + c |v - v_lo|, with a pole of dr/dx near x = 0 where t_lo > 0
                 span = _SEAM if t_hi >= t_c else abs(self._v_at(t_hi, a_hi) - self.v_lo)
                 self.x_c = math.sqrt(t_lo + self.c * span)
                 if t_lo > 0.0:
                     nodes.append(x_lo * 1.25 ** np.arange(1.0, math.log(self.x_c / x_lo) / math.log(1.25)))
-            else:  # w = sqrt(t)
-                self.t_w = (t_lo, min(t_c, t_hi))
-                self.x_c = math.sqrt(self.t_w[1])
             nodes.append(np.linspace(x_lo, self.x_c, _EDGE_SEGMENTS + 1))
         n_edge, zones = sum(n.size for n in nodes), (0, 0, 0)
         if t_c < t_hi:
@@ -292,12 +288,11 @@ class _ArcTable:
         return out
 
     def _edge_map(self, x):
-        """(a, t, dr/dx) on the near-edge piece: in v explicitly, with dr/dx = dr/dv 2x / c, or in
-        w = sqrt(t) with a from profile.a, dr/dw = 2a."""
-        if not self.levels:
-            t = np.clip(x * x, *self.t_w)
-            a = self.profile.a(t)
-            return a, t, 2.0 * a
+        """(a, t, dr/dx) on the near-edge piece: explicit in v, with dr/dx = dr/dv 2x / c; on the
+        flat cone t = x^2 and dr/dx = 2 gamma."""
+        if self.profile.is_constant:
+            a = np.full_like(x, self.profile.params.gamma)
+            return a, x * x, 2.0 * a
         p, d = self.profile.params, (self.sigma / self.c) * (x * x - self.t_lo)  # d = v - v_lo
         with np.errstate(divide="ignore", invalid="ignore"):  # at x = t = 0 dr/dx is its limit 2a
             a, t, _, dr = _level_point(p, self.branch, self.profile.C, self.v_lo + d,
@@ -309,11 +304,14 @@ class _ArcTable:
         return a, t, dr
 
     def x_at(self, t: float) -> float:
-        """Table coordinate of the circle at t, on a table with its near-edge piece in w."""
-        if math.sqrt(t) <= self.x_c:
+        """Table coordinate of the circle at t, from one scalar inversion of its level."""
+        if self.profile.is_constant:
             x = math.sqrt(t)
         else:
-            x = self.sigma * (self._v_at(t) - self.v_shift)
+            v = self._v_at(t)
+            x = math.sqrt(self.t_lo + self.c * abs(v - self.v_lo)) if self.x_c >= 0.0 else math.inf
+            if x > self.x_c and self.x[-1] > self.x_c:  # past the near-edge piece, on the v piece
+                x = self.sigma * (v - self.v_shift)
         return min(max(x, self.x[0]), self.x[-1])
 
     def _quad(self, x0, x1):

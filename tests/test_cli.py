@@ -6,10 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
+import numpy as np
 import pytest
 
-from soliton2d import make_params
+from soliton2d import make_params, variational, verify
 from soliton2d.cli import _build_parser, _UsageError, run
+from soliton2d.geometry import WarpedMetric
 from soliton2d.ode import _separatrix_time
 
 
@@ -572,3 +575,51 @@ class TestGoldenOutput:
         code, out, err = run_capture(cmd.split(), capsys)
         assert code == 0, err
         assert out == _golden_outputs()[cmd]
+
+
+def _tanh_metric(n: int) -> WarpedMetric:
+    """The cigar b = tanh r on n samples over [0, 3] from 40-digit mpmath: b, b' = sech^2 r,
+    K = 2 sech^2 r and t = b^2/4, each rounded once."""
+    r = np.linspace(0.0, 3.0, n)
+    with mpmath.workdps(40):
+        th = [mpmath.tanh(x) for x in r.tolist()]
+        s = [mpmath.sech(x) ** 2 for x in r.tolist()]
+        b, bp, K, t = (np.array([float(y) for y in col])
+                       for col in (th, s, [2 * y for y in s], [y * y / 4 for y in th]))
+    return WarpedMetric(params=make_params(0.0, -1.0), r=r, b=b, b_prime=bp, K=K, t_of_r=t)
+
+
+class TestGoldenCigarOracle:
+    """The golden cigar `verify` and `energy` lines against the same code run on the 40-digit
+    tanh metric over the same r-grid.  Fields taken by differencing agree within 1e-9, about the
+    rounding floor 4.5 eps / h^2 of second differences at h = 1e-3; `energy`, which takes no
+    differences, within 4 ulps."""
+
+    def test_verify(self, capsys):
+        code, out, err = run_capture(
+            "verify --lambda 0 --mu -1 --a0 1 --b0 0 --r-range 0,3 --samples 3001".split(), capsys)
+        assert code == 0, err
+        got, ref = json.loads(out), verify.soliton_residual(_tanh_metric(3001)).to_json_dict()
+        assert got.keys() == ref.keys()
+        for key, val in ref.items():
+            if key.startswith("max_"):
+                assert abs(got[key] - val) <= 1e-9, key
+            else:  # the grid
+                assert got[key] == val, key
+
+    def test_energy(self, capsys):
+        code, out, err = run_capture(
+            "energy --lambda 0 --mu -1 --a0 1 --b0 0 --r-range 0,3 --window 0.2,2.8".split(), capsys)
+        assert code == 0, err
+        metric, window = _tanh_metric(2001), (0.2, 2.8)
+        pad = 0.05 * (window[1] - window[0])
+        v = variational.bump_variation((window[0] + pad, window[1] - pad), psi_amp=0.1)
+        got, ref = json.loads(out), variational.variation_report(metric, v, eps=1e-4)
+        assert got.keys() == {*ref, "energy"} and got["eps"] == ref["eps"]
+        for key in ("analytic", "finite_difference", "noether_defect"):
+            assert abs(got[key] - ref[key]) <= 1e-9, key
+        # the slope is fitted through errors |fd - analytic| of 1.6e-7 down to 2.8e-8 (eps / 4),
+        # which 1e-9 on each moves by at most 2e-9 / 2.8e-8 / log 4 = 0.05
+        assert abs(got["slope_estimate"] - ref["slope_estimate"]) <= 0.05
+        ref_energy = variational.energy(metric, window)
+        assert abs(got["energy"] - ref_energy) <= 4 * math.ulp(ref_energy)

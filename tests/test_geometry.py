@@ -566,8 +566,8 @@ class TestRadialDistance:
 
     @pytest.mark.parametrize("t_from", [1e-300, 1e-12, 1e-6, 1e-3, 1e-2, 0.1, 0.24])
     def test_cigar_from_interior_edges(self, t_from):
-        # tables from next to t = 0, which open with the near-edge piece, to next to
-        # the cylinder end, which start on the level coordinate
+        # tables from next to t = 0, which open with the explicit near-edge piece, to
+        # next to the cylinder end, which start on the level coordinate
         prof = catalog("G1_CIGAR", 1.0).profile
         for t_to in (0.05, 0.2, 0.2499, 0.25 - 1e-9):
             if not t_from < t_to:
@@ -582,8 +582,8 @@ class TestNearEdgePiece:
     """Tables that open at or next to a regular t = 0, on one branch of each class, against a
     40-digit mpmath quadrature over the level a, where dr = a da / (sqrt(t(a)) |a'(a)|), from
     edges at and near t = 0 to windows ending inside the near-edge piece (t_to = 0.04) and past
-    its seam: radial_distance, which holds the edges' times (the piece in w = sqrt(t)), and the
-    window table of the same edges given by their levels (the piece explicit in v)."""
+    its seam: radial_distance, which reads the edges' v from their times, and the window table
+    of the same edges given by their levels.  Both open with the piece explicit in v."""
 
     CASES = [("G2_EXPLODING", 1.0, 0.3), ("G10", 1.0, 0.4), ("G7", 3.0 * math.pi, 0.7), ("G6", math.pi, 1.8)]
 
@@ -613,7 +613,7 @@ class TestNearEdgePiece:
                 ref = float(abs(mpmath.quad(dr_da, pts)))
                 t_to = float(t_of(a_to))
                 table = geometry._window_table(prof, t_from, t_to, float(a_from), float(a_to))
-                assert table.levels and table.start == "near-edge piece"
+                assert table.start == "near-edge piece"
                 for got in (radial_distance(prof, t_from, t_to), float(table.r[-1] - table.r[0])):
                     assert abs(got - ref) <= 4 * EPS * max(1.0, ref), (float(a_to), got, ref)
 
@@ -639,6 +639,27 @@ def test_entry_metric_inverts_no_level(tag, monkeypatch):
     sizes = _count_level_inversions(monkeypatch)
     entry_metric(entry)
     assert sizes == []
+
+
+@pytest.mark.parametrize("tag,nu", [("G10", 1.0), ("G7", 3.0 * math.pi), ("G6", math.pi), ("G5", 1.0)],
+                         ids=["neg", "above", "below-cone", "below-decay"])
+def test_time_based_paths_invert_only_scalars(tag, nu, monkeypatch):
+    # radial_distance and build_warped_metric hold times: each edge and the anchor
+    # cost one scalar inversion, and the near-edge piece is evaluated from v
+    prof = catalog(tag, nu).profile
+    sizes = _count_level_inversions(monkeypatch)
+    for t_to in (0.04, 0.5):  # inside the near-edge piece and past its seam
+        radial_distance(prof, 0.0, t_to)
+        radial_distance(prof, 1e-6, t_to)
+    for b0 in (0.0, 0.2, 1.0):  # anchors at the smooth origin, inside the piece and past it
+        build_warped_metric(prof, (0.0, b0), (0.0, 2.0), 2001)
+    assert sizes and set(sizes) == {1}
+
+
+def test_disk_distance_inverts_only_scalars(monkeypatch):
+    sizes = _count_level_inversions(monkeypatch)
+    disk_boundary_distance(0.5)
+    assert sizes and set(sizes) == {1}
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
