@@ -19,6 +19,7 @@ finite-difference route -b''/b is kept separate as an independent check.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -259,8 +260,12 @@ class _ArcTable:
         incr, f = self._quad(self.x[:-1], self.x[1:])
         k = int(np.argmin(np.abs(self.x)))
         self.r = np.concatenate([-np.cumsum(incr[:k][::-1])[::-1], [0.0], np.cumsum(incr[k:])])
-        self.parts, self.worst = _parts(f, self.x, self.r)
-        self.table_evals = self.evals
+        self._f, self.table_evals = f, self.evals
+
+    # parts and worst (_parts) are made on first use: a distance-only table never needs them
+    _estimate = functools.cached_property(lambda self: _parts(self._f, self.x, self.r))
+    parts = property(lambda self: self._estimate[0])
+    worst = property(lambda self: self._estimate[1])
 
     def _v_at(self, t: float, a: Optional[float] = None) -> float:
         """Level coordinate of the circle at t, from its level a where the caller holds it."""
@@ -728,7 +733,7 @@ def geometry_report(profile: ProfileA) -> GeometryReport:
         a_ends = np.full(2, profile.params.gamma)
     else:
         tag1 = profile.tag1
-        a_ends = np.array([profile.a(0.0) if profile.t0 < 0.0 else math.inf,
+        a_ends = np.array([profile.a_at_zero() if profile.t0 < 0.0 else math.inf,
                            {BLOW_UP: math.inf, DECAY_TO_ZERO: 0.0, CONVERGES: tag1.value}[tag1.kind]])
     a_in, a_out = a_ends.tolist()
     inner, complete_inner = _inner_descriptor(profile, a_in)

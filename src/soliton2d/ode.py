@@ -19,6 +19,7 @@ symmetries of the solution space.
 from __future__ import annotations
 
 import functools
+import logging
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -32,6 +33,8 @@ from .errors import (
     NotSteadyError,
     RangeError,
 )
+
+_log = logging.getLogger("soliton.ode")
 
 #: Sentinel for gamma in the steady case lambda = 0.
 INFINITE = math.inf
@@ -158,6 +161,7 @@ _NEG, _ABOVE, _BELOW, _STEADY = "neg", "above", "below", "steady"
 # psi(u) = u^2 sum_k (-u)^k / (k + 2); the sum converges to rounding in 20
 # terms for |u| < 1/8, where u - log(1 + u) would cancel.
 _PSI_SERIES = np.array([(-1.0) ** k / (k + 2) for k in range(20)])
+_PSI_COEFFS = _PSI_SERIES.tolist()[::-1]  # Horner order, as Python floats
 _PSI_SMALL = 0.125
 # v-range kept in evaluation: a up to ~1e152 |gamma| (u^2 stays normal) and
 # down to ~1e-304 |gamma|
@@ -175,6 +179,11 @@ def _psi(u: np.ndarray, log1pu: np.ndarray) -> np.ndarray:
             series = c + series * us
         out[small] = us * us * series
     return out
+
+
+def _psi_float(u: float, log1pu: float) -> float:
+    """_psi of one float in float arithmetic: the same roundings, without numpy's per-call cost."""
+    return u - log1pu if not abs(u) < _PSI_SMALL else u * u * functools.reduce(lambda s, c: c + s * u, _PSI_COEFFS)
 
 
 def _psi_v(branch: str, v: np.ndarray):
@@ -351,9 +360,7 @@ def _separatrix_time(params: SolitonParams, a: float) -> float:
         raise RangeError(f"4 mu {'a' if math.isinf(g) else 'gamma'} underflows to 0 at mu = {params.mu:g}, a = {a:g}")
     if math.isinf(g):
         return 1.0 / k
-    u = np.array([-g / a])
-    with np.errstate(invalid="ignore"):  # u overflows where a << |gamma|: G is nan, and the caller raises
-        return -float(_psi(u, np.array([math.log(abs(a - g) / a)]))[0]) / k
+    return -_psi_float(-g / a, math.log(abs(a - g) / a)) / k  # nan where u = -g / a overflows: the caller raises
 
 
 def time_between_levels(params: SolitonParams, a_from: float, a_to: float) -> float:
@@ -389,7 +396,7 @@ def blow_up_time_closed(mu: float, gamma: float) -> float:
     if gamma >= 1.0:
         raise DomainError("closed form requires gamma < 1 (log(1 - gamma) undefined)")
     # -1 - log(1 - gamma)/gamma = psi(-gamma)/gamma, without its cancellation at small gamma
-    return float(_psi(np.array([-gamma]), np.array([math.log1p(-gamma)]))[0]) / (4.0 * mu * gamma)
+    return _psi_float(-gamma, math.log1p(-gamma)) / (4.0 * mu * gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +480,10 @@ class ProfileA:
         else:
             out = _level_at(self.params, _branch_class(self.params, self.a_ref), arr - self.C)
         return out if np.ndim(t) else float(out[0])
+
+    def a_at_zero(self) -> float:
+        """a(0): the anchor's level where t_ref = 0 (the branch passes through it exactly), else a(0.0)."""
+        return self.a_ref if self.t_ref == 0.0 else self.a(0.0)
 
     # -- diagnostics --------------------------------------------------------
 
@@ -648,14 +659,18 @@ def integrate_profile(
         raise DomainError("window must contain a finite t_ref")
 
     if on_separatrix(params, a_ref):
-        return constant_profile(params, (t_lo, t_hi))
-
-    G = _separatrix_time(params, a_ref)
-    if G == 0.0 == t_ref:  # G vanishes only at a = inf: C = -G lost its sign
-        raise RangeError(f"G(a) underflows to 0 at a = {a_ref:g}, so the sign of C = -G is lost")
-    profile = implicit_profile(params, t_ref, a_ref, t_ref - G, (t_lo, t_hi))
-    if profile.t0 == 0.0 and profile.tag0.kind == TRUNCATED and is_smooth_origin(profile.a(0.0)):
-        profile = replace(profile, tag0=EndTag(SMOOTH_ORIGIN))
+        profile = constant_profile(params, (t_lo, t_hi))
+    else:
+        G = _separatrix_time(params, a_ref)
+        if G == 0.0 == t_ref:  # G vanishes only at a = inf: C = -G lost its sign
+            raise RangeError(f"G(a) underflows to 0 at a = {a_ref:g}, so the sign of C = -G is lost")
+        profile = implicit_profile(params, t_ref, a_ref, t_ref - G, (t_lo, t_hi))
+        if profile.t0 == 0.0 and profile.tag0.kind == TRUNCATED and is_smooth_origin(profile.a_at_zero()):
+            profile = replace(profile, tag0=EndTag(SMOOTH_ORIGIN))
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("through a(%r) = %r: branch class %s, C = %r, ends %s and %s, a(0) from the anchor: %s", t_ref, a_ref,
+                   "separatrix" if profile.is_constant else _branch_class(params, a_ref), profile.C, profile.tag0,
+                   profile.tag1, t_ref == 0.0)
     return profile
 
 

@@ -13,6 +13,7 @@ inferred from data).
 from __future__ import annotations
 
 import copy
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -148,6 +149,14 @@ def _disk_profile(gamma: float) -> ProfileA:
     return integrate_profile(SolitonParams(2.0 * mu / gamma, mu), 0.0, 1.0, (0.0, math.inf))
 
 
+@functools.cache
+def _disk_ends(tag: str) -> tuple:
+    """(x, gamma, distance) at the low and high ends of _disk_gamma's bracket, once per tag and process."""
+    x_end = math.log(1e12)
+    return tuple((x, g := -math.expm1(x), disk_boundary_distance(g))
+                 for x in ((-x_end, -1e-9) if tag == G4_PLUS else (1e-9, x_end)))
+
+
 def _disk_gamma(tag: str, nu: float) -> tuple[float, float]:
     """The gamma = 1 - e^x of the boundary disk at distance nu, and that distance.
 
@@ -162,8 +171,9 @@ def _disk_gamma(tag: str, nu: float) -> tuple[float, float]:
         d = disk_boundary_distance(g)
         return x, d - nu, g, d
 
-    x_end = math.log(1e12)
-    b, a = (point(-x_end), point(-1e-9)) if tag == G4_PLUS else (point(1e-9), point(x_end))
+    misses = _disk_ends.cache_info().misses
+    b, a = ((x, d - nu, g, d) for x, g, d in _disk_ends(tag))
+    cached = _disk_ends.cache_info().misses == misses
     if not b[1] < 0.0 < a[1]:
         raise RangeError(f"{tag} boundary distance is attainable only in ({b[3]:.9g}, {a[3]:.9g}); got {nu:g}")
     c, t, n = a, 0.5, 0
@@ -177,8 +187,8 @@ def _disk_gamma(tag: str, nu: float) -> tuple[float, float]:
         tlim = (2.0 * math.ulp(x) + math.ulp(g) / (1.0 - g)) / abs(xb - xa)
         if abs(f) <= 8.0 * math.ulp(nu) or tlim > 0.5:
             if _log.isEnabledFor(logging.DEBUG):
-                _log.debug("%s gamma solve: %d iterations, %d distance evaluations, |d - nu| = %r, "
-                           "bracket width %r in x", tag, n, n + 2, abs(f), abs(xb - xa))
+                _log.debug("%s gamma solve: %d iterations, %d distance evaluations, bracket ends cached: %s, |d - nu| "
+                           "= %r, bracket width %r in x", tag, n, n + 2 * (not cached), cached, abs(f), abs(xb - xa))
             return g, d
         xi, phi = (xa - xb) / (xc - xb), (fa - fb) / (fc - fb)
         t = 0.5  # inverse quadratic interpolation where Chandrupatla's test admits it

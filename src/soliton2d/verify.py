@@ -113,6 +113,6 @@ def smooth_extension_check(profile: ProfileA) -> tuple[bool, float | None]:
     p = profile.params
     if profile.t0 > 0.0 or profile.t1 <= 0.0:
         raise DomainError("t = 0 is not in the closure of the profile domain")
-    if is_smooth_origin(profile.a(0.0)):
+    if is_smooth_origin(profile.a_at_zero()):
         return True, p.lam - 2.0 * p.mu
     return False, None

@@ -662,6 +662,64 @@ def test_disk_distance_inverts_only_scalars(monkeypatch):
     assert sizes and set(sizes) == {1}
 
 
+def test_distance_only_tables_skip_the_inverse_parts(monkeypatch):
+    # x_of_r's parts are made on its first call: distances never make them
+    def refuse(*args):
+        raise AssertionError("_parts ran")
+
+    monkeypatch.setattr(geometry, "_parts", refuse)
+    for gamma in (0.5, 0.999, -2.0):
+        disk_boundary_distance(gamma)
+    for tag, t_from, t_to in (("G6", 0.0, 0.5), ("G10", 0.0, 0.5), ("G7", 1e-6, 2.0), ("G9", 0.25, 1.0)):
+        prof = cached_entry(tag, FAMILY_SAMPLES[tag]).profile
+        assert radial_distance(prof, t_from, t_to) > 0.0
+    with pytest.raises(AssertionError, match="_parts ran"):  # the inverse still needs them
+        build_warped_metric(cached_entry("G6", math.pi).profile, (0.0, 0.0), (0.0, 1.0), 11)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: entry_metric(cached_entry("G6", math.pi)),
+    lambda: entry_metric(cached_entry("G12", 1.0)),
+    lambda: build_warped_metric(closed_form_profile(make_params(0.0, -1.0), 1.0), (0.0, 0.0), (0.0, 3.0), 2001),
+], ids=["g6_entry", "g12_entry", "cigar_metric"])
+def test_debug_record_carries_worst(build, caplog, monkeypatch):
+    # the worst estimate, made on first use, is the one _parts gives for the table
+    tables = []
+    init = geometry._ArcTable.__init__
+
+    def keep(self, *args):
+        tables.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(geometry._ArcTable, "__init__", keep)
+    with caplog.at_level(logging.DEBUG, logger="soliton.geometry"):
+        build()
+    (record,) = [rec for rec in caplog.records if rec.name == "soliton.geometry"]
+    (table,) = tables
+    parts, worst = geometry._parts(table._f, table.x, table.r)
+    assert record.args[8] == table.worst == worst and math.isfinite(worst) and worst >= 0.0
+    assert np.array_equal(table.parts, parts)
+
+
+SMOOTH_FAMILIES = ("G1_CIGAR", "G2_EXPLODING", "G4_PLUS", "G4_MINUS", "G5", "G6", "G7", "G10")
+
+
+@pytest.mark.parametrize("tag,nu", [(tag, nu) for tag in SMOOTH_FAMILIES for nu in NU_SAMPLES[tag]]
+                         + [("G1_CIGAR", 0.91), ("G2_EXPLODING", 0.91), ("G6", 3.14159), ("G6", 0.91)])
+def test_curvature_at_the_origin_circle_matches_mpmath(tag, nu):
+    # K at the t = 0 circle is lambda - 2 mu / a(0), with a(0) = a_ref exactly where the
+    # entry is anchored at t = 0; from an inverted a(0) it was 1-4 ulps off
+    prof = cached_entry(tag, nu).profile
+    p = prof.params
+    assert prof.t_ref == 0.0
+    with mpmath.workdps(40):
+        ref = float(mpmath.mpf(p.lam) - 2 * mpmath.mpf(p.mu) / mpmath.mpf(prof.a_ref))
+    rep = geometry_report(prof)
+    assert rep.inner_end.kind == "SMOOTH_POINT"
+    increasing = rep.curvature_sign == "POSITIVE"
+    assert (rep.K_inf if (p.mu > 0.0) == increasing else rep.K_sup) == ref
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("lam,mu,a0", [
     (-4.34892564534987e-44, 4.2733610360622594e-181, 1.0),  # |dt/dv| = 1 / (4 mu gamma ...) overflows

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import mpmath
@@ -35,9 +36,12 @@ from soliton2d.ode import (
     TRUNCATED,
     _PSI_SERIES,
     _psi,
+    _psi_float,
     _separatrix_time,
     implicit_profile,
 )
+from soliton2d import ode
+from soliton2d.verify import smooth_extension_check
 from conftest import mp_time
 
 
@@ -422,6 +426,105 @@ def test_psi_series_matches_polyval():
     u = u[np.abs(u) < 0.125]
     expected = u * u * np.polynomial.polynomial.polyval(u, _PSI_SERIES)
     assert _psi(u, np.log1p(u)).tobytes() == expected.tobytes()
+
+
+def _psi_grid() -> list:
+    """Values of u at which _psi_float must agree with _psi: both sides of the series switch
+    |u| = 1/8, +-0 and +-tiny, -1 + ulp, large values, inf, nan and a random sample."""
+    small = [math.nextafter(0.125, 0.0), 0.125, math.nextafter(0.125, 1.0)]
+    tiny = [0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e-160, 1e-8]
+    u = small + [-x for x in small] + tiny + [-x for x in tiny]
+    u += [-1.0 + 2.0**-53, -1.0 + 2.0**-52, -0.999, -0.5, 0.5, 1.0, 7.0, 1e8, 1e16, 1e200, 1.7e308]
+    u += [math.inf, math.nan]
+    return u + np.random.default_rng(19).uniform(-0.99, 2.0, 200).tolist()
+
+
+def test_psi_float_matches_psi_bit_for_bit():
+    for u in _psi_grid():
+        lg = math.log1p(u)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            ref = _psi(np.array([u]), np.array([lg]))
+        got = _psi_float(u, lg)
+        assert type(got) is float
+        assert np.array([got]).tobytes() == ref.tobytes(), u
+
+
+@pytest.mark.parametrize("lam,mu,a_ref", [
+    (4.0, -1.0, 1.0), (-2.0, 1.0, 1.0), (4.0, 1.0, 1.0), (-4.0, -1.0, 1.0), (1.0, 1.0, 1.0), (-1.0, -1.0, 1.0),
+])
+def test_separatrix_time_bitwise_as_vectorized(lam, mu, a_ref):
+    # G(a) = -psi(u) / (4 mu gamma) at u = -gamma / a, as the vectorized _psi rounds it
+    p = make_params(lam, mu)
+    g = p.gamma
+    for a in TestMpmathOracles.levels(lam, mu, a_ref).tolist():
+        ref = _psi(np.array([-g / a]), np.array([math.log(abs(a - g) / a)]))[0]
+        assert _separatrix_time(p, a) == -float(ref) / (4.0 * mu * g)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_scalar_psi_callers_keep_typed_errors_without_warnings():
+    # u = -gamma / a overflows: G is nan without a RuntimeWarning, and the profile raises
+    p = make_params(5.06e-144, 3.63e138)
+    assert math.isnan(_separatrix_time(p, 1.7e-126))
+    with pytest.raises(RangeError, match="C is nan"):
+        integrate_profile(p, 0.0, 1.7e-126, (-math.inf, math.inf))
+    with pytest.raises(RangeError, match="underflows to 0"):
+        _separatrix_time(make_params(1e100, 1e-200), 1.0)
+    for mu, gamma, err in [(0.0, 0.5, MuZeroError), (1.0, 0.0, DomainError), (1.0, 1.0, DomainError),
+                           (1.0, 1.5, DomainError)]:
+        with pytest.raises(err):
+            blow_up_time_closed(mu, gamma)
+    for gamma in (1e-300, -1e-300, 1.0 - 2.0**-53, -1e300):
+        assert math.isfinite(blow_up_time_closed(1.0, gamma))
+
+
+@pytest.mark.parametrize("lam,mu", [(0.0, -1.0), (0.0, 1.0), (-1.0, -1.0), (-0.5, -1.0), (3.0, 1.2), (0.2, -0.8),
+                                    (-2.0, 1.0), (1.0, 1.0)])
+def test_profile_at_zero_inverts_no_level(lam, mu, monkeypatch):
+    # a(0) is the anchor's level where t_ref = 0: neither integrate_profile nor
+    # smooth_extension_check inverts a(t) for it
+    def refuse(*args):
+        raise AssertionError("a level was inverted")
+
+    monkeypatch.setattr(ode, "_level_coordinate", refuse)
+    p = make_params(lam, mu)
+    for window in ((0.0, math.inf), (-math.inf, math.inf), (0.0, 0.01)):
+        prof = integrate_profile(p, 0.0, 1.0, window)
+        assert prof.a_at_zero() == 1.0
+        if window[0] == 0.0:
+            assert prof.tag0.kind == SMOOTH_ORIGIN
+        assert smooth_extension_check(prof) == (True, p.lam - 2.0 * p.mu)
+
+
+def test_profile_at_zero_away_from_the_anchor():
+    # with t_ref != 0 a(0) is the branch's value there
+    p = make_params(-1.0, -1.0)
+    prof = integrate_profile(p, 0.3, 1.2, (-math.inf, math.inf))
+    assert prof.a_at_zero() == prof.a(0.0)
+
+
+class TestProfileDebugRecord:
+    """One soliton.ode record per integrate_profile: branch class, C, end kinds and
+    whether a(0) came from the anchor."""
+
+    @pytest.mark.parametrize("lam,mu,t_ref,a_ref,branch", [
+        (-1.0, -1.0, 0.0, 1.0, "below"), (4.0, 1.0, 0.0, 1.0, "above"), (4.0, -1.0, 0.5, 1.0, "neg"),
+        (0.0, -1.0, 0.0, 1.0, "steady"), (1.0, 1.0, 0.2, 2.0, "separatrix"),
+    ])
+    def test_record(self, lam, mu, t_ref, a_ref, branch, caplog):
+        with caplog.at_level(logging.DEBUG, logger="soliton.ode"):
+            prof = integrate_profile(make_params(lam, mu), t_ref, a_ref, (0.0, math.inf))
+        (record,) = [rec for rec in caplog.records if rec.name == "soliton.ode"]
+        assert record.levelno == logging.DEBUG
+        got_t, got_a, got_branch, C, tag0, tag1, from_anchor = record.args
+        assert (got_t, got_a, got_branch, tag0, tag1) == (t_ref, a_ref, branch, prof.tag0, prof.tag1)
+        assert C == prof.C or (math.isnan(C) and prof.is_constant)
+        assert from_anchor == (t_ref == 0.0)
+
+    def test_no_record_above_debug(self, caplog):
+        with caplog.at_level(logging.INFO, logger="soliton.ode"):
+            integrate_profile(make_params(-1.0, -1.0), 0.0, 1.0, (0.0, math.inf))
+        assert not [rec for rec in caplog.records if rec.name == "soliton.ode"]
 
 
 class TestMpmathOracles:

@@ -225,31 +225,53 @@ class TestCatalog:
         ("G4_MINUS", 1.7, 19), ("G4_MINUS", 2.2, 17), ("G4_MINUS", 3.0, 14),
     ])
     def test_g4_solve_accuracy_and_budget(self, tag, nu, budget, monkeypatch):
-        # distance evaluations (about 0.7 ms each) stay within a per-nu budget
+        # distance evaluations (about 0.4 ms each) stay within a per-nu budget;
+        # it counts the two bracket ends, which a warm solve takes from the cache
         import soliton2d.taxonomy as tx
+        tx._disk_ends(tag)
         calls = []
         monkeypatch.setattr(tx, "disk_boundary_distance",
                             lambda g: calls.append(g) or disk_boundary_distance(g))
         entry = catalog(tag, nu)
-        assert len(calls) <= budget
+        assert len(calls) <= budget - 2
         assert abs(entry.nu - nu) <= 1e-13 * nu
         # the reported nu is the boundary distance of the entry's own disk
         assert entry.nu == radial_distance(entry.profile, 0.0, entry.profile.C)
 
     @pytest.mark.parametrize("tag,nu", [("G4_PLUS", 1.3), ("G4_MINUS", 2.2)])
     def test_g4_solve_debug_record(self, tag, nu, caplog, monkeypatch):
+        # the record counts the distance evaluations of this call: the bracket
+        # ends are computed once per tag and process (cold), then come from the cache (warm)
         import soliton2d.taxonomy as tx
         calls = []
         monkeypatch.setattr(tx, "disk_boundary_distance",
                             lambda g: calls.append(g) or disk_boundary_distance(g))
-        with caplog.at_level(logging.DEBUG, logger="soliton.taxonomy"):
-            entry = catalog(tag, nu)
-        (record,) = [rec for rec in caplog.records if rec.name == "soliton.taxonomy"]
-        got_tag, iterations, evaluations, miss, width = record.args
-        assert (got_tag, evaluations) == (tag, len(calls))
-        assert iterations == evaluations - 2  # the two bracket ends come first
-        assert miss == abs(entry.nu - nu) <= 8 * math.ulp(nu)
-        assert 0.0 < width < 1e-6  # of the last bracket in x = log(1 - gamma)
+        tx._disk_ends.cache_clear()
+        for cold in (True, False):
+            calls.clear()
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="soliton.taxonomy"):
+                entry = catalog(tag, nu)
+            (record,) = [rec for rec in caplog.records if rec.name == "soliton.taxonomy"]
+            got_tag, iterations, evaluations, cached, miss, width = record.args
+            assert (got_tag, evaluations, cached) == (tag, len(calls), not cold)
+            if cold:
+                assert iterations == evaluations - 2  # the two bracket ends come first
+            else:
+                assert iterations == evaluations == len(calls)
+            assert miss == abs(entry.nu - nu) <= 8 * math.ulp(nu)
+            assert 0.0 < width < 1e-6  # of the last bracket in x = log(1 - gamma)
+
+    @pytest.mark.parametrize("tag", ["G4_PLUS", "G4_MINUS"])
+    def test_g4_bracket_ends_cached_match_fresh(self, tag):
+        # the cached ends are the distances a fresh evaluation gives, and they set the range check
+        import soliton2d.taxonomy as tx
+        ends = tx._disk_ends(tag)
+        for x, g, d in ends:
+            assert g == -math.expm1(x) and d == disk_boundary_distance(g)
+        assert tx._disk_ends(tag) is ends
+        with pytest.raises(RangeError, match=f"only in \\({ends[0][2]:.9g}, {ends[1][2]:.9g}\\)"):
+            catalog(tag, 0.5 * ends[0][2])
 
     @pytest.mark.parametrize("tag,nu", [
         ("G4_PLUS", 1.01), ("G4_PLUS", 1.0189), ("G4_MINUS", 14.6), ("G4_MINUS", 1e3),
