@@ -17,6 +17,7 @@ independent of the analytic formula.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -26,6 +27,8 @@ import numpy as np
 from .errors import DomainError, WindowError, ZeroCurvatureError
 from .geometry import WarpedMetric
 from .verify import ZERO_K, _central_fields
+
+_log = logging.getLogger("soliton.variational")
 
 
 def bump(x):
@@ -125,14 +128,14 @@ def lie_variation(metric: WarpedMetric, window, amp: float = 1.0) -> VariationFi
     )
 
 
-def _window_slice(metric: WarpedMetric, window, pad: int = 0) -> slice:
+def _window_range(metric: WarpedMetric, window) -> tuple[int, int]:  # [i0, i1) of the grid points in the window
     r0, r1 = float(window[0]), float(window[1])
     if r0 >= r1:
         raise WindowError("empty window")
-    i0 = int(np.searchsorted(metric.r, r0, side="left"))
-    i1 = int(np.searchsorted(metric.r, r1, side="right"))
-    i0 = max(i0 - pad, 0)
-    i1 = min(i1 + pad, metric.r.size)
+    return int(np.searchsorted(metric.r, r0, side="left")), int(np.searchsorted(metric.r, r1, side="right"))
+
+
+def _covered(i0: int, i1: int) -> slice:
     if i1 - i0 < 9:
         raise WindowError("window covers too few grid points")
     return slice(i0, i1)
@@ -167,7 +170,7 @@ def _band_integral(metric: WarpedMetric, window, f_of_bK) -> float:
     trapezoid corrections for the fractional end cells."""
     r0 = max(float(window[0]), float(metric.r[0]))
     r1 = min(float(window[1]), float(metric.r[-1]))
-    sl = _window_slice(metric, (r0, r1))
+    sl = _covered(*_window_range(metric, (r0, r1)))
     r, b, K = metric.r[sl], metric.b[sl], metric.K[sl]
     _check_nonzero_K(K)
     f = f_of_bK(b, K)
@@ -195,18 +198,39 @@ def total_curvature(metric: WarpedMetric, window) -> float:
     return 2.0 * math.pi * _band_integral(metric, window, lambda b, K: K * b)
 
 
-def first_variation(metric: WarpedMetric, v: VariationField) -> float:
-    """Analytic first variation of E along the field v (radial reduction)."""
-    if v.r0 < metric.r[0] - 1e-12 or v.r1 > metric.r[-1] + 1e-12:
+def _fields(metric: WarpedMetric, window, v: Optional[VariationField] = None, eps: Optional[float] = None):
+    """The work the variation functions share, on offsets from one search of the grid: first_variation along v
+    (None without v) on the window widened by 2 points, noether_defect on the window when called, and the fields
+    of _perturbed_energy on the window widened by 3 (its stencils) with work buffers; eps is checked first."""
+    if v is not None and (v.r0 < metric.r[0] - 1e-12 or v.r1 > metric.r[-1] + 1e-12):
         raise WindowError("variation support exceeds the metric domain")
-    sl = _window_slice(metric, (v.r0, v.r1), pad=2)
+    if eps is not None and not 0.0 < eps < math.inf:
+        raise DomainError("eps must be positive and finite")
+    i0, i1 = _window_range(metric, window)
+    n, pad = metric.r.size, 0 if v is None else 2
+    sl = _covered(max(i0 - pad, 0), min(i1 + pad, n))
     _check_nonzero_K(metric.K[sl])
     r, b, K, _, plus, minus = _central_fields(metric, sl)
-    phi = np.asarray(v.phi_at(r))
-    psi = np.asarray(v.psi_at(r))
-    trace_term = -0.25 * _simpson(2.0 * phi * (plus + 2.0 * K) * 2.0 * math.pi * b, r)
-    tf_term = 0.5 * _simpson(psi * minus * 2.0 * math.pi * b, r)
-    return float(trace_term + tf_term)
+
+    def defect() -> float:  # on the window's points, at least 9; their interior in K ends 2 places earlier
+        inner = slice(i0 - sl.start, _covered(i0, i1).stop - sl.start - 2)
+        return float(np.max(np.abs(plus[inner] + 2.0 * K[inner] - 2.0 * metric.params.lam)))
+    if v is None:
+        return None, defect, None
+    lo = max(i0 - 3, 0)
+    r3, c = metric.r[lo:min(i1 + 3, n)], slice(sl.start + 1 - lo, sl.stop - 1 - lo)
+    phi, psi = np.asarray(v.phi_at(r3)), np.asarray(v.psi_at(r3))
+    trace_term = -0.25 * _simpson(2.0 * phi[c] * (plus + 2.0 * K) * 2.0 * math.pi * b, r)
+    tf_term = 0.5 * _simpson(psi[c] * minus * 2.0 * math.pi * b, r)
+    p, q, h, inner = phi + psi, phi - psi, metric.spacing, slice(lo + 2, lo + r3.size - 2)
+    cot, bufs = metric.b_prime[inner] / metric.b[inner], (np.empty((4, r3.size - 4)), np.empty((2, r3.size)))
+    fields = r3[2:-2], p, q, _d1(p, h), _d1(q, h), _d2(q, h), metric.b[inner], metric.K[inner], cot, 2.0 * cot, *bufs
+    return float(trace_term + tf_term), defect, fields
+
+
+def first_variation(metric: WarpedMetric, v: VariationField) -> float:
+    """Analytic first variation of E along the field v (radial reduction)."""
+    return _fields(metric, (v.r0, v.r1), v)[0]
 
 
 def noether_defect(metric: WarpedMetric, window) -> float:
@@ -215,30 +239,16 @@ def noether_defect(metric: WarpedMetric, window) -> float:
     Diffeomorphism invariance makes this combination constant at critical
     metrics, and the profile equation pins the constant to 2 lambda.
     """
-    sl = _window_slice(metric, window)
-    _check_nonzero_K(metric.K[sl])
-    _, _, K, _, plus, _ = _central_fields(metric, sl)
-    return float(np.max(np.abs(plus + 2.0 * K - 2.0 * metric.params.lam)))
+    return _fields(metric, window)[1]()
 
 
-def _central4(f: np.ndarray, h: float):
-    """First and second derivatives by fourth-order central stencils on the
-    interior f[2:-2] of a uniform grid."""
-    d1 = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * h)
-    d2 = (-f[:-4] + 16.0 * f[1:-3] - 30.0 * f[2:-2] + 16.0 * f[3:-1] - f[4:]) / (12.0 * h * h)
-    return d1, d2
+def _d1(f: np.ndarray, h: float) -> np.ndarray:
+    """Fourth-order central first (_d2: second) derivative on the interior f[2:-2] of a uniform grid."""
+    return (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * h)
 
 
-def _perturbation(metric: WarpedMetric, v: VariationField):
-    """(r, p, q, p', q', q'', b, K, b'/b) of _perturbed_energy on the support
-    padded by 3 points (r and the last three on the interior [2:-2])."""
-    sl = _window_slice(metric, (v.r0, v.r1), pad=3)
-    r = metric.r[sl]
-    phi, psi = np.asarray(v.phi_at(r)), np.asarray(v.psi_at(r))
-    p, q = phi + psi, phi - psi
-    (p1, _), (q1, q2) = _central4(p, metric.spacing), _central4(q, metric.spacing)
-    b, K = metric.b[sl][2:-2], metric.K[sl][2:-2]
-    return r[2:-2], p, q, p1, q1, q2, b, K, metric.b_prime[sl][2:-2] / b
+def _d2(f: np.ndarray, h: float) -> np.ndarray:
+    return (-f[:-4] + 16.0 * f[1:-3] - 30.0 * f[2:-2] + 16.0 * f[3:-1] - f[4:]) / (12.0 * h * h)
 
 
 def _perturbed_energy(fields, eps: float) -> float:
@@ -252,27 +262,32 @@ def _perturbed_energy(fields, eps: float) -> float:
     derivatives enter multiplied by eps, so no O(1) quantity is differenced
     and the rounding does not grow as eps shrinks.  No derivative of log|K|
     enters, which keeps the oracle independent of the analytic variation.
+    Each step writes into a buffer in the order of operations of the formula in its comment.
     """
-    r, p, q, p1, q1, q2, b, K, cot = fields
-    g_rr = 1.0 + eps * p
-    g_tt_fac = 1.0 + eps * q
-    if np.any(g_rr <= 0.0) or np.any(g_tt_fac <= 0.0):
+    r, p, q, p1, q1, q2, b, K, cot, two_cot, (la, lq, qq, Kt), (g_rr, g_tt) = fields
+    np.add(np.multiply(p, eps, out=g_rr), 1.0, out=g_rr)  # 1 + eps p
+    np.add(np.multiply(q, eps, out=g_tt), 1.0, out=g_tt)  # 1 + eps q
+    if np.any(g_rr <= 0.0) or np.any(g_tt <= 0.0):
         raise DomainError("perturbation too large: metric degenerates")
-    g_rr, g_tt_fac = g_rr[2:-2], g_tt_fac[2:-2]
-    la = 0.5 * eps * p1 / g_rr               # A'/A
-    lq = 0.5 * eps * q1 / g_tt_fac           # Q'/Q, Q = sqrt(1 + eps q)
-    qq = 0.5 * eps * q2 / g_tt_fac - lq * lq  # Q''/Q
-    Kt = (K - 2.0 * cot * lq - qq + (cot + lq) * la) / g_rr
+    g_rr, g_tt, c = g_rr[2:-2], g_tt[2:-2], 0.5 * eps
+    np.divide(np.multiply(p1, c, out=la), g_rr, out=la)  # A'/A = 0.5 eps p' / g_rr
+    np.divide(np.multiply(q1, c, out=lq), g_tt, out=lq)  # Q'/Q = 0.5 eps q' / g_tt, Q = sqrt(1 + eps q)
+    np.divide(np.multiply(q2, c, out=qq), g_tt, out=qq)
+    qq -= np.multiply(lq, lq, out=Kt)  # Q''/Q = 0.5 eps q'' / g_tt - lq lq
+    np.subtract(K, np.multiply(two_cot, lq, out=Kt), out=Kt)
+    Kt -= qq
+    Kt += np.multiply(np.add(lq, cot, out=lq), la, out=lq)
+    Kt /= g_rr  # K~ = (K - 2 cot lq - qq + (cot + lq) la) / g_rr
     _check_nonzero_K(Kt)
-    integrand = Kt * np.log(np.abs(Kt)) * b * np.sqrt(g_rr * g_tt_fac)
-    return 2.0 * math.pi * _simpson(integrand, r)
+    np.multiply(np.multiply(np.log(np.abs(Kt, out=qq), out=la), Kt, out=la), b, out=la)
+    la *= np.sqrt(np.multiply(g_rr, g_tt, out=qq), out=qq)  # K~ log|K~| b sqrt(g_rr g_tt)
+    return 2.0 * math.pi * _simpson(la, r)
 
 
-def _fd_quotient(fields, eps: float) -> float:
-    """(E[g + eps h] - E[g - eps h]) / (2 eps) on the fields of _perturbation."""
-    if eps <= 0.0:
-        raise DomainError("eps must be positive")
-    return float((_perturbed_energy(fields, +eps) - _perturbed_energy(fields, -eps)) / (2.0 * eps))
+def _fd_quotient(fields, eps: float) -> tuple[float, float, float]:
+    """(E[g + eps h] - E[g - eps h]) / (2 eps) on the fields of _fields, then the two energies."""
+    up, down = _perturbed_energy(fields, +eps), _perturbed_energy(fields, -eps)
+    return float((up - down) / (2.0 * eps)), up, down
 
 
 def fd_variation(metric: WarpedMetric, v: VariationField, eps: float = 1e-4) -> float:
@@ -284,23 +299,28 @@ def fd_variation(metric: WarpedMetric, v: VariationField, eps: float = 1e-4) -> 
     _perturbed_energy), so the quotient's error is O(eps^2) plus a rounding
     floor of about 1e-10 that does not grow as eps shrinks.
     """
-    return _fd_quotient(_perturbation(metric, v), eps)
+    return _fd_quotient(_fields(metric, (v.r0, v.r1), v, eps)[2], eps)[0]
 
 
 def variation_report(metric: WarpedMetric, v: VariationField, eps: float = 1e-4) -> dict:
-    """Analytic/finite-difference comparison plus the conservation defect."""
-    analytic = first_variation(metric, v)
-    fields = _perturbation(metric, v)  # independent of eps: one set for eps, eps / 2 and eps / 4
-    fds = np.array([_fd_quotient(fields, e) for e in (eps, eps / 2.0, eps / 4.0)])
-    errs = np.abs(fds - analytic)
-    if np.all(errs > 0.0):  # least squares through log(eps) equally spaced by log 2
-        slope = math.log(errs[2] / errs[0]) / math.log(0.25)
-    else:
-        slope = math.inf  # differences vanished below roundoff
+    """Analytic/finite-difference comparison plus the conservation defect.
+
+    Four perturbed energies are evaluated, E[g +- eps h] and E[g +- (eps/4) h]: finite_difference is the
+    quotient at eps, and slope_estimate the least-squares slope of log|quotient - analytic| against log eps
+    through eps, eps/2 and eps/4 (inf if an error vanishes below roundoff).  Equally spaced in log eps, the
+    middle point has zero weight, so E[g +- (eps/2) h] is not evaluated.
+    """
+    analytic, defect, fields = _fields(metric, (v.r0, v.r1), v, eps)
+    (fd, *e1), (fd4, *e4) = _fd_quotient(fields, eps), _fd_quotient(fields, eps / 4.0)
+    err, err4 = abs(fd - analytic), abs(fd4 - analytic)
+    slope = math.log(err4 / err) / math.log(0.25) if err > 0.0 and err4 > 0.0 else math.inf
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("variation report on %d samples: E(+-eps) %r, %r, E(+-eps/4) %r, %r, quotients %r, %r, "
+                   "errors %r, %r", fields[1].size, *e1, *e4, fd, fd4, err, err4)
     return {
         "analytic": analytic,
-        "finite_difference": float(fds[0]),
+        "finite_difference": fd,
         "eps": eps,
         "slope_estimate": slope,
-        "noether_defect": noether_defect(metric, (v.r0, v.r1)),
+        "noether_defect": defect(),
     }

@@ -423,6 +423,16 @@ class TestExitCodes:
         assert (proc.returncode, proc.stderr) == (0, "")
         assert json.loads(proc.stdout)["family"] == "G7"
 
+    def test_infinite_eps_domain_error_without_numpy_warning(self):
+        # eps = inf made the perturbed metric inf * 0 = nan, and two numpy warnings reached stderr
+        # ahead of the DOMAIN line
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-m", "soliton2d.cli", *"energy --lambda 0 --mu -1 --a0 1 --b0 0 "
+                               "--r-range 0,3 --window 0.2,2.8 --eps inf".split()],
+                              env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.splitlines() == ["soliton: DOMAIN: eps must be positive and finite"]
+
     @pytest.mark.parametrize("command", ["classify", "report"])
     def test_infinite_anchor_time_domain_error(self, command, capsys):
         # classify printed G1_CIGAR from C = inf with exit 0, report a RANGE error

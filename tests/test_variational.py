@@ -1,3 +1,4 @@
+import logging
 import math
 import warnings
 
@@ -6,6 +7,7 @@ import pytest
 from scipy.integrate import quad, simpson
 
 from soliton2d import (
+    DomainError,
     Rescale,
     WindowError,
     ZeroCurvatureError,
@@ -25,6 +27,9 @@ from soliton2d import (
 )
 from soliton2d.variational import _simpson
 from conftest import FAMILY_SAMPLES, cached_entry, cached_metric, perturbed_cigar_metric
+
+# the variational code computes in place; no numpy warning may leak from it
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 @pytest.fixture(scope="module")
@@ -242,3 +247,86 @@ class TestVariationReport:
         assert rep["slope_estimate"] == math.log(errs[2] / errs[0]) / math.log(0.25)
         # the least-squares slope through three points equally spaced in log(eps)
         assert rep["slope_estimate"] == pytest.approx(np.polyfit(np.log(eps), np.log(errs), 1)[0], rel=1e-12)
+
+    @pytest.mark.parametrize("tag", list(FAMILY_SAMPLES))
+    def test_report_matches_public_functions_bitwise(self, tag):
+        # the atlas configuration (h = 1e-3, a trace-free bump on the middle 70 %, eps = 1e-3): every field
+        # equals the public function it stands for, the slope the closed form through fd_variation at eps
+        # and eps / 4, which is the least-squares slope through eps, eps / 2 and eps / 4
+        m = entry_metric(cached_entry(tag, FAMILY_SAMPLES[tag]), h=1e-3)
+        lo, hi = float(m.r[0]), float(m.r[-1])
+        v = bump_variation((lo + 0.15 * (hi - lo), hi - 0.15 * (hi - lo)), psi_amp=1.0)
+        eps = [1e-3, 5e-4, 2.5e-4]
+        rep = variation_report(m, v, eps=eps[0])
+        analytic = first_variation(m, v)
+        fds = [fd_variation(m, v, e) for e in eps]
+        errs = [abs(fd - analytic) for fd in fds]
+        assert rep["analytic"] == analytic
+        assert rep["finite_difference"] == fds[0]
+        assert rep["noether_defect"] == noether_defect(m, (v.r0, v.r1))
+        assert rep["slope_estimate"] == math.log(errs[2] / errs[0]) / math.log(0.25)
+        assert rep["slope_estimate"] == pytest.approx(np.polyfit(np.log(eps), np.log(errs), 1)[0], rel=1e-9, abs=1e-9)
+
+
+class TestReportErrors:
+    """variation_report raises the typed error of each failing part, as first_variation, the
+    finite differences and noether_defect raise them on their own."""
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0, -1e-3])
+    def test_eps_outside_open_half_line(self, cigar_metric, eps):
+        # a nan eps returned finite_difference nan and slope inf, which passes any slope bound
+        v = bump_variation((0.5, 2.0), psi_amp=1.0)
+        with pytest.raises(DomainError, match="eps"):
+            variation_report(cigar_metric, v, eps=eps)
+        with pytest.raises(DomainError, match="eps"):
+            fd_variation(cigar_metric, v, eps=eps)
+
+    def test_support_outside_the_metric(self, cigar_metric):
+        v = bump_variation((1.0, 99.0), psi_amp=1.0)
+        for call in (lambda: variation_report(cigar_metric, v, 1e-3), lambda: fd_variation(cigar_metric, v, 1e-3)):
+            with pytest.raises(WindowError, match="support"):
+                call()
+
+    @pytest.mark.parametrize("k", [5, 6, 7, 8])
+    def test_window_of_too_few_points_for_the_defect(self, cigar_metric, k):
+        # k grid points: enough for the analytic and finite-difference parts, which pad the window
+        # by 2 and 3 points, too few for the conservation defect on the window itself
+        r, h = cigar_metric.r, cigar_metric.spacing
+        v = bump_variation((r[500] - 0.5 * h, r[499 + k] + 0.5 * h), psi_amp=1e-6)
+        first_variation(cigar_metric, v)
+        fd_variation(cigar_metric, v, eps=1e-4)
+        with pytest.raises(WindowError, match="too few"):
+            noether_defect(cigar_metric, (v.r0, v.r1))
+        with pytest.raises(WindowError, match="too few"):
+            variation_report(cigar_metric, v, eps=1e-4)
+
+    def test_zero_curvature_in_the_window(self):
+        prof = integrate_profile(make_params(-2.0, -1.0), 0.0, 1.0, (0.0, 5.0))
+        m = build_warped_metric(prof, (0.0, 0.0), (0.0, 2.0), 501)
+        with pytest.raises(ZeroCurvatureError):
+            variation_report(m, bump_variation((0.5, 1.5), psi_amp=1.0), eps=1e-4)
+
+    def test_degenerate_perturbation(self, cigar_metric):
+        # 1 - eps psi < 0 at the bump's peak
+        with pytest.raises(DomainError, match="degenerates"):
+            variation_report(cigar_metric, bump_variation((0.5, 2.0), psi_amp=1.0), eps=10.0)
+
+
+class TestReportDebugRecord:
+    def test_record(self, cigar_metric, caplog):
+        v = bump_variation((0.5, 2.0), psi_amp=1.0)
+        with caplog.at_level(logging.DEBUG, logger="soliton.variational"):
+            rep = variation_report(cigar_metric, v, eps=1e-3)
+        (record,) = [rec for rec in caplog.records if rec.name == "soliton.variational"]
+        assert record.levelno == logging.DEBUG
+        n, e_up, e_down, e4_up, e4_down, fd, fd4, err, err4 = record.args
+        sel = (cigar_metric.r >= 0.5) & (cigar_metric.r <= 2.0)
+        assert n == np.count_nonzero(sel) + 6  # the window widened by 3 points a side
+        assert fd == rep["finite_difference"] == (e_up - e_down) / 2e-3
+        assert fd4 == fd_variation(cigar_metric, v, 2.5e-4) == (e4_up - e4_down) / 5e-4
+        assert (err, err4) == (abs(fd - rep["analytic"]), abs(fd4 - rep["analytic"]))
+
+    def test_no_record_above_debug(self, cigar_metric, caplog):
+        with caplog.at_level(logging.INFO, logger="soliton.variational"):
+            variation_report(cigar_metric, bump_variation((0.5, 2.0), psi_amp=1.0), eps=1e-3)
+        assert not [rec for rec in caplog.records if rec.name == "soliton.variational"]
