@@ -118,6 +118,8 @@ _CONE_SPAN = 1.0e15
 #: x-range of the flat cone a == gamma, where t = x^2 and r = 2 gamma x are exact.
 _X_FLAT = 1.0e150
 _MAX_PARTS = 32  # x_of_r splits a table segment into at most this many equal parts
+_TINY, _EPS, _HUGE = np.finfo(float).tiny, np.finfo(float).eps, np.finfo(float).max
+_ROOTS = (1.0 / np.arange(1, 7))[:, None]
 
 
 def _parts(f, x, r):
@@ -129,11 +131,11 @@ def _parts(f, x, r):
     tau on y = tau + rho tau^2) are 1 and 25 times half c1 rho^7 n^-8; n keeps their sum below
     half an ulp of max(1, |r|) (r = 0 lies at a node)."""
     c = np.abs(_ANTI @ f.T)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rho = np.max((c[2:] / np.maximum(c[1], np.finfo(float).tiny)) ** (1.0 / np.arange(1, 7))[:, None], axis=0)
-        err = np.nan_to_num(13.0 * np.diff(x) * c[1] * rho**7)
-    ratio = err / (0.5 * np.finfo(float).eps * np.maximum(1.0, np.minimum(np.abs(r[:-1]), np.abs(r[1:]))))
-    return np.clip(np.ceil(ratio ** 0.125), 1, _MAX_PARTS).astype(int), float(ratio.max())
+    with np.errstate(invalid="ignore", over="ignore"):
+        err = 13.0 * (x[1:] - x[:-1]) * c[1] * ((c[2:] / np.maximum(c[1], _TINY)) ** _ROOTS).max(axis=0) ** 7
+    err[np.isnan(err)] = 0.0  # nan to 0 here and inf to the largest float next, as np.nan_to_num
+    ratio = np.minimum(err, _HUGE, out=err) / (0.5 * _EPS * np.maximum(1.0, np.minimum(abs(r[:-1]), abs(r[1:]))))
+    return np.minimum(np.maximum(np.ceil(ratio ** 0.125), 1.0), _MAX_PARTS).astype(int), float(ratio.max())
 
 
 def _v_offsets(span: float, c: float, grow_lo: bool, grow_hi: bool):
@@ -253,6 +255,8 @@ class _ArcTable:
                                   kind1 == CONVERGES or (kind1 == BLOW_UP and flat))
             nodes.append(x0 + s)
         self.x = _sorted_unique(np.concatenate(nodes))
+        if self.x.size < 2:
+            raise RangeError(f"the arc table from t = {t_lo:g} to {t_hi:g} has one node: its span rounds to 0")
         self.node_counts = (n_edge, *zones)  # near-edge piece and v zones
         # r = 0 at the node nearest x = 0, where the branch turns, and sums
         # run outward from there: their rounding stays at the scale of the
@@ -278,19 +282,15 @@ class _ArcTable:
 
     def point(self, x):
         """(a, t, dr/dx) at the table coordinate x, on the near-edge piece
-        where x <= x_c and on the v piece elsewhere."""
-        x = np.asarray(x, dtype=float)
+        where x <= x_c and on the v piece elsewhere.  x is 1-d with every
+        x <= x_c first, as nondecreasing x has them; it may be empty."""
         self.evals += x.size
-        edge = x <= self.x_c
-        if not edge.any():
-            return self._v_map(x)
-        if edge.all():
+        i = int(x.searchsorted(self.x_c, side="right"))
+        if i == x.size and self.x_c >= 0.0:
             return self._edge_map(x)
-        out = (np.empty_like(x), np.empty_like(x), np.empty_like(x))
-        for sel, piece in ((edge, self._edge_map), (~edge, self._v_map)):
-            for o, val in zip(out, piece(x[sel])):
-                o[sel] = val
-        return out
+        if i == 0:
+            return self._v_map(x)
+        return tuple(np.concatenate(pair) for pair in zip(self._edge_map(x[:i]), self._v_map(x[i:])))
 
     def _edge_map(self, x):
         """(a, t, dr/dx) on the near-edge piece: explicit in v, with dr/dx = dr/dv 2x / c; on the
@@ -342,48 +342,54 @@ class _ArcTable:
         r(x) is the antiderivative of their degree-6 interpolant, exact to
         rounding, and one Newton step on it from a cubic Hermite guess needs
         no further evaluation."""
-        r = np.clip(np.atleast_1d(np.asarray(r, dtype=float)), self.r[0], self.r[-1])
-        if np.any(r[1:] < r[:-1]):
+        r = np.array(r, dtype=float, ndmin=1)
+        np.minimum(np.maximum(r, self.r[0], out=r), self.r[-1], out=r)
+        if (r[1:] < r[:-1]).any():
             raise DomainError("x_of_r needs nondecreasing r")
-        held = np.diff(np.searchsorted(r, self.r[1:-1], side="right"), prepend=0, append=r.size)
-        seg = np.flatnonzero(held) + 1  # the segments that hold samples, held[seg - 1] each, in n parts
-        held, n = held[seg - 1], self.parts[seg - 1]
+        held = r.searchsorted(self.r[1:-1], side="right")
+        held = np.concatenate((held, [r.size])) - np.concatenate(([0], held))
+        seg = held.nonzero()[0] + 1  # the segments that hold samples, held[seg - 1] each, in n parts
+        held, n, x_lo, x_hi = held[seg - 1], self.parts[seg - 1], self.x[seg - 1], self.x[seg]
         self.segments = (seg.size, int(n.sum()))
-        h = np.repeat(0.5 * (self.x[seg] - self.x[seg - 1]) / n, n)  # parts of half-width h
-        k = np.arange(h.size) - np.repeat(np.cumsum(n) - n, n)  # index of a part in its segment
-        mid = np.repeat(self.x[seg - 1], n) + (2 * k + 1) * h
-        pts = (mid[:, None] + h[:, None] * _GL_X).ravel()
-        f = self.point(pts)[2].reshape(mid.size, -1)
+        j = np.arange(seg.size).repeat(n)  # the segment of each part, of half-width h
+        h = (0.5 * (x_hi - x_lo) / n)[j]
+        mid = x_lo[j] + (2 * (np.arange(h.size) - (n.cumsum() - n)[j]) + 1) * h
+        f = self.point((mid[:, None] + h[:, None] * _GL_X).ravel())[2].reshape(mid.size, -1)
         # r at the sub-nodes, summed from the segment's start; rows are padded with empty parts
-        real = np.arange(n.max(initial=1)) < n[:, None]
-        rs = np.zeros(real.shape)
-        rs[real] = f @ _GL_W * h
-        rs = self.r[seg - 1, None] + np.hstack([np.zeros((seg.size, 1)), np.cumsum(rs, axis=1)])
-        end = np.cumsum(held)[:, None]  # samples per part: merge them with the inner sub-nodes
-        cut = np.where(real[:, 1:], np.clip(np.searchsorted(r, rs[:, 1:-1]), end - held[:, None], end), end)
-        per = np.diff(cut, axis=1, prepend=end - held[:, None], append=end)[real]
+        rs = np.zeros((seg.size, n.max(initial=1) + 1))
+        real = np.arange(rs.shape[1] - 1) < n[:, None]
+        rs[:, 1:][real] = f @ _GL_W * h
+        rs[:, 1:].cumsum(axis=1, out=rs[:, 1:])
+        rs += self.r[seg - 1, None]
+        r_part, end = rs[:, :-1][real], held.cumsum()  # a part holds its segment's samples from its start on
+        first = np.minimum(np.maximum(r.searchsorted(r_part), (end - held)[j]), end[j])
+        per = np.concatenate((first[1:], [r.size])) - first  # samples per part
         # on a part r = rs_k + h y, y = sum_m c[m] tau^m; the cubic Hermite inverse tau(s), s = y / y1,
         # has slopes m = dtau/ds at s = 0, 1 (2, linear, unless both are positive and finite)
-        c, y1, d = _ANTI @ (f - f[:, 3:4]).T, np.diff(rs, axis=1)[real] / h, _ENDS @ f.T
+        c, y1, d = _ANTI @ (f - f[:, 3:4]).T, (rs[:, 1:] - rs[:, :-1])[real] / h, _ENDS @ f.T
         c[:2] += f[:, 3]  # less the centre value, c[2:] round with the variation of f, not with f
-        m = np.divide(y1, d, out=np.zeros_like(d), where=d > 0.0)
+        m = np.divide(y1, d, out=np.zeros(d.shape), where=d > 0.0)
         m[:, ~(np.isfinite(m) & (m > 0.0)).all(axis=0)] = 2.0
-        y = (r - np.repeat(rs[:, :-1][real], per)) / np.repeat(h, per)
-        s = y / np.repeat(np.maximum(y1, np.finfo(float).tiny), per)
-        tau, p, dp = np.zeros_like(y), np.repeat(c[-1], per), np.zeros_like(y)
-        for g in (m.sum(axis=0) - 4.0, 6.0 - 2.0 * m[0] - m[1], m[0]):  # Horner, in place
-            tau += np.repeat(g, per)
+        # few per-sample arrays, made in place, and the result last, above them: once the heap is trimmed
+        # each array costs its pages anew
+        y = np.divide(np.subtract(r, r_part.repeat(per), out=r), h.repeat(per), out=r)
+        s, tau = y / np.maximum(y1, _TINY).repeat(per), np.zeros(y.shape)
+        for g in (m.sum(axis=0) - 4.0, 6.0 - 2.0 * m[0] - m[1], m[0]):  # Horner
+            tau += g.repeat(per)
             tau *= s
-        np.clip(tau - 1.0, -1.0, 1.0, out=tau)
+        del s
+        np.minimum(np.maximum(np.subtract(tau, 1.0, out=tau), -1.0, out=tau), 1.0, out=tau)
+        p, dp = c[-1].repeat(per), np.zeros(y.shape)
         for cm in c[-2::-1]:  # then one Newton step
             dp *= tau
             dp += p
             p *= tau
-            p += np.repeat(cm, per)
-        tau = np.clip(tau - np.divide(p - y, dp, out=np.zeros_like(y), where=dp > 0.0), -1.0, 1.0)
-        tau *= np.repeat(h, per)
-        tau += np.repeat(mid, per)
-        return np.clip(tau, np.repeat(self.x[seg - 1], held), np.repeat(self.x[seg], held), out=tau)
+            p += cm.repeat(per)
+        tau -= np.divide(np.subtract(p, y, out=p), dp, out=np.zeros(y.shape), where=dp > 0.0)
+        np.minimum(np.maximum(tau, -1.0, out=tau), 1.0, out=tau)
+        tau *= h.repeat(per)
+        tau += mid.repeat(per)
+        return np.minimum(np.maximum(tau, x_lo.repeat(held), out=tau), x_hi.repeat(held))
 
 
 def _far_edge(profile: ProfileA, t: float) -> bool:
@@ -462,16 +468,16 @@ def build_warped_metric(
     if not (t_lo <= t_anchor <= t_hi) or _far_edge(profile, t_anchor):
         raise DomainError("anchor circle lies outside the profile domain")
     table = _ArcTable(profile, t_lo, t_hi)
-    return _sampled_metric(table, r0, table.x_at(t_anchor), r_window, n_samples, b0 == 0.0)
+    return _sampled_metric(table, r0, float(table.r_of_x(table.x_at(t_anchor))[0]), r_window, n_samples, b0 == 0.0)
 
 
-def _sampled_metric(table: _ArcTable, r0: float, x_anchor: float, r_window, n: int, origin: bool) -> WarpedMetric:
+def _sampled_metric(table: _ArcTable, r0: float, r_anchor: float, r_window, n: int, origin: bool) -> WarpedMetric:
     """The metric on n samples over r_window, clipped to the table's extent, with r = r0 at
-    the table coordinate x_anchor; with origin that is a smooth origin, where the grid may start."""
+    the table's r_anchor; with origin that is a smooth origin, where the grid may start."""
     profile = table.profile
     if origin and not is_smooth_origin(a0 := float(table._edge_map(table.x[:1])[0][0])):
         raise NotSmoothOriginError(f"b0 = 0 requires lim a(t) = 1 at t -> 0, got {a0!r}")
-    off = r0 - float(table.r_of_x(x_anchor)[0])
+    off = r0 - r_anchor
     extent = (off + float(table.r[0]), off + float(table.r[-1]))
     r_lo = max(float(r_window[0]), extent[0])
     r_hi = min(float(r_window[1]), extent[1])

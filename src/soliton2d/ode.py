@@ -174,9 +174,10 @@ def _psi(u: np.ndarray, log1pu: np.ndarray) -> np.ndarray:
     small = np.abs(u) < _PSI_SMALL
     if small.any():
         us = u[small]
-        series = _PSI_SERIES[-1] + us * 0.0  # Horner, as polyval evaluates it
-        for c in _PSI_SERIES[-2::-1]:
-            series = c + series * us
+        series = us * 0.0 + _PSI_COEFFS[0]  # Horner, as polyval evaluates it, in place: s u + c == c + s u
+        for c in _PSI_COEFFS[1:]:
+            series *= us
+            series += c
         out[small] = us * us * series
     return out
 

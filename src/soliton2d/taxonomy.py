@@ -395,4 +395,4 @@ def entry_metric(entry: CatalogEntry, h: float = 1e-3):
         t_in = _t_at_level(prof, a_in)
     table = _window_table(prof, t_in, _t_at_level(prof, a_out), a_in, a_out)
     r_out = float(table.r[-1] - table.r[0])
-    return _sampled_metric(table, 0.0, table.x[0], (0.0, r_out), int(round(r_out / h)) + 1, t_in == 0.0)
+    return _sampled_metric(table, 0.0, float(table.r[0]), (0.0, r_out), int(round(r_out / h)) + 1, t_in == 0.0)

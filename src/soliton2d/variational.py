@@ -106,6 +106,8 @@ def lie_variation(metric: WarpedMetric, window, amp: float = 1.0) -> VariationFi
     """The variation h = L_X g of the radial field X = xi(r) d/dr, xi a bump.
 
     Decomposes as phi = div X = xi' + (b'/b) xi and psi = xi' - (b'/b) xi.
+    Where b = 0 (a smooth origin, at the window's end) (b'/b) xi is taken as
+    its limit 0: xi vanishes there to all orders.
     """
     r0, r1 = float(window[0]), float(window[1])
     c, wd = 0.5 * (r0 + r1), 0.5 * (r1 - r0)
@@ -118,8 +120,7 @@ def lie_variation(metric: WarpedMetric, window, amp: float = 1.0) -> VariationFi
 
     def cot(r):
         b = np.interp(r, metric.r, metric.b)
-        bp = np.interp(r, metric.r, metric.b_prime)
-        return bp / b
+        return np.divide(np.interp(r, metric.r, metric.b_prime), b, out=np.zeros_like(b), where=b != 0.0)
 
     return VariationField(
         r0=r0, r1=r1,
@@ -161,7 +162,10 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> float:
 
 
 def _check_nonzero_K(K: np.ndarray):
-    if np.any(np.abs(K) < ZERO_K):
+    K = np.abs(K)
+    if not K.max(initial=0.0) < math.inf:  # nan or inf
+        raise DomainError("Gauss curvature is not finite inside the window")
+    if np.any(K < ZERO_K):
         raise ZeroCurvatureError("Gauss curvature vanishes inside the window")
 
 
@@ -308,11 +312,14 @@ def variation_report(metric: WarpedMetric, v: VariationField, eps: float = 1e-4)
     Four perturbed energies are evaluated, E[g +- eps h] and E[g +- (eps/4) h]: finite_difference is the
     quotient at eps, and slope_estimate the least-squares slope of log|quotient - analytic| against log eps
     through eps, eps/2 and eps/4 (inf if an error vanishes below roundoff).  Equally spaced in log eps, the
-    middle point has zero weight, so E[g +- (eps/2) h] is not evaluated.
+    middle point has zero weight, so E[g +- (eps/2) h] is not evaluated.  A quotient or error that is not
+    finite raises DomainError.
     """
     analytic, defect, fields = _fields(metric, (v.r0, v.r1), v, eps)
     (fd, *e1), (fd4, *e4) = _fd_quotient(fields, eps), _fd_quotient(fields, eps / 4.0)
     err, err4 = abs(fd - analytic), abs(fd4 - analytic)
+    if not (math.isfinite(err) and math.isfinite(err4)):  # err is finite only where both values are
+        raise DomainError(f"a finite-difference quotient or its error is not finite: {fd!r}, {fd4!r}")
     slope = math.log(err4 / err) / math.log(0.25) if err > 0.0 and err4 > 0.0 else math.inf
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("variation report on %d samples: E(+-eps) %r, %r, E(+-eps/4) %r, %r, quotients %r, %r, "

@@ -34,6 +34,9 @@ from soliton2d.geometry import EndDescriptor
 from soliton2d.taxonomy import FAMILY_TAGS
 from conftest import FAMILY_SAMPLES, NU_SAMPLES, cached_entry, cached_metric, mp_time
 
+# the geometry code runs without np.errstate where no warning can arise; none may leak from it
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 class TestCurvatureFromA:
     def test_cigar_origin(self):
@@ -641,6 +644,27 @@ def test_entry_metric_inverts_no_level(tag, monkeypatch):
     assert sizes == []
 
 
+@pytest.mark.parametrize("tag", list(FAMILY_SAMPLES))
+def test_entry_metric_reads_anchor_r_from_its_node(tag, monkeypatch):
+    # the window starts at the table's first node, so r there is read, not integrated; the table, the
+    # inverse and the samples take one point-map call each
+    entry = cached_entry(tag, FAMILY_SAMPLES[tag])  # a G4 root solve builds metrics from times
+
+    def no_quadrature(self, x):
+        raise AssertionError("r_of_x called")
+
+    calls, point = [], geometry._ArcTable.point
+
+    def counting(self, x):
+        calls.append(x.size)
+        return point(self, x)
+
+    monkeypatch.setattr(geometry._ArcTable, "r_of_x", no_quadrature)
+    monkeypatch.setattr(geometry._ArcTable, "point", counting)
+    entry_metric(entry)
+    assert 1 <= len(calls) <= 3
+
+
 @pytest.mark.parametrize("tag,nu", [("G10", 1.0), ("G7", 3.0 * math.pi), ("G6", math.pi), ("G5", 1.0)],
                          ids=["neg", "above", "below-cone", "below-decay"])
 def test_time_based_paths_invert_only_scalars(tag, nu, monkeypatch):
@@ -731,6 +755,24 @@ def test_edge_outside_float_range_raises(lam, mu, a0):
     prof = integrate_profile(make_params(lam, mu), 0.0, a0, (-math.inf, math.inf))
     with pytest.raises(RangeError, match="leaves the float range"):
         radial_distance(prof, 1e-9, 1e-3)
+
+
+@pytest.mark.parametrize("mu", [1e-16, 1e-18])
+def test_one_node_table_raises(mu):
+    # the near-edge span rounds to 0 against |C| = 1 / (4 mu): the table kept one node, and point sent its
+    # empty input to a v piece this table has not (AttributeError); the true distance is about 0.1
+    prof = integrate_profile(make_params(0.0, mu), 0.0, 1.0, (-math.inf, math.inf))
+    with pytest.raises(RangeError, match="one node"):
+        radial_distance(prof, 0.0, 0.0025)
+
+
+@pytest.mark.parametrize("make", [
+    _cigar_table,  # near-edge piece and v piece
+    lambda: geometry._window_table(catalog("G12", 1.0).profile, 1.0, 2.0),  # the v piece alone
+    lambda: geometry._ArcTable(constant_profile(make_params(-2.0, -1.0), (0.0, 5.0)), 0.0, 5.0),  # edge alone
+])
+def test_point_of_no_samples(make):
+    assert [val.size for val in make().point(np.empty(0))] == [0, 0, 0]
 
 
 class TestRadialDistanceMpmath:

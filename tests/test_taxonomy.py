@@ -29,6 +29,9 @@ from soliton2d.geometry import radial_distance
 from soliton2d.taxonomy import CATALOG_TABLE, FAMILY_TAGS, _disk_profile
 from conftest import FAMILY_SAMPLES, NU_SAMPLES, cached_entry, mp_time
 
+# the taxonomy and geometry code runs without np.errstate where no warning can arise; none may leak from it
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def mp_disk_distance(lam, mu):
     """Distance from a(0) = 1 to the blow-up of the branch, 40-digit mpmath:

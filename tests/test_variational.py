@@ -9,6 +9,7 @@ from scipy.integrate import quad, simpson
 from soliton2d import (
     DomainError,
     Rescale,
+    VariationField,
     WindowError,
     ZeroCurvatureError,
     apply_symmetry,
@@ -25,6 +26,7 @@ from soliton2d import (
     total_curvature,
     variation_report,
 )
+from soliton2d import variational
 from soliton2d.variational import _simpson
 from conftest import FAMILY_SAMPLES, cached_entry, cached_metric, perturbed_cigar_metric
 
@@ -227,6 +229,15 @@ class TestLieVariation:
         fd = fd_variation(fine_cigar, v, eps=1e-4)
         assert abs(fd) <= 1e-5  # diffeomorphism invariance at the discrete level
 
+    def test_window_at_smooth_origin(self):
+        # b'/b is infinite at b = 0, where the bump xi vanishes to all orders: (b'/b) xi is its limit 0 there,
+        # not nan, and the report's fields are finite with no warning (the module's filter)
+        m = entry_metric(cached_entry("G1_CIGAR", 1.0), h=1e-3)
+        v = lie_variation(m, (0.0, 0.793))
+        assert v.phi_at(np.array([0.0]))[0] == 0.0 and v.psi_at(np.array([0.0]))[0] == 0.0
+        rep = variation_report(m, v, eps=1e-3)
+        assert all(math.isfinite(val) for val in rep.values())
+
 
 class TestVariationReport:
     def test_fields(self, fine_cigar, tf_bump):
@@ -247,6 +258,20 @@ class TestVariationReport:
         assert rep["slope_estimate"] == math.log(errs[2] / errs[0]) / math.log(0.25)
         # the least-squares slope through three points equally spaced in log(eps)
         assert rep["slope_estimate"] == pytest.approx(np.polyfit(np.log(eps), np.log(errs), 1)[0], rel=1e-12)
+
+    def test_nan_curvature_raises(self, fine_cigar):
+        # a nan in the perturbed curvature K~ passed the |K~| < ZERO_K test and gave a nan energy
+        v = VariationField(0.5, 2.0, phi=lambda r: np.where(np.abs(np.asarray(r, float) - 1.25) < 0.1, np.nan, 0.0))
+        with pytest.raises(DomainError, match="not finite"):
+            fd_variation(fine_cigar, v, eps=1e-3)
+        with pytest.raises(DomainError, match="not finite"):
+            variation_report(fine_cigar, v, eps=1e-3)
+
+    def test_non_finite_quotient_raises(self, fine_cigar, tf_bump, monkeypatch):
+        # an inf quotient has an inf error, which would pass any slope bound as an inf slope
+        monkeypatch.setattr(variational, "_perturbed_energy", lambda fields, eps: math.inf if eps > 0.0 else 0.0)
+        with pytest.raises(DomainError, match="not finite"):
+            variation_report(fine_cigar, tf_bump, eps=1e-3)
 
     @pytest.mark.parametrize("tag", list(FAMILY_SAMPLES))
     def test_report_matches_public_functions_bitwise(self, tag):
