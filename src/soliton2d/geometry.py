@@ -11,7 +11,7 @@ regular t = 0 (smooth origin or cone vertex), where t = C + (t - C) would
 cancel, a near-edge piece runs up to a seam in x with x^2 = t_lo + c |v - v_lo|,
 in which a and t = t_lo + rise (ode._rise) are explicit too.  An edge's v comes
 from its level where the caller holds it (entry_metric), so no level is
-inverted, else from one scalar inversion of its time (radial_distance,
+inverted, else from one float inversion of its time (radial_distance,
 build_warped_metric).  An edge next to a cusp (C = 0) starts on v at x = 0.
 Gauss curvature follows the algebraic identity K = lambda - 2 mu / a; the
 finite-difference route -b''/b is kept separate as an independent check.
@@ -173,7 +173,7 @@ class _ArcTable:
     coordinate v (v = sigma x + v_shift, sigma = sign dt/dv = sign a'; x = 0
     at an edge next to a cusp, C = 0), in which a and t are explicit, with
     nodes that follow dr/dv (_v_offsets).  An edge's v comes from its level
-    where the caller holds it, else from one scalar inversion of its time,
+    where the caller holds it, else from one float inversion of its time,
     and so does the circle of x_at.  Cylinder and
     cusp ends lie at v = _V_MAX, decay and cone ends at _DECAY_SPAN and
     _CONE_SPAN.  A geodesic boundary (C > 0 at v = inf) is cut where the rest
@@ -272,10 +272,10 @@ class _ArcTable:
     worst = property(lambda self: self._estimate[1])
 
     def _v_at(self, t: float, a: Optional[float] = None) -> float:
-        """Level coordinate of the circle at t, from its level a where the caller holds it."""
+        """Level coordinate of the circle at t, from its level a where the caller holds it, else from t - C."""
         if a is not None:
             return _v_of_level(self.profile.params, self.branch, a)
-        return float(_level_coordinate(self.profile.params, self.branch, np.array([t - self.profile.C]))[0])
+        return _level_coordinate(self.profile.params, self.branch, float(t) - self.profile.C)
 
     def _v_point(self, v):
         return _level_point(self.profile.params, self.branch, self.profile.C, v)
@@ -309,7 +309,7 @@ class _ArcTable:
         return a, t, dr
 
     def x_at(self, t: float) -> float:
-        """Table coordinate of the circle at t, from one scalar inversion of its level."""
+        """Table coordinate of the circle at t, from its level (_v_at)."""
         if self.profile.is_constant:
             x = math.sqrt(t)
         else:

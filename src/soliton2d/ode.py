@@ -11,17 +11,17 @@ equation is separable: on every monotone branch t = C + G(a), with G the
 exact antiderivative of 1/a' normalized by G(inf) = 0.  So a branch blows up
 exactly at t = C, and decay to 0 or convergence to the separatrix takes
 infinite time.  This module represents profiles on their maximal intervals
-through that implicit solution, evaluates a(t) by inverting G (a tabulated
-first guess polished by Newton steps), and applies the scaling/translation
-symmetries of the solution space.
+through that implicit solution, evaluates a(t) by inverting G (closed-form
+Lambert W guesses polished by two Halley steps, in float arithmetic for one
+float), and applies the scaling/translation symmetries of the solution space.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -143,17 +143,18 @@ class EndTag:
 #
 # so t = C + G(a) reads psi(u) = -s with s = 4 mu gamma (t - C).  A branch
 # lies above the separatrix (y > 1), below it (0 < y < 1) or on the far side
-# of a negative gamma (y < 0).  On each, a coordinate v of the a-range and a
-# stretch S of the time make S(v) asymptotically linear at both ends, so a
-# table of S over v gives a first guess that two Newton steps polish to
-# rounding:
+# of a negative gamma (y < 0).  On each, a coordinate v of the a-range keeps
+# both ends of the class finite:
 #
-#   NEG   (gamma < 0): v = log(a/|gamma|),       S = log psi          (blow-up, decay)
-#   ABOVE (y > 1)    : v = log(a/gamma - 1),     S = log psi + psi    (blow-up, convergence)
-#   BELOW (0 < y < 1): v = log(a/(gamma - a)),   S = asinh(-psi)      (decay, convergence)
+#   NEG   (gamma < 0): v = log(a/|gamma|)       (blow-up, decay)
+#   ABOVE (y > 1)    : v = log(a/gamma - 1)     (blow-up, convergence)
+#   BELOW (0 < y < 1): v = log(a/(gamma - a))   (decay, convergence)
 #
 # On BELOW, -psi = 1 - v + e^-v exactly.  Both a and t are explicit in v
 # (_level_point), so the arc-length quadrature of the metric runs in v too.
+# Inverting t is a Lambert W problem (Corless et al. 1996): with w = -s and
+# p = 1 + u, NEG and ABOVE solve p - log p = 1 + w (the -1 and 0 branches of W
+# at -e^(-1-w)), BELOW has v = 1 - s + W0(e^(s-1)); see _level_coordinate.
 # ---------------------------------------------------------------------------
 
 _NEG, _ABOVE, _BELOW, _STEADY = "neg", "above", "below", "steady"
@@ -166,6 +167,7 @@ _PSI_SMALL = 0.125
 # v-range kept in evaluation: a up to ~1e152 |gamma| (u^2 stays normal) and
 # down to ~1e-304 |gamma|
 _V_MIN, _V_MAX = -700.0, 350.0
+_S_MAX, _TINY = 1.0e305, float(np.finfo(float).tiny)  # |s| past every class's v-range; the smallest normal float
 
 
 def _psi(u: np.ndarray, log1pu: np.ndarray) -> np.ndarray:
@@ -184,45 +186,60 @@ def _psi(u: np.ndarray, log1pu: np.ndarray) -> np.ndarray:
 
 def _psi_float(u: float, log1pu: float) -> float:
     """_psi of one float in float arithmetic: the same roundings, without numpy's per-call cost."""
-    return u - log1pu if not abs(u) < _PSI_SMALL else u * u * functools.reduce(lambda s, c: c + s * u, _PSI_COEFFS)
+    if not abs(u) < _PSI_SMALL:
+        return u - log1pu
+    series = 0.0
+    for c in _PSI_COEFFS:  # Horner, as _psi: 0 u + c == c
+        series = c + series * u
+    return u * u * series
 
 
-def _psi_v(branch: str, v: np.ndarray):
-    """(psi, dpsi/dv) at the level coordinate v of a branch class.
+def _pieces(cond: np.ndarray, x: np.ndarray, f, g, m) -> np.ndarray:
+    """f(x, m) where cond, else g(x, m), each evaluated on its own elements only."""
+    out = np.empty_like(x)
+    for part, fn in ((cond, f), (~cond, g)):
+        if part.all():
+            return fn(x, m)
+        if part.any():
+            out[part] = fn(x[part], m)
+    return out
+
+
+# The level inversion's functions on arrays and, in float arithmetic (as _psi_float), on one float; float min and
+# clip let a nan through, as numpy does.
+_ARRAY = SimpleNamespace(exp=np.exp, log=np.log, log1p=np.log1p, sqrt=np.sqrt, minimum=np.minimum, psi=_psi,
+                         clip=lambda x, lo, hi: np.minimum(np.maximum(x, lo, out=x), hi, out=x), pieces=_pieces)
+_FLOAT = SimpleNamespace(exp=math.exp, log=math.log, log1p=math.log1p, sqrt=math.sqrt, minimum=min, psi=_psi_float,
+                         clip=lambda x, lo, hi: lo if x < lo else hi if x > hi else x,
+                         pieces=lambda cond, x, f, g, m: f(x, m) if cond else g(x, m))
+
+
+def _psi_v(branch: str, v, m=_ARRAY):
+    """(psi, dpsi/dv, z) at the level coordinate v of a branch class; z = u on NEG and ABOVE, e^-v on BELOW.
 
     Written so that each end of the class stays finite: the blow-up side up
     to _V_MAX, the decay side down to _V_MIN and the convergence side
     without limit.
     """
     if branch == _NEG:
-        u = np.exp(-v)
-        return _psi(u, np.log1p(u)), -u * (u / (1.0 + u))
+        u = m.exp(-v)
+        return m.psi(u, m.log1p(u)), -u * (u / (1.0 + u)), u
     if branch == _ABOVE:
-        u = -1.0 / (1.0 + np.exp(v))
-        return _psi(u, np.minimum(v, 0.0) - np.log1p(np.exp(-np.abs(v)))), -u * u
-    em = np.exp(-v)
-    return v - 1.0 - em, 1.0 + em
+        u = -1.0 / (1.0 + m.exp(v))
+        return m.psi(u, m.minimum(v, 0.0) - m.log1p(m.exp(-abs(v)))), -u * u, u
+    em = m.exp(-v)
+    return v - 1.0 - em, 1.0 + em, em
 
 
-def _stretch(branch: str, v: np.ndarray):
-    """(S, dS/dv) on one branch class (see the table above)."""
-    ps, dps = _psi_v(branch, v)
-    if branch == _NEG:
-        return np.log(ps), dps / ps
-    if branch == _ABOVE:
-        return np.log(ps) + ps, dps * (1.0 / ps + 1.0)
-    return np.arcsinh(-ps), -dps / np.hypot(1.0, ps)
-
-
-def _a_of_v(g: float, branch: str, v: np.ndarray) -> np.ndarray:
+def _a_of_v(g: float, branch: str, v, m=_ARRAY):
     """The level a at coordinate v (v = log a on the steady class)."""
     if branch == _NEG:
-        return -g * np.exp(v)
+        return -g * m.exp(v)
     if branch == _ABOVE:
-        return g * (1.0 + np.exp(v))
+        return g * (1.0 + m.exp(v))
     if branch == _BELOW:
-        return g / (1.0 + np.exp(-v))
-    return np.exp(v)
+        return g / (1.0 + m.exp(-v))
+    return m.exp(v)
 
 
 def _v_of_level(params: SolitonParams, branch: str, a: float) -> float:
@@ -243,7 +260,7 @@ def _level_point(params: SolitonParams, branch: str, C: float, v: np.ndarray, t:
     if branch == _STEADY:
         k, ps, dps = 1.0 / (4.0 * params.mu * a), 1.0, -1.0
     else:
-        k, (ps, dps) = -1.0 / (4.0 * params.mu * params.gamma), _psi_v(branch, v)
+        k, (ps, dps) = -1.0 / (4.0 * params.mu * params.gamma), _psi_v(branch, v)[:2]
     t, dt = C + k * ps if t is None else t, k * dps
     if C == 0.0:  # toward a cusp end t = k psi underflows long before dr/dv does
         return a, t, dt, a * np.sqrt(np.abs(k)) * np.abs(dps) / np.sqrt(np.abs(ps))
@@ -269,31 +286,6 @@ def _rise(params: SolitonParams, branch: str, v_lo: float, d: np.ndarray):
     return k * (A * q - log1pq if A <= 4.0 * abs(A1) else A1 * q + _psi(q, log1pq)), abs(k * A1) / (1.0 + E)
 
 
-def _stretch_target(branch: str, s: np.ndarray) -> np.ndarray:
-    """S at the solution of psi(u) = -s."""
-    if branch == _NEG:
-        return np.log(-s)
-    if branch == _ABOVE:
-        return np.log(-s) - s
-    return np.arcsinh(s)
-
-
-_TABLE_DS = 0.01
-
-
-@functools.cache
-def _level_table(branch: str) -> tuple[float, np.ndarray]:
-    """(S_0, v_j): the v with S(v_j) = S_0 + j * _TABLE_DS, for v in [-40, 40]; built on first use."""
-    v_fine = np.linspace(-40.0, 40.0, 8001)
-    s_fine, _ = _stretch(branch, v_fine)
-    s_grid = np.arange(s_fine[-1], s_fine[0], _TABLE_DS)
-    v = np.interp(s_grid, s_fine[::-1], v_fine[::-1])
-    for _ in range(3):
-        s, ds = _stretch(branch, v)
-        v = v - (s - s_grid) / ds
-    return float(s_grid[0]), v
-
-
 def _branch_class(params: SolitonParams, a_ref: float) -> str:
     g = params.gamma
     if math.isinf(g):
@@ -313,40 +305,44 @@ _V_RANGE = {
 }
 
 
-def _level_coordinate(params: SolitonParams, branch: str, dt: np.ndarray) -> np.ndarray:
-    """The level coordinate v at times t with t - C = dt (vectorized)."""
-    mu, g = params.mu, params.gamma
-    lo, hi = _V_RANGE[branch]
-    if branch == _STEADY:
-        with np.errstate(divide="ignore"):
-            return np.clip(-np.log(4.0 * mu * dt), lo, hi)
-    with np.errstate(over="ignore", invalid="ignore"):  # s overflows at extreme scales: v is nan there
-        s = 4.0 * mu * g * dt
-        if branch != _BELOW:
-            # blow-up branches have s < 0 inside the domain; keep rounding there
-            s = np.minimum(s, -np.finfo(float).tiny)
-        s_target = _stretch_target(branch, s)
-        s0, vt = _level_table(branch)
-        x = (s_target - s0) * (1.0 / _TABLE_DS)
-        j = np.clip(x, 0.0, vt.size - 2.0).astype(np.intp)
-        v = vt[j] + (x - j) * (vt[j + 1] - vt[j])  # extrapolates linearly past the table
-        for _ in range(2):
-            np.clip(v, lo, hi, out=v)
-            s_v, ds = _stretch(branch, v)
-            v -= (s_v - s_target) / ds
-        if branch == _BELOW:
-            # S is logarithmic on the convergence side; past the table (v > 40)
-            # -psi = 1 - v + e^-v = s gives v = 1 - s to rounding
-            v = np.where(s < -39.0, 1.0 - s, v)
-        return np.clip(v, lo, hi, out=v)
+def _level_guess(branch: str, s, m):
+    """First guess of v where psi = -s, to about 1e-2; each piece runs on its side of the switch only (its domain)."""
+    def _branch_series(r):  # u at r = +-sqrt(2w), where psi(u) = w near the branch point u = 0
+        return r * (1.0 + r * (1.0 / 3.0 + r * (1.0 / 36.0 - r / 270.0)))
+    if branch == _NEG:  # the branch-point series, or u = w + log(1 + u) iterated three times
+        return -m.log(m.pieces(s > -2.0, -s, lambda w, m: _branch_series(m.sqrt(2.0 * w)),
+                               lambda w, m: w + m.log1p(w + m.log1p(w + m.log1p(w))), m))
+    if branch == _ABOVE:  # v = log(1 + u) - log(-u) from the series, or from log p = c + p, c = -1 - w, iterated twice
+        return m.pieces(s > -1.0, -s, lambda w, m: m.log1p(u := _branch_series(-m.sqrt(2.0 * w))) - m.log(-u),
+                        lambda w, m: (lp := (c := -1.0 - w) + m.exp(c + m.exp(c))) - m.log1p(-m.exp(lp)), m)
+    # v = -L + e^-v iterated three times from v = -L; Winitzki's W0(x) = S (1 - log(1 + S) / (2 + S)),
+    # S = log(1 + x), at x = e^L (2003); or W0(e^L) = L - log L + log L / L + log L (log L - 2) / (2 L^2)
+    return m.pieces(s < -0.5, s - 1.0, lambda L, m: m.exp(L - m.exp(L - m.exp(L))) - L, lambda L, m: m.pieces(
+        L < 3.0, L, lambda L, m: (S := m.log1p(m.exp(L))) * (1.0 - m.log1p(S) / (2.0 + S)) - L,
+        lambda L, m: (lg := m.log(L)) * (1.0 + (lg - 2.0) / (2.0 * L)) / L - lg, m), m)
 
 
-def _level_at(params: SolitonParams, branch: str, dt: np.ndarray) -> np.ndarray:
-    """a on the branch class at times t with t - C = dt (vectorized)."""
-    if branch == _STEADY:
-        with np.errstate(over="ignore"):  # a underflows to 0 where 4 mu dt overflows
-            return 1.0 / (4.0 * params.mu * dt)
-    return _a_of_v(params.gamma, branch, _level_coordinate(params, branch, dt))
+def _level_coordinate(params: SolitonParams, branch: str, dt):
+    """The level coordinate v at times t with t - C = dt: vectorized, or in float arithmetic for a float dt.
+    s is clamped to |s| <= _S_MAX (on the blow-up classes to s < 0); then two Halley steps from _level_guess."""
+    m, (lo, hi) = _FLOAT if isinstance(dt, float) else _ARRAY, _V_RANGE[branch]
+    k = 4.0 * params.mu * (1.0 if branch == _STEADY else params.gamma)
+    with np.errstate(over="ignore"):  # s overflows at extreme scales: it is clamped; k keeps its digits
+        s = k * dt if _TINY <= abs(k) < math.inf else 4.0 * params.mu * (params.gamma * dt)
+    if branch == _STEADY:  # closed form
+        return m.clip(-m.log(m.clip(s, _TINY, math.inf)), lo, hi)
+    s = m.clip(s, -_S_MAX, _S_MAX if branch == _BELOW else -_TINY)
+    v = m.clip(_level_guess(branch, s, m), lo, hi)
+    for _ in range(2):  # q: the Newton step; psi''/psi' = -h, h = 1 + 1/(1 + u), 2 (1 + u), e^-v / (1 + e^-v)
+        q, dps, z = _psi_v(branch, v, m)
+        q = (q + s) / dps
+        h = 1.0 + 1.0 / (1.0 + z) if branch == _NEG else 2.0 + 2.0 * z if branch == _ABOVE else z / dps
+        h *= 0.5 * q  # in place on arrays: fresh pages cost more than the arithmetic
+        h += 1.0
+        q /= h
+        v -= q
+        v = m.clip(v, lo, hi)
+    return v
 
 
 def _separatrix_time(params: SolitonParams, a: float) -> float:
@@ -470,17 +466,21 @@ class ProfileA:
     # -- evaluation ---------------------------------------------------------
 
     def a(self, t):
-        """Profile value(s); valid on the open interval and at finite-limit endpoints."""
-        arr = np.atleast_1d(np.asarray(t, dtype=float))
-        lo_ok = arr > self.t0 if self.tag0.kind == BLOW_UP else arr >= self.t0
-        hi_ok = arr < self.t1 if self.tag1.kind == BLOW_UP else arr <= self.t1
-        if not np.all(lo_ok & hi_ok):
+        """Profile value(s), for a scalar t in float arithmetic; valid on the open interval and at finite-limit ends."""
+        scalar = isinstance(t, float) or not np.ndim(t)
+        x = float(t) if scalar else np.asarray(t, dtype=float)
+        ok = (x > self.t0 if self.tag0.kind == BLOW_UP else x >= self.t0) & (
+            x < self.t1 if self.tag1.kind == BLOW_UP else x <= self.t1)
+        if not (ok if scalar else ok.all()):
             raise DomainError(f"t outside profile domain ({self.t0:g}, {self.t1:g})")
         if self.is_constant:
-            out = np.full_like(arr, self.params.gamma)
-        else:
-            out = _level_at(self.params, _branch_class(self.params, self.a_ref), arr - self.C)
-        return out if np.ndim(t) else float(out[0])
+            return self.params.gamma if scalar else np.full_like(x, self.params.gamma)
+        if (branch := _branch_class(self.params, self.a_ref)) != _STEADY:
+            v = _level_coordinate(self.params, branch, x - self.C)
+            return _a_of_v(self.params.gamma, branch, v, _FLOAT if scalar else _ARRAY)
+        with np.errstate(over="ignore", divide="ignore"):  # a is 0 where 4 mu (t - C) overflows, inf where it is 0
+            a = np.divide(1.0, 4.0 * self.params.mu * (x - self.C))
+        return float(a) if scalar else a
 
     def a_at_zero(self) -> float:
         """a(0): the anchor's level where t_ref = 0 (the branch passes through it exactly), else a(0.0)."""

@@ -499,16 +499,6 @@ class TestImportHygiene:
                               text=True, check=True)
         assert proc.stdout.strip() == "[]"
 
-    def test_import_builds_no_level_table(self):
-        # the level tables that invert t(v) are built on first use, so a CLI
-        # call that inverts no level (catalog --list) does not pay for them
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
-        code = "import soliton2d, soliton2d.cli; print(soliton2d.ode._level_table.cache_info().currsize)"
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, check=True)
-        assert proc.stdout.strip() == "0"
-
     @pytest.mark.parametrize("argv", [
         ["metric", "--lambda", "-1", "--mu", "-1", "--a0", "1", "--b0", "0",
          "--r-range", "0,3", "--samples", "51", "--format", "csv"],

@@ -44,6 +44,9 @@ from soliton2d import ode
 from soliton2d.verify import smooth_extension_check
 from conftest import mp_time
 
+# the level inversion's array form runs inside one np.errstate; no other warning may leak from the ode code
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def separable_time_oracle(mu, gamma, a_from, a_to):
     """Quadrature of dt = da / (4 mu a^2 (a/gamma - 1)), independent of the solver.
@@ -580,6 +583,161 @@ class TestMpmathOracles:
                 g = mpmath.mpf(gamma)
                 exact = (-1 - mpmath.log(1 - g) / g) / (4 * mpmath.mpf(mu))
             assert abs(blow_up_time_closed(mu, gamma) - exact) <= 1e-15 * abs(exact)
+
+
+class TestLevelInversion:
+    """ode._level_coordinate, in float and in array form, against 420-digit Lambert W on every class.
+
+    With w = -s, p = 1 + u: p = -W(-e^(-1-w)) on the -1 branch (NEG) and the 0 branch (ABOVE), and
+    v = 1 - s + W0(e^(s-1)) on BELOW; the steady class is closed form.  The bound is 2 ulps of the level
+    a(v), plus its sensitivity |da/dv| to one ulp of v, to the rounding of s = 4 mu gamma dt
+    (2^-52 |s|) and, where |u| >= 1/8, to one ulp of log1p(u): psi = u - log1p(u) cancels there, which
+    limits any inversion that evaluates that psi (about 2x the rest of the bound at |u| just above 1/8).
+    """
+
+    CLASSES = ["neg", "above", "below", "steady"]
+
+    @staticmethod
+    def exact_v(branch, s):
+        if branch == "steady":
+            return -mpmath.log(s)
+        if branch == "below":
+            return 1 - s + mpmath.lambertw(mpmath.exp(s - 1)).real
+        p = -mpmath.lambertw(-mpmath.exp(-1 + s), -1 if branch == "neg" else 0).real
+        return -mpmath.log(p - 1) if branch == "neg" else mpmath.log(p) - mpmath.log(1 - p)
+
+    @staticmethod
+    def level(branch, g, v):
+        e = mpmath.exp(v)
+        if branch == "steady":
+            return e
+        return -g * e if branch == "neg" else g * (1 + e) if branch == "above" else g * e / (1 + e)
+
+    @classmethod
+    def minus_psi(cls, branch, v):
+        """s at the level coordinate v."""
+        if branch == "steady":
+            return mpmath.exp(-v)
+        if branch == "below":
+            return 1 - v + mpmath.exp(-v)
+        u = mpmath.exp(-v) if branch == "neg" else -1 / (1 + mpmath.exp(v))
+        return mpmath.log1p(u) - u
+
+    @classmethod
+    def cases(cls, branch, n=48, seed=0):
+        """(params, dt): mu and gamma at scales up to 1e+-300 (with a normal time scale 4 mu gamma), and
+        levels spread over the class's v-range, half of them within the switches and the psi cancellation."""
+        rng = np.random.default_rng([seed, cls.CLASSES.index(branch)])
+        out = []
+        while len(out) < n:
+            mu = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300, 300))
+            g = math.inf if branch == "steady" else float((-1.0 if branch == "neg" else 1.0) * 10.0 ** rng.uniform(-300, 300))
+            try:
+                p = make_params(0.0 if branch == "steady" else 2.0 * mu / g, mu)
+            except (RangeError, DomainError):
+                continue
+            k = 4.0 * p.mu * (1.0 if branch == "steady" else p.gamma)
+            if not 2.2250738585072014e-308 <= abs(k) < math.inf:
+                continue
+            lo, hi = max(ode._V_RANGE[branch][0], -720.0), min(ode._V_RANGE[branch][1], 720.0)
+            v = mpmath.mpf(rng.uniform(-4.0, 6.0) if len(out) % 2 else rng.uniform(lo, hi))
+            dt = float(cls.minus_psi(branch, v) / (4 * mpmath.mpf(p.mu) * (1 if branch == "steady" else mpmath.mpf(p.gamma))))
+            if dt != 0.0 and math.isfinite(dt):
+                out.append((p, dt))
+        return out
+
+    def bound(self, branch, p, dt):
+        """(the level a at dt, the bound on its error)."""
+        g = mpmath.mpf(p.gamma) if branch != "steady" else None
+        s = 4 * mpmath.mpf(p.mu) * (1 if branch == "steady" else g) * mpmath.mpf(dt)
+        lo, hi = ode._V_RANGE[branch]
+        v = min(max(self.exact_v(branch, s), lo), hi)
+        a = self.level(branch, g, v)
+        dadv = abs(mpmath.diff(lambda x: self.level(branch, g, x), v))
+        dpsi = abs(mpmath.diff(lambda x: self.minus_psi(branch, x), v))
+        rounding = 2.0**-52 * abs(s)
+        u = None if branch in ("below", "steady") else mpmath.exp(-v) if branch == "neg" else -1 / (1 + mpmath.exp(v))
+        if u is not None and abs(u) >= 0.125:
+            rounding += math.ulp(float(mpmath.log1p(u)))
+        return a, 2 * math.ulp(float(a)) + float(dadv * (math.ulp(float(v)) + rounding / dpsi))
+
+    @pytest.mark.parametrize("branch", CLASSES)
+    def test_matches_lambert_w(self, branch):
+        with mpmath.workdps(420):
+            for p, dt in self.cases(branch):
+                a, bound = self.bound(branch, p, dt)
+                if not 2.2250738585072014e-308 <= a <= 1.7976931348623157e308:
+                    continue  # the level itself leaves the float range
+                v_float = ode._level_coordinate(p, branch, dt)
+                v_array = ode._level_coordinate(p, branch, np.array([dt]))
+                assert type(v_float) is float and v_array.shape == (1,)
+                for v in (v_float, float(v_array[0])):
+                    got = float(ode._a_of_v(p.gamma, branch, np.array([v]))[0])
+                    assert abs(got - a) <= bound, (p, dt, v, float(a), bound)
+
+    @pytest.mark.parametrize("branch", CLASSES)
+    def test_guess_switches_and_psi_cancellation(self, branch):
+        # both sides of each guess switch (w = 2 on NEG, 1 on ABOVE; L = s - 1 = -1.5 and 3 on BELOW) and
+        # |u| = 1/8, where psi = u - log1p(u) starts to cancel, at unit scale
+        p = make_params(*{"neg": (4.0, -1.0), "above": (4.0, 1.0), "below": (-1.0, -1.0), "steady": (0.0, -1.0)}[branch])
+        k = 4.0 * p.mu * (1.0 if branch == "steady" else p.gamma)
+        s_values = {"neg": [-2.0, -0.125 + math.log1p(0.125)], "above": [-1.0, 0.125 + math.log1p(-0.125)],
+                    "below": [-0.5, 4.0], "steady": [1.0]}[branch]
+        with mpmath.workdps(420):
+            for s0 in s_values:
+                for s in (s0 * (1.0 + 1e-3 * j) for j in range(-5, 6)):
+                    a, bound = self.bound(branch, p, s / k)
+                    for v in (ode._level_coordinate(p, branch, s / k), ode._level_coordinate(p, branch, np.array([s / k]))[0]):
+                        got = float(ode._a_of_v(p.gamma, branch, np.array([v]))[0])
+                        assert abs(got - a) <= bound, (s, v, float(a), bound)
+
+    SPECIAL_DT = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308, math.inf, -math.inf,
+                  math.nan, 1e308, -1e308]
+
+    @pytest.mark.parametrize("branch", CLASSES)
+    @pytest.mark.parametrize("scale", [1.0, 1e300, 1e-300])
+    def test_special_inputs_agree(self, branch, scale):
+        # +-0, subnormal, +-inf and nan dt, and an s = 4 mu gamma dt that overflows (4 mu = 4e300 at scale
+        # 1e300): both forms give the same v and level, and no math error escapes the float form
+        lam, mu = {"neg": (4.0, -1.0), "above": (4.0, 1.0), "below": (-1.0, -1.0), "steady": (0.0, -1.0)}[branch]
+        p = make_params(lam * scale, mu * scale)
+        for dt in self.SPECIAL_DT:
+            got, ref = ode._level_coordinate(p, branch, dt), ode._level_coordinate(p, branch, np.array([dt]))[0]
+            assert type(got) is float
+            assert got == ref or (math.isnan(got) and math.isnan(ref)), (dt, got, ref)
+        # a profile's infinite ends: a(+-inf) is the limit level in both forms, the ABOVE convergence end included
+        prof = integrate_profile(p, 0.0, 1.0, (-math.inf, math.inf))
+        for t in (prof.t0, prof.t1):
+            if math.isinf(t):
+                got, ref = prof.a(t), prof.a(np.array([t]))[0]
+                assert type(got) is float and got == ref and not math.isnan(got), (t, got, ref)
+
+    def test_subnormal_time_scale(self):
+        # 4 mu gamma = 4.2e-313 is subnormal: s = (4 mu gamma) dt would keep 3 digits fewer and miss the level
+        # by 6 times the bound, so s is taken as 4 mu (gamma dt)
+        mu, g, dt = 7.296864649049521e-230, -1.439894955410727e-84, 3.377417377090467e68
+        p = make_params(2.0 * mu / g, mu)
+        assert p.gamma == g and abs(4.0 * mu * g) < 2.2250738585072014e-308
+        with mpmath.workdps(420):
+            a, bound = self.bound("neg", p, dt)
+            for v in (ode._level_coordinate(p, "neg", dt), ode._level_coordinate(p, "neg", np.array([dt]))[0]):
+                assert abs(float(ode._a_of_v(g, "neg", np.array([v]))[0]) - a) <= bound
+
+    def test_scalar_callers_pass_floats(self, monkeypatch):
+        # ProfileA.a of a scalar and the arc table's time-only edges invert a Python float, in float arithmetic
+        seen, invert = [], ode._level_coordinate
+
+        def recording(params, branch, dt):
+            seen.append(type(dt))
+            return invert(params, branch, dt)
+
+        monkeypatch.setattr(ode, "_level_coordinate", recording)
+        from soliton2d import geometry
+        monkeypatch.setattr(geometry, "_level_coordinate", recording)
+        prof = integrate_profile(make_params(-1.0, -1.0), 0.0, 1.0, (-math.inf, math.inf))
+        assert type(prof.a(0.3)) is float and type(prof.a(np.float64(0.3))) is float
+        geometry.radial_distance(prof, 0.1, 0.5)
+        assert seen and set(seen) == {float}
 
 
 class TestBranchTimesOutsideFloatRange:
