@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -120,6 +120,7 @@ _X_FLAT = 1.0e150
 _MAX_PARTS = 32  # x_of_r splits a table segment into at most this many equal parts
 _TINY, _EPS, _HUGE = np.finfo(float).tiny, np.finfo(float).eps, np.finfo(float).max
 _ROOTS = (1.0 / np.arange(1, 7))[:, None]
+_UNIT = np.linspace(0.0, 1.0, 9)  # the v offsets 1/8 apart over the first unit
 
 
 def _parts(f, x, r):
@@ -149,7 +150,7 @@ def _v_offsets(span: float, c: float, grow_lo: bool, grow_hi: bool):
     lo = c - _V_FLAT if grow_lo else -math.inf
     hi = max(c + _V_FLAT, 2.0) if grow_hi else math.inf
     g = 1.25 ** np.arange(math.log(span + 2.0) / math.log(1.25))
-    s = np.concatenate([np.linspace(0.0, 1.0, 9), [1.5, span], 2.0 * g[2.0 * g < lo],
+    s = np.concatenate([_UNIT, [1.5, span], 2.0 * g[2.0 * g < lo],
                         np.arange(max(2.0, math.ceil(2.0 * lo) / 2.0 if grow_lo else 2.0), min(span, hi), 0.5),
                         max(c, 0.0) + (hi - max(c, 0.0)) * g])
     s = _sorted_unique(s[s <= span])
@@ -475,7 +476,7 @@ def _sampled_metric(table: _ArcTable, r0: float, r_anchor: float, r_window, n: i
     """The metric on n samples over r_window, clipped to the table's extent, with r = r0 at
     the table's r_anchor; with origin that is a smooth origin, where the grid may start."""
     profile = table.profile
-    if origin and not is_smooth_origin(a0 := float(table._edge_map(table.x[:1])[0][0])):
+    if origin and not is_smooth_origin(a0 := profile.a_at_zero()):
         raise NotSmoothOriginError(f"b0 = 0 requires lim a(t) = 1 at t -> 0, got {a0!r}")
     off = r0 - r_anchor
     extent = (off + float(table.r[0]), off + float(table.r[-1]))
@@ -609,12 +610,7 @@ class EndDescriptor:
     nu: Optional[float] = None
 
     def to_json_dict(self) -> dict:
-        out = {"kind": self.kind}
-        for key in ("angle", "radius", "length", "curvature", "nu"):
-            val = getattr(self, key)
-            if val is not None:
-                out[key] = val
-        return out
+        return {f.name: val for f in fields(self) if (val := getattr(self, f.name)) is not None}
 
 
 @dataclass(frozen=True)
@@ -647,18 +643,15 @@ class GeometryReport:
 
 
 def t0_uncertainty(profile: ProfileA) -> float:
-    """Rounding bound on a blow-up time T0 = C = t_ref - G(a_ref).
+    """Rounding bound on a blow-up time T0 = C = t_ref - G(a_ref), whatever the profile's window.
 
     A few ulps of each term of the subtraction, plus the rounding of a_ref
-    and gamma amplified by the condition number |a G'(a)| = |a / a'(a)|.
+    and gamma amplified by the condition number |a G'(a)| = |a / a'(a)| =
+    1 / |4 mu a (a/gamma - 1)|, taken from the factors of a'.
     """
     p, a = profile.params, profile.a_ref
-    with np.errstate(over="ignore", invalid="ignore"):  # where a' under- or overflows, |a / a'| =
-        slope = p.rhs(a)  # 1 / |4 mu a (a/gamma - 1)| from its factors
-    cond = abs(a / slope) if 0.0 < abs(slope) < math.inf else 1.0 / max(abs(4.0 * p.mu * a * (a / p.gamma - 1.0)),
-                                                                         np.finfo(float).tiny)
-    scale = abs(profile.t0) + abs(profile.t_ref) + abs(_separatrix_time(p, a)) + cond
-    return 8.0 * np.finfo(float).eps * scale
+    cond = 1.0 / max(abs(4.0 * p.mu * a * (a / p.gamma - 1.0)), _TINY)
+    return float(8.0 * _EPS * (abs(profile.C) + abs(profile.t_ref) + abs(_separatrix_time(p, a)) + cond))
 
 
 def t0_sign(profile: ProfileA) -> tuple[Optional[int], float]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 from typing import Optional
 
@@ -69,7 +69,8 @@ def on_separatrix(params: SolitonParams, a: float) -> bool:
 
 @dataclass(frozen=True)
 class SolitonParams:
-    """The pair (lambda, mu); gamma = 2 mu / lambda is derived.
+    """The pair (lambda, mu), with the separatrix level gamma = 2 mu / lambda
+    (INFINITE when lambda = 0) derived once, at construction.
 
     lam is the expansion constant (steady 0, shrinking > 0, expanding < 0)
     and mu the nonvanishing normalization of the rotational Killing field.
@@ -77,6 +78,7 @@ class SolitonParams:
 
     lam: float
     mu: float
+    gamma: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "lam", float(self.lam))
@@ -87,15 +89,9 @@ class SolitonParams:
             raise MuZeroError("mu must be nonzero")
         if not math.isfinite(4.0 * self.mu):
             raise RangeError(f"mu = {self.mu:g} overflows the coefficient 4 mu of the profile equation")
+        object.__setattr__(self, "gamma", 2.0 * (self.mu / self.lam) if self.lam != 0.0 else INFINITE)
         if self.lam != 0.0 and not 0.0 < abs(self.gamma) < math.inf:
             raise RangeError(f"gamma = 2 mu / lambda overflows or underflows to {self.gamma:g} at lambda = {self.lam:g}")
-
-    @property
-    def gamma(self) -> float:
-        """Separatrix level 2 mu / lambda, INFINITE when lambda = 0."""
-        if self.lam == 0.0:
-            return INFINITE
-        return 2.0 * (self.mu / self.lam)
 
     @property
     def kind(self) -> str:

