@@ -342,10 +342,10 @@ def _level_coordinate(params: SolitonParams, branch: str, dt):
 
 
 def _separatrix_time(params: SolitonParams, a: float) -> float:
-    """Antiderivative G with G'(a) = 1/a'(a) and G(inf) = 0.
+    """Antiderivative G with G'(a) = 1/a'(a) and G(inf) = 0: t = C + G(a) on a monotone branch.
 
-    Exact time-to-level map of the separable equation, valid on a monotone
-    branch: t = C + G(a).
+    G = -psi(u) / (4 mu gamma) at u = -gamma / a, with log(1 + u) from log1p where |u| < 1/2 (NEG, ABOVE) and
+    from the quotient |a - gamma| / a elsewhere, exact near gamma; nan where u overflows (the caller raises).
     """
     g = params.gamma
     k = 4.0 * params.mu * (a if math.isinf(g) else g)  # G = 1/k on the steady class
@@ -353,7 +353,7 @@ def _separatrix_time(params: SolitonParams, a: float) -> float:
         raise RangeError(f"4 mu {'a' if math.isinf(g) else 'gamma'} underflows to 0 at mu = {params.mu:g}, a = {a:g}")
     if math.isinf(g):
         return 1.0 / k
-    return -_psi_float(-g / a, math.log(abs(a - g) / a)) / k  # nan where u = -g / a overflows: the caller raises
+    return -_psi_float(u := -g / a, math.log1p(u) if abs(u) < 0.5 else math.log(abs(a - g) / a)) / k
 
 
 def time_between_levels(params: SolitonParams, a_from: float, a_to: float) -> float:
@@ -525,8 +525,7 @@ class ProfileA:
             if math.isfinite(edge):
                 return edge
             return max(self.t_ref, 0.0) + 1.0 if forward else min(self.t_ref, 0.0) - 1.0
-        level = _halt_level(self.params, self.a_ref, tag.kind)
-        t = self.t_ref + time_between_levels(self.params, self.a_ref, level)
+        t = self.C + _separatrix_time(self.params, _halt_level(self.params, self.a_ref, tag.kind))
         if tag.kind == BLOW_UP:  # stay inside the open end even where the level rounds onto it
             inside = float(np.nextafter(edge, -math.inf if forward else math.inf))
             t = min(t, inside) if forward else max(t, inside)

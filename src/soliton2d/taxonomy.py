@@ -33,7 +33,6 @@ from .ode import (
     implicit_profile,
     integrate_profile,
     on_separatrix,
-    time_between_levels,
 )
 
 G1_CIGAR = "G1_CIGAR"
@@ -356,10 +355,6 @@ def catalog_listing() -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def _t_at_level(profile: ProfileA, a_level: float) -> float:
-    return profile.t_ref + time_between_levels(profile.params, profile.a_ref, a_level)
-
-
 def entry_metric(entry: CatalogEntry, h: float = 1e-3):
     """A verification-friendly metric for a catalog entry.
 
@@ -386,13 +381,12 @@ def entry_metric(entry: CatalogEntry, h: float = 1e-3):
         a_out = g + dev if prof.a_ref > g else g - dev
 
     # r = 0 at a smooth inner edge t = 0, or on an annulus at the circle of
-    # the moderate inner level; the table reads each edge's v from its level
+    # the moderate inner level; an edge's time is C + G(level), its v read from the level
     smooth_inner = prof.t0 < 0.0 or prof.tag0.kind == SMOOTH_ORIGIN
     if smooth_inner:  # catalog entries are anchored there
         t_in, a_in = 0.0, prof.a_ref if prof.t_ref == 0.0 else None
     else:
-        a_in = max(a_cap, 16.0 * a_floor)
-        t_in = _t_at_level(prof, a_in)
-    table = _window_table(prof, t_in, _t_at_level(prof, a_out), a_in, a_out)
+        t_in = prof.C + _separatrix_time(p, a_in := max(a_cap, 16.0 * a_floor))
+    table = _window_table(prof, t_in, prof.C + _separatrix_time(p, a_out), a_in, a_out)
     r_out = float(table.r[-1] - table.r[0])
     return _sampled_metric(table, 0.0, float(table.r[0]), (0.0, r_out), int(round(r_out / h)) + 1, t_in == 0.0)

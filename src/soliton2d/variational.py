@@ -205,7 +205,7 @@ def total_curvature(metric: WarpedMetric, window) -> float:
 def _fields(metric: WarpedMetric, window, v: Optional[VariationField] = None, eps: Optional[float] = None):
     """The work the variation functions share, on offsets from one search of the grid: first_variation along v
     (None without v) on the window widened by 2 points, noether_defect on the window when called, and the fields
-    of _perturbed_energy on the window widened by 3 (its stencils) with work buffers; eps is checked first."""
+    of _perturbed_curvature on the window widened by 3 (its stencils); eps is checked first."""
     if v is not None and (v.r0 < metric.r[0] - 1e-12 or v.r1 > metric.r[-1] + 1e-12):
         raise WindowError("variation support exceeds the metric domain")
     if eps is not None and not 0.0 < eps < math.inf:
@@ -227,9 +227,9 @@ def _fields(metric: WarpedMetric, window, v: Optional[VariationField] = None, ep
     trace_term = -0.25 * _simpson(2.0 * phi[c] * (plus + 2.0 * K) * 2.0 * math.pi * b, r)
     tf_term = 0.5 * _simpson(psi[c] * minus * 2.0 * math.pi * b, r)
     p, q, h, inner = phi + psi, phi - psi, metric.spacing, slice(lo + 2, lo + r3.size - 2)
-    cot, bufs = metric.b_prime[inner] / metric.b[inner], (np.empty((4, r3.size - 4)), np.empty((2, r3.size)))
-    fields = r3[2:-2], p, q, _d1(p, h), _d1(q, h), _d2(q, h), metric.b[inner], metric.K[inner], cot, 2.0 * cot, *bufs
-    return float(trace_term + tf_term), defect, fields
+    b, K = metric.b[inner], metric.K[inner]
+    return float(trace_term + tf_term), defect, (r3[2:-2], p, q, _d1(p, h), _d1(q, h), _d2(q, h), b, K,
+                                                 metric.b_prime[inner] / b)
 
 
 def first_variation(metric: WarpedMetric, v: VariationField) -> float:
@@ -255,8 +255,8 @@ def _d2(f: np.ndarray, h: float) -> np.ndarray:
     return (-f[:-4] + 16.0 * f[1:-3] - 30.0 * f[2:-2] + 16.0 * f[3:-1] - f[4:]) / (12.0 * h * h)
 
 
-def _perturbed_energy(fields, eps: float) -> float:
-    """Energy of g + eps h rebuilt from the perturbed first fundamental form.
+def _perturbed_curvature(fields, eps: float):
+    """(g_rr, g_tt, K~) of g + eps h on the fields of _fields, rebuilt from its first fundamental form.
 
     With p = phi + psi and q = phi - psi the perturbed metric is the warped
     product A^2 dr^2 + B^2 dtheta^2, A = sqrt(1 + eps p), B = b sqrt(1 + eps q),
@@ -266,26 +266,26 @@ def _perturbed_energy(fields, eps: float) -> float:
     derivatives enter multiplied by eps, so no O(1) quantity is differenced
     and the rounding does not grow as eps shrinks.  No derivative of log|K|
     enters, which keeps the oracle independent of the analytic variation.
-    Each step writes into a buffer in the order of operations of the formula in its comment.
     """
-    r, p, q, p1, q1, q2, b, K, cot, two_cot, (la, lq, qq, Kt), (g_rr, g_tt) = fields
-    np.add(np.multiply(p, eps, out=g_rr), 1.0, out=g_rr)  # 1 + eps p
-    np.add(np.multiply(q, eps, out=g_tt), 1.0, out=g_tt)  # 1 + eps q
-    if np.any(g_rr <= 0.0) or np.any(g_tt <= 0.0):
+    _, p, q, p1, q1, q2, _, K, cot = fields
+    g_rr, g_tt = 1.0 + eps * p, 1.0 + eps * q
+    if (g_rr <= 0.0).any() or (g_tt <= 0.0).any():
         raise DomainError("perturbation too large: metric degenerates")
     g_rr, g_tt, c = g_rr[2:-2], g_tt[2:-2], 0.5 * eps
-    np.divide(np.multiply(p1, c, out=la), g_rr, out=la)  # A'/A = 0.5 eps p' / g_rr
-    np.divide(np.multiply(q1, c, out=lq), g_tt, out=lq)  # Q'/Q = 0.5 eps q' / g_tt, Q = sqrt(1 + eps q)
-    np.divide(np.multiply(q2, c, out=qq), g_tt, out=qq)
-    qq -= np.multiply(lq, lq, out=Kt)  # Q''/Q = 0.5 eps q'' / g_tt - lq lq
-    np.subtract(K, np.multiply(two_cot, lq, out=Kt), out=Kt)
-    Kt -= qq
-    Kt += np.multiply(np.add(lq, cot, out=lq), la, out=lq)
-    Kt /= g_rr  # K~ = (K - 2 cot lq - qq + (cot + lq) la) / g_rr
+    la, lq = p1 * c / g_rr, q1 * c / g_tt  # A'/A and Q'/Q, Q = sqrt(1 + eps q)
+    qq = q2 * c / g_tt - lq * lq  # Q''/Q
+    return g_rr, g_tt, (K - 2.0 * cot * lq - qq + (lq + cot) * la) / g_rr
+
+
+def _perturbed_energy(fields, eps: float) -> float:
+    """Energy of g + eps h: 2 pi int K~ log|K~| b sqrt(g_rr g_tt) dr (see _perturbed_curvature)."""
+    g_rr, g_tt, Kt = _perturbed_curvature(fields, eps)
     _check_nonzero_K(Kt)
-    np.multiply(np.multiply(np.log(np.abs(Kt, out=qq), out=la), Kt, out=la), b, out=la)
-    la *= np.sqrt(np.multiply(g_rr, g_tt, out=qq), out=qq)  # K~ log|K~| b sqrt(g_rr g_tt)
-    return 2.0 * math.pi * _simpson(la, r)
+    f = np.log(np.abs(Kt))  # the integrand, accumulated in place: fresh pages cost more than the arithmetic
+    f *= Kt
+    f *= fields[6]
+    f *= np.sqrt(g_rr * g_tt)
+    return 2.0 * math.pi * _simpson(f, fields[0])
 
 
 def _fd_quotient(fields, eps: float) -> tuple[float, float, float]:
@@ -300,7 +300,7 @@ def fd_variation(metric: WarpedMetric, v: VariationField, eps: float = 1e-4) -> 
     Independent oracle for the analytic formula: the perturbed metrics are
     rebuilt from their first fundamental forms, so no piece of the analytic
     variation enters.  Only phi and psi are differenced (see
-    _perturbed_energy), so the quotient's error is O(eps^2) plus a rounding
+    _perturbed_curvature), so the quotient's error is O(eps^2) plus a rounding
     floor of about 1e-10 that does not grow as eps shrinks.
     """
     return _fd_quotient(_fields(metric, (v.r0, v.r1), v, eps)[2], eps)[0]
@@ -313,7 +313,7 @@ def variation_report(metric: WarpedMetric, v: VariationField, eps: float = 1e-4)
     quotient at eps, and slope_estimate the least-squares slope of log|quotient - analytic| against log eps
     through eps, eps/2 and eps/4 (inf if an error vanishes below roundoff).  Equally spaced in log eps, the
     middle point has zero weight, so E[g +- (eps/2) h] is not evaluated.  A quotient or error that is not
-    finite raises DomainError.
+    finite raises DomainError.  Its debug record holds max |K~ / K - 1| at +-eps and +-eps/4 (k_departure).
     """
     analytic, defect, fields = _fields(metric, (v.r0, v.r1), v, eps)
     (fd, *e1), (fd4, *e4) = _fd_quotient(fields, eps), _fd_quotient(fields, eps / 4.0)
@@ -322,8 +322,11 @@ def variation_report(metric: WarpedMetric, v: VariationField, eps: float = 1e-4)
         raise DomainError(f"a finite-difference quotient or its error is not finite: {fd!r}, {fd4!r}")
     slope = math.log(err4 / err) / math.log(0.25) if err > 0.0 and err4 > 0.0 else math.inf
     if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("variation report on %d samples: E(+-eps) %r, %r, E(+-eps/4) %r, %r, quotients %r, %r, "
-                   "errors %r, %r", fields[1].size, *e1, *e4, fd, fd4, err, err4)
+        dep = tuple(float(np.max(np.abs(_perturbed_curvature(fields, e)[2] / fields[7] - 1.0)))
+                    for e in (eps, -eps, eps / 4.0, -eps / 4.0))  # where E(eps) leaves its quadratic regime
+        _log.debug("variation report on %d samples: E(+-eps) %r, %r, E(+-eps/4) %r, %r, quotients %r, %r, errors %r, "
+                   "%r, max |K~ / K - 1| at +-eps, +-eps/4 " + "%r, %r, %r, %r" % dep, fields[1].size, *e1, *e4, fd,
+                   fd4, err, err4, extra={"k_departure": dep})
     return {
         "analytic": analytic,
         "finite_difference": fd,

@@ -463,12 +463,35 @@ def test_psi_float_matches_psi_bit_for_bit():
     (4.0, -1.0, 1.0), (-2.0, 1.0, 1.0), (4.0, 1.0, 1.0), (-4.0, -1.0, 1.0), (1.0, 1.0, 1.0), (-1.0, -1.0, 1.0),
 ])
 def test_separatrix_time_bitwise_as_vectorized(lam, mu, a_ref):
-    # G(a) = -psi(u) / (4 mu gamma) at u = -gamma / a, as the vectorized _psi rounds it
+    # G(a) = -psi(u) / (4 mu gamma) at u = -gamma / a, as the vectorized _psi rounds it, with log(1 + u)
+    # from log1p where |u| < 1/2 and from the quotient |a - gamma| / a elsewhere
     p = make_params(lam, mu)
     g = p.gamma
     for a in TestMpmathOracles.levels(lam, mu, a_ref).tolist():
-        ref = _psi(np.array([-g / a]), np.array([math.log(abs(a - g) / a)]))[0]
+        u = -g / a
+        ref = _psi(np.array([u]), np.array([math.log1p(u) if abs(u) < 0.5 else math.log(abs(a - g) / a)]))[0]
         assert _separatrix_time(p, a) == -float(ref) / (4.0 * mu * g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(neg=st.booleans(), mu_exp=st.floats(-100.0, 100.0), mu_sign=st.sampled_from([-1.0, 1.0]),
+       gamma_exp=st.floats(-100.0, 100.0), focus=st.booleans(), y=st.floats(0.0, 1.0))
+def test_separatrix_time_matches_mpmath(neg, mu_exp, mu_sign, gamma_exp, focus, y):
+    # G on NEG and ABOVE levels against 40-digit mpmath, mu and gamma at scales up to 1e+-100; lambda is a
+    # power of 2, so gamma = 2 mu / lambda is exact.  Half the levels lie where 1/8 <= |u| < 1/2, u = -gamma / a
+    # (a / |gamma| in [2, 8]).  The bound is 3 units of 2^-52 relative, plus, where |u| >= 1/8 and
+    # psi = u - log(1 + u) is a difference, 2 units of the log term amplified by |log(1 + u)| / psi (up to 16).
+    # The log of the quotient |a - gamma| / a missed it by up to 3.2x there (117 ulps of G); log1p(u) keeps 0.3
+    mu = mu_sign * 10.0**mu_exp
+    lam = (-1.0 if neg else 1.0) * mu_sign * 2.0 ** round(math.log2(2.0 * abs(mu)) - gamma_exp * math.log2(10.0))
+    p = make_params(lam, mu)
+    ratio = 2.0 * 4.0**y if focus else 10.0 ** (12.0 * y - 6.0)  # a / |gamma|, or a / gamma - 1 on ABOVE
+    a = abs(p.gamma) * (ratio if neg or focus else 1.0 + ratio)
+    u, log1pu = -p.gamma / a, math.log1p(-p.gamma / a)
+    with mpmath.workdps(40):
+        ref = float(mp_time(lam, mu, a))
+    cancel = 2.0 * abs(log1pu) / abs(u - log1pu) if abs(u) >= 0.125 else 0.0
+    assert abs(_separatrix_time(p, a) - ref) <= 2.0**-52 * abs(ref) * (3.0 + cancel), (a / abs(p.gamma), ref)
 
 
 def test_scalar_psi_callers_keep_typed_errors_without_warnings():

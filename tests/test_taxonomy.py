@@ -511,3 +511,74 @@ class TestCurvatureSign:
             assert rep.K_sup <= 0.0
         else:
             assert rep.curvature_sign == "ZERO" and rep.K_inf == rep.K_sup == 0.0
+
+
+class TestKnifeEdgeT0:
+    """classify on G7/G9 and G10/G12 branches whose T0 = t_ref - G(a0) is 0 to 128 ulps of G from 0: the
+    estimate C lies within t0_uncertainty of the 50-digit T0, so no family of the wrong T0 sign is named."""
+
+    def test_neg_branch_at_six_gamma(self):
+        # a0 = 6.0 |gamma|, where G's log term log(|a - gamma| / a) lost 117 ulps: C = -6.18e-18 against a bound
+        # of 5.01e-18 named G10, while T0 = +3.9e-19
+        lam, mu, a0, t0 = -1.0, 1.4681031351729255, 17.663582089491975, 0.0007222563217412513
+        with mpmath.workdps(50):
+            T0 = mpmath.mpf(t0) - mp_time(lam, mu, a0)
+        assert 3.8e-19 < T0 < 4.0e-19
+        label = classify(integrate_profile(make_params(lam, mu), t0, a0, (-math.inf, math.inf)))
+        assert label.tag == "UNRESOLVED_T0_SIGN"
+        assert abs(label.t0_estimate - T0) <= label.t0_uncertainty
+
+    @settings(max_examples=300, deadline=None)
+    @given(cone=st.booleans(), k=st.integers(-20, 20), mu_exp=st.floats(-3.0, 3.0),
+           y=st.floats(math.log10(2.0), math.log10(8.0)) | st.floats(0.01, 2.0), steps=st.integers(0, 7),
+           sign=st.sampled_from([-1, 0, 1]))
+    def test_never_the_wrong_sign(self, cone, k, mu_exp, y, steps, sign):
+        # lambda = -2^k keeps gamma = 2 mu / lambda exact; mu < 0 gives G7 / G9 (cone), mu > 0 G10 / G12; a0 is
+        # y decades above |gamma|, half of them in [2, 8] |gamma|, and t_ref is G(a0) moved by 0 or +-2^steps ulps
+        lam, mu = -(2.0**k), (-1.0 if cone else 1.0) * 10.0**mu_exp
+        params = make_params(lam, mu)
+        a0 = abs(params.gamma) * 10.0**y
+        with mpmath.workdps(50):
+            G = mp_time(lam, mu, a0)
+            t0 = float(G) + sign * 2**steps * math.ulp(float(G))
+            T0 = mpmath.mpf(t0) - G
+            label = classify(integrate_profile(params, t0, a0, (-math.inf, math.inf)))
+            assert abs(label.t0_estimate - T0) <= label.t0_uncertainty, (float(T0), label)
+        if label.tag != "UNRESOLVED_T0_SIGN":
+            assert label.tag == ({-1: "G7", 1: "G9"} if cone else {-1: "G10", 1: "G12"})[1 if T0 > 0 else -1]
+
+
+class TestCompleteMeansBoundedCurvature:
+    """The paper's first corollary: a complete soliton has bounded curvature, and an exploding end has
+    unbounded curvature.  Moderate (lambda, mu), anchors at a(0) = 1 and elsewhere, and the G8 catalog,
+    with their Scale and Rescale images by factors up to 1e+-100."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(source=st.sampled_from(["a(0) = 1", "a(0) = 1", "anchor", "anchor", "G8"]),
+           lam=st.just(0.0) | _moderate_scale(), mu=_moderate_scale(), a0=st.floats(-2.0, 2.0), of_gamma=st.booleans(),
+           t0=st.just(0.0) | _moderate_scale(), nu=st.floats(0.1, 20.0), action=st.sampled_from([None, Scale, Rescale]),
+           factor=st.floats(-100.0, 100.0))
+    @example(source="a(0) = 1", lam=0.0, mu=-1.0, a0=0.0, of_gamma=False, t0=0.0, nu=1.0, action=Rescale, factor=50.0)
+    @example(source="a(0) = 1", lam=-1.0, mu=-2.0, a0=0.0, of_gamma=False, t0=0.0, nu=1.0, action=None, factor=0.0)
+    @example(source="a(0) = 1", lam=-4.0, mu=-1.0, a0=0.0, of_gamma=False, t0=0.0, nu=1.0, action=Scale, factor=-100.0)
+    @example(source="a(0) = 1", lam=0.0, mu=1.0, a0=0.0, of_gamma=False, t0=0.0, nu=1.0, action=None, factor=0.0)
+    @example(source="G8", lam=0.0, mu=1.0, a0=0.0, of_gamma=False, t0=0.0, nu=3.0, action=Rescale, factor=100.0)
+    def test_corollary(self, source, lam, mu, a0, of_gamma, t0, nu, action, factor):
+        # a0 is 10^a0, or 10^a0 |gamma|; an anchor at a(0) = 1 closes up smoothly over t = 0
+        try:
+            if source == "G8":
+                prof = catalog("G8", nu).profile
+            else:
+                params = make_params(lam, mu)
+                a0 = 10.0**a0 * (abs(params.gamma) if of_gamma and math.isfinite(params.gamma) else 1.0)
+                t_ref, a_ref = (0.0, 1.0) if source == "a(0) = 1" else (t0, a0)
+                prof = integrate_profile(params, t_ref, a_ref, (-math.inf, math.inf))
+            if action is not None:
+                prof = apply_symmetry(prof, action(10.0**factor))
+            rep = geometry_report(prof)
+        except SolitonError:
+            return
+        if rep.complete:
+            assert rep.bounded_curvature, rep
+        if "EXPLODING_END" in (rep.inner_end.kind, rep.outer_end.kind):
+            assert not rep.bounded_curvature, rep

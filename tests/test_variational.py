@@ -359,3 +359,61 @@ class TestReportDebugRecord:
         with caplog.at_level(logging.INFO, logger="soliton.variational"):
             variation_report(cigar_metric, bump_variation((0.5, 2.0), psi_amp=1.0), eps=1e-3)
         assert not [rec for rec in caplog.records if rec.name == "soliton.variational"]
+
+    @staticmethod
+    def conformal_departure(metric, window, amp, eps):
+        """max |K~ / K - 1| on the window's grid points for h = phi g, phi = amp bump: the conformal metric
+        e^(2w) g, e^(2w) = 1 + eps phi, has K~ = (K - w'' - (b'/b) w') / (1 + eps phi), all from the bump's
+        closed-form derivatives."""
+        (r0, r1), sel = window, (metric.r >= window[0]) & (metric.r <= window[1])
+        r, b, bp, K = metric.r[sel], metric.b[sel], metric.b_prime[sel], metric.K[sel]
+        c, wd = 0.5 * (r0 + r1), 0.5 * (r1 - r0)
+        x = np.clip((r - c) / wd, -1.0 + 1e-9, 1.0 - 1e-9)
+        one = 1.0 - x * x
+        B = np.exp(1.0 - 1.0 / one)
+        phi, phi1, phi2 = amp * B, amp * B * (-2.0 * x / one**2) / wd, amp * B * (6.0 * x**4 - 2.0) / one**4 / wd**2
+        g = 1.0 + eps * phi
+        w1, w2 = 0.5 * eps * phi1 / g, 0.5 * eps * phi2 / g - 0.5 * (eps * phi1 / g) ** 2
+        return float(np.max(np.abs((K - w2 - bp / b * w1) / g / K - 1.0)))
+
+    def test_record_holds_the_curvature_departure(self, cigar_metric, caplog):
+        # max |K~ / K - 1| at +-eps and +-eps/4, in the message and as k_departure, against the conformal
+        # closed form for a conformal bump (p = q = phi)
+        window, amp, eps = (0.5, 2.0), 1.0, 1e-3
+        v = bump_variation(window, phi_amp=amp)
+        with caplog.at_level(logging.DEBUG, logger="soliton.variational"):
+            variation_report(cigar_metric, v, eps=eps)
+        (record,) = [rec for rec in caplog.records if rec.name == "soliton.variational"]
+        dep = record.k_departure
+        assert record.getMessage().endswith("max |K~ / K - 1| at +-eps, +-eps/4 %r, %r, %r, %r" % dep)
+        for got, e in zip(dep, (eps, -eps, eps / 4.0, -eps / 4.0)):
+            assert got == pytest.approx(self.conformal_departure(cigar_metric, window, amp, e), rel=1e-6)
+        assert dep[2] == pytest.approx(dep[0] / 4.0, rel=0.05)  # K~ - K is first order in eps
+
+    def test_departure_computed_only_at_debug(self, cigar_metric, caplog, monkeypatch):
+        # the four energies form K~ four times; the indicator forms it four more times, at DEBUG only
+        calls, perturbed = [], variational._perturbed_curvature
+        monkeypatch.setattr(variational, "_perturbed_curvature", lambda *args: calls.append(1) or perturbed(*args))
+        v = bump_variation((0.5, 2.0), psi_amp=1.0)
+        for level, n in ((logging.INFO, 4), (logging.DEBUG, 8)):
+            calls.clear()
+            with caplog.at_level(level, logger="soliton.variational"):
+                variation_report(cigar_metric, v, eps=1e-3)
+            assert len(calls) == n
+
+    @pytest.mark.parametrize("nu,eps,slope_lo,slope_hi,dep_lo,dep_hi", [
+        (1.0, 1e-3, 1.4, 1.6, 2.0, 2.2), (1.0, 1e-4, 1.95, 2.05, 0.2, 0.22),
+        (2.5, 1e-3, 2.1, 2.25, 0.85, 0.9), (4.0, 1e-3, 2.0, 2.1, 0.55, 0.6),
+    ])
+    def test_g9_slope_follows_the_departure(self, caplog, nu, eps, slope_lo, slope_hi, dep_lo, dep_hi):
+        # the atlas configuration: on G9 at nu = 1 min |K| in the window is 0.0115, so K~ departs from K by
+        # 2x at eps = 1e-3 and E(eps) leaves its quadratic regime (slope 1.49); at eps = 1e-4, or where |K|
+        # is larger (nu = 2.5, 4), the slope is about 2
+        m = entry_metric(cached_entry("G9", nu), h=1e-3)
+        lo, hi = float(m.r[0]), float(m.r[-1])
+        v = bump_variation((lo + 0.15 * (hi - lo), hi - 0.15 * (hi - lo)), psi_amp=1.0)
+        with caplog.at_level(logging.DEBUG, logger="soliton.variational"):
+            rep = variation_report(m, v, eps=eps)
+        (record,) = [rec for rec in caplog.records if rec.name == "soliton.variational"]
+        assert slope_lo < rep["slope_estimate"] < slope_hi
+        assert dep_lo < max(record.k_departure) < dep_hi
