@@ -518,17 +518,22 @@ def metric_from_grid(params: SolitonParams, r: np.ndarray, b: np.ndarray) -> War
     """Metric from raw (r, b) samples; b', K by central finite differences.
 
     Used for perturbed or externally supplied metrics where no profile is
-    available; one-sided stencils at the two edge points.  The differenced
-    curvature carries rounding noise ~ eps_machine/h^2, which downstream
-    log|K| differencing amplifies by another 1/h^2: keep h >= 1e-3 here, or
-    supply analytically differentiated K by constructing WarpedMetric
-    directly.
+    available; one-sided stencils at the two edge points.  Every stencil takes
+    h = r[1] - r[0], so r must be finite, increasing and uniform to 8 ulps of
+    its largest |r|, and b finite and positive (K = -b''/b), or DomainError is
+    raised.  The differenced curvature carries rounding noise ~ eps_machine/h^2,
+    which downstream log|K| differencing amplifies by another 1/h^2: keep
+    h >= 1e-3 here, or supply analytically differentiated K by constructing
+    WarpedMetric directly.
     """
     r = np.asarray(r, dtype=float)
     b = np.asarray(b, dtype=float)
     if r.ndim != 1 or r.size < 5 or b.shape != r.shape:
         raise DomainError("need matching 1-d arrays with at least 5 samples")
     h = r[1] - r[0]
+    if not (np.isfinite(r).all() and np.isfinite(b).all() and (b > 0.0).all() and h > 0.0
+            and np.abs(np.diff(r) - h).max() <= 8.0 * np.spacing(max(abs(r[0]), abs(r[-1])))):
+        raise DomainError("need a finite, increasing, uniform r and a finite b > 0 to difference")
     bp = np.gradient(b, r, edge_order=2)
     bpp = np.empty_like(b)
     bpp[1:-1] = (b[2:] - 2.0 * b[1:-1] + b[:-2]) / (h * h)

@@ -344,8 +344,8 @@ def _level_coordinate(params: SolitonParams, branch: str, dt):
 def _separatrix_time(params: SolitonParams, a: float) -> float:
     """Antiderivative G with G'(a) = 1/a'(a) and G(inf) = 0: t = C + G(a) on a monotone branch.
 
-    G = -psi(u) / (4 mu gamma) at u = -gamma / a, with log(1 + u) from log1p where |u| < 1/2 (NEG, ABOVE) and
-    from the quotient |a - gamma| / a elsewhere, exact near gamma; nan where u overflows (the caller raises).
+    G = -psi(u) / (4 mu gamma) at u = -gamma / a, with log(1 + u) from log1p where u > -1/2 and from the quotient
+    |a - gamma| / a elsewhere, exact near gamma and below it; nan where u overflows (the caller raises).
     """
     g = params.gamma
     k = 4.0 * params.mu * (a if math.isinf(g) else g)  # G = 1/k on the steady class
@@ -353,7 +353,7 @@ def _separatrix_time(params: SolitonParams, a: float) -> float:
         raise RangeError(f"4 mu {'a' if math.isinf(g) else 'gamma'} underflows to 0 at mu = {params.mu:g}, a = {a:g}")
     if math.isinf(g):
         return 1.0 / k
-    return -_psi_float(u := -g / a, math.log1p(u) if abs(u) < 0.5 else math.log(abs(a - g) / a)) / k
+    return -_psi_float(u := -g / a, math.log1p(u) if u > -0.5 else math.log(abs(a - g) / a)) / k
 
 
 def time_between_levels(params: SolitonParams, a_from: float, a_to: float) -> float:

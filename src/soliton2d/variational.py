@@ -24,9 +24,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, WindowError, ZeroCurvatureError
+from .errors import DomainError, WindowError
 from .geometry import WarpedMetric
-from .verify import ZERO_K, _central_fields
+from .verify import _central_fields, _check_nonzero_K
 
 _log = logging.getLogger("soliton.variational")
 
@@ -159,14 +159,6 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> float:
     if m < n:
         total += h * (5.0 * y[-1] + 8.0 * y[-2] - y[-3]) / 12.0
     return float(total)
-
-
-def _check_nonzero_K(K: np.ndarray):
-    K = np.abs(K)
-    if not K.max(initial=0.0) < math.inf:  # nan or inf
-        raise DomainError("Gauss curvature is not finite inside the window")
-    if np.any(K < ZERO_K):
-        raise ZeroCurvatureError("Gauss curvature vanishes inside the window")
 
 
 def _band_integral(metric: WarpedMetric, window, f_of_bK) -> float:
@@ -311,16 +303,18 @@ def variation_report(metric: WarpedMetric, v: VariationField, eps: float = 1e-4)
 
     Four perturbed energies are evaluated, E[g +- eps h] and E[g +- (eps/4) h]: finite_difference is the
     quotient at eps, and slope_estimate the least-squares slope of log|quotient - analytic| against log eps
-    through eps, eps/2 and eps/4 (inf if an error vanishes below roundoff).  Equally spaced in log eps, the
-    middle point has zero weight, so E[g +- (eps/2) h] is not evaluated.  A quotient or error that is not
-    finite raises DomainError.  Its debug record holds max |K~ / K - 1| at +-eps and +-eps/4 (k_departure).
+    through eps, eps/2 and eps/4 (+inf where the error at eps/4 is exactly 0, -inf where only the one at eps
+    is: it grew).  Equally spaced in log eps, the middle point has zero weight, so E[g +- (eps/2) h] is not
+    evaluated.  A quotient or error that is not finite raises DomainError.  Its debug record holds
+    max |K~ / K - 1| at +-eps and +-eps/4 (k_departure).
     """
     analytic, defect, fields = _fields(metric, (v.r0, v.r1), v, eps)
     (fd, *e1), (fd4, *e4) = _fd_quotient(fields, eps), _fd_quotient(fields, eps / 4.0)
     err, err4 = abs(fd - analytic), abs(fd4 - analytic)
     if not (math.isfinite(err) and math.isfinite(err4)):  # err is finite only where both values are
         raise DomainError(f"a finite-difference quotient or its error is not finite: {fd!r}, {fd4!r}")
-    slope = math.log(err4 / err) / math.log(0.25) if err > 0.0 and err4 > 0.0 else math.inf
+    slope = (math.log(err4 / err) / math.log(0.25) if err > 0.0 and err4 > 0.0
+             else math.inf if err4 == 0.0 else -math.inf)  # the limits: exact at eps/4, or grown from exact at eps
     if _log.isEnabledFor(logging.DEBUG):
         dep = tuple(float(np.max(np.abs(_perturbed_curvature(fields, e)[2] / fields[7] - 1.0)))
                     for e in (eps, -eps, eps / 4.0, -eps / 4.0))  # where E(eps) leaves its quadratic regime

@@ -9,7 +9,10 @@ Hessian of u vanishing together with Delta u = 2(lambda - K); radially,
 and the potential/Killing structure pins u' = 2 mu b, i.e. u'/b == 2 mu.
 All derivatives here are central finite differences on the metric's own
 r-grid (including b', recomputed from b), so the check does not reuse the
-construction path.
+construction path.  One pass covers the whole grid behind the one curvature
+guard, _check_nonzero_K, shared with the variational certificates: DomainError
+for a K that is not finite, ZeroCurvatureError for |K| < ZERO_K.  A grid whose
+K changes sign is not split: log|K| dips at the crossing, and the residuals show it.
 """
 
 from __future__ import annotations
@@ -24,6 +27,15 @@ from .geometry import WarpedMetric
 from .ode import ProfileA, is_smooth_origin
 
 ZERO_K = 1.0e-12
+
+
+def _check_nonzero_K(K: np.ndarray):
+    """The one curvature guard of the certificates: log|K| needs a finite K with |K| >= ZERO_K."""
+    K = np.abs(K)
+    if not K.max(initial=0.0) < math.inf:  # nan or inf
+        raise DomainError("Gauss curvature is not finite")
+    if np.any(K < ZERO_K):
+        raise ZeroCurvatureError("Gauss curvature vanishes; log|K| is undefined there")
 
 
 @dataclass(frozen=True)
@@ -50,18 +62,6 @@ class ResidualReport:
         }
 
 
-def _components(K: np.ndarray):
-    """Maximal runs of constant curvature sign, split where K changes sign."""
-    if np.any(np.abs(K) < ZERO_K):
-        raise ZeroCurvatureError(
-            "Gauss curvature vanishes on the grid; log|K| is undefined there"
-        )
-    sign = np.sign(K)
-    breaks = np.nonzero(np.diff(sign) != 0)[0]
-    edges = np.concatenate([[0], breaks + 1, [K.size]])
-    return [(int(edges[i]), int(edges[i + 1])) for i in range(edges.size - 1)]
-
-
 def _central_fields(metric: WarpedMetric, sl: slice):
     """(r, b, K, u', u'' + (b'/b) u', u'' - (b'/b) u') on the interior of a slice of the
     metric's grid: central differences of u = log|K| and of b."""
@@ -81,26 +81,18 @@ def soliton_residual(metric: WarpedMetric) -> ResidualReport:
     All four vanish exactly on a gradient soliton; on a grid of spacing h the
     finite-difference suprema are O(h^2).
     """
-    p = metric.params
-    grids = []
-    tf, lap, pot, kil = 0.0, 0.0, 0.0, 0.0
-    for lo, hi in _components(metric.K):
-        r, b, K, up, plus, minus = _central_fields(metric, slice(lo, hi))
-        # the origin circle b = 0 cannot enter the b'/b coefficient; b is relative to its maximum
-        msk = b > 1e-8 * np.max(np.abs(metric.b))
-        if hi - lo < 5 or not msk.any():
-            continue
-        tf = max(tf, float(np.max(np.abs(minus[msk]))))
-        lap = max(lap, float(np.max(np.abs(plus[msk] - 2.0 * (p.lam - K[msk])))))
-        pot = max(pot, float(np.max(np.abs(up - 2.0 * p.mu * b))))
-        kil = max(kil, float(np.max(np.abs(up[msk] / b[msk] - 2.0 * p.mu))))
-        grids.append(r)
-    if not grids:
-        raise DomainError("no usable sign component on the grid")
-    grid = np.concatenate(grids)
+    _check_nonzero_K(metric.K)
+    # the origin circle b = 0 cannot enter the b'/b coefficient; b is relative to its maximum
+    msk = metric.b[1:-1] > 1e-8 * np.max(np.abs(metric.b), initial=0.0)
+    if metric.r.size < 5 or not msk.any():
+        raise DomainError("need at least 5 samples, one of them off the origin circle")
+    r, b, K, up, plus, minus = _central_fields(metric, slice(None))
     return ResidualReport(
-        max_tracefree=tf, max_laplace=lap, max_potential=pot, max_killing=kil,
-        grid=grid, spacing=metric.spacing,
+        max_tracefree=float(np.max(np.abs(minus[msk]))),
+        max_laplace=float(np.max(np.abs(plus[msk] - 2.0 * (metric.params.lam - K[msk])))),
+        max_potential=float(np.max(np.abs(up - 2.0 * metric.params.mu * b))),
+        max_killing=float(np.max(np.abs(up[msk] / b[msk] - 2.0 * metric.params.mu))),
+        grid=r, spacing=metric.spacing,
     )
 
 

@@ -1095,6 +1095,34 @@ class TestMetricFromGrid:
         with pytest.raises(DomainError):
             metric_from_grid(SolitonParams(0.0, -1.0), np.arange(3.0), np.ones(4))
 
+    def test_rejects_non_uniform_grid(self):
+        # every stencil takes h = r[1] - r[0]: on this grid the cigar's K came out 2.37 off
+        r = np.linspace(0.5, 3.0, 2001) ** 1.5
+        with pytest.raises(DomainError, match="uniform"):
+            metric_from_grid(SolitonParams(0.0, -1.0), r, np.tanh(r))
+
+    def test_rejects_zero_warping(self):
+        # b(0) = 0 gave K[0] = -b''/0 = inf, with a divide-by-zero RuntimeWarning
+        r = np.linspace(0.0, 3.0, 3001)
+        with pytest.raises(DomainError, match="b > 0"):
+            metric_from_grid(SolitonParams(0.0, -1.0), r, np.tanh(r))
+
+    @pytest.mark.parametrize("r,b", [
+        (np.linspace(3.0, 0.2, 101), None), (np.linspace(0.2, 3.0, 101)[[0, 1, 2, 4, 3, *range(5, 101)]], None),
+        (np.r_[np.linspace(0.2, 3.0, 100), np.nan], None), (np.r_[np.linspace(0.2, 3.0, 100), np.inf], None),
+        (None, np.r_[np.ones(100), np.nan]), (None, np.r_[np.ones(100), np.inf]), (None, np.r_[np.ones(100), -1.0]),
+    ], ids=["decreasing", "unsorted", "nan-r", "inf-r", "nan-b", "inf-b", "negative-b"])
+    def test_rejects_grid_it_cannot_difference(self, r, b):
+        r = np.linspace(0.2, 3.0, 101) if r is None else r
+        with pytest.raises(DomainError):
+            metric_from_grid(SolitonParams(0.0, -1.0), r, np.tanh(r) if b is None else b)
+
+    @pytest.mark.parametrize("r", [np.linspace(0.2, 3.0, 2801), np.linspace(-5.0, -0.1, 1001),
+                                   np.linspace(1000.0, 1001.0, 1001), np.cumsum(np.full(3000, 1e-3))])
+    def test_accepts_uniform_grids(self, r):
+        m = metric_from_grid(SolitonParams(0.0, -1.0), r, np.abs(np.tanh(r)))
+        assert np.isfinite(m.K).all()
+
 
 class TestMetricCsv:
     def test_matches_per_row_format(self):

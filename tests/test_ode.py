@@ -464,12 +464,12 @@ def test_psi_float_matches_psi_bit_for_bit():
 ])
 def test_separatrix_time_bitwise_as_vectorized(lam, mu, a_ref):
     # G(a) = -psi(u) / (4 mu gamma) at u = -gamma / a, as the vectorized _psi rounds it, with log(1 + u)
-    # from log1p where |u| < 1/2 and from the quotient |a - gamma| / a elsewhere
+    # from log1p where u > -1/2 and from the quotient |a - gamma| / a elsewhere
     p = make_params(lam, mu)
     g = p.gamma
     for a in TestMpmathOracles.levels(lam, mu, a_ref).tolist():
         u = -g / a
-        ref = _psi(np.array([u]), np.array([math.log1p(u) if abs(u) < 0.5 else math.log(abs(a - g) / a)]))[0]
+        ref = _psi(np.array([u]), np.array([math.log1p(u) if u > -0.5 else math.log(abs(a - g) / a)]))[0]
         assert _separatrix_time(p, a) == -float(ref) / (4.0 * mu * g)
 
 
@@ -492,6 +492,27 @@ def test_separatrix_time_matches_mpmath(neg, mu_exp, mu_sign, gamma_exp, focus, 
         ref = float(mp_time(lam, mu, a))
     cancel = 2.0 * abs(log1pu) / abs(u - log1pu) if abs(u) >= 0.125 else 0.0
     assert abs(_separatrix_time(p, a) - ref) <= 2.0**-52 * abs(ref) * (3.0 + cancel), (a / abs(p.gamma), ref)
+
+
+def test_separatrix_time_on_neg_levels_below_two_gamma():
+    # NEG levels a <= 2 |gamma| (u = -gamma / a >= 1/2), mu and gamma at scales up to 1e+-100, against 50-digit
+    # mpmath.  Rounding u, forming psi = u - log1p(u) and dividing by 4 mu gamma cost at most 2.5 units of 2^-52
+    # relative, and one ulp of log1p(u) costs log1p(u) / psi more (up to 4.3, at u = 1/2).  The quotient
+    # |a - gamma| / a, used here before, rounds twice ahead of its log and missed this bound by up to 1.3x
+    rng = np.random.default_rng(25)
+    worst = 0.0
+    for _ in range(1000):
+        mu = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-100.0, 100.0)
+        gamma_exp = rng.uniform(-100.0, 100.0)
+        lam = -math.copysign(2.0 ** round(math.log2(2.0 * abs(mu)) - gamma_exp * math.log2(10.0)), mu)
+        p = make_params(lam, mu)  # gamma = 2 mu / lam < 0 exactly
+        a = abs(p.gamma) * 2.0 * 10.0 ** (-3.0 * rng.random() ** 3)  # most levels near 2 |gamma|
+        u = -p.gamma / a
+        with mpmath.workdps(50):
+            ref = float(mp_time(lam, mu, a))
+        bound = 2.0**-52 * abs(ref) * (2.5 + math.log1p(u) / (u - math.log1p(u)))
+        worst = max(worst, abs(_separatrix_time(p, a) - ref) / bound)
+    assert worst <= 1.0
 
 
 def test_scalar_psi_callers_keep_typed_errors_without_warnings():

@@ -270,6 +270,14 @@ class TestVariationReport:
         with pytest.raises(DomainError, match="not finite"):
             variation_report(fine_cigar, tf_bump, eps=1e-3)
 
+    @pytest.mark.parametrize("err,err4,slope", [(0.0, 1e-9, -math.inf), (1e-9, 0.0, math.inf), (0.0, 0.0, math.inf)])
+    def test_slope_where_an_error_is_exactly_zero(self, fine_cigar, tf_bump, monkeypatch, err, err4, slope):
+        # an exact quotient at eps with an error at eps/4 gave slope +inf, which passes any slope bound
+        analytic = first_variation(fine_cigar, tf_bump)
+        monkeypatch.setattr(variational, "_fd_quotient",
+                            lambda fields, eps: (analytic + (err if eps == 1e-3 else err4), 0.0, 0.0))
+        assert variation_report(fine_cigar, tf_bump, eps=1e-3)["slope_estimate"] == slope
+
     @pytest.mark.parametrize("tag", list(FAMILY_SAMPLES))
     def test_report_matches_public_functions_bitwise(self, tag):
         # the atlas configuration (h = 1e-3, a trace-free bump on the middle 70 %, eps = 1e-3): every field

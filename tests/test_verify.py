@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -63,11 +64,52 @@ class TestSolitonResidual:
             soliton_residual(m)
 
     def test_grid_without_usable_component_is_typed_error(self):
-        # the central differences need five samples of one curvature sign
+        # the central differences need five samples
         prof = integrate_profile(make_params(0.0, -1.0), 0.0, 1.0, (0.0, math.inf))
         m = build_warped_metric(prof, (0.0, 0.0), (0.0, 1.0), 4)
-        with pytest.raises(DomainError, match="no usable sign component"):
+        with pytest.raises(DomainError, match="need at least 5 samples"):
             soliton_residual(m)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_samples_is_typed_error(self, n):
+        # the spacing r[1] - r[0] raised IndexError
+        m = self._readme_cigar()
+        m = dataclasses.replace(m, r=m.r[:n], b=m.b[:n], b_prime=m.b_prime[:n], K=m.K[:n], t_of_r=m.t_of_r[:n])
+        with pytest.raises(DomainError, match="need at least 5 samples"):
+            soliton_residual(m)
+
+    @staticmethod
+    def _readme_cigar():
+        # the README's verify grid: the cigar over (0, 3) with 3001 samples
+        prof = integrate_profile(make_params(0.0, -1.0), 0.0, 1.0, (0.0, math.inf))
+        return build_warped_metric(prof, (0.0, 0.0), (0.0, 3.0), 3001)
+
+    def _cigar_with(self, field, where, value):
+        m = self._readme_cigar()
+        arr = getattr(m, field).copy()
+        arr[where] = value
+        return dataclasses.replace(m, **{field: arr})
+
+    @pytest.mark.parametrize("where,value", [(1500, math.nan), (1500, math.inf), (1500, -math.inf),
+                                             (slice(0, 1500), math.nan)], ids=["nan", "inf", "-inf", "nan-half"])
+    def test_non_finite_curvature_is_typed_error(self, where, value):
+        # split into runs of one curvature sign, a nan or -inf sample was a run of its own and skipped, nan on
+        # half the grid left the other half certified, and +inf reported 0.0 residuals (max(0.0, nan) == 0.0)
+        with pytest.raises(DomainError, match="not finite"):
+            soliton_residual(self._cigar_with("K", where, value))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_warping_is_typed_error(self, value):
+        with pytest.raises(DomainError):
+            soliton_residual(self._cigar_with("b", 1500, value))
+
+    def test_sign_change_is_one_report(self):
+        # K - 1 crosses 0 near r = 0.88: one report over the whole grid, where log|K| dips, so it is no soliton
+        m = self._readme_cigar()
+        m = dataclasses.replace(m, K=m.K - 1.0)
+        rep = soliton_residual(m)
+        assert rep.grid.size == m.r.size - 2
+        assert rep.max_tracefree >= 1.0 and rep.max_laplace >= 1.0
 
     @pytest.mark.parametrize("nu", [2e4, 1e5, 1e12])
     def test_origin_mask_is_relative(self, nu):
