@@ -449,9 +449,9 @@ def build_warped_metric(
     r_window: tuple[float, float],
     n_samples: int = 2001,
 ) -> WarpedMetric:
-    """Reconstruct the metric on a uniform r-grid inside r_window.
+    """Reconstruct the metric on a uniform r-grid of n_samples >= 2 points inside r_window.
 
-    The anchor (r0, b0) places the radial coordinate: t = b0^2/4 must lie in
+    The anchor (r0, b0), r0 finite, places the radial coordinate: t = b0^2/4 must lie in
     the closure of the profile's t-domain at finite distance, and b0 = 0
     additionally requires the smooth-extension condition lim_{t->0} a = 1,
     in which case the grid starts at the origin with b'(0) = 1.  The window
@@ -459,6 +459,8 @@ def build_warped_metric(
     intersection raises.
     """
     r0, b0 = float(anchor[0]), float(anchor[1])
+    if not math.isfinite(r0):
+        raise DomainError(f"anchor r0 must be finite, got {r0!r}")
     if b0 < 0.0:
         raise DomainError("anchor b0 must be nonnegative")
     if not float(r_window[0]) < float(r_window[1]):
@@ -475,6 +477,8 @@ def build_warped_metric(
 def _sampled_metric(table: _ArcTable, r0: float, r_anchor: float, r_window, n: int, origin: bool) -> WarpedMetric:
     """The metric on n samples over r_window, clipped to the table's extent, with r = r0 at
     the table's r_anchor; with origin that is a smooth origin, where the grid may start."""
+    if not (isinstance(n, (int, np.integer)) and n >= 2):
+        raise DomainError(f"need an integer number of samples n >= 2, got {n!r}")
     profile = table.profile
     if origin and not is_smooth_origin(a0 := profile.a_at_zero()):
         raise NotSmoothOriginError(f"b0 = 0 requires lim a(t) = 1 at t -> 0, got {a0!r}")
@@ -582,7 +586,9 @@ def curvature_from_b(metric: WarpedMetric, r: float) -> float:
 
 
 def geodesic_curvature(metric: WarpedMetric, r0: float) -> float:
-    """Geodesic curvature kappa = b'/b of the circle at radius r0."""
+    """Geodesic curvature kappa = b'/b of the circle at radius r0, inside the grid."""
+    if not metric.r[0] <= r0 <= metric.r[-1]:
+        raise DomainError(f"r0 = {r0:g} lies outside the grid [{metric.r[0]:g}, {metric.r[-1]:g}]")
     b = metric.interp_b(r0)
     if b <= 0.0:
         raise DomainError("geodesic curvature needs b(r0) > 0")

@@ -166,28 +166,28 @@ _V_MIN, _V_MAX = -700.0, 350.0
 _S_MAX, _TINY = 1.0e305, float(np.finfo(float).tiny)  # |s| past every class's v-range; the smallest normal float
 
 
+def _psi_series(u):
+    """u^2 sum_k (-u)^k / (k + 2) by Horner, as polyval evaluates it: in place on an array, in float arithmetic
+    on a float (s u + c == c + s u)."""
+    series = u * 0.0 + _PSI_COEFFS[0]
+    for c in _PSI_COEFFS[1:]:
+        series *= u
+        series += c
+    return u * u * series
+
+
 def _psi(u: np.ndarray, log1pu: np.ndarray) -> np.ndarray:
     """u - log(1 + u) given a precise log(1 + u), with a series where they cancel."""
     out = u - log1pu
     small = np.abs(u) < _PSI_SMALL
     if small.any():
-        us = u[small]
-        series = us * 0.0 + _PSI_COEFFS[0]  # Horner, as polyval evaluates it, in place: s u + c == c + s u
-        for c in _PSI_COEFFS[1:]:
-            series *= us
-            series += c
-        out[small] = us * us * series
+        out[small] = _psi_series(u[small])
     return out
 
 
 def _psi_float(u: float, log1pu: float) -> float:
     """_psi of one float in float arithmetic: the same roundings, without numpy's per-call cost."""
-    if not abs(u) < _PSI_SMALL:
-        return u - log1pu
-    series = 0.0
-    for c in _PSI_COEFFS:  # Horner, as _psi: 0 u + c == c
-        series = c + series * u
-    return u * u * series
+    return _psi_series(u) if abs(u) < _PSI_SMALL else u - log1pu
 
 
 def _pieces(cond: np.ndarray, x: np.ndarray, f, g, m) -> np.ndarray:
@@ -553,7 +553,9 @@ class ProfileA:
     def sample_grid(self, n: int = 0) -> np.ndarray:
         """Sample times over the sample range: n uniform points, or for n = 0
         201 points geometric toward a blow-up end (fewer where they round
-        onto the same time)."""
+        onto the same time).  A negative n raises DomainError."""
+        if n < 0:
+            raise DomainError(f"need n >= 0 samples (0 for the default grid), got {n!r}")
         lo, hi = self.sample_range(0.0)
         if n > 0:
             return np.linspace(lo, hi, n)

@@ -1,13 +1,13 @@
 """Classification into the twelve solution families and canonical catalog.
 
 The decision table follows the phase-line case analysis: the steady branch
-splits by the sign of mu and of its blow-up time C, a finite
-positive separatrix splits by the side of the anchor, and the families with
-an initial blow-up split by the sign of the blow-up time T0.  The sign of
-T0 is read from geometry.t0_sign: trusted when it exceeds its numerical
-uncertainty or when the profile was anchored analytically (the T0 = 0 cusp
-families are measure zero and are produced exactly by the catalog, never
-inferred from data).
+splits by the sign of mu and of its blow-up time C, a finite positive
+separatrix by the side of the anchor, and the families with an initial
+blow-up by the sign of the blow-up time T0, read from geometry.t0_sign:
+trusted when it exceeds its numerical uncertainty or when the profile was
+anchored analytically (the T0 = 0 cusp families are measure zero and are
+produced exactly by the catalog, never inferred from data).  The catalog
+builds G4 by a root solve and every other family from one row of _FAMILIES.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import RangeError
+from .errors import DomainError, RangeError
 from .geometry import _sampled_metric, _window_table, radial_distance, t0_sign
 from .ode import (
     BLOW_UP,
@@ -81,9 +81,12 @@ class FamilyLabel:
 class CatalogEntry:
     family: FamilyLabel
     nu: float
-    params: SolitonParams
     profile: ProfileA
     normalization_note: str
+
+    @property
+    def params(self) -> SolitonParams:
+        return self.profile.params
 
 
 def classify(profile: ProfileA) -> FamilyLabel:
@@ -118,11 +121,6 @@ def classify(profile: ProfileA) -> FamilyLabel:
 # ---------------------------------------------------------------------------
 # Catalog
 # ---------------------------------------------------------------------------
-
-
-def _require_range(tag: str, nu: float, lo: float, hi: float, lo_open=True):
-    if not ((nu > lo if lo_open else nu >= lo) and nu < hi):
-        raise RangeError(f"{tag} requires nu in {'(' if lo_open else '['}{lo:g}, {hi:g}), got {nu:g}")
 
 
 def disk_boundary_distance(gamma: float) -> float:
@@ -205,86 +203,73 @@ def _blowup_anchor_profile(params: SolitonParams, T0: float) -> ProfileA:
     return implicit_profile(params, t_anchor, a_anchor, T0, (min(0.0, T0), math.inf), t0_exact=True)
 
 
-def catalog(tag: str, nu: float) -> CatalogEntry:
-    """Canonical representative of a family at parameter nu.
+def _cone_gamma(nu: float) -> float:
+    return 2.0 * math.pi / nu
 
-    Normalizations: the steady families use their closed forms; the
-    boundary-disk families set the blow-up time to 1/4 (boundary length
-    2 pi) and recover gamma from nu = dist(center, boundary) by a bracketed
-    root solve; the cusp families fix lambda = -1 with the blow-up exactly
-    at t = 0; the boundary annuli put the blow-up at t = 1/4; cone families
-    are indexed by the cone angle nu = 2 pi / gamma with mu = -1.
+
+def _cone(nu: float) -> SolitonParams:
+    """The cone of angle nu = 2 pi / gamma at the canonical mu = -1."""
+    return SolitonParams(-2.0 / _cone_gamma(nu), -1.0)
+
+
+# Every family but G4, as tag: ((lower end of the nu range, upper end, whether the lower end is open),
+# (lambda, mu) at nu, the branch of those parameters at nu, the normalization note).
+_POSITIVE, _T_POS, _T_ALL = (0.0, math.inf, True), (0.0, math.inf), (-math.inf, math.inf)
+_FAMILIES = {
+    G1_CIGAR: (_POSITIVE, lambda nu: SolitonParams(0.0, -nu * nu), lambda p, nu: closed_form_profile(p, 1.0),
+               "closed form 1/(1 - 4 nu^2 t); nu is the metric scale"),
+    G2_EXPLODING: (_POSITIVE, lambda nu: SolitonParams(0.0, nu * nu), lambda p, nu: closed_form_profile(p, 1.0),
+                   "closed form 1/(1 + 4 nu^2 t); nu is the metric scale"),
+    G3: ((0.0, math.inf, False), lambda nu: SolitonParams(0.0, 1.0), lambda p, nu: closed_form_profile(p, -nu * nu),
+         "closed form 1/(4t - nu^2) at mu = 1; inner cylinder radius nu"),
+    G5: (_POSITIVE, lambda nu: SolitonParams(nu * nu, nu * nu), lambda p, nu: integrate_profile(p, 0.0, 1.0, _T_POS),
+         "mu = nu^2 fixes the decaying-end scale; canonical gamma = 2"),
+    G6: ((0.0, 2.0 * math.pi, True), _cone, lambda p, nu: integrate_profile(p, 0.0, 1.0, _T_POS),
+         "cone angle nu = 2 pi / gamma; canonical mu = -1"),
+    G7: ((2.0 * math.pi, math.inf, True), _cone, lambda p, nu: integrate_profile(p, 0.0, 1.0, _T_ALL),
+         "cone angle nu = 2 pi / gamma; canonical mu = -1"),
+    G8: (_POSITIVE, lambda nu: SolitonParams(-1.0, -_cone_gamma(nu) / 2.0),
+         lambda p, nu: _blowup_anchor_profile(p, 0.0),
+         "lambda = -1 with the blow-up exactly at t = 0 (cusp end); cone angle nu"),
+    G9: (_POSITIVE, _cone, lambda p, nu: _blowup_anchor_profile(p, 0.25),
+         "blow-up at t = 1/4 (boundary length 2 pi); cone angle nu; canonical mu = -1"),
+    G10: (_POSITIVE, lambda nu: SolitonParams(-2.0 * nu * nu, nu * nu),
+          lambda p, nu: integrate_profile(p, 0.0, 1.0, _T_ALL),
+          "mu = nu^2 fixes the decaying-end scale; canonical gamma = -1"),
+    G11: ((0.0, (8.0 * 2.0**-1022) ** -0.25, True),  # its times scale like 1/(8 nu^4), kept a normal number
+          lambda nu: SolitonParams(-1.0, nu * nu), lambda p, nu: _blowup_anchor_profile(p, 0.0),
+          "lambda = -1 with the blow-up exactly at t = 0 (cusp end); mu = nu^2"),
+    G12: (_POSITIVE, lambda nu: SolitonParams(-2.0 * nu * nu, nu * nu), lambda p, nu: _blowup_anchor_profile(p, 0.25),
+          "blow-up at t = 1/4 (boundary length 2 pi); mu = nu^2"),
+}
+
+
+def catalog(tag: str, nu: float) -> CatalogEntry:
+    """Canonical representative of a family at parameter nu in (0, inf), unless stated.
+
+    (lambda, mu) at nu, with gamma = 2 pi / nu on the cone families G6-G9, and the branch:
+    G1_CIGAR (0, -nu^2) and G2_EXPLODING (0, nu^2), the closed forms through a(0) = 1; G3 (0, 1), nu in
+    [0, inf), the closed form 1/(4t - nu^2) through a = 1 at t = (1 + nu^2)/4; through a(0) = 1 on t >= 0,
+    G5 (nu^2, nu^2) and G6 (-2/gamma, -1), nu in (0, 2 pi), and on every t, G7 (-2/gamma, -1), nu in
+    (2 pi, inf), and G10 (-2 nu^2, nu^2); the cusps G8 (-1, -gamma/2) and G11 (-1, nu^2), nu in
+    (0, (8 * 2^-1022)^(-1/4)), with the blow-up exactly at t = 0, and the annuli G9 (-2/gamma, -1) and
+    G12 (-2 nu^2, nu^2) at t = 1/4 (boundary length 2 pi), these four anchored at a = max(1e6, 4 |gamma|).
+    The boundary disks G4_PLUS and G4_MINUS put the blow-up at t = 1/4 and recover gamma from nu =
+    dist(center, boundary) by a bracketed root solve.
     """
     nu = float(nu)
-    if tag == G1_CIGAR:
-        _require_range(tag, nu, 0.0, math.inf)
-        params = SolitonParams(0.0, -nu * nu)
-        prof = closed_form_profile(params, 1.0)
-        note = "closed form 1/(1 - 4 nu^2 t); nu is the metric scale"
-    elif tag == G2_EXPLODING:
-        _require_range(tag, nu, 0.0, math.inf)
-        params = SolitonParams(0.0, nu * nu)
-        prof = closed_form_profile(params, 1.0)
-        note = "closed form 1/(1 + 4 nu^2 t); nu is the metric scale"
-    elif tag == G3:
-        _require_range(tag, nu, 0.0, math.inf, lo_open=False)
-        params = SolitonParams(0.0, 1.0)
-        prof = closed_form_profile(params, -nu * nu)
-        note = "closed form 1/(4t - nu^2) at mu = 1; inner cylinder radius nu"
-    elif tag in (G4_PLUS, G4_MINUS):
+    if tag in (G4_PLUS, G4_MINUS):
         gamma, nu = _disk_gamma(tag, nu)  # nu: the realized distance
         prof = _disk_profile(gamma)
-        params = prof.params
         note = "blow-up time normalized to 1/4 (boundary length 2 pi); gamma by Chandrupatla's bracketed iteration on the boundary distance"
-    elif tag == G5:
-        _require_range(tag, nu, 0.0, math.inf)
-        params = SolitonParams(nu * nu, nu * nu)  # gamma = 2
-        prof = integrate_profile(params, 0.0, 1.0, (0.0, math.inf))
-        note = "mu = nu^2 fixes the decaying-end scale; canonical gamma = 2"
-    elif tag == G6:
-        _require_range(tag, nu, 0.0, 2.0 * math.pi)
-        gamma = 2.0 * math.pi / nu
-        params = SolitonParams(-2.0 / gamma, -1.0)
-        prof = integrate_profile(params, 0.0, 1.0, (0.0, math.inf))
-        note = "cone angle nu = 2 pi / gamma; canonical mu = -1"
-    elif tag == G7:
-        _require_range(tag, nu, 2.0 * math.pi, math.inf)
-        gamma = 2.0 * math.pi / nu
-        params = SolitonParams(-2.0 / gamma, -1.0)
-        prof = integrate_profile(params, 0.0, 1.0, (-math.inf, math.inf))
-        note = "cone angle nu = 2 pi / gamma; canonical mu = -1"
-    elif tag == G8:
-        _require_range(tag, nu, 0.0, math.inf)
-        gamma = 2.0 * math.pi / nu
-        params = SolitonParams(-1.0, -gamma / 2.0)
-        prof = _blowup_anchor_profile(params, 0.0)
-        note = "lambda = -1 with the blow-up exactly at t = 0 (cusp end); cone angle nu"
-    elif tag == G9:
-        _require_range(tag, nu, 0.0, math.inf)
-        gamma = 2.0 * math.pi / nu
-        params = SolitonParams(-2.0 / gamma, -1.0)
-        prof = _blowup_anchor_profile(params, 0.25)
-        note = "blow-up at t = 1/4 (boundary length 2 pi); cone angle nu; canonical mu = -1"
-    elif tag == G10:
-        _require_range(tag, nu, 0.0, math.inf)
-        params = SolitonParams(-2.0 * nu * nu, nu * nu)  # gamma = -1
-        prof = integrate_profile(params, 0.0, 1.0, (-math.inf, math.inf))
-        note = "mu = nu^2 fixes the decaying-end scale; canonical gamma = -1"
-    elif tag == G11:  # its times scale like 1/(8 nu^4), kept a normal number
-        _require_range(tag, nu, 0.0, (8.0 * 2.0**-1022) ** -0.25)
-        params = SolitonParams(-1.0, nu * nu)  # gamma = -2 nu^2
-        prof = _blowup_anchor_profile(params, 0.0)
-        note = "lambda = -1 with the blow-up exactly at t = 0 (cusp end); mu = nu^2"
-    elif tag == G12:
-        _require_range(tag, nu, 0.0, math.inf)
-        params = SolitonParams(-2.0 * nu * nu, nu * nu)  # gamma = -1
-        prof = _blowup_anchor_profile(params, 0.25)
-        note = "blow-up at t = 1/4 (boundary length 2 pi); mu = nu^2"
+    elif tag in FAMILY_TAGS:
+        (lo, hi, lo_open), params_at, branch, note = _FAMILIES[tag]
+        if not ((nu > lo if lo_open else nu >= lo) and nu < hi):
+            raise RangeError(f"{tag} requires nu in {'(' if lo_open else '['}{lo:g}, {hi:g}), got {nu:g}")
+        prof = branch(params_at(nu), nu)
     else:
         raise RangeError(f"unknown family tag {tag!r}")
-
-    return CatalogEntry(family=classify(prof), nu=nu, params=params, profile=prof,
-                        normalization_note=note)
+    return CatalogEntry(classify(prof), nu, prof, note)
 
 
 # Machine-readable family table: topology, parameter range, completeness,
@@ -363,9 +348,12 @@ def entry_metric(entry: CatalogEntry, h: float = 1e-3):
     (at least 4 gamma), decaying sides at a = _A_FLOOR, converging sides
     where |a - gamma| drops to _CONV_DEV * gamma.  Decaying sides stop no
     lower than |gamma| / 4, and annuli start 16 times higher: in a / |gamma|
-    G11 is one metric at every nu.  Grid spacing is h.  One arc table over
-    the window both measures and samples it, so r_extent is the window.
+    G11 is one metric at every nu.  Grid spacing is h, finite and positive, with
+    at least 2 samples.  One arc table over the window both measures and samples
+    it, so r_extent is the window.
     """
+    if not 0.0 < h < math.inf:
+        raise DomainError(f"entry_metric needs a finite spacing h > 0, got {h!r}")
     prof = entry.profile
     p = prof.params
     g = p.gamma

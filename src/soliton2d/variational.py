@@ -309,6 +309,8 @@ def variation_report(metric: WarpedMetric, v: VariationField, eps: float = 1e-4)
     max |K~ / K - 1| at +-eps and +-eps/4 (k_departure).
     """
     analytic, defect, fields = _fields(metric, (v.r0, v.r1), v, eps)
+    if eps / 4.0 == 0.0:
+        raise DomainError(f"eps = {eps!r} is too small: eps / 4 underflows to 0")
     (fd, *e1), (fd4, *e4) = _fd_quotient(fields, eps), _fd_quotient(fields, eps / 4.0)
     err, err4 = abs(fd - analytic), abs(fd4 - analytic)
     if not (math.isfinite(err) and math.isfinite(err4)):  # err is finite only where both values are

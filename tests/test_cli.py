@@ -304,6 +304,37 @@ class TestValueErrors:
                         "--window", "--samples", "--eps", "--nu"}
 
 
+_ANCHOR = {"--lambda": "-1", "--mu": "-1", "--a0": "1", "--t0": "0"}
+_METRIC = {**_ANCHOR, "--b0": "0", "--r0": "0", "--r-range": "0,3", "--samples": "101"}
+# a valid command line per subcommand, as {flag: value}
+DEGENERATE_BASE = {
+    "integrate": {**_ANCHOR, "--window": "-1,1", "--samples": "5"},
+    "classify": _ANCHOR,
+    "metric": _METRIC,
+    "report": _ANCHOR,
+    "verify": _METRIC,
+    "energy": {**_METRIC, "--window": "0.2,2.8", "--eps": "1e-3"},
+    **{f"catalog {tag}": {"--family": tag, "--nu": "1"} for tag in (
+        "g1", "g2", "g3", "g4_plus", "g4_minus", "g5", "g6", "g7", "g8", "g9", "g10", "g11", "g12")},
+}
+# degenerate values by kind of flag: sample counts, pairs (reversed, empty) and reals
+_DEGENERATE = {"--samples": ("0", "1", "-3"), "--window": ("1,-1", "1,1"), "--r-range": ("3,0", "1,1")}
+_DEGENERATE_REAL = ("inf", "-inf", "1e308", "5e-324")
+DEGENERATE_CASES = [(cmd, flag, value) for cmd, flags in DEGENERATE_BASE.items() for flag in flags
+                    if flag != "--family" for value in _DEGENERATE.get(flag, _DEGENERATE_REAL)]
+
+
+class TestDegenerateValues:
+    @pytest.mark.parametrize("cmd, flag, value", DEGENERATE_CASES,
+                             ids=[f"{cmd.replace(' ', '_')}{flag}={value}" for cmd, flag, value in DEGENERATE_CASES])
+    def test_typed_outcome(self, capsys, cmd, flag, value):
+        # no numeric flag value reaches an untyped error: metric, verify and energy with --samples 0 or -3
+        # and energy with --eps 5e-324 printed "internal failure"
+        flags = {**DEGENERATE_BASE[cmd], flag: value}
+        code, _, err = run_capture([cmd.split()[0], *(f"{k}={v}" for k, v in flags.items())], capsys)
+        assert code in (0, 1, 2) and "internal failure" not in err, err
+
+
 class TestConfigFile:
     def test_flags_override_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

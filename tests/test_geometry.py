@@ -106,6 +106,20 @@ class TestBuildWarpedMetric:
     def test_t_of_r_exact(self, cigar_metric):
         assert_allclose(cigar_metric.t_of_r, 0.25 * cigar_metric.b**2, rtol=1e-15)
 
+    @pytest.mark.parametrize("n", [0, 1, -3, 2.0])
+    def test_sample_count_below_two_raises(self, n):
+        # n = 0 and n < 0 raised numpy's ValueError, and n = 1 built a metric whose spacing raised IndexError
+        prof = integrate_profile(make_params(0.0, -1.0), 0.0, 1.0, (0.0, math.inf))
+        with pytest.raises(DomainError, match="samples"):
+            build_warped_metric(prof, (0.0, 0.0), (0.0, 5.0), n)
+
+    @pytest.mark.parametrize("r0", [math.nan, math.inf, -math.inf])
+    def test_anchor_radius_not_finite_raises(self, r0):
+        # r0 = nan returned a metric whose b was all nan, with r_extent (nan, nan)
+        prof = integrate_profile(make_params(0.0, -1.0), 0.0, 1.0, (0.0, math.inf))
+        with pytest.raises(DomainError, match="r0"):
+            build_warped_metric(prof, (r0, 1.0), (0.0, 5.0), 101)
+
     def test_smooth_origin_required(self):
         # anchored at a(0) = 2: no smooth extension over b = 0
         prof = integrate_profile(make_params(0.0, -1.0), 0.0, 2.0, (0.0, math.inf))
@@ -573,6 +587,12 @@ class TestGeodesicCurvature:
     def test_needs_positive_b(self, cigar_metric):
         with pytest.raises(DomainError, match="b\\(r0\\) > 0"):
             geodesic_curvature(cigar_metric, 0.0)  # the smooth origin, where b = 0
+
+    @pytest.mark.parametrize("r0", [7.0, -1.0, math.inf, math.nan])
+    def test_outside_the_grid_raises(self, cigar_metric, r0):
+        # np.interp clamped: r0 = 7 and inf returned kappa at the grid's end, and nan returned nan
+        with pytest.raises(DomainError, match="outside the grid"):
+            geodesic_curvature(cigar_metric, r0)
 
     def test_cigar_value(self, cigar_metric):
         # analytic oracle sech^2(r)/tanh(r) from the tanh closed form

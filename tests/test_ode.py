@@ -418,6 +418,14 @@ class TestCsvExport:
                        for t, a, d in zip(ts, av, prof.params.rhs(av)))
         assert prof.to_csv(2001) == "t,a,dadt\n" + rows
 
+    @pytest.mark.parametrize("n", [-1, -201])
+    def test_negative_sample_count_raises(self, n):
+        # a negative n silently gave the default 201-point grid
+        prof = integrate_profile(make_params(0.0, -1.0), 0.0, 1.0, (0.0, 0.2))
+        for call in (prof.sample_grid, prof.to_csv):
+            with pytest.raises(DomainError, match="n >= 0"):
+                call(n)
+
     def test_header_and_precision(self):
         prof = integrate_profile(make_params(0.0, -1.0), 0.0, 1.0, (0.0, 0.2))
         text = prof.to_csv()

@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -353,6 +354,62 @@ class TestCatalog:
         assert "Chandrupatla" in note and "bisection" not in note
 
 
+def _cone(nu):
+    return -2.0 / (2.0 * math.pi / nu), -1.0
+
+
+# The normalizations the catalog docstring states for every family but G4, typed here on their own:
+# tag -> ((lambda, mu) at nu, the anchor (t_ref, a_ref) at nu or the exact blow-up time T0,
+# the nu range as (lower end, upper end, whether the lower end is open)).
+NORMALIZATION = {
+    "G1_CIGAR": (lambda nu: (0.0, -nu * nu), lambda nu: (0.0, 1.0), (0.0, math.inf, True)),
+    "G2_EXPLODING": (lambda nu: (0.0, nu * nu), lambda nu: (0.0, 1.0), (0.0, math.inf, True)),
+    "G3": (lambda nu: (0.0, 1.0), lambda nu: (nu * nu / 4.0 + 0.25, 1.0), (0.0, math.inf, False)),
+    "G5": (lambda nu: (nu * nu, nu * nu), lambda nu: (0.0, 1.0), (0.0, math.inf, True)),
+    "G6": (_cone, lambda nu: (0.0, 1.0), (0.0, 2.0 * math.pi, True)),
+    "G7": (_cone, lambda nu: (0.0, 1.0), (2.0 * math.pi, math.inf, True)),
+    "G8": (lambda nu: (-1.0, -(2.0 * math.pi / nu) / 2.0), 0.0, (0.0, math.inf, True)),
+    "G9": (_cone, 0.25, (0.0, math.inf, True)),
+    "G10": (lambda nu: (-2.0 * nu * nu, nu * nu), lambda nu: (0.0, 1.0), (0.0, math.inf, True)),
+    "G11": (lambda nu: (-1.0, nu * nu), 0.0, (0.0, (8.0 * 2.0**-1022) ** -0.25, True)),
+    "G12": (lambda nu: (-2.0 * nu * nu, nu * nu), 0.25, (0.0, math.inf, True)),
+}
+
+
+class TestNormalizations:
+    def test_every_family_but_g4(self):
+        assert set(NORMALIZATION) == set(FAMILY_TAGS) - {"G4_PLUS", "G4_MINUS"}
+
+    @pytest.mark.parametrize("tag", NORMALIZATION)
+    def test_parameters_and_anchor(self, tag):
+        params_at, anchor, _ = NORMALIZATION[tag]
+        for nu in NU_SAMPLES[tag][:2]:
+            entry = cached_entry(tag, nu)
+            prof = entry.profile
+            assert entry.params is prof.params
+            assert (entry.params.lam, entry.params.mu) == params_at(nu)
+            if callable(anchor):
+                assert (prof.t_ref, prof.a_ref) == anchor(nu)
+            else:  # the blow-up exactly at T0, anchored at a = max(1e6, 4 |gamma|) on the branch t = T0 + G(a)
+                lam, mu = params_at(nu)
+                assert prof.C == anchor and prof.t0_exact
+                assert prof.a_ref == max(1e6, 4.0 * abs(2.0 * mu / lam))
+                with mpmath.workdps(30):
+                    want = anchor + mp_time(lam, mu, prof.a_ref)
+                assert prof.t_ref == pytest.approx(float(want), rel=1e-13)
+
+    @pytest.mark.parametrize("tag", NORMALIZATION)
+    def test_range_ends(self, tag):
+        lo, hi, lo_open = NORMALIZATION[tag][2]
+        bracket = f"{'(' if lo_open else '['}{lo:g}, {hi:g})"
+        outside = [hi, math.inf] + ([lo] if lo_open else [math.nextafter(lo, -math.inf)])
+        for nu in outside:
+            with pytest.raises(RangeError, match=f"^{re.escape(f'{tag} requires nu in {bracket}, got {nu:g}')}$"):
+                catalog(tag, nu)
+        if not lo_open:  # G3's closed end
+            assert catalog(tag, lo).family.tag == tag
+
+
 class TestEntryWindowLength:
     """An entry metric's window is as long as its two levels are apart.
 
@@ -392,6 +449,13 @@ class TestEntryWindowLength:
         (prof, _, _, a_in, a_out), = calls
         assert a_in is not None and a_out is not None  # both edges come from their levels
         assert _ulps(float(m.r[-1]), self.mp_length(prof, a_in, a_out)) <= 3.0
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, math.inf, 10.0])
+def test_entry_metric_spacing_raises(h):
+    # h = 0 raised ZeroDivisionError, h < 0 and nan a ValueError, and h = inf or 10 built a one-sample metric
+    with pytest.raises(DomainError):
+        entry_metric(cached_entry("G1_CIGAR", 1.0), h=h)
 
 
 class TestScalingConsistency:

@@ -311,6 +311,12 @@ class TestReportErrors:
         with pytest.raises(DomainError, match="eps"):
             fd_variation(cigar_metric, v, eps=eps)
 
+    @pytest.mark.parametrize("eps", [5e-324, 1e-323])
+    def test_eps_whose_quarter_underflows(self, cigar_metric, eps):
+        # the quotient at eps / 4 divided by 2 (eps / 4) = 0 and raised ZeroDivisionError
+        with pytest.raises(DomainError, match="underflows"):
+            variation_report(cigar_metric, bump_variation((0.5, 2.0), psi_amp=1.0), eps=eps)
+
     def test_support_outside_the_metric(self, cigar_metric):
         v = bump_variation((1.0, 99.0), psi_amp=1.0)
         for call in (lambda: variation_report(cigar_metric, v, 1e-3), lambda: fd_variation(cigar_metric, v, 1e-3)):
