@@ -15,8 +15,6 @@ import os
 import re
 import sys
 
-import numpy as np
-
 from . import geometry, ode, taxonomy, variational, verify
 from .errors import SolitonError
 
@@ -53,15 +51,11 @@ def _fmt(x) -> str:
         return "null"
     if isinstance(x, str):
         return '"' + x.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    if isinstance(x, (list, tuple, np.ndarray)):
+    if isinstance(x, (list, tuple)):
         return "[" + ", ".join(_fmt(v) for v in x) + "]"
     if isinstance(x, dict):
         return "{" + ", ".join(f'{_fmt(str(k))}: {_fmt(v)}' for k, v in x.items()) + "}"
     raise TypeError(f"cannot serialize {type(x)!r}")
-
-
-def _json(obj) -> str:
-    return _fmt(obj) + "\n"
 
 
 def _load_config(path: str) -> dict:
@@ -96,62 +90,12 @@ def _real_pair(text: str) -> tuple[float, float]:
     return _real(parts[0]), _real(parts[1])
 
 
-#: the value flags that are not a single real number
-_FLAG_TYPES = {"--window": _real_pair, "--r-range": _real_pair, "--samples": int, "--family": str}
-
-
-def _build_parser() -> _Parser:
-    p = _Parser(prog="soliton", description=__doc__, add_help=True)
-    sub = p.add_subparsers(dest="subcommand")
-
-    def add(name, helptext, flags, formats=("json",)):
-        sp = sub.add_parser(name, help=helptext)
-        sp.add_argument("--config", default=None, help="key = value file; flags override")
-        sp.add_argument("--format", choices=formats, default=None)
-        sp.add_argument("--out", default=None, help="write output to this file")
-        for flag in flags:
-            sp.add_argument(flag, type=_FLAG_TYPES.get(flag, _real))
-        return sp
-
-    add("integrate", "sample the profile through an anchor",
-        ["--lambda", "--mu", "--a0", "--t0", "--window", "--samples"], ("csv", "json"))
-    add("classify", "family tag of the branch through an anchor",
-        ["--lambda", "--mu", "--a0", "--t0"])
-    add("metric", "reconstruct the warped metric on an r-window",
-        ["--lambda", "--mu", "--a0", "--t0", "--b0", "--r0",
-         "--r-range", "--samples"], ("csv", "json"))
-    add("report", "completeness / curvature / end-structure report",
-        ["--lambda", "--mu", "--a0", "--t0"])
-    add("verify", "soliton-equation residuals of the reconstructed metric",
-        ["--lambda", "--mu", "--a0", "--t0", "--b0", "--r0",
-         "--r-range", "--samples"])
-    add("energy", "curvature-entropy window report (variation + conservation)",
-        ["--lambda", "--mu", "--a0", "--t0", "--b0", "--r0", "--r-range",
-         "--window", "--samples", "--eps"])
-    cat = add("catalog", "canonical family representatives",
-              ["--family", "--nu"])
-    cat.add_argument("--list", action="store_true", dest="list_families")
-    return p
-
-
-def _merge_options(parser: _Parser, args: argparse.Namespace) -> dict:
-    """Flags over the --config file, whose keys are parsed as flags of the
-    same subcommand, so an unknown key or a bad value is a usage error."""
-    layers = [args]
-    if args.config:
-        cfg = _load_config(args.config)
-        if "config" in cfg:
-            raise _UsageError(f"{args.config}: a config file cannot name another")
-        flags = [f"--{key.replace('_', '-')}={val}" for key, val in cfg.items()]
-        try:
-            layers.insert(0, parser.parse_args([args.subcommand, *flags]))
-        except _UsageError as exc:
-            raise _UsageError(f"{args.config}: {exc}") from None
-    opts = {}
-    for ns in layers:
-        opts.update((key, val) for key, val in vars(ns).items()
-                    if val is not None and key not in ("config", "subcommand"))
-    return opts
+#: argparse keywords of the flags that are not a single real number
+_FLAG_ARGS = {"--window": {"type": _real_pair}, "--r-range": {"type": _real_pair}, "--samples": {"type": int},
+              "--family": {"type": str}, "--list": {"action": "store_true"}}
+#: the flags that fix a branch, and those that place a sampled metric on it
+_ANCHOR = ("--lambda", "--mu", "--a0", "--t0")
+_SAMPLED = ("--b0", "--r0", "--r-range")
 
 
 def _require(opts: dict, *keys):
@@ -178,19 +122,12 @@ def _metric_from(opts: dict) -> geometry.WarpedMetric:
     return geometry.build_warped_metric(prof, (r0, b0), rr, n_samples=n)
 
 
-def _emit(text: str, opts: dict):
-    out = opts.get("out")
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        log.info("wrote %d bytes to %s", len(text), out)
-    else:
-        sys.stdout.write(text)
-
-
-def _profile_json(prof: ode.ProfileA, n: int) -> dict:
+def _integrate(opts: dict):
+    prof = _profile_from(opts)
+    n = opts.get("samples", 0)
+    if opts.get("format") == "csv":
+        return prof.to_csv(n)
     ts = prof.sample_grid(n)
-    av = np.atleast_1d(prof.a(ts))
     return {
         "lambda": prof.params.lam,
         "mu": prof.params.mu,
@@ -199,8 +136,128 @@ def _profile_json(prof: ode.ProfileA, n: int) -> dict:
         "t1": prof.t1,
         "tag0": str(prof.tag0),
         "tag1": str(prof.tag1),
-        "samples": [{"t": float(t), "a": float(a)} for t, a in zip(ts, av)],
+        "samples": [{"t": float(t), "a": float(a)} for t, a in zip(ts, prof.a(ts))],
     }
+
+
+def _classify(opts: dict):
+    prof = _profile_from(opts)
+    label = taxonomy.classify(prof)
+    payload = {"family": label.tag}
+    if label.t0_estimate is not None:
+        payload["t0_estimate"] = label.t0_estimate
+        payload["t0_uncertainty"] = label.t0_uncertainty
+    payload["lambda"] = prof.params.lam
+    payload["mu"] = prof.params.mu
+    payload["gamma"] = prof.params.gamma
+    return payload
+
+
+def _metric(opts: dict):
+    metric = _metric_from(opts)
+    if opts.get("format") == "csv":
+        return metric.to_csv()
+    rows = [
+        {"r": float(r), "b": float(b), "db_dr": float(bp), "K": float(K)}
+        for r, b, bp, K in zip(metric.r, metric.b, metric.b_prime, metric.K)
+    ]
+    return {"samples": rows}
+
+
+def _energy(opts: dict):
+    band = opts.pop("window", None)  # r-band; the profile uses its maximal t-window
+    metric = _metric_from(opts)
+    window = band if band is not None else (float(metric.r[0]), float(metric.r[-1]))
+    pad = 0.05 * (window[1] - window[0])
+    v = variational.bump_variation((window[0] + pad, window[1] - pad), psi_amp=0.1)
+    rep = variational.variation_report(metric, v, eps=opts.get("eps", 1e-4))
+    rep["energy"] = variational.energy(metric, window)
+    return rep
+
+
+def _catalog(opts: dict):
+    if opts.get("list"):
+        return taxonomy.catalog_listing()
+    _require(opts, "family", "nu")
+    tag = str(opts["family"]).upper()
+    aliases = {"G1": "G1_CIGAR", "G2": "G2_EXPLODING"}
+    tag = aliases.get(tag, tag)
+    entry = taxonomy.catalog(tag, opts["nu"])
+    return {
+        "family": entry.family.tag,
+        "nu": entry.nu,
+        "lambda": entry.params.lam,
+        "mu": entry.params.mu,
+        "gamma": entry.params.gamma,
+        "normalization": entry.normalization_note,
+        "report": geometry.geometry_report(entry.profile).to_json_dict(),
+    }
+
+
+#: one row per subcommand: help text, value flags, --format choices and a
+#: handler that maps the merged options to CSV text or a JSON-ready object
+_COMMANDS = {
+    "integrate": ("sample the profile through an anchor",
+                  (*_ANCHOR, "--window", "--samples"), ("csv", "json"), _integrate),
+    "classify": ("family tag of the branch through an anchor",
+                 _ANCHOR, ("json",), _classify),
+    "metric": ("reconstruct the warped metric on an r-window",
+               (*_ANCHOR, *_SAMPLED, "--samples"), ("csv", "json"), _metric),
+    "report": ("completeness / curvature / end-structure report",
+               _ANCHOR, ("json",), lambda opts: geometry.geometry_report(_profile_from(opts)).to_json_dict()),
+    "verify": ("soliton-equation residuals of the reconstructed metric",
+               (*_ANCHOR, *_SAMPLED, "--samples"), ("json",),
+               lambda opts: verify.soliton_residual(_metric_from(opts)).to_json_dict()),
+    "energy": ("curvature-entropy window report (variation + conservation)",
+               (*_ANCHOR, *_SAMPLED, "--window", "--samples", "--eps"), ("json",), _energy),
+    "catalog": ("canonical family representatives",
+                ("--family", "--nu", "--list"), ("json",), _catalog),
+}
+
+
+def _build_parser() -> _Parser:
+    p = _Parser(prog="soliton", description=__doc__, add_help=True)
+    sub = p.add_subparsers(dest="subcommand")
+    for name, (helptext, flags, formats, _) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=helptext)
+        sp.add_argument("--config", default=None, help="key = value file; flags override")
+        sp.add_argument("--format", choices=formats, default=None)
+        sp.add_argument("--out", default=None, help="write output to this file")
+        for flag in flags:
+            sp.add_argument(flag, **_FLAG_ARGS.get(flag, {"type": _real}))
+    return p
+
+
+def _merge_options(parser: _Parser, args: argparse.Namespace) -> dict:
+    """Flags over the --config file, whose keys are parsed as flags of the
+    same subcommand, so an unknown key or a bad value is a usage error."""
+    layers = [args]
+    if args.config:
+        cfg = _load_config(args.config)
+        if "config" in cfg:
+            raise _UsageError(f"{args.config}: a config file cannot name another")
+        flags = [f"--{key.replace('_', '-')}={val}" for key, val in cfg.items()]
+        try:
+            layers.insert(0, parser.parse_args([args.subcommand, *flags]))
+        except _UsageError as exc:
+            raise _UsageError(f"{args.config}: {exc}") from None
+    opts = {}
+    for ns in layers:
+        opts.update((key, val) for key, val in vars(ns).items()
+                    if val is not None and key not in ("config", "subcommand"))
+    return opts
+
+
+def _emit(result, opts: dict):
+    """Write a handler's CSV text as it is, or its JSON-ready object as one line of JSON."""
+    text = result if isinstance(result, str) else _fmt(result) + "\n"
+    out = opts.get("out")
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        log.info("wrote %d bytes to %s", len(text), out)
+    else:
+        sys.stdout.write(text)
 
 
 def run(argv: list[str]) -> int:
@@ -215,74 +272,7 @@ def run(argv: list[str]) -> int:
         if args.subcommand is None:
             raise _UsageError(parser.format_usage())
         opts = _merge_options(parser, args)
-        cmd = args.subcommand
-        fmt = opts.get("format") or "json"
-
-        if cmd == "integrate":
-            prof = _profile_from(opts)
-            n = opts.get("samples", 0)
-            if fmt == "csv":
-                _emit(prof.to_csv(n), opts)
-            else:
-                _emit(_json(_profile_json(prof, n)), opts)
-        elif cmd == "classify":
-            prof = _profile_from(opts)
-            label = taxonomy.classify(prof)
-            payload = {"family": label.tag}
-            if label.t0_estimate is not None:
-                payload["t0_estimate"] = label.t0_estimate
-                payload["t0_uncertainty"] = label.t0_uncertainty
-            payload["lambda"] = prof.params.lam
-            payload["mu"] = prof.params.mu
-            payload["gamma"] = prof.params.gamma
-            _emit(_json(payload), opts)
-        elif cmd == "metric":
-            metric = _metric_from(opts)
-            if fmt == "csv":
-                _emit(metric.to_csv(), opts)
-            else:
-                rows = [
-                    {"r": float(r), "b": float(b), "db_dr": float(bp), "K": float(K)}
-                    for r, b, bp, K in zip(metric.r, metric.b, metric.b_prime, metric.K)
-                ]
-                _emit(_json({"samples": rows}), opts)
-        elif cmd == "report":
-            prof = _profile_from(opts)
-            rep = geometry.geometry_report(prof)
-            _emit(_json(rep.to_json_dict()), opts)
-        elif cmd == "verify":
-            metric = _metric_from(opts)
-            rep = verify.soliton_residual(metric)
-            _emit(_json(rep.to_json_dict()), opts)
-        elif cmd == "energy":
-            band = opts.pop("window", None)  # r-band; the profile uses its maximal t-window
-            metric = _metric_from(opts)
-            window = band if band is not None else (float(metric.r[0]), float(metric.r[-1]))
-            pad = 0.05 * (window[1] - window[0])
-            v = variational.bump_variation((window[0] + pad, window[1] - pad), psi_amp=0.1)
-            rep = variational.variation_report(metric, v, eps=opts.get("eps", 1e-4))
-            rep["energy"] = variational.energy(metric, window)
-            _emit(_json(rep), opts)
-        elif cmd == "catalog":
-            if opts.get("list_families"):
-                _emit(_json(taxonomy.catalog_listing()), opts)
-            else:
-                _require(opts, "family", "nu")
-                tag = str(opts["family"]).upper()
-                aliases = {"G1": "G1_CIGAR", "G2": "G2_EXPLODING"}
-                tag = aliases.get(tag, tag)
-                entry = taxonomy.catalog(tag, opts["nu"])
-                rep = geometry.geometry_report(entry.profile)
-                payload = {
-                    "family": entry.family.tag,
-                    "nu": entry.nu,
-                    "lambda": entry.params.lam,
-                    "mu": entry.params.mu,
-                    "gamma": entry.params.gamma,
-                    "normalization": entry.normalization_note,
-                    "report": rep.to_json_dict(),
-                }
-                _emit(_json(payload), opts)
+        _emit(_COMMANDS[args.subcommand][-1](opts), opts)
         return 0
     except _UsageError as exc:
         sys.stderr.write(str(exc).rstrip() + "\n")

@@ -36,6 +36,7 @@ from .errors import (
     WindowEmptyError,
 )
 from .ode import (
+    _MAX_SAMPLES,
     _V_MAX,
     _V_MIN,
     BLOW_UP,
@@ -479,6 +480,8 @@ def _sampled_metric(table: _ArcTable, r0: float, r_anchor: float, r_window, n: i
     the table's r_anchor; with origin that is a smooth origin, where the grid may start."""
     if not (isinstance(n, (int, np.integer)) and n >= 2):
         raise DomainError(f"need an integer number of samples n >= 2, got {n!r}")
+    if n > _MAX_SAMPLES:
+        raise DomainError(f"{n!r} samples exceed numpy's array size limit of {_MAX_SAMPLES} floats")
     profile = table.profile
     if origin and not is_smooth_origin(a0 := profile.a_at_zero()):
         raise NotSmoothOriginError(f"b0 = 0 requires lim a(t) = 1 at t -> 0, got {a0!r}")

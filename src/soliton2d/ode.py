@@ -55,6 +55,8 @@ TRUNCATED = "TRUNCATED"
 SMOOTH_ORIGIN_TOL = 1.0e-8
 #: Relative snap width for recognising the constant separatrix a == gamma.
 SEPARATRIX_SNAP = 1.0e-13
+#: The most samples a float64 array can hold: numpy refuses n with n * 8 > max intp.
+_MAX_SAMPLES = np.iinfo(np.intp).max // 8
 
 
 def is_smooth_origin(a0: float) -> bool:
@@ -553,9 +555,11 @@ class ProfileA:
     def sample_grid(self, n: int = 0) -> np.ndarray:
         """Sample times over the sample range: n uniform points, or for n = 0
         201 points geometric toward a blow-up end (fewer where they round
-        onto the same time).  A negative n raises DomainError."""
+        onto the same time).  A negative n, or one past _MAX_SAMPLES, raises DomainError."""
         if n < 0:
             raise DomainError(f"need n >= 0 samples (0 for the default grid), got {n!r}")
+        if n > _MAX_SAMPLES:
+            raise DomainError(f"{n!r} samples exceed numpy's array size limit of {_MAX_SAMPLES} floats")
         lo, hi = self.sample_range(0.0)
         if n > 0:
             return np.linspace(lo, hi, n)

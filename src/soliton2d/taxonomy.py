@@ -25,6 +25,7 @@ from .ode import (
     BLOW_UP,
     DECAY_TO_ZERO,
     SMOOTH_ORIGIN,
+    _MAX_SAMPLES,
     ProfileA,
     SolitonParams,
     _separatrix_time,
@@ -269,7 +270,10 @@ def catalog(tag: str, nu: float) -> CatalogEntry:
         prof = branch(params_at(nu), nu)
     else:
         raise RangeError(f"unknown family tag {tag!r}")
-    return CatalogEntry(classify(prof), nu, prof, note)
+    label = classify(prof)
+    if label.tag != tag:  # next to nu = 2 pi, a(0) = 1 snaps to the flat separatrix gamma
+        raise RangeError(f"{tag} at nu = {nu:.17g} builds a {label.tag} branch, not a {tag} one")
+    return CatalogEntry(label, nu, prof, note)
 
 
 # Machine-readable family table: topology, parameter range, completeness,
@@ -349,8 +353,8 @@ def entry_metric(entry: CatalogEntry, h: float = 1e-3):
     where |a - gamma| drops to _CONV_DEV * gamma.  Decaying sides stop no
     lower than |gamma| / 4, and annuli start 16 times higher: in a / |gamma|
     G11 is one metric at every nu.  Grid spacing is h, finite and positive, with
-    at least 2 samples.  One arc table over the window both measures and samples
-    it, so r_extent is the window.
+    at least 2 samples and r_out / h below _MAX_SAMPLES.  One arc table over the
+    window both measures and samples it, so r_extent is the window.
     """
     if not 0.0 < h < math.inf:
         raise DomainError(f"entry_metric needs a finite spacing h > 0, got {h!r}")
@@ -377,4 +381,7 @@ def entry_metric(entry: CatalogEntry, h: float = 1e-3):
         t_in = prof.C + _separatrix_time(p, a_in := max(a_cap, 16.0 * a_floor))
     table = _window_table(prof, t_in, prof.C + _separatrix_time(p, a_out), a_in, a_out)
     r_out = float(table.r[-1] - table.r[0])
-    return _sampled_metric(table, 0.0, float(table.r[0]), (0.0, r_out), int(round(r_out / h)) + 1, t_in == 0.0)
+    if not (steps := r_out / h) < _MAX_SAMPLES:  # inf where r_out / h overflows
+        raise DomainError(f"entry_metric spacing h = {h!r} gives {steps:.3g} samples over r_out = {r_out!r}, "
+                          f"past numpy's array size limit of {_MAX_SAMPLES} floats")
+    return _sampled_metric(table, 0.0, float(table.r[0]), (0.0, r_out), int(round(steps)) + 1, t_in == 0.0)

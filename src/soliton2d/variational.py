@@ -281,7 +281,12 @@ def _perturbed_energy(fields, eps: float) -> float:
 
 
 def _fd_quotient(fields, eps: float) -> tuple[float, float, float]:
-    """(E[g + eps h] - E[g - eps h]) / (2 eps) on the fields of _fields, then the two energies."""
+    """(E[g + eps h] - E[g - eps h]) / (2 eps) on the fields of _fields, then the two energies.  A nonzero field
+    that eps moves by less than 2^-26, eps max(|p|, |q|) < 2^-26, raises DomainError; a nan field passes on to the finiteness checks."""
+    size = float(np.max(np.abs(fields[1:3])))
+    if size > 0.0 and eps * size < 2.0 ** -26:
+        raise DomainError(f"eps = {eps!r} is too small: it moves the metric by {eps * size:.3g} < 2^-26, "
+                          "so the quotient is rounding")
     up, down = _perturbed_energy(fields, +eps), _perturbed_energy(fields, -eps)
     return float((up - down) / (2.0 * eps)), up, down
 
@@ -293,7 +298,9 @@ def fd_variation(metric: WarpedMetric, v: VariationField, eps: float = 1e-4) -> 
     rebuilt from their first fundamental forms, so no piece of the analytic
     variation enters.  Only phi and psi are differenced (see
     _perturbed_curvature), so the quotient's error is O(eps^2) plus a rounding
-    floor of about 1e-10 that does not grow as eps shrinks.
+    floor that grows as eps shrinks: 1 + eps p keeps eps p to 2^-53 only, a
+    relative error of 2^-53 / (eps |p|).  An eps with eps max(|p|, |q|) < 2^-26
+    on a nonzero field, where half the digits are gone, raises DomainError.
     """
     return _fd_quotient(_fields(metric, (v.r0, v.r1), v, eps)[2], eps)[0]
 

@@ -286,8 +286,10 @@ class TestValueErrors:
         # four text flags, so no raw string reaches the library
         parser = _build_parser()
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        seen = set()
+        seen, flags, formats = set(), {}, {}
         for name, sp in sub.choices.items():
+            flags[name] = {action.option_strings[-1] for action in sp._actions}
+            formats[name] = next(action.choices for action in sp._actions if action.dest == "format")
             for action in sp._actions:
                 if action.nargs == 0 or action.option_strings[-1] in (
                         "--family", "--format", "--out", "--config"):
@@ -302,6 +304,21 @@ class TestValueErrors:
                     assert type(x) in (int, float), (name, flag, value)
         assert seen == {"--lambda", "--mu", "--a0", "--t0", "--b0", "--r0", "--r-range",
                         "--window", "--samples", "--eps", "--nu"}
+        # and each subcommand has exactly its own flags and --format choices
+        common = {"--help", "--config", "--format", "--out"}
+        anchor = common | {"--lambda", "--mu", "--a0", "--t0"}
+        sampled = anchor | {"--b0", "--r0", "--r-range", "--samples"}
+        assert flags == {
+            "integrate": anchor | {"--window", "--samples"},
+            "classify": anchor,
+            "metric": sampled,
+            "report": anchor,
+            "verify": sampled,
+            "energy": sampled | {"--window", "--eps"},
+            "catalog": common | {"--family", "--nu", "--list"},
+        }
+        assert formats == {name: ("csv", "json") if name in ("integrate", "metric") else ("json",)
+                           for name in flags}
 
 
 _ANCHOR = {"--lambda": "-1", "--mu": "-1", "--a0": "1", "--t0": "0"}
@@ -318,7 +335,8 @@ DEGENERATE_BASE = {
         "g1", "g2", "g3", "g4_plus", "g4_minus", "g5", "g6", "g7", "g8", "g9", "g10", "g11", "g12")},
 }
 # degenerate values by kind of flag: sample counts, pairs (reversed, empty) and reals
-_DEGENERATE = {"--samples": ("0", "1", "-3"), "--window": ("1,-1", "1,1"), "--r-range": ("3,0", "1,1")}
+_DEGENERATE = {"--samples": ("0", "1", "-3", "100000000000000000000", "9223372036854775807"),
+               "--window": ("1,-1", "1,1"), "--r-range": ("3,0", "1,1")}
 _DEGENERATE_REAL = ("inf", "-inf", "1e308", "5e-324")
 DEGENERATE_CASES = [(cmd, flag, value) for cmd, flags in DEGENERATE_BASE.items() for flag in flags
                     if flag != "--family" for value in _DEGENERATE.get(flag, _DEGENERATE_REAL)]
@@ -329,10 +347,18 @@ class TestDegenerateValues:
                              ids=[f"{cmd.replace(' ', '_')}{flag}={value}" for cmd, flag, value in DEGENERATE_CASES])
     def test_typed_outcome(self, capsys, cmd, flag, value):
         # no numeric flag value reaches an untyped error: metric, verify and energy with --samples 0 or -3
-        # and energy with --eps 5e-324 printed "internal failure"
+        # and energy with --eps 5e-324 printed "internal failure", as integrate, metric, verify and energy
+        # did with --samples 100000000000000000000 or 9223372036854775807
         flags = {**DEGENERATE_BASE[cmd], flag: value}
         code, _, err = run_capture([cmd.split()[0], *(f"{k}={v}" for k, v in flags.items())], capsys)
         assert code in (0, 1, 2) and "internal failure" not in err, err
+
+    @pytest.mark.parametrize("cmd", ["integrate", "metric", "verify", "energy"])
+    @pytest.mark.parametrize("value", ["100000000000000000000", "9223372036854775807"])
+    def test_sample_count_past_the_array_limit(self, capsys, cmd, value):
+        flags = {**DEGENERATE_BASE[cmd], "--samples": value}
+        code, out, err = run_capture([cmd, *(f"{k}={v}" for k, v in flags.items())], capsys)
+        assert (code, out) == (1, "") and err.startswith("soliton: DOMAIN: ") and "array size limit" in err, err
 
 
 class TestConfigFile:
@@ -418,6 +444,17 @@ class TestExitCodes:
         code, out, err = run_capture(argv, capsys)
         assert (code, out) == (1, "")
         assert "soliton: RANGE:" in err
+
+    @pytest.mark.parametrize("family, nu", [
+        ("g6", repr(math.nextafter(2.0 * math.pi, 0.0))),
+        ("g6", repr(2.0 * math.pi * (1.0 - 1e-15))),
+        ("g7", repr(2.0 * math.pi * (1.0 + 1e-13))),
+    ])
+    def test_catalog_of_another_family_usage_error(self, family, nu, capsys):
+        # next to nu = 2 pi these printed a FLAT_SEPARATRIX entry with exit 0
+        code, out, err = run_capture(["catalog", "--family", family, "--nu", nu], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("soliton: RANGE: ") and "FLAT_SEPARATRIX" in err
 
     @pytest.mark.parametrize("argv", [
         ["classify", "--lambda", "1e-300", "--mu", "-1e10", "--a0", "1"],
@@ -598,7 +635,8 @@ def _modules_after_run(argv) -> list[str]:
 
 
 # The CLI output contract: the README's JSON examples, the steady closed-form
-# catalog entries and a cone and a cusp entry, compared byte for byte with
+# catalog entries, a cone and a cusp entry, and `integrate` and `metric` in
+# CSV and JSON, compared byte for byte with
 # tests/data/cli_golden.txt (one "$ soliton <args>" line before each stdout).
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.txt"
 GOLDEN_COMMANDS = [
@@ -613,6 +651,11 @@ GOLDEN_COMMANDS = [
     "catalog --family g8 --nu 0.91",
     "catalog --family g4_plus --nu 1.3",
     "catalog --family g4_minus --nu 2.2",
+    # on explicit grids; the default integrate grid toward a blow-up is left unpinned, as it may change
+    "integrate --lambda 0 --mu -1 --a0 1 --t0 0 --window 0,0.2 --samples 5 --format csv",
+    "integrate --lambda -1 --mu -1 --a0 1 --window -1,1 --samples 5",
+    "metric --lambda 0 --mu -1 --a0 1 --b0 0 --r-range 0,5 --samples 5 --format csv",
+    "metric --lambda -1 --mu -1 --a0 1 --b0 0 --r-range 0,2 --samples 5",
 ]
 
 

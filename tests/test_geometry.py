@@ -113,6 +113,14 @@ class TestBuildWarpedMetric:
         with pytest.raises(DomainError, match="samples"):
             build_warped_metric(prof, (0.0, 0.0), (0.0, 5.0), n)
 
+    @pytest.mark.parametrize("n", [2**60, 2**63 - 1, 10**20])
+    def test_sample_count_past_the_array_limit_raises(self, n):
+        # numpy refuses a float64 array of n * 8 > max intp bytes before it allocates anything:
+        # these raised its ValueError or an IndexError
+        prof = integrate_profile(make_params(0.0, -1.0), 0.0, 1.0, (0.0, math.inf))
+        with pytest.raises(DomainError, match="array size limit"):
+            build_warped_metric(prof, (0.0, 0.0), (0.0, 5.0), n)
+
     @pytest.mark.parametrize("r0", [math.nan, math.inf, -math.inf])
     def test_anchor_radius_not_finite_raises(self, r0):
         # r0 = nan returned a metric whose b was all nan, with r_extent (nan, nan)

@@ -426,6 +426,14 @@ class TestCsvExport:
             with pytest.raises(DomainError, match="n >= 0"):
                 call(n)
 
+    @pytest.mark.parametrize("n", [2**60, 2**63 - 1, 10**20])
+    def test_sample_count_past_the_array_limit_raises(self, n):
+        # numpy refuses these counts before it allocates anything, with a ValueError or an IndexError
+        prof = integrate_profile(make_params(0.0, -1.0), 0.0, 1.0, (0.0, 0.2))
+        for call in (prof.sample_grid, prof.to_csv):
+            with pytest.raises(DomainError, match="array size limit"):
+                call(n)
+
     def test_header_and_precision(self):
         prof = integrate_profile(make_params(0.0, -1.0), 0.0, 1.0, (0.0, 0.2))
         text = prof.to_csv()

@@ -177,6 +177,17 @@ class TestCatalog:
         with pytest.raises(RangeError, match="unknown family tag 'G13'"):
             catalog("G13", 1.0)
 
+    @pytest.mark.parametrize("tag, nu", [
+        ("G6", math.nextafter(2.0 * math.pi, 0.0)),
+        ("G6", 2.0 * math.pi * (1.0 - 1e-15)),
+        ("G7", 2.0 * math.pi * (1.0 + 1e-13)),
+    ])
+    def test_other_family_next_to_two_pi_raises(self, tag, nu):
+        # a(0) = 1 lies within SEPARATRIX_SNAP of gamma = 2 pi / nu, so the branch
+        # snapped to the constant solution and the entry came out FLAT_SEPARATRIX
+        with pytest.raises(RangeError, match=f"^{tag} at nu = .* builds a FLAT_SEPARATRIX branch, not a {tag} one$"):
+            catalog(tag, nu)
+
     @pytest.mark.parametrize("tag", ["G5", "G2_EXPLODING"])
     def test_overflowing_scale_raises(self, tag):
         # mu = nu^2 = 1e308 overflows 4 mu; both entries used to come out
@@ -451,9 +462,10 @@ class TestEntryWindowLength:
         assert _ulps(float(m.r[-1]), self.mp_length(prof, a_in, a_out)) <= 3.0
 
 
-@pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, math.inf, 10.0])
+@pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, math.inf, 10.0, 1e-300, 1e-320, 5e-324])
 def test_entry_metric_spacing_raises(h):
-    # h = 0 raised ZeroDivisionError, h < 0 and nan a ValueError, and h = inf or 10 built a one-sample metric
+    # h = 0 raised ZeroDivisionError, h < 0 and nan a ValueError, and h = inf or 10 built a one-sample metric;
+    # r_out / h = 2.6e300 past numpy's array size limit raised its ValueError, and r_out / h = inf an OverflowError
     with pytest.raises(DomainError):
         entry_metric(cached_entry("G1_CIGAR", 1.0), h=h)
 

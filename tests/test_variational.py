@@ -317,6 +317,29 @@ class TestReportErrors:
         with pytest.raises(DomainError, match="underflows"):
             variation_report(cigar_metric, bump_variation((0.5, 2.0), psi_amp=1.0), eps=eps)
 
+    @pytest.mark.parametrize("eps", [1e-10, 1e-12, 1e-14, 1e-16, 1e-20, 1e-300])
+    def test_eps_too_small_to_perturb_the_metric(self, eps):
+        # max |p| = 1.5: eps 1e-10 to 1e-300 returned quotients of 3.0198e-4 (1e-10), 2.22e-4, 0.0, -3.33
+        # and 0.0 against 3.0235e-4 at eps 1e-4 to 1e-8, with no error
+        m = entry_metric(cached_entry("G1_CIGAR", 1.0), h=1e-2)
+        v = bump_variation((0.5, 2.0), phi_amp=0.5, psi_amp=1.0)
+        for call in (fd_variation, variation_report):
+            with pytest.raises(DomainError, match="too small: it moves the metric by"):
+                call(m, v, eps)
+
+    def test_eps_whose_quarter_is_too_small(self):
+        # 1.5 eps = 3e-8 passes 2^-26 = 1.49e-8, 1.5 eps / 4 does not
+        m = entry_metric(cached_entry("G1_CIGAR", 1.0), h=1e-2)
+        v = bump_variation((0.5, 2.0), phi_amp=0.5, psi_amp=1.0)
+        fd_variation(m, v, 2e-8)
+        with pytest.raises(DomainError, match=r"^eps = 5e-09 is too small"):
+            variation_report(m, v, 2e-8)
+
+    def test_zero_field_at_any_eps(self, cigar_metric):
+        # nothing to perturb: the quotient is exactly 0, not rounding
+        v = bump_variation((0.5, 2.0), phi_amp=0.0, psi_amp=0.0)
+        assert fd_variation(cigar_metric, v, 1e-300) == 0.0
+
     def test_support_outside_the_metric(self, cigar_metric):
         v = bump_variation((1.0, 99.0), psi_amp=1.0)
         for call in (lambda: variation_report(cigar_metric, v, 1e-3), lambda: fd_variation(cigar_metric, v, 1e-3)):
@@ -326,9 +349,10 @@ class TestReportErrors:
     @pytest.mark.parametrize("k", [5, 6, 7, 8])
     def test_window_of_too_few_points_for_the_defect(self, cigar_metric, k):
         # k grid points: enough for the analytic and finite-difference parts, which pad the window
-        # by 2 and 3 points, too few for the conservation defect on the window itself
+        # by 2 and 3 points, too few for the conservation defect on the window itself; eps / 4 moves
+        # the metric by at least 2.4e-8, above the 2^-26 = 1.5e-8 that a quotient needs
         r, h = cigar_metric.r, cigar_metric.spacing
-        v = bump_variation((r[500] - 0.5 * h, r[499 + k] + 0.5 * h), psi_amp=1e-6)
+        v = bump_variation((r[500] - 0.5 * h, r[499 + k] + 0.5 * h), psi_amp=1e-3)
         first_variation(cigar_metric, v)
         fd_variation(cigar_metric, v, eps=1e-4)
         with pytest.raises(WindowError, match="too few"):
