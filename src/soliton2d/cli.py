@@ -15,7 +15,8 @@ import os
 import re
 import sys
 
-from . import geometry, ode, taxonomy, variational, verify
+# each handler imports the layers it uses: classify, report and every catalog but G4 load no numpy, integrate
+# no geometry
 from .errors import SolitonError
 
 log = logging.getLogger("soliton")
@@ -105,7 +106,8 @@ def _require(opts: dict, *keys):
         raise _UsageError(f"missing required option(s): {flags}")
 
 
-def _profile_from(opts: dict) -> ode.ProfileA:
+def _profile_from(opts: dict):
+    from . import ode
     _require(opts, "lambda", "mu", "a0")
     params = ode.make_params(opts["lambda"], opts["mu"])
     t0 = opts.get("t0", 0.0)
@@ -113,7 +115,8 @@ def _profile_from(opts: dict) -> ode.ProfileA:
     return ode.integrate_profile(params, t0, opts["a0"], window)
 
 
-def _metric_from(opts: dict) -> geometry.WarpedMetric:
+def _metric_from(opts: dict):
+    from . import geometry
     prof = _profile_from(opts)
     b0 = opts.get("b0", 0.0)
     r0 = opts.get("r0", 0.0)
@@ -141,6 +144,7 @@ def _integrate(opts: dict):
 
 
 def _classify(opts: dict):
+    from . import taxonomy
     prof = _profile_from(opts)
     label = taxonomy.classify(prof)
     payload = {"family": label.tag}
@@ -164,7 +168,18 @@ def _metric(opts: dict):
     return {"samples": rows}
 
 
+def _report(opts: dict):
+    from . import ode
+    return ode.geometry_report(_profile_from(opts)).to_json_dict()
+
+
+def _verify(opts: dict):
+    from . import verify
+    return verify.soliton_residual(_metric_from(opts)).to_json_dict()
+
+
 def _energy(opts: dict):
+    from . import variational
     band = opts.pop("window", None)  # r-band; the profile uses its maximal t-window
     metric = _metric_from(opts)
     window = band if band is not None else (float(metric.r[0]), float(metric.r[-1]))
@@ -176,6 +191,7 @@ def _energy(opts: dict):
 
 
 def _catalog(opts: dict):
+    from . import ode, taxonomy
     if opts.get("list"):
         return taxonomy.catalog_listing()
     _require(opts, "family", "nu")
@@ -190,7 +206,7 @@ def _catalog(opts: dict):
         "mu": entry.params.mu,
         "gamma": entry.params.gamma,
         "normalization": entry.normalization_note,
-        "report": geometry.geometry_report(entry.profile).to_json_dict(),
+        "report": ode.geometry_report(entry.profile).to_json_dict(),
     }
 
 
@@ -203,11 +219,9 @@ _COMMANDS = {
                  _ANCHOR, ("json",), _classify),
     "metric": ("reconstruct the warped metric on an r-window",
                (*_ANCHOR, *_SAMPLED, "--samples"), ("csv", "json"), _metric),
-    "report": ("completeness / curvature / end-structure report",
-               _ANCHOR, ("json",), lambda opts: geometry.geometry_report(_profile_from(opts)).to_json_dict()),
+    "report": ("completeness / curvature / end-structure report", _ANCHOR, ("json",), _report),
     "verify": ("soliton-equation residuals of the reconstructed metric",
-               (*_ANCHOR, *_SAMPLED, "--samples"), ("json",),
-               lambda opts: verify.soliton_residual(_metric_from(opts)).to_json_dict()),
+               (*_ANCHOR, *_SAMPLED, "--samples"), ("json",), _verify),
     "energy": ("curvature-entropy window report (variation + conservation)",
                (*_ANCHOR, *_SAMPLED, "--window", "--samples", "--eps"), ("json",), _energy),
     "catalog": ("canonical family representatives",
@@ -287,6 +301,9 @@ def run(argv: list[str]) -> int:
     except OSError as exc:
         sys.stderr.write(f"soliton: {exc}\n")
         return 1
+    except MemoryError as exc:  # a sample count numpy cannot allocate
+        sys.stderr.write(f"soliton: out of memory in {args.subcommand!r}: {exc}\n")
+        return 2
     except Exception as exc:  # defensive: surface, never traceback
         sys.stderr.write(f"soliton: internal failure in {args.subcommand!r}: {exc!r}\n")
         return 2

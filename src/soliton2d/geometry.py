@@ -15,6 +15,8 @@ inverted, else from one float inversion of its time (radial_distance,
 build_warped_metric).  An edge next to a cusp (C = 0) starts on v at x = 0.
 Gauss curvature follows the algebraic identity K = lambda - 2 mu / a; the
 finite-difference route -b''/b is kept separate as an independent check.
+The geometry report (ends, completeness, curvature range) reads only the end
+levels; it is defined in ode.py, without numpy, and re-exported here.
 """
 
 from __future__ import annotations
@@ -22,40 +24,49 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    EdgeError,
-    NotSmoothOriginError,
-    RangeError,
-    UnresolvedEndError,
-    WindowEmptyError,
-)
+from .errors import DomainError, EdgeError, NotSmoothOriginError, RangeError, WindowEmptyError
 from .ode import (
     _MAX_SAMPLES,
     _V_MAX,
     _V_MIN,
     BLOW_UP,
+    CONE_END,
     CONVERGES,
+    CUSP_END,
+    CYLINDER_END,
     DECAY_TO_ZERO,
+    EXPLODING_END,
+    GEODESIC_BOUNDARY,
+    NEGATIVE,
+    POSITIVE,
+    SMOOTH_POINT,
+    ZERO,
+    EndDescriptor,
+    GeometryReport,
     ProfileA,
     SolitonParams,
+    _blowup_end,
     _branch_class,
     _fate,
+    _inner_descriptor,
     _level_coordinate,
     _level_point,
+    _metric_t_interval,
+    _outer_descriptor,
+    _resolve,
     _rise,
-    _separatrix_time,
     _slope_sign,
     _sorted_unique,
     _v_of_level,
-    constant_profile,
-    implicit_profile,
+    geometry_report,
     is_smooth_origin,
+    t0_sign,
+    t0_uncertainty,
 )
 
 _log = logging.getLogger("soliton.geometry")
@@ -400,15 +411,6 @@ def _far_edge(profile: ProfileA, t: float) -> bool:
     return any(tag.kind == BLOW_UP and t == edge for edge, tag in ends) and _blowup_end(profile.params, t)[1]
 
 
-def _metric_t_interval(profile: ProfileA) -> tuple[float, float]:
-    """(t_lo, t_hi): t-range of the metric."""
-    t_lo = max(profile.t0, 0.0)
-    t_hi = profile.t1
-    if t_hi <= t_lo:
-        raise DomainError("profile has no t > 0 portion, no metric to build")
-    return t_lo, t_hi
-
-
 @dataclass(frozen=True)
 class WarpedMetric:
     """Sampled realization (r, b, b', K) of g = dr^2 + b(r)^2 dtheta^2.
@@ -596,181 +598,3 @@ def geodesic_curvature(metric: WarpedMetric, r0: float) -> float:
     if b <= 0.0:
         raise DomainError("geodesic curvature needs b(r0) > 0")
     return metric.interp_b_prime(r0) / b
-
-
-# ---------------------------------------------------------------------------
-# Geometry report
-# ---------------------------------------------------------------------------
-
-SMOOTH_POINT = "SMOOTH_POINT"
-CONE_END = "CONE_END"
-CYLINDER_END = "CYLINDER_END"
-CUSP_END = "CUSP_END"
-GEODESIC_BOUNDARY = "GEODESIC_BOUNDARY"
-EXPLODING_END = "EXPLODING_END"
-
-POSITIVE = "POSITIVE"
-NEGATIVE = "NEGATIVE"
-ZERO = "ZERO"
-
-
-@dataclass(frozen=True)
-class EndDescriptor:
-    kind: str
-    angle: Optional[float] = None
-    radius: Optional[float] = None
-    length: Optional[float] = None
-    curvature: Optional[float] = None
-    nu: Optional[float] = None
-
-    def to_json_dict(self) -> dict:
-        return {f.name: val for f in fields(self) if (val := getattr(self, f.name)) is not None}
-
-
-@dataclass(frozen=True)
-class GeometryReport:
-    complete_inner: bool
-    complete_outer: bool
-    complete: bool
-    curvature_sign: str
-    K_inf: float
-    K_sup: float
-    inner_end: EndDescriptor
-    outer_end: EndDescriptor
-
-    @property
-    def bounded_curvature(self) -> bool:
-        return math.isfinite(self.K_inf) and math.isfinite(self.K_sup)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "complete_inner": self.complete_inner,
-            "complete_outer": self.complete_outer,
-            "complete": self.complete,
-            "curvature_sign": self.curvature_sign,
-            "K_inf": self.K_inf,
-            "K_sup": self.K_sup,
-            "bounded_curvature": self.bounded_curvature,
-            "inner_end": self.inner_end.to_json_dict(),
-            "outer_end": self.outer_end.to_json_dict(),
-        }
-
-
-def t0_uncertainty(profile: ProfileA) -> float:
-    """Rounding bound on a blow-up time T0 = C = t_ref - G(a_ref), whatever the profile's window.
-
-    A few ulps of each term of the subtraction, plus the rounding of a_ref
-    and gamma amplified by the condition number |a G'(a)| = |a / a'(a)| =
-    1 / |4 mu a (a/gamma - 1)|, taken from the factors of a'.
-    """
-    p, a = profile.params, profile.a_ref
-    cond = 1.0 / max(abs(4.0 * p.mu * a * (a / p.gamma - 1.0)), _TINY)
-    return float(8.0 * _EPS * (abs(profile.C) + abs(profile.t_ref) + abs(_separatrix_time(p, a)) + cond))
-
-
-def t0_sign(profile: ProfileA) -> tuple[Optional[int], float]:
-    """Sign of the blow-up time T0 = C and the rounding bound it was decided against.
-
-    Exact (bound 0) when the blow-up was placed analytically (t0_exact), so
-    only such a profile can have T0 = 0: the cusp families are measure zero.
-    Otherwise None while |C| is within t0_uncertainty.
-    """
-    C = profile.C
-    sign = (C > 0.0) - (C < 0.0)
-    if profile.t0_exact:
-        return sign, 0.0
-    unc = t0_uncertainty(profile)
-    return (None if abs(C) <= unc else sign), unc
-
-
-def _resolve(profile: ProfileA) -> ProfileA:
-    """The same branch over its maximal interval."""
-    if profile.is_constant:
-        return constant_profile(profile.params, (-math.inf, math.inf))
-    return implicit_profile(profile.params, profile.t_ref, profile.a_ref, profile.C, (-math.inf, math.inf),
-                            profile.t0_exact)
-
-
-def _blowup_end(p: SolitonParams, T: float):
-    """The end a blow-up at T >= 0 makes and whether it lies at infinite distance:
-    a cylinder when lambda = 0, a cusp at T = 0, and a geodesic boundary otherwise."""
-    if p.lam == 0.0:
-        return EndDescriptor(CYLINDER_END, radius=2.0 * math.sqrt(T)), True
-    if T == 0.0:
-        return EndDescriptor(CUSP_END, curvature=p.lam), True
-    return EndDescriptor(GEODESIC_BOUNDARY, length=4.0 * math.pi * math.sqrt(T)), False
-
-
-def _inner_descriptor(profile: ProfileA, a_in: float):
-    """The end at t = 0, or at the initial blow-up T0 = C >= 0 of a maximal branch."""
-    p = profile.params
-    if profile.is_constant or profile.t0 < 0.0:
-        if is_smooth_origin(a_in):
-            return EndDescriptor(SMOOTH_POINT, curvature=0.0 if profile.is_constant else p.lam - 2.0 * p.mu), True
-        if a_in == 0.0:
-            raise RangeError("a(0) underflows to 0, so the cone angle 2 pi / a(0) overflows")
-        # cone vertex at the origin: finite distance, no smooth extension
-        return EndDescriptor(CONE_END, angle=2.0 * math.pi / a_in), False
-    if p.lam != 0.0:
-        sign, unc = t0_sign(profile)
-        if sign is None:
-            raise UnresolvedEndError(f"initial blow-up time {profile.t0!r} within its uncertainty {unc:g}; "
-                                     "cusp versus boundary is not decidable numerically")
-    return _blowup_end(p, profile.t0)
-
-
-def _outer_descriptor(profile: ProfileA, a_out: float):
-    """The end toward t1 of a maximal branch, at the level a_out."""
-    p = profile.params
-    if a_out == math.inf:
-        return _blowup_end(p, profile.t1)
-    if a_out == 0.0:
-        return EndDescriptor(EXPLODING_END, nu=math.sqrt(p.mu)), False
-    return EndDescriptor(CONE_END, angle=2.0 * math.pi / a_out), True
-
-
-def geometry_report(profile: ProfileA) -> GeometryReport:
-    """Completeness, curvature range, and end structure of the metric.
-
-    The report describes the profile's branch over its maximal interval,
-    whatever window the profile was cut to, so each end is read from the
-    exact end of the implicit solution: completeness follows from the
-    convergence of the arc-length element a(t)/sqrt(t) toward it.
-    """
-    profile = _resolve(profile)
-    _metric_t_interval(profile)  # raises when the branch has no t > 0 portion
-
-    # the levels of a at t = 0 (inf at an initial blow-up) and at the outer
-    # end, both gamma on the separatrix
-    if profile.is_constant:
-        a_ends = np.full(2, profile.params.gamma)
-    else:
-        tag1 = profile.tag1
-        a_ends = np.array([profile.a_at_zero() if profile.t0 < 0.0 else math.inf,
-                           {BLOW_UP: math.inf, DECAY_TO_ZERO: 0.0, CONVERGES: tag1.value}[tag1.kind]])
-    a_in, a_out = a_ends.tolist()
-    inner, complete_inner = _inner_descriptor(profile, a_in)
-    outer, complete_outer = _outer_descriptor(profile, a_out)
-
-    mono = profile.monotonicity()
-    sign = {"increasing": POSITIVE, "decreasing": NEGATIVE, "constant": ZERO}[mono]
-
-    # K = lambda - 2 mu / a is monotone in a and a is monotone in t, so the
-    # curvature range comes from the end levels: a = inf gives lambda, a = 0
-    # an infinity, and the separatrix level a = gamma exactly 0 (to which
-    # lambda - 2 mu / gamma only rounds)
-    with np.errstate(divide="ignore", over="ignore"):
-        K = np.where(a_ends == profile.params.gamma, 0.0, profile.params.curvature(a_ends))
-    if not np.all(np.isfinite(K) | (a_ends == 0.0)):  # K is infinite only at a = 0
-        raise RangeError("the curvature range overflows")
-
-    return GeometryReport(
-        complete_inner=complete_inner,
-        complete_outer=complete_outer,
-        complete=complete_inner and complete_outer,
-        curvature_sign=sign,
-        K_inf=float(K.min()),
-        K_sup=float(K.max()),
-        inner_end=inner,
-        outer_end=outer,
-    )

@@ -14,17 +14,21 @@ infinite time.  This module represents profiles on their maximal intervals
 through that implicit solution, evaluates a(t) by inverting G (closed-form
 Lambert W guesses polished by two Halley steps, in float arithmetic for one
 float), and applies the scaling/translation symmetries of the solution space.
+Its geometry report reads the metric's ends and curvature range from the end
+levels alone, so the module loads without numpy; the array paths import it on
+first use.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import logging
 import math
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import dataclass, field, fields, replace
 from types import SimpleNamespace
 from typing import Optional
-
-import numpy as np
 
 from .errors import (
     DomainError,
@@ -32,6 +36,7 @@ from .errors import (
     NonpositiveAnchorError,
     NotSteadyError,
     RangeError,
+    UnresolvedEndError,
 )
 
 _log = logging.getLogger("soliton.ode")
@@ -55,8 +60,8 @@ TRUNCATED = "TRUNCATED"
 SMOOTH_ORIGIN_TOL = 1.0e-8
 #: Relative snap width for recognising the constant separatrix a == gamma.
 SEPARATRIX_SNAP = 1.0e-13
-#: The most samples a float64 array can hold: numpy refuses n with n * 8 > max intp.
-_MAX_SAMPLES = np.iinfo(np.intp).max // 8
+#: The most samples a float64 array can hold: numpy refuses n with n * 8 > max intp (sys.maxsize).
+_MAX_SAMPLES = sys.maxsize // 8
 
 
 def is_smooth_origin(a0: float) -> bool:
@@ -105,12 +110,14 @@ class SolitonParams:
 
     def rhs(self, a):
         """Right-hand side 2 lambda a^3 - 4 mu a^2 (== 4 mu a^2 (a/gamma - 1))."""
+        import numpy as np
         a = np.asarray(a, dtype=float)
         out = 2.0 * self.lam * a**3 - 4.0 * self.mu * a**2
         return out if out.ndim else float(out)
 
     def curvature(self, a):
         """Gauss curvature lambda - 2 mu / a of the associated metric."""
+        import numpy as np
         a = np.asarray(a, dtype=float)
         out = self.lam - 2.0 * self.mu / a
         return out if out.ndim else float(out)
@@ -159,13 +166,14 @@ _NEG, _ABOVE, _BELOW, _STEADY = "neg", "above", "below", "steady"
 
 # psi(u) = u^2 sum_k (-u)^k / (k + 2); the sum converges to rounding in 20
 # terms for |u| < 1/8, where u - log(1 + u) would cancel.
-_PSI_SERIES = np.array([(-1.0) ** k / (k + 2) for k in range(20)])
-_PSI_COEFFS = _PSI_SERIES.tolist()[::-1]  # Horner order, as Python floats
+_PSI_SERIES = [(-1.0) ** k / (k + 2) for k in range(20)]
+_PSI_COEFFS = _PSI_SERIES[::-1]  # Horner order
 _PSI_SMALL = 0.125
 # v-range kept in evaluation: a up to ~1e152 |gamma| (u^2 stays normal) and
 # down to ~1e-304 |gamma|
 _V_MIN, _V_MAX = -700.0, 350.0
-_S_MAX, _TINY = 1.0e305, float(np.finfo(float).tiny)  # |s| past every class's v-range; the smallest normal float
+_S_MAX, _TINY = 1.0e305, sys.float_info.min  # |s| past every class's v-range; the smallest normal float
+_EPS = sys.float_info.epsilon
 
 
 def _psi_series(u):
@@ -178,8 +186,9 @@ def _psi_series(u):
     return u * u * series
 
 
-def _psi(u: np.ndarray, log1pu: np.ndarray) -> np.ndarray:
+def _psi(u, log1pu):
     """u - log(1 + u) given a precise log(1 + u), with a series where they cancel."""
+    import numpy as np
     out = u - log1pu
     small = np.abs(u) < _PSI_SMALL
     if small.any():
@@ -192,8 +201,9 @@ def _psi_float(u: float, log1pu: float) -> float:
     return _psi_series(u) if abs(u) < _PSI_SMALL else u - log1pu
 
 
-def _pieces(cond: np.ndarray, x: np.ndarray, f, g, m) -> np.ndarray:
+def _pieces(cond, x, f, g, m):
     """f(x, m) where cond, else g(x, m), each evaluated on its own elements only."""
+    import numpy as np
     out = np.empty_like(x)
     for part, fn in ((cond, f), (~cond, g)):
         if part.all():
@@ -203,16 +213,24 @@ def _pieces(cond: np.ndarray, x: np.ndarray, f, g, m) -> np.ndarray:
     return out
 
 
-# The level inversion's functions on arrays and, in float arithmetic (as _psi_float), on one float; float min and
-# clip let a nan through, as numpy does.
-_ARRAY = SimpleNamespace(exp=np.exp, log=np.log, log1p=np.log1p, sqrt=np.sqrt, minimum=np.minimum, psi=_psi,
-                         clip=lambda x, lo, hi: np.minimum(np.maximum(x, lo, out=x), hi, out=x), pieces=_pieces)
+@functools.cache
+def _array_ops() -> SimpleNamespace:
+    """The level inversion's functions on arrays, made on first use: numpy is imported there."""
+    import numpy as np
+    return SimpleNamespace(exp=np.exp, log=np.log, log1p=np.log1p, sqrt=np.sqrt, minimum=np.minimum, psi=_psi,
+                           clip=lambda x, lo, hi: np.minimum(np.maximum(x, lo, out=x), hi, out=x), pieces=_pieces,
+                           errstate=np.errstate)
+
+
+# The same functions in float arithmetic (as _psi_float) on one float; float min and clip let a nan through, as
+# numpy does, and a float overflows to inf without a warning to silence.
 _FLOAT = SimpleNamespace(exp=math.exp, log=math.log, log1p=math.log1p, sqrt=math.sqrt, minimum=min, psi=_psi_float,
                          clip=lambda x, lo, hi: lo if x < lo else hi if x > hi else x,
-                         pieces=lambda cond, x, f, g, m: f(x, m) if cond else g(x, m))
+                         pieces=lambda cond, x, f, g, m: f(x, m) if cond else g(x, m),
+                         errstate=lambda **_: contextlib.nullcontext())
 
 
-def _psi_v(branch: str, v, m=_ARRAY):
+def _psi_v(branch: str, v, m):
     """(psi, dpsi/dv, z) at the level coordinate v of a branch class; z = u on NEG and ABOVE, e^-v on BELOW.
 
     Written so that each end of the class stays finite: the blow-up side up
@@ -229,8 +247,9 @@ def _psi_v(branch: str, v, m=_ARRAY):
     return v - 1.0 - em, 1.0 + em, em
 
 
-def _a_of_v(g: float, branch: str, v, m=_ARRAY):
-    """The level a at coordinate v (v = log a on the steady class)."""
+def _a_of_v(g: float, branch: str, v, m=None):
+    """The level a at coordinate v (v = log a on the steady class); on arrays unless m is given."""
+    m = m or _array_ops()
     if branch == _NEG:
         return -g * m.exp(v)
     if branch == _ABOVE:
@@ -247,18 +266,19 @@ def _v_of_level(params: SolitonParams, branch: str, a: float) -> float:
     return min(max(math.log(y) if y > 0.0 else -math.inf, lo), hi)  # y underflows at extreme scales
 
 
-def _level_point(params: SolitonParams, branch: str, C: float, v: np.ndarray, t: Optional[np.ndarray] = None):
+def _level_point(params: SolitonParams, branch: str, C: float, v, t=None):
     """(a, t, dt/dv, dr/dv) at the level coordinate v of the branch t = C + G(a).
 
     Both a and t are explicit in v: t - C = k psi(u) with k = -1 / (4 mu gamma),
     or k = 1 / (4 mu a) and psi = 1 on the steady class; dr/dv = a |dt/dv| / sqrt(t).
     A t given by the caller (a rise from a regular t = 0, where C + k psi cancels) is kept.
     """
+    import numpy as np
     a = _a_of_v(params.gamma, branch, v)
     if branch == _STEADY:
         k, ps, dps = 1.0 / (4.0 * params.mu * a), 1.0, -1.0
     else:
-        k, (ps, dps) = -1.0 / (4.0 * params.mu * params.gamma), _psi_v(branch, v)[:2]
+        k, (ps, dps) = -1.0 / (4.0 * params.mu * params.gamma), _psi_v(branch, v, _array_ops())[:2]
     t, dt = C + k * ps if t is None else t, k * dps
     if C == 0.0:  # toward a cusp end t = k psi underflows long before dr/dv does
         return a, t, dt, a * np.sqrt(np.abs(k)) * np.abs(dps) / np.sqrt(np.abs(ps))
@@ -266,10 +286,11 @@ def _level_point(params: SolitonParams, branch: str, C: float, v: np.ndarray, t:
     return a, t, dt, a * np.abs(dt) / np.sqrt(t)
 
 
-def _rise(params: SolitonParams, branch: str, v_lo: float, d: np.ndarray):
+def _rise(params: SolitonParams, branch: str, v_lo: float, d):
     """(t(v_lo + d) - t(v_lo), |dt/dv| at v_lo) for |d| <= 1/2, without the cancellation of C + k psi.
     On NEG and ABOVE psi(u) - psi(u_lo) = A q - log1p(q), A = 1 + u_lo, q = (u - u_lo) / A, cancels by
     A / |A - 1| (1 + e^v_lo, e^v_lo); where that passes 4 it is taken as (A - 1) q + psi(q)."""
+    import numpy as np
     k = 1.0 / (4.0 * params.mu) if branch == _STEADY else -1.0 / (4.0 * params.mu * params.gamma)
     E = math.exp(v_lo if branch in (_NEG, _ABOVE) else -v_lo)
     if branch == _STEADY:  # t - C = k e^-v
@@ -323,9 +344,9 @@ def _level_guess(branch: str, s, m):
 def _level_coordinate(params: SolitonParams, branch: str, dt):
     """The level coordinate v at times t with t - C = dt: vectorized, or in float arithmetic for a float dt.
     s is clamped to |s| <= _S_MAX (on the blow-up classes to s < 0); then two Halley steps from _level_guess."""
-    m, (lo, hi) = _FLOAT if isinstance(dt, float) else _ARRAY, _V_RANGE[branch]
+    m, (lo, hi) = _FLOAT if isinstance(dt, float) else _array_ops(), _V_RANGE[branch]
     k = 4.0 * params.mu * (1.0 if branch == _STEADY else params.gamma)
-    with np.errstate(over="ignore"):  # s overflows at extreme scales: it is clamped; k keeps its digits
+    with m.errstate(over="ignore"):  # s overflows at extreme scales: it is clamped; k keeps its digits
         s = k * dt if _TINY <= abs(k) < math.inf else 4.0 * params.mu * (params.gamma * dt)
     if branch == _STEADY:  # closed form
         return m.clip(-m.log(m.clip(s, _TINY, math.inf)), lo, hi)
@@ -434,8 +455,9 @@ def _halt_level(params: SolitonParams, a_ref: float, kind: str) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _sorted_unique(x: np.ndarray) -> np.ndarray:
+def _sorted_unique(x):
     """np.unique of a float array, without the numpy.ma import np.unique costs."""
+    import numpy as np
     x = np.sort(x)
     return x[np.concatenate(([True], x[1:] != x[:-1]))]
 
@@ -465,7 +487,9 @@ class ProfileA:
 
     def a(self, t):
         """Profile value(s), for a scalar t in float arithmetic; valid on the open interval and at finite-limit ends."""
-        scalar = isinstance(t, float) or not np.ndim(t)
+        if not (scalar := isinstance(t, float)):
+            import numpy as np
+            scalar = not np.ndim(t)
         x = float(t) if scalar else np.asarray(t, dtype=float)
         ok = (x > self.t0 if self.tag0.kind == BLOW_UP else x >= self.t0) & (
             x < self.t1 if self.tag1.kind == BLOW_UP else x <= self.t1)
@@ -475,10 +499,12 @@ class ProfileA:
             return self.params.gamma if scalar else np.full_like(x, self.params.gamma)
         if (branch := _branch_class(self.params, self.a_ref)) != _STEADY:
             v = _level_coordinate(self.params, branch, x - self.C)
-            return _a_of_v(self.params.gamma, branch, v, _FLOAT if scalar else _ARRAY)
-        with np.errstate(over="ignore", divide="ignore"):  # a is 0 where 4 mu (t - C) overflows, inf where it is 0
-            a = np.divide(1.0, 4.0 * self.params.mu * (x - self.C))
-        return float(a) if scalar else a
+            return _a_of_v(self.params.gamma, branch, v, _FLOAT if scalar else None)
+        if scalar:  # a is 0 where 4 mu (t - C) overflows, inf where it is 0
+            d = 4.0 * self.params.mu * (x - self.C)
+            return 1.0 / d if d else math.copysign(math.inf, d)
+        with np.errstate(over="ignore", divide="ignore"):  # as on a float
+            return np.divide(1.0, 4.0 * self.params.mu * (x - self.C))
 
     def a_at_zero(self) -> float:
         """a(0): the anchor's level where t_ref = 0 (the branch passes through it exactly), else a(0.0)."""
@@ -493,6 +519,7 @@ class ProfileA:
         profile, taken in the variable 1/a^2 (a >= 1) or 1/a (a < 1) so the
         differenced quantity stays smooth near blow-up and decay.
         """
+        import numpy as np
         t = float(t)
         a0 = self.a(t)
         # h follows the local dynamical rate so the truncation term stays flat
@@ -517,6 +544,7 @@ class ProfileA:
 
     def max_residual(self, n: int = 100, margin: float = 0.02) -> float:
         """Max residual over n uniform samples of the sample range."""
+        import numpy as np
         lo, hi = self.sample_range(margin)
         return max(self.residual(t) for t in np.linspace(lo, hi, n))
 
@@ -529,7 +557,7 @@ class ProfileA:
             return max(self.t_ref, 0.0) + 1.0 if forward else min(self.t_ref, 0.0) - 1.0
         t = self.C + _separatrix_time(self.params, _halt_level(self.params, self.a_ref, tag.kind))
         if tag.kind == BLOW_UP:  # stay inside the open end even where the level rounds onto it
-            inside = float(np.nextafter(edge, -math.inf if forward else math.inf))
+            inside = math.nextafter(edge, -math.inf if forward else math.inf)
             t = min(t, inside) if forward else max(t, inside)
         return t
 
@@ -552,7 +580,7 @@ class ProfileA:
 
     # -- export -------------------------------------------------------------
 
-    def sample_grid(self, n: int = 0) -> np.ndarray:
+    def sample_grid(self, n: int = 0):
         """Sample times over the sample range: n uniform points, or for n = 0
         201 points geometric toward a blow-up end (fewer where they round
         onto the same time).  A negative n, or one past _MAX_SAMPLES, raises DomainError."""
@@ -560,6 +588,7 @@ class ProfileA:
             raise DomainError(f"need n >= 0 samples (0 for the default grid), got {n!r}")
         if n > _MAX_SAMPLES:
             raise DomainError(f"{n!r} samples exceed numpy's array size limit of {_MAX_SAMPLES} floats")
+        import numpy as np
         lo, hi = self.sample_range(0.0)
         if n > 0:
             return np.linspace(lo, hi, n)
@@ -571,6 +600,7 @@ class ProfileA:
 
     def to_csv(self, n: int = 0) -> str:
         """CSV export with header ``t,a,dadt`` at 17 significant digits."""
+        import numpy as np
         ts = self.sample_grid(n)
         av = np.atleast_1d(self.a(ts))
         dv = np.atleast_1d(self.params.rhs(av))
@@ -750,4 +780,190 @@ def apply_symmetry(profile: ProfileA, action) -> ProfileA:
         tag0=_transform_tag(profile.tag0, amp),
         tag1=_transform_tag(profile.tag1, amp),
         C=fwd_t(profile.C),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Geometry report: the metric's ends and curvature range from the end levels
+# ---------------------------------------------------------------------------
+
+SMOOTH_POINT = "SMOOTH_POINT"
+CONE_END = "CONE_END"
+CYLINDER_END = "CYLINDER_END"
+CUSP_END = "CUSP_END"
+GEODESIC_BOUNDARY = "GEODESIC_BOUNDARY"
+EXPLODING_END = "EXPLODING_END"
+
+POSITIVE = "POSITIVE"
+NEGATIVE = "NEGATIVE"
+ZERO = "ZERO"
+
+
+@dataclass(frozen=True)
+class EndDescriptor:
+    kind: str
+    angle: Optional[float] = None
+    radius: Optional[float] = None
+    length: Optional[float] = None
+    curvature: Optional[float] = None
+    nu: Optional[float] = None
+
+    def to_json_dict(self) -> dict:
+        return {f.name: val for f in fields(self) if (val := getattr(self, f.name)) is not None}
+
+
+@dataclass(frozen=True)
+class GeometryReport:
+    complete_inner: bool
+    complete_outer: bool
+    complete: bool
+    curvature_sign: str
+    K_inf: float
+    K_sup: float
+    inner_end: EndDescriptor
+    outer_end: EndDescriptor
+
+    @property
+    def bounded_curvature(self) -> bool:
+        return math.isfinite(self.K_inf) and math.isfinite(self.K_sup)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "complete_inner": self.complete_inner,
+            "complete_outer": self.complete_outer,
+            "complete": self.complete,
+            "curvature_sign": self.curvature_sign,
+            "K_inf": self.K_inf,
+            "K_sup": self.K_sup,
+            "bounded_curvature": self.bounded_curvature,
+            "inner_end": self.inner_end.to_json_dict(),
+            "outer_end": self.outer_end.to_json_dict(),
+        }
+
+
+def _metric_t_interval(profile: ProfileA) -> tuple[float, float]:
+    """(t_lo, t_hi): t-range of the metric."""
+    t_lo = max(profile.t0, 0.0)
+    t_hi = profile.t1
+    if t_hi <= t_lo:
+        raise DomainError("profile has no t > 0 portion, no metric to build")
+    return t_lo, t_hi
+
+
+def t0_uncertainty(profile: ProfileA) -> float:
+    """Rounding bound on a blow-up time T0 = C = t_ref - G(a_ref), whatever the profile's window.
+
+    A few ulps of each term of the subtraction, plus the rounding of a_ref
+    and gamma amplified by the condition number |a G'(a)| = |a / a'(a)| =
+    1 / |4 mu a (a/gamma - 1)|, taken from the factors of a'.
+    """
+    p, a = profile.params, profile.a_ref
+    cond = 1.0 / max(abs(4.0 * p.mu * a * (a / p.gamma - 1.0)), _TINY)
+    return 8.0 * _EPS * (abs(profile.C) + abs(profile.t_ref) + abs(_separatrix_time(p, a)) + cond)
+
+
+def t0_sign(profile: ProfileA) -> tuple[Optional[int], float]:
+    """Sign of the blow-up time T0 = C and the rounding bound it was decided against.
+
+    Exact (bound 0) when the blow-up was placed analytically (t0_exact), so
+    only such a profile can have T0 = 0: the cusp families are measure zero.
+    Otherwise None while |C| is within t0_uncertainty.
+    """
+    C = profile.C
+    sign = (C > 0.0) - (C < 0.0)
+    if profile.t0_exact:
+        return sign, 0.0
+    unc = t0_uncertainty(profile)
+    return (None if abs(C) <= unc else sign), unc
+
+
+def _resolve(profile: ProfileA) -> ProfileA:
+    """The same branch over its maximal interval."""
+    if profile.is_constant:
+        return constant_profile(profile.params, (-math.inf, math.inf))
+    return implicit_profile(profile.params, profile.t_ref, profile.a_ref, profile.C, (-math.inf, math.inf),
+                            profile.t0_exact)
+
+
+def _blowup_end(p: SolitonParams, T: float):
+    """The end a blow-up at T >= 0 makes and whether it lies at infinite distance:
+    a cylinder when lambda = 0, a cusp at T = 0, and a geodesic boundary otherwise."""
+    if p.lam == 0.0:
+        return EndDescriptor(CYLINDER_END, radius=2.0 * math.sqrt(T)), True
+    if T == 0.0:
+        return EndDescriptor(CUSP_END, curvature=p.lam), True
+    return EndDescriptor(GEODESIC_BOUNDARY, length=4.0 * math.pi * math.sqrt(T)), False
+
+
+def _inner_descriptor(profile: ProfileA, a_in: float):
+    """The end at t = 0, or at the initial blow-up T0 = C >= 0 of a maximal branch."""
+    p = profile.params
+    if profile.is_constant or profile.t0 < 0.0:
+        if is_smooth_origin(a_in):
+            return EndDescriptor(SMOOTH_POINT, curvature=0.0 if profile.is_constant else p.lam - 2.0 * p.mu), True
+        if a_in == 0.0:
+            raise RangeError("a(0) underflows to 0, so the cone angle 2 pi / a(0) overflows")
+        # cone vertex at the origin: finite distance, no smooth extension
+        return EndDescriptor(CONE_END, angle=2.0 * math.pi / a_in), False
+    if p.lam != 0.0:
+        sign, unc = t0_sign(profile)
+        if sign is None:
+            raise UnresolvedEndError(f"initial blow-up time {profile.t0!r} within its uncertainty {unc:g}; "
+                                     "cusp versus boundary is not decidable numerically")
+    return _blowup_end(p, profile.t0)
+
+
+def _outer_descriptor(profile: ProfileA, a_out: float):
+    """The end toward t1 of a maximal branch, at the level a_out."""
+    p = profile.params
+    if a_out == math.inf:
+        return _blowup_end(p, profile.t1)
+    if a_out == 0.0:
+        return EndDescriptor(EXPLODING_END, nu=math.sqrt(p.mu)), False
+    return EndDescriptor(CONE_END, angle=2.0 * math.pi / a_out), True
+
+
+def geometry_report(profile: ProfileA) -> GeometryReport:
+    """Completeness, curvature range, and end structure of the metric.
+
+    The report describes the profile's branch over its maximal interval,
+    whatever window the profile was cut to, so each end is read from the
+    exact end of the implicit solution: completeness follows from the
+    convergence of the arc-length element a(t)/sqrt(t) toward it.
+    """
+    profile = _resolve(profile)
+    _metric_t_interval(profile)  # raises when the branch has no t > 0 portion
+    p, tag1 = profile.params, profile.tag1
+
+    # the levels of a at t = 0 (inf at an initial blow-up) and at the outer
+    # end, both gamma on the separatrix
+    if profile.is_constant:
+        a_in = a_out = p.gamma
+    else:
+        a_in = profile.a_at_zero() if profile.t0 < 0.0 else math.inf
+        a_out = {BLOW_UP: math.inf, DECAY_TO_ZERO: 0.0, CONVERGES: tag1.value}[tag1.kind]
+    inner, complete_inner = _inner_descriptor(profile, a_in)
+    outer, complete_outer = _outer_descriptor(profile, a_out)
+
+    mono = profile.monotonicity()
+    sign = {"increasing": POSITIVE, "decreasing": NEGATIVE, "constant": ZERO}[mono]
+
+    # K = lambda - 2 mu / a is monotone in a and a is monotone in t, so the
+    # curvature range comes from the end levels: a = inf gives lambda, a = 0
+    # an infinity, and the separatrix level a = gamma exactly 0 (to which
+    # lambda - 2 mu / gamma only rounds)
+    K_in, K_out = (0.0 if a == p.gamma else p.lam - (2.0 * p.mu / a if a else math.copysign(math.inf, p.mu))
+                   for a in (a_in, a_out))
+    if not all(math.isfinite(K) or a == 0.0 for K, a in ((K_in, a_in), (K_out, a_out))):  # infinite only at a = 0
+        raise RangeError("the curvature range overflows")
+
+    return GeometryReport(
+        complete_inner=complete_inner,
+        complete_outer=complete_outer,
+        complete=complete_inner and complete_outer,
+        curvature_sign=sign,
+        K_inf=min(K_out, K_in),  # of 0.0 and -0.0 the outer one, as numpy's min and max
+        K_sup=max(K_out, K_in),
+        inner_end=inner,
+        outer_end=outer,
     )

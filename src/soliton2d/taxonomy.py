@@ -3,11 +3,13 @@
 The decision table follows the phase-line case analysis: the steady branch
 splits by the sign of mu and of its blow-up time C, a finite positive
 separatrix by the side of the anchor, and the families with an initial
-blow-up by the sign of the blow-up time T0, read from geometry.t0_sign:
+blow-up by the sign of the blow-up time T0, read from ode.t0_sign:
 trusted when it exceeds its numerical uncertainty or when the profile was
 anchored analytically (the T0 = 0 cusp families are measure zero and are
 produced exactly by the catalog, never inferred from data).  The catalog
 builds G4 by a root solve and every other family from one row of _FAMILIES.
+Only the G4 solve and entry_metric need an arc table: they import geometry
+(and with it numpy) when called.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError, RangeError
-from .geometry import _sampled_metric, _window_table, radial_distance, t0_sign
 from .ode import (
     BLOW_UP,
     DECAY_TO_ZERO,
@@ -34,6 +35,7 @@ from .ode import (
     implicit_profile,
     integrate_profile,
     on_separatrix,
+    t0_sign,
 )
 
 G1_CIGAR = "G1_CIGAR"
@@ -92,6 +94,14 @@ class CatalogEntry:
 
 def classify(profile: ProfileA) -> FamilyLabel:
     """Family tag of the solution branch through the profile's anchor."""
+    label = _family(profile)
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("classify: %s, T0 = C = %r, t0_uncertainty %r", label.tag, profile.C, label.t0_uncertainty)
+    return label
+
+
+def _family(profile: ProfileA) -> FamilyLabel:
+    """classify's decision table, without its record (catalog checks its entries with it)."""
     p = profile.params
     g = p.gamma
     if profile.is_constant:
@@ -132,6 +142,7 @@ def disk_boundary_distance(gamma: float) -> float:
     radial distance from t = 0 to the blow-up time C.  Strictly decreasing
     in gamma on each of (0, 1) and (-inf, 0).
     """
+    from .geometry import radial_distance
     prof = _disk_profile(gamma)
     return radial_distance(prof, 0.0, prof.C)
 
@@ -270,7 +281,7 @@ def catalog(tag: str, nu: float) -> CatalogEntry:
         prof = branch(params_at(nu), nu)
     else:
         raise RangeError(f"unknown family tag {tag!r}")
-    label = classify(prof)
+    label = _family(prof)
     if label.tag != tag:  # next to nu = 2 pi, a(0) = 1 snaps to the flat separatrix gamma
         raise RangeError(f"{tag} at nu = {nu:.17g} builds a {label.tag} branch, not a {tag} one")
     return CatalogEntry(label, nu, prof, note)
@@ -356,6 +367,7 @@ def entry_metric(entry: CatalogEntry, h: float = 1e-3):
     at least 2 samples and r_out / h below _MAX_SAMPLES.  One arc table over the
     window both measures and samples it, so r_extent is the window.
     """
+    from . import geometry
     if not 0.0 < h < math.inf:
         raise DomainError(f"entry_metric needs a finite spacing h > 0, got {h!r}")
     prof = entry.profile
@@ -379,9 +391,9 @@ def entry_metric(entry: CatalogEntry, h: float = 1e-3):
         t_in, a_in = 0.0, prof.a_ref if prof.t_ref == 0.0 else None
     else:
         t_in = prof.C + _separatrix_time(p, a_in := max(a_cap, 16.0 * a_floor))
-    table = _window_table(prof, t_in, prof.C + _separatrix_time(p, a_out), a_in, a_out)
+    table = geometry._window_table(prof, t_in, prof.C + _separatrix_time(p, a_out), a_in, a_out)
     r_out = float(table.r[-1] - table.r[0])
     if not (steps := r_out / h) < _MAX_SAMPLES:  # inf where r_out / h overflows
         raise DomainError(f"entry_metric spacing h = {h!r} gives {steps:.3g} samples over r_out = {r_out!r}, "
                           f"past numpy's array size limit of {_MAX_SAMPLES} floats")
-    return _sampled_metric(table, 0.0, float(table.r[0]), (0.0, r_out), int(round(steps)) + 1, t_in == 0.0)
+    return geometry._sampled_metric(table, 0.0, float(table.r[0]), (0.0, r_out), int(round(steps)) + 1, t_in == 0.0)

@@ -360,6 +360,14 @@ class TestDegenerateValues:
         code, out, err = run_capture([cmd, *(f"{k}={v}" for k, v in flags.items())], capsys)
         assert (code, out) == (1, "") and err.startswith("soliton: DOMAIN: ") and "array size limit" in err, err
 
+    @pytest.mark.parametrize("cmd", ["integrate", "metric", "verify", "energy"])
+    def test_unallocatable_sample_count(self, capsys, cmd):
+        # 2^55 samples pass the array size limit, and numpy refuses them at once (256 PiB lies beyond any
+        # 64-bit user address space); run printed "internal failure in '<cmd>': MemoryError(...)"
+        flags = {**DEGENERATE_BASE[cmd], "--samples": str(2**55)}
+        code, out, err = run_capture([cmd, *(f"{k}={v}" for k, v in flags.items())], capsys)
+        assert (code, out) == (2, "") and err.startswith(f"soliton: out of memory in {cmd!r}: "), err
+
 
 class TestConfigFile:
     def test_flags_override_config(self, tmp_path, capsys):
@@ -578,15 +586,68 @@ ARC_TABLE_RUNS = [
 ARC_TABLE_RUN_IDS = ["metric_csv", "catalog_g4_plus", "catalog_g4_minus"]
 
 
+# the commands that compute nothing with arrays
+SCALAR_RUNS = [
+    ["classify", "--lambda", "-1", "--mu", "-1", "--a0", "3", "--t0", "1"],
+    ["report", "--lambda", "0", "--mu", "1", "--a0", "1"],
+    ["catalog", "--family", "G6", "--nu", "3"],
+    ["catalog", "--family", "G9", "--nu", "0.91"],
+    ["catalog", "--list"],
+]
+SCALAR_RUN_IDS = ["classify", "report", "catalog_g6", "catalog_g9", "catalog_list"]
+
+
+def _fresh(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """code run with argv in a fresh interpreter with src on its path."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True)
+
+
 class TestImportHygiene:
+    @pytest.mark.parametrize("module", ["soliton2d", "soliton2d.cli"])
+    def test_import_loads_no_numpy(self, module):
+        # the package re-exports on first access, and cli imports each layer in the handler that uses it
+        code = f"import sys, {module}; print([m for m in sys.modules if m.split('.')[0] == 'numpy'])"
+        assert _fresh(code).stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("argv", SCALAR_RUNS, ids=SCALAR_RUN_IDS)
+    def test_scalar_run_loads_no_numpy(self, argv):
+        assert [m for m in _modules_after_run(argv) if m.split(".")[0] == "numpy"] == []
+
+    def test_integrate_loads_no_geometry_or_taxonomy(self):
+        argv = ["integrate", "--lambda", "-1", "--mu", "-1", "--a0", "1", "--window", "-1,1", "--samples", "5"]
+        loaded = _modules_after_run(argv)
+        assert "soliton2d.ode" in loaded
+        assert [m for m in loaded if m in ("soliton2d.geometry", "soliton2d.taxonomy")] == []
+
+    def test_lazy_exports_resolve(self):
+        # every exported name resolves to the object its module defines, * binds them all, and the six
+        # layer modules are attributes of the package (the tracing harness reads them with hasattr)
+        out = _fresh(
+            "import importlib, soliton2d as S\n"
+            "wrong = [n for n in S.__all__ if n != '__version__' and getattr(S, n) is not getattr(\n"
+            "    importlib.import_module('soliton2d.' + S._EXPORTS[n]), n)]\n"
+            "ns = {}\n"
+            "exec('from soliton2d import *', ns)\n"
+            "print(wrong, sorted(set(S.__all__) - set(ns)), set(S.__all__) <= set(dir(S)),\n"
+            "      all(hasattr(S, m) for m in ('cli', 'ode', 'geometry', 'taxonomy', 'verify', 'variational')))\n")
+        assert out.stdout.strip() == "[] [] True True"
+
+    def test_unknown_name_raises_attribute_error(self):
+        import soliton2d
+        with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+            soliton2d.nonexistent
+        assert not hasattr(soliton2d, "numpy")
+
+    def test_max_samples_is_numpy_limit(self):
+        from soliton2d import ode
+        assert ode._MAX_SAMPLES == np.iinfo(np.intp).max // 8
+
     def test_cli_import_loads_no_scipy(self):
         # importing scipy would cost most of a CLI call's start-up
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
         code = "import sys, soliton2d.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, check=True)
-        assert proc.stdout.strip() == "[]"
+        assert _fresh(code).stdout.strip() == "[]"
 
     @pytest.mark.parametrize("argv", [
         ["metric", "--lambda", "-1", "--mu", "-1", "--a0", "1", "--b0", "0",
@@ -617,8 +678,6 @@ class TestImportHygiene:
 
 def _modules_after_run(argv) -> list[str]:
     """The modules loaded by one successful CLI run in a fresh interpreter."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
     code = (
         "import sys\n"
         "from soliton2d import cli\n"
@@ -628,8 +687,7 @@ def _modules_after_run(argv) -> list[str]:
         "    assert exc.code == 0, exc.code\n"
         "print(' '.join(sys.modules), file=sys.stderr)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
-                          capture_output=True, text=True, check=True)
+    proc = _fresh(code, *argv)
     assert proc.stdout
     return proc.stderr.strip().splitlines()[-1].split()
 
@@ -656,6 +714,16 @@ GOLDEN_COMMANDS = [
     "integrate --lambda -1 --mu -1 --a0 1 --window -1,1 --samples 5",
     "metric --lambda 0 --mu -1 --a0 1 --b0 0 --r-range 0,5 --samples 5 --format csv",
     "metric --lambda -1 --mu -1 --a0 1 --b0 0 --r-range 0,2 --samples 5",
+    # the scalar paths: classify at one anchor per family kind, report at an exploding end and on the
+    # separatrix, and catalog entries with cone, boundary, cusp and exploding ends
+    *(f"classify {anchor}" for anchor in (
+        "--lambda -1 --mu 1 --a0 1", "--lambda -1 --mu 1 --a0 1 --t0 1", "--lambda 1 --mu 1 --a0 3",
+        "--lambda 1 --mu 1 --a0 1", "--lambda -1 --mu -1 --a0 3", "--lambda -1 --mu -1 --a0 3 --t0 1",
+        "--lambda 0 --mu 1 --a0 1", "--lambda 1 --mu 1 --a0 2")),
+    "report --lambda 0 --mu 1 --a0 1",
+    "report --lambda 1 --mu 1 --a0 2",
+    "catalog --family g7 --nu 7.5",
+    *(f"catalog --family {fam} --nu 0.91" for fam in ("g5", "g9", "g10", "g11", "g12")),
 ]
 
 

@@ -27,7 +27,7 @@ from soliton2d import (
     integrate_profile,
     make_params,
 )
-from soliton2d import taxonomy
+from soliton2d import geometry, taxonomy
 from soliton2d.geometry import radial_distance
 from soliton2d.taxonomy import CATALOG_TABLE, FAMILY_TAGS, _disk_profile
 from conftest import FAMILY_SAMPLES, NU_SAMPLES, cached_entry, mp_time
@@ -134,6 +134,22 @@ class TestClassifyDecisionTable:
         assert rep.inner_end.kind == inner
         assert rep.outer_end.kind == "CONE_END"
         assert rep.outer_end.angle == pytest.approx(nu, rel=1e-12)
+
+    @pytest.mark.parametrize("lam,mu,t0,a0,tag", [
+        (-1.0, -1.0, 1.0, 3.0, "G9"),  # T0 = C decided against its uncertainty
+        (-1.0, 1.0, 0.0, 1.0, "G10"),
+        (0.0, -1.0, 0.0, 1.0, "G1_CIGAR"),  # no T0 sign to decide: no uncertainty
+    ])
+    def test_debug_record(self, lam, mu, t0, a0, tag, caplog):
+        prof = integrate_profile(make_params(lam, mu), t0, a0, (-math.inf, math.inf))
+        with caplog.at_level(logging.INFO, logger="soliton.taxonomy"):
+            classify(prof)
+        assert caplog.records == []
+        with caplog.at_level(logging.DEBUG, logger="soliton.taxonomy"):
+            label = classify(prof)
+        (record,) = [rec for rec in caplog.records if rec.name == "soliton.taxonomy"]
+        assert record.args == (tag, prof.C, label.t0_uncertainty) and label.tag == tag
+        assert (label.t0_uncertainty is None) == (tag == "G1_CIGAR")
 
 
 class TestCatalog:
@@ -454,8 +470,8 @@ class TestEntryWindowLength:
 
     @pytest.mark.parametrize("tag", list(FAMILY_SAMPLES))
     def test_matches_mpmath(self, tag, monkeypatch):
-        calls, window_table = [], taxonomy._window_table
-        monkeypatch.setattr(taxonomy, "_window_table", lambda *args: calls.append(args) or window_table(*args))
+        calls, window_table = [], geometry._window_table  # entry_metric reads it from geometry when called
+        monkeypatch.setattr(geometry, "_window_table", lambda *args: calls.append(args) or window_table(*args))
         m = entry_metric(cached_entry(tag, FAMILY_SAMPLES[tag]), h=1e-3)
         (prof, _, _, a_in, a_out), = calls
         assert a_in is not None and a_out is not None  # both edges come from their levels
