@@ -56,6 +56,7 @@ from .ode import (
     _inner_descriptor,
     _level_coordinate,
     _level_point,
+    _level_slope,
     _metric_t_interval,
     _outer_descriptor,
     _resolve,
@@ -82,22 +83,23 @@ _GL_W = np.array([
 ])
 
 
-def _antiderivatives() -> np.ndarray:
-    """(8, 7) coefficients of tau^0..tau^7 in int_{-1}^tau of the Lagrange
-    basis at _GL_X, expanded from the products of its linear factors (within
-    about an ulp, where inverting the Vandermonde matrix loses several)."""
-    cols = []
-    for i, xi in enumerate(_GL_X):
-        others = np.delete(_GL_X, i)
-        c = np.polyint(np.poly(others) / np.prod(xi - others))
-        cols.append(c[::-1] - np.polyval(c, -1.0) * (np.arange(8) == 0))
-    return np.array(cols).T
+def _lagrange(nodes) -> list:
+    """Coefficients (highest power first) of each Lagrange basis polynomial at nodes, expanded from the
+    products of its linear factors (within about an ulp, where inverting the Vandermonde matrix loses several)."""
+    return [functools.reduce(np.convolve, ([1.0, -xj] for j, xj in enumerate(nodes) if j != i))
+            / math.prod(xi - xj for j, xj in enumerate(nodes) if j != i) for i, xi in enumerate(nodes.tolist())]
 
 
-#: _ANTI @ f gives the antiderivative from -1 of the interpolant of f at _GL_X
-_ANTI = _antiderivatives()
-#: _ENDS @ f gives that interpolant at tau = -1 and 1 (einsum: no BLAS start-up at import)
-_ENDS = np.einsum("km,mi->ki", np.arange(8.0) * np.array([[-1.0], [1.0]]) ** np.arange(-1.0, 7.0), _ANTI)
+#: _ANTI @ f gives the coefficients of tau^0..tau^7 of the antiderivative from -1 of the interpolant of f at _GL_X
+_ANTI = np.array([(c := np.polyint(b))[::-1] - np.polyval(c, -1.0) * (np.arange(8) == 0) for b in _lagrange(_GL_X)]).T
+#: The 8 Chebyshev-Lobatto nodes -cos(pi k / 7), ascending and exactly symmetric, and those nodes on [0, 1]
+_LOB = np.sin(np.pi * np.arange(-7.0, 8.0, 2.0) / 14.0)
+_S = (_LOB + 1.0) / 2.0
+#: _INTERP @ values at _LOB gives the coefficients of u^0..u^7 of their interpolant
+_INTERP = np.array([b[::-1] for b in _lagrange(_LOB)]).T
+#: _TAYLOR @ c gives the polynomial c and its first 3 derivatives at _LOB: 4 blocks of 8 rows of (m!/(m-j)!) tau^(m-j)
+_TAYLOR = (np.cumprod(np.vstack((np.ones(8), np.arange(8.0) - np.arange(3.0)[:, None])), 0)[:, None]
+           * _LOB[:, None] ** (np.arange(8.0) - np.arange(4.0)[:, None, None])).reshape(32, 8)
 
 
 def curvature_from_a(params: SolitonParams, a) -> float:
@@ -137,18 +139,18 @@ _UNIT = np.linspace(0.0, 1.0, 9)  # the v offsets 1/8 apart over the first unit
 
 def _parts(f, x, r):
     """Parts of each segment (nodes x, r; f: dr/dx at its Gauss-Legendre points) for x_of_r,
-    and the largest estimate over its tolerance.
+    and each segment's estimate over its tolerance.
 
-    There r = r_start + half y(tau), y = _ANTI @ f, with coefficients c_k ~ c1 rho^(k-1).  On n
-    parts the dropped c8 and the error of one Newton step from a cubic Hermite guess (25 rho^7 of
-    tau on y = tau + rho tau^2) are 1 and 25 times half c1 rho^7 n^-8; n keeps their sum below
-    half an ulp of max(1, |r|) (r = 0 lies at a node)."""
+    There r = r_start + half y(tau), y = _ANTI @ f, with coefficients c_k ~ c1 rho^(k-1).  On n parts the
+    dropped c8 and the error of x_of_r's inverse polynomial (node values from a third-order Taylor step,
+    then interpolation: 12 rho^7 of tau on y = tau + rho tau^2) are 1 and 12 times half c1 rho^7 n^-8;
+    the estimate, 26 times that, keeps twice their sum below half an ulp of max(1, |r|) (r = 0 is a node)."""
     c = np.abs(_ANTI @ f.T)
     with np.errstate(invalid="ignore", over="ignore"):
         err = 13.0 * (x[1:] - x[:-1]) * c[1] * ((c[2:] / np.maximum(c[1], _TINY)) ** _ROOTS).max(axis=0) ** 7
     err[np.isnan(err)] = 0.0  # nan to 0 here and inf to the largest float next, as np.nan_to_num
     ratio = np.minimum(err, _HUGE, out=err) / (0.5 * _EPS * np.maximum(1.0, np.minimum(abs(r[:-1]), abs(r[1:]))))
-    return np.minimum(np.maximum(np.ceil(ratio ** 0.125), 1.0), _MAX_PARTS).astype(int), float(ratio.max())
+    return np.minimum(np.maximum(np.ceil(ratio ** 0.125), 1.0), _MAX_PARTS).astype(int), ratio
 
 
 def _v_offsets(span: float, c: float, grow_lo: bool, grow_hi: bool):
@@ -186,24 +188,24 @@ class _ArcTable:
     coordinate v (v = sigma x + v_shift, sigma = sign dt/dv = sign a'; x = 0
     at an edge next to a cusp, C = 0), in which a and t are explicit, with
     nodes that follow dr/dv (_v_offsets).  An edge's v comes from its level
-    where the caller holds it, else from one float inversion of its time,
-    and so does the circle of x_at.  Cylinder and
-    cusp ends lie at v = _V_MAX, decay and cone ends at _DECAY_SPAN and
-    _CONE_SPAN.  A geodesic boundary (C > 0 at v = inf) is cut where the rest
-    of r is below an ulp of the part from ve = 1/2 (or the v piece's nearer
-    end), since r = 0 is no nearer it: int a dt from v to it is
-    log1p(e^-v) / (4 |mu|), over sqrt(t) with t between t(ve) and C.
+    where the caller holds it, else from one float inversion of its time, and
+    so does the circle of x_at.  Cylinder and cusp ends lie at v = _V_MAX,
+    decay and cone ends at _DECAY_SPAN and _CONE_SPAN.  A geodesic boundary
+    (C > 0 at v = inf) is cut where the rest of r is below an ulp of the part
+    from ve = 1/2 (or the v piece's nearer end), since r = 0 is no nearer it:
+    int a dt from v to it is log1p(e^-v) / (4 |mu|), over sqrt(t) with t
+    between t(ve) and C.
 
     Node values come from per-segment Gauss-Legendre; evaluation between
     nodes adds the exact partial-segment quadrature, so r(x) and its inverse
     are accurate to quadrature precision everywhere, not just at the nodes
     (interpolated tables leave node-scale wiggles that finite differencing
-    downstream would amplify by 1/h^2).  x_of_r inverts sorted samples by
-    collocation on parts of the segments that hold them, as many parts as an
-    error estimate from the table's own quadrature asks for (`parts`; `worst`
-    is the largest estimate over its tolerance).  `start` names the table's
-    start, `evals` counts point-map evaluations (`table_evals` of them for the
-    table itself) and `segments` the (segments, parts) of the last x_of_r.
+    downstream would amplify by 1/h^2).  x_of_r inverts sorted samples on
+    parts of the segments that hold them, as many as an error estimate from
+    the table's own quadrature asks for (`parts`; `worst` is the largest
+    estimate over its tolerance).  `start` names the table's start, `evals`
+    counts point-map evaluations (`table_evals` of them for the table) and
+    `segments` the segments, parts and worst estimate of the last x_of_r.
     """
 
     def __init__(self, profile: ProfileA, t_lo: float, t_hi: float, a_lo=None, a_hi=None):
@@ -282,7 +284,7 @@ class _ArcTable:
     # parts and worst (_parts) are made on first use: a distance-only table never needs them
     _estimate = functools.cached_property(lambda self: _parts(self._f, self.x, self.r))
     parts = property(lambda self: self._estimate[0])
-    worst = property(lambda self: self._estimate[1])
+    worst = property(lambda self: float(self._estimate[1].max()))
 
     def _v_at(self, t: float, a: Optional[float] = None) -> float:
         """Level coordinate of the circle at t, from its level a where the caller holds it, else from t - C."""
@@ -291,31 +293,43 @@ class _ArcTable:
         return _level_coordinate(self.profile.params, self.branch, float(t) - self.profile.C)
 
     def _v_point(self, v):
-        return _level_point(self.profile.params, self.branch, self.profile.C, v)
+        """(a, t, dt/dv, dr/dv) at the level coordinate v."""
+        a, t, *psi = _level_point(self.profile.params, self.branch, self.profile.C, v)
+        return (a, t, *_level_slope(self.profile.C, a, t, *psi))
 
     def point(self, x):
-        """(a, t, dr/dx) at the table coordinate x, on the near-edge piece
-        where x <= x_c and on the v piece elsewhere.  x is 1-d with every
-        x <= x_c first, as nondecreasing x has them; it may be empty."""
+        """(a, t, dr/dx) at the table coordinate x, on the near-edge piece where x <= x_c and on the v
+        piece elsewhere.  x is 1-d with every x <= x_c first, as nondecreasing x has them; it may be empty."""
+        return self._map(x, self._edge_map, self._v_map)
+
+    def level(self, x):
+        """(a, t) at x as point gives them, without dr/dx: the samples' point map."""
+        return self._map(x, lambda x: self._edge_level(x)[:2], lambda x: _level_point(
+            self.profile.params, self.branch, self.profile.C, self.sigma * x + self.v_shift)[:2])
+
+    def _map(self, x, edge, v):
         self.evals += x.size
         i = int(x.searchsorted(self.x_c, side="right"))
         if i == x.size and self.x_c >= 0.0:
-            return self._edge_map(x)
+            return edge(x)
         if i == 0:
-            return self._v_map(x)
-        return tuple(np.concatenate(pair) for pair in zip(self._edge_map(x[:i]), self._v_map(x[i:])))
+            return v(x)
+        return tuple(np.concatenate(pair) for pair in zip(edge(x[:i]), v(x[i:])))
+
+    def _edge_level(self, x):
+        """_level_point on the near-edge piece, explicit in v (d = v - v_lo); (a, t) alone on the flat cone."""
+        if self.profile.is_constant:
+            return np.full_like(x, self.profile.params.gamma), x * x
+        p, b, d = self.profile.params, self.branch, (self.sigma / self.c) * (x * x - self.t_lo)
+        return _level_point(p, b, self.profile.C, self.v_lo + d, self.t_lo + _rise(p, b, self.v_lo, d)[0])
 
     def _edge_map(self, x):
-        """(a, t, dr/dx) on the near-edge piece: explicit in v, with dr/dx = dr/dv 2x / c; on the
-        flat cone t = x^2 and dr/dx = 2 gamma."""
-        if self.profile.is_constant:
-            a = np.full_like(x, self.profile.params.gamma)
-            return a, x * x, 2.0 * a
-        p, d = self.profile.params, (self.sigma / self.c) * (x * x - self.t_lo)  # d = v - v_lo
+        """(a, t, dr/dx) on the near-edge piece, dr/dx = dr/dv 2x / c; on the flat cone dr/dx = 2 gamma."""
+        a, t, *psi = self._edge_level(x)
+        if not psi:
+            return a, t, 2.0 * a
         with np.errstate(divide="ignore", invalid="ignore"):  # at x = t = 0 dr/dx is its limit 2a
-            a, t, _, dr = _level_point(p, self.branch, self.profile.C, self.v_lo + d,
-                                       self.t_lo + _rise(p, self.branch, self.v_lo, d)[0])
-            return a, t, np.where(t > 0.0, dr * (2.0 / self.c) * x, 2.0 * a)
+            return a, t, np.where(t > 0.0, _level_slope(self.profile.C, a, t, *psi)[1] * (2.0 / self.c) * x, 2.0 * a)
 
     def _v_map(self, x):
         a, t, _, dr = self._v_point(self.sigma * x + self.v_shift)
@@ -348,61 +362,56 @@ class _ArcTable:
     def x_of_r(self, r):
         """Inverse of r_of_x at nondecreasing r (DomainError otherwise).
 
-        Samples are located by merging them with the nodes.  Each segment
-        that holds one is split into its parts (_parts), with dr/dx at their
-        7 Gauss-Legendre points (one point-map call; they are interior, so
-        each side of the seam x_c keeps its own one-sided slope).  On a part
-        r(x) is the antiderivative of their degree-6 interpolant, exact to
-        rounding, and one Newton step on it from a cubic Hermite guess needs
-        no further evaluation."""
-        r = np.array(r, dtype=float, ndmin=1)
-        np.minimum(np.maximum(r, self.r[0], out=r), self.r[-1], out=r)
+        Samples are located by merging them with the nodes.  Each segment that holds one is split into its parts
+        (_parts), with dr/dx at their 7 Gauss-Legendre points (one point-map call; they are interior, so each side
+        of the seam x_c keeps its own one-sided slope).  On a part r(x) is the antiderivative y of their degree-6
+        interpolant, exact to rounding; its inverse is fitted once, as a polynomial of degree 7 through 8
+        Chebyshev-Lobatto nodes in r, and each sample takes one Horner pass of it."""
+        r = np.clip(np.array(r, dtype=float, ndmin=1, copy=None), self.r[0], self.r[-1])
         if (r[1:] < r[:-1]).any():
             raise DomainError("x_of_r needs nondecreasing r")
         held = r.searchsorted(self.r[1:-1], side="right")
         held = np.concatenate((held, [r.size])) - np.concatenate(([0], held))
         seg = held.nonzero()[0] + 1  # the segments that hold samples, held[seg - 1] each, in n parts
         held, n, x_lo, x_hi = held[seg - 1], self.parts[seg - 1], self.x[seg - 1], self.x[seg]
-        self.segments = (seg.size, int(n.sum()))
-        j = np.arange(seg.size).repeat(n)  # the segment of each part, of half-width h
-        h = (0.5 * (x_hi - x_lo) / n)[j]
-        mid = x_lo[j] + (2 * (np.arange(h.size) - (n.cumsum() - n)[j]) + 1) * h
+        self.segments = (seg.size, int(n.sum()), float(self._estimate[1][seg - 1].max()))
+        j, end = np.arange(seg.size).repeat(n), n.cumsum()  # the segment of each part, of half-width h
+        h, x0, i2 = (0.5 * (x_hi - x_lo) / n)[j], x_lo[j], 2 * (np.arange(j.size) - (end - n)[j])
+        mid, lo = x0 + (i2 + 1) * h, x0 + i2 * h  # a part's centre and start, x_lo for the first
+        hi = np.append(lo[1:], 0.0)  # its end: the next part's start, or the segment's end
+        hi[end - 1] = x_hi
         f = self.point((mid[:, None] + h[:, None] * _GL_X).ravel())[2].reshape(mid.size, -1)
         # r at the sub-nodes, summed from the segment's start; rows are padded with empty parts
         rs = np.zeros((seg.size, n.max(initial=1) + 1))
         real = np.arange(rs.shape[1] - 1) < n[:, None]
-        rs[:, 1:][real] = f @ _GL_W * h
+        rs[:, 1:][real] = (y1 := f @ _GL_W) * h  # a part spans h y1 in r
         rs[:, 1:].cumsum(axis=1, out=rs[:, 1:])
         rs += self.r[seg - 1, None]
         r_part, end = rs[:, :-1][real], held.cumsum()  # a part holds its segment's samples from its start on
         first = np.minimum(np.maximum(r.searchsorted(r_part), (end - held)[j]), end[j])
         per = np.concatenate((first[1:], [r.size])) - first  # samples per part
-        # on a part r = rs_k + h y, y = sum_m c[m] tau^m; the cubic Hermite inverse tau(s), s = y / y1,
-        # has slopes m = dtau/ds at s = 0, 1 (2, linear, unless both are positive and finite)
-        c, y1, d = _ANTI @ (f - f[:, 3:4]).T, (rs[:, 1:] - rs[:, :-1])[real] / h, _ENDS @ f.T
+        # on a part r = rs_k + h y(tau), y = sum_m c[m] tau^m from 0 to y1: at y = _S y1 (u = 2 y / y1 - 1 = _LOB) tau
+        # is _LOB + e, e from the third-order Taylor series of the inverse about _LOB (0 where y' <= _TINY or |e| > 2)
+        c = _ANTI @ (f - f[:, 3:4]).T
         c[:2] += f[:, 3]  # less the centre value, c[2:] round with the variation of f, not with f
-        m = np.divide(y1, d, out=np.zeros(d.shape), where=d > 0.0)
-        m[:, ~(np.isfinite(m) & (m > 0.0)).all(axis=0)] = 2.0
-        # few per-sample arrays, made in place, and the result last, above them: once the heap is trimmed
-        # each array costs its pages anew
-        y = np.divide(np.subtract(r, r_part.repeat(per), out=r), h.repeat(per), out=r)
-        s, tau = y / np.maximum(y1, _TINY).repeat(per), np.zeros(y.shape)
-        for g in (m.sum(axis=0) - 4.0, 6.0 - 2.0 * m[0] - m[1], m[0]):  # Horner
-            tau += g.repeat(per)
-            tau *= s
-        del s
-        np.minimum(np.maximum(np.subtract(tau, 1.0, out=tau), -1.0, out=tau), 1.0, out=tau)
-        p, dp = c[-1].repeat(per), np.zeros(y.shape)
-        for cm in c[-2::-1]:  # then one Newton step
-            dp *= tau
-            dp += p
-            p *= tau
-            p += cm.repeat(per)
-        tau -= np.divide(np.subtract(p, y, out=p), dp, out=np.zeros(y.shape), where=dp > 0.0)
-        np.minimum(np.maximum(tau, -1.0, out=tau), 1.0, out=tau)
-        tau *= h.repeat(per)
-        tau += mid.repeat(per)
-        return np.minimum(np.maximum(tau, x_lo.repeat(held), out=tau), x_hi.repeat(held))
+        y = (_TAYLOR @ c).reshape(4, 8, -1)
+        d = np.divide(1.0, y[1], out=np.zeros(y[1].shape), where=y[1] > _TINY)
+        with np.errstate(over="ignore", invalid="ignore"):
+            (a, b), d = np.multiply(y[2:], d, out=y[2:]), d * (_S[:, None] * y1 - y[0])
+            e = d * (1.0 + d * (d * (0.5 * a * a - b / 6.0) - 0.5 * a))
+        e[~(np.abs(e) <= 2.0)] = 0.0
+        coef = (_INTERP @ e) * h  # x = mid + h (u + the interpolant of e), in powers of u
+        coef[1] += h
+        # per sample: u in place of r, then one Horner pass, the result made last (each new array costs its pages)
+        u = np.subtract(r, r_part.repeat(per), out=r)
+        u *= (2.0 / np.maximum(y1 * h, _TINY)).repeat(per)
+        np.clip(np.subtract(u, 1.0, out=u), -1.0, 1.0, out=u)
+        x = coef[7].repeat(per)
+        for cm in coef[6::-1]:
+            x *= u
+            x += cm.repeat(per)
+        x += mid.repeat(per)
+        return np.minimum(np.maximum(x, lo.repeat(per), out=x), hi.repeat(per), out=x)
 
 
 def _far_edge(profile: ProfileA, t: float) -> bool:
@@ -502,14 +511,14 @@ def _sampled_metric(table: _ArcTable, r0: float, r_anchor: float, r_window, n: i
     include_origin = origin and r_lo == r0
     if include_origin:
         x[0] = 0.0
-    a_vals, t, _ = table.point(x)
+    a_vals, t = table.level(x)
     if include_origin:
         a_vals[0] = 1.0
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("arc table from %s: %d near-edge nodes, v nodes %d 1/2 apart within _V_FLAT of the centre, "
                    "%d grown and %d 1/2 apart beyond, seam x_c = %r; x_of_r: %d segments in %d parts, worst "
                    "estimate %.3g of its tolerance; %d table and %d inverse point-map evaluations for %d samples",
-                   table.start, *table.node_counts, table.x_c, *table.segments, table.worst, table.table_evals,
+                   table.start, *table.node_counts, table.x_c, *table.segments, table.table_evals,
                    table.evals - table.table_evals, n)
     return WarpedMetric(
         params=profile.params,

@@ -267,23 +267,24 @@ def _v_of_level(params: SolitonParams, branch: str, a: float) -> float:
 
 
 def _level_point(params: SolitonParams, branch: str, C: float, v, t=None):
-    """(a, t, dt/dv, dr/dv) at the level coordinate v of the branch t = C + G(a).
-
-    Both a and t are explicit in v: t - C = k psi(u) with k = -1 / (4 mu gamma),
-    or k = 1 / (4 mu a) and psi = 1 on the steady class; dr/dv = a |dt/dv| / sqrt(t).
-    A t given by the caller (a rise from a regular t = 0, where C + k psi cancels) is kept.
-    """
-    import numpy as np
+    """(a, t, k, psi, dpsi/dv) at the level coordinate v of the branch t = C + G(a), where both a and t are
+    explicit: t - C = k psi(u) with k = -1 / (4 mu gamma), or k = 1 / (4 mu a) and psi = 1 on the steady class.
+    A t given by the caller (a rise from a regular t = 0, where C + k psi cancels) is kept."""
     a = _a_of_v(params.gamma, branch, v)
     if branch == _STEADY:
         k, ps, dps = 1.0 / (4.0 * params.mu * a), 1.0, -1.0
     else:
         k, (ps, dps) = -1.0 / (4.0 * params.mu * params.gamma), _psi_v(branch, v, _array_ops())[:2]
-    t, dt = C + k * ps if t is None else t, k * dps
+    return a, C + k * ps if t is None else t, k, ps, dps
+
+
+def _level_slope(C: float, a, t, k, ps, dps):
+    """(dt/dv, dr/dv) at a _level_point, dr/dv = a |dt/dv| / sqrt(t)."""
+    import numpy as np
+    dt = k * dps
     if C == 0.0:  # toward a cusp end t = k psi underflows long before dr/dv does
-        return a, t, dt, a * np.sqrt(np.abs(k)) * np.abs(dps) / np.sqrt(np.abs(ps))
-    del ps, dps  # the arc table's quadrature sets the peak memory here
-    return a, t, dt, a * np.abs(dt) / np.sqrt(t)
+        return dt, a * np.sqrt(np.abs(k)) * np.abs(dps) / np.sqrt(np.abs(ps))
+    return dt, a * np.abs(dt) / np.sqrt(t)
 
 
 def _rise(params: SolitonParams, branch: str, v_lo: float, d):

@@ -136,21 +136,24 @@ class TestBuildWarpedMetric:
 
     def test_smooth_origin_evaluates_the_point_map_only_through_point(self, monkeypatch):
         # a(0) comes from the profile: a piece of the point map called outside
-        # _ArcTable.point would be missing from the table's evaluation count
-        depth, outside, point = [0], [], geometry._ArcTable.point
+        # _ArcTable.point (or level, its samples' form) would be missing from the table's evaluation count
+        depth, outside = [0], []
 
-        def counted_point(table, x):
-            depth[0] += 1
-            try:
-                return point(table, x)
-            finally:
-                depth[0] -= 1
+        def counted(real):
+            def call(table, x):
+                depth[0] += 1
+                try:
+                    return real(table, x)
+                finally:
+                    depth[0] -= 1
+            return call
 
         def piece(name, real):
             return lambda table, x: outside.append(name) if not depth[0] else real(table, x)
 
-        monkeypatch.setattr(geometry._ArcTable, "point", counted_point)
-        for name in ("_edge_map", "_v_map"):
+        for name in ("point", "level"):
+            monkeypatch.setattr(geometry._ArcTable, name, counted(getattr(geometry._ArcTable, name)))
+        for name in ("_edge_map", "_v_map", "_edge_level"):
             monkeypatch.setattr(geometry._ArcTable, name, piece(name, getattr(geometry._ArcTable, name)))
         prof = integrate_profile(make_params(0.0, -1.0), 0.0, 1.0, (0.0, math.inf))
         build_warped_metric(prof, (0.0, 0.0), (0.0, 5.0), 101)
@@ -232,6 +235,14 @@ def _assert_inverts(table, r, x):
     x_scale = np.maximum(np.maximum(1.0, np.abs(x_ref)), r_scale / table.point(x_ref)[2])
     assert np.max(np.abs(x - x_ref) / x_scale) <= 8 * EPS
     assert np.max(np.abs(table.r_of_x(x) - r) / r_scale) <= 4 * EPS
+
+
+def _assert_monotone_in_segments(table, r, x):
+    """Nondecreasing r gives nondecreasing x, each in the table segment that holds its r (one on a node
+    in the segment that ends there)."""
+    seg = np.searchsorted(table.r[1:-1], np.clip(r, table.r[0], table.r[-1]))
+    assert np.all(r[1:] >= r[:-1]) and np.all(x[1:] >= x[:-1])
+    assert np.all((table.x[seg] <= x) & (x <= table.x[seg + 1]))
 
 
 @pytest.fixture
@@ -317,6 +328,7 @@ class TestArcLengthInverse:
     def test_entry_metrics(self, tag, inversions):
         entry_metric(cached_entry(tag, FAMILY_SAMPLES[tag]), h=1e-4)
         _assert_inverts(*inversions[-1])
+        _assert_monotone_in_segments(*inversions[-1])
 
     @pytest.mark.parametrize("tag", FAMILY_TAGS)
     def test_entry_metric_nu_sweep(self, tag, inversions):
@@ -350,6 +362,7 @@ class TestArcLengthInverse:
     def test_windows(self, build, inversions):
         build()
         _assert_inverts(*inversions[-1])
+        _assert_monotone_in_segments(*inversions[-1])
 
     @pytest.mark.parametrize("build", GROWN_WINDOWS, ids=["cigar_cylinder", "g11_cusp", "g6_cone_grown"])
     def test_grown_windows(self, build, inversions):
@@ -384,8 +397,8 @@ class TestArcLengthInverse:
 
     def test_under_one_point_evaluation_per_sample(self, monkeypatch):
         # point-map evaluations inside x_of_r: a split segment costs 7 per
-        # sub-segment whatever the number of its samples, and the Newton steps
-        # on its collocation polynomial cost none
+        # sub-segment whatever the number of its samples, and the inverse fitted
+        # to its collocation polynomial costs none
         table = _cigar_table()
         r = np.linspace(0.0, 3.0, 20001)
         count = [0]
@@ -478,8 +491,9 @@ def test_debug_record_per_metric(caplog):
     held = np.unique(np.clip(np.searchsorted(table.r, np.linspace(0.0, 3.0, samples)), 1, table.x.size - 1))
     assert segments == held.size and parts == table.parts[held - 1].sum()
     assert segments <= parts <= geometry._MAX_PARTS * segments
-    # the worst estimate over its tolerance sets the most parts of any segment
-    assert worst == table.worst and table.parts.max() == min(max(math.ceil(worst ** 0.125), 1), geometry._MAX_PARTS)
+    # the worst estimate over its tolerance, over the segments that hold samples, sets their most parts
+    assert worst == geometry._parts(table._f, table.x, table.r)[1][held - 1].max() <= table.worst
+    assert table.parts[held - 1].max() == min(max(math.ceil(worst ** 0.125), 1), geometry._MAX_PARTS)
     # the table's own quadrature; then the anchor's, 7 per part and one per sample
     assert table_evals == 7 * (table.x.size - 1)
     assert inverse_evals == 7 + 7 * parts + samples
@@ -770,22 +784,17 @@ def test_distance_only_tables_skip_the_inverse_parts(monkeypatch):
     lambda: entry_metric(cached_entry("G12", 1.0)),
     lambda: build_warped_metric(closed_form_profile(make_params(0.0, -1.0), 1.0), (0.0, 0.0), (0.0, 3.0), 2001),
 ], ids=["g6_entry", "g12_entry", "cigar_metric"])
-def test_debug_record_carries_worst(build, caplog, monkeypatch):
-    # the worst estimate, made on first use, is the one _parts gives for the table
-    tables = []
-    init = geometry._ArcTable.__init__
-
-    def keep(self, *args):
-        tables.append(self)
-        init(self, *args)
-
-    monkeypatch.setattr(geometry._ArcTable, "__init__", keep)
+def test_debug_record_carries_worst(build, caplog, inversions):
+    # the estimates, made on first use, are the ones _parts gives for the table; the record carries the worst
+    # over the segments that held samples, table.worst the worst over all of them
     with caplog.at_level(logging.DEBUG, logger="soliton.geometry"):
         build()
     (record,) = [rec for rec in caplog.records if rec.name == "soliton.geometry"]
-    (table,) = tables
-    parts, worst = geometry._parts(table._f, table.x, table.r)
-    assert record.args[8] == table.worst == worst and math.isfinite(worst) and worst >= 0.0
+    ((table, r, _),) = inversions
+    parts, ratio = geometry._parts(table._f, table.x, table.r)
+    used = np.unique(np.searchsorted(table.r[1:-1], np.clip(r, table.r[0], table.r[-1])))
+    assert record.args[8] == ratio[used].max() <= table.worst == ratio.max()
+    assert math.isfinite(table.worst) and record.args[8] >= 0.0
     assert np.array_equal(table.parts, parts)
 
 
