@@ -56,7 +56,7 @@ from .ode import (
     _inner_descriptor,
     _level_coordinate,
     _level_point,
-    _level_slope,
+    _level_state,
     _metric_t_interval,
     _outer_descriptor,
     _resolve,
@@ -188,24 +188,25 @@ class _ArcTable:
     coordinate v (v = sigma x + v_shift, sigma = sign dt/dv = sign a'; x = 0
     at an edge next to a cusp, C = 0), in which a and t are explicit, with
     nodes that follow dr/dv (_v_offsets).  An edge's v comes from its level
-    where the caller holds it, else from one float inversion of its time, and
-    so does the circle of x_at.  Cylinder and cusp ends lie at v = _V_MAX,
-    decay and cone ends at _DECAY_SPAN and _CONE_SPAN.  A geodesic boundary
-    (C > 0 at v = inf) is cut where the rest of r is below an ulp of the part
-    from ve = 1/2 (or the v piece's nearer end), since r = 0 is no nearer it:
-    int a dt from v to it is log1p(e^-v) / (4 |mu|), over sqrt(t) with t
-    between t(ve) and C.
+    where the caller holds it, else from one float inversion of its time,
+    and so does the circle of x_at.  Cylinder and
+    cusp ends lie at v = _V_MAX, decay and cone ends at _DECAY_SPAN and
+    _CONE_SPAN.  A geodesic boundary (C > 0 at v = inf) is cut where the rest
+    of r is below an ulp of the part from ve = 1/2 (or the v piece's nearer
+    end), since r = 0 is no nearer it: int a dt from v to it is
+    log1p(e^-v) / (4 |mu|), over sqrt(t) with t between t(ve) and C.
 
     Node values come from per-segment Gauss-Legendre; evaluation between
     nodes adds the exact partial-segment quadrature, so r(x) and its inverse
     are accurate to quadrature precision everywhere, not just at the nodes
     (interpolated tables leave node-scale wiggles that finite differencing
-    downstream would amplify by 1/h^2).  x_of_r inverts sorted samples on
-    parts of the segments that hold them, as many as an error estimate from
-    the table's own quadrature asks for (`parts`; `worst` is the largest
-    estimate over its tolerance).  `start` names the table's start, `evals`
-    counts point-map evaluations (`table_evals` of them for the table) and
-    `segments` the segments, parts and worst estimate of the last x_of_r.
+    downstream would amplify by 1/h^2).  x_of_r inverts sorted samples by
+    collocation on parts of the segments that hold them, as many parts as an
+    error estimate from the table's own quadrature asks for (`parts`; `worst`
+    is the largest estimate over its tolerance).  `start` names the table's
+    start, `evals` counts point-map evaluations (`table_evals` of them for the
+    table itself) and `segments` the (segments, parts, worst estimate over
+    them) of the last x_of_r.
     """
 
     def __init__(self, profile: ProfileA, t_lo: float, t_hi: float, a_lo=None, a_hi=None):
@@ -293,18 +294,17 @@ class _ArcTable:
         return _level_coordinate(self.profile.params, self.branch, float(t) - self.profile.C)
 
     def _v_point(self, v):
-        """(a, t, dt/dv, dr/dv) at the level coordinate v."""
-        a, t, *psi = _level_point(self.profile.params, self.branch, self.profile.C, v)
-        return (a, t, *_level_slope(self.profile.C, a, t, *psi))
+        return _level_point(self.profile.params, self.branch, self.profile.C, v)
 
     def point(self, x):
-        """(a, t, dr/dx) at the table coordinate x, on the near-edge piece where x <= x_c and on the v
-        piece elsewhere.  x is 1-d with every x <= x_c first, as nondecreasing x has them; it may be empty."""
+        """(a, t, dr/dx) at the table coordinate x, on the near-edge piece
+        where x <= x_c and on the v piece elsewhere.  x is 1-d with every
+        x <= x_c first, as nondecreasing x has them; it may be empty."""
         return self._map(x, self._edge_map, self._v_map)
 
     def level(self, x):
         """(a, t) at x as point gives them, without dr/dx: the samples' point map."""
-        return self._map(x, lambda x: self._edge_level(x)[:2], lambda x: _level_point(
+        return self._map(x, self._edge_level, lambda x: _level_state(
             self.profile.params, self.branch, self.profile.C, self.sigma * x + self.v_shift)[:2])
 
     def _map(self, x, edge, v):
@@ -316,20 +316,26 @@ class _ArcTable:
             return v(x)
         return tuple(np.concatenate(pair) for pair in zip(edge(x[:i]), v(x[i:])))
 
+    def _edge_v(self, x):
+        """(v, t) on the near-edge piece, v explicit in x and t risen from t_lo (_rise)."""
+        p, d = self.profile.params, (self.sigma / self.c) * (x * x - self.t_lo)  # d = v - v_lo
+        return self.v_lo + d, self.t_lo + _rise(p, self.branch, self.v_lo, d)[0]
+
     def _edge_level(self, x):
-        """_level_point on the near-edge piece, explicit in v (d = v - v_lo); (a, t) alone on the flat cone."""
+        """(a, t) on the near-edge piece, as _edge_map gives them."""
         if self.profile.is_constant:
             return np.full_like(x, self.profile.params.gamma), x * x
-        p, b, d = self.profile.params, self.branch, (self.sigma / self.c) * (x * x - self.t_lo)
-        return _level_point(p, b, self.profile.C, self.v_lo + d, self.t_lo + _rise(p, b, self.v_lo, d)[0])
+        return _level_state(self.profile.params, self.branch, self.profile.C, *self._edge_v(x))[:2]
 
     def _edge_map(self, x):
-        """(a, t, dr/dx) on the near-edge piece, dr/dx = dr/dv 2x / c; on the flat cone dr/dx = 2 gamma."""
-        a, t, *psi = self._edge_level(x)
-        if not psi:
-            return a, t, 2.0 * a
+        """(a, t, dr/dx) on the near-edge piece: explicit in v, with dr/dx = dr/dv 2x / c; on the
+        flat cone t = x^2 and dr/dx = 2 gamma."""
+        if self.profile.is_constant:
+            a = np.full_like(x, self.profile.params.gamma)
+            return a, x * x, 2.0 * a
         with np.errstate(divide="ignore", invalid="ignore"):  # at x = t = 0 dr/dx is its limit 2a
-            return a, t, np.where(t > 0.0, _level_slope(self.profile.C, a, t, *psi)[1] * (2.0 / self.c) * x, 2.0 * a)
+            a, t, _, dr = _level_point(self.profile.params, self.branch, self.profile.C, *self._edge_v(x))
+            return a, t, np.where(t > 0.0, dr * (2.0 / self.c) * x, 2.0 * a)
 
     def _v_map(self, x):
         a, t, _, dr = self._v_point(self.sigma * x + self.v_shift)
@@ -362,12 +368,15 @@ class _ArcTable:
     def x_of_r(self, r):
         """Inverse of r_of_x at nondecreasing r (DomainError otherwise).
 
-        Samples are located by merging them with the nodes.  Each segment that holds one is split into its parts
-        (_parts), with dr/dx at their 7 Gauss-Legendre points (one point-map call; they are interior, so each side
-        of the seam x_c keeps its own one-sided slope).  On a part r(x) is the antiderivative y of their degree-6
-        interpolant, exact to rounding; its inverse is fitted once, as a polynomial of degree 7 through 8
-        Chebyshev-Lobatto nodes in r, and each sample takes one Horner pass of it."""
-        r = np.clip(np.array(r, dtype=float, ndmin=1, copy=None), self.r[0], self.r[-1])
+        Samples are located by merging them with the nodes.  Each segment
+        that holds one is split into its parts (_parts), with dr/dx at their
+        7 Gauss-Legendre points (one point-map call; they are interior, so
+        each side of the seam x_c keeps its own one-sided slope).  On a part
+        r(x) is the antiderivative of their degree-6 interpolant, exact to
+        rounding; its inverse is fitted once, a polynomial of degree 7 through
+        8 Chebyshev-Lobatto nodes in r, and each sample takes one Horner pass."""
+        r = np.array(r, dtype=float, ndmin=1)
+        np.minimum(np.maximum(r, self.r[0], out=r), self.r[-1], out=r)
         if (r[1:] < r[:-1]).any():
             raise DomainError("x_of_r needs nondecreasing r")
         held = r.searchsorted(self.r[1:-1], side="right")
@@ -398,14 +407,14 @@ class _ArcTable:
         d = np.divide(1.0, y[1], out=np.zeros(y[1].shape), where=y[1] > _TINY)
         with np.errstate(over="ignore", invalid="ignore"):
             (a, b), d = np.multiply(y[2:], d, out=y[2:]), d * (_S[:, None] * y1 - y[0])
-            e = d * (1.0 + d * (d * (0.5 * a * a - b / 6.0) - 0.5 * a))
+            e = d * (1.0 + d * (d * ((q := 0.5 * a) * a - b / 6.0) - q))
         e[~(np.abs(e) <= 2.0)] = 0.0
         coef = (_INTERP @ e) * h  # x = mid + h (u + the interpolant of e), in powers of u
         coef[1] += h
         # per sample: u in place of r, then one Horner pass, the result made last (each new array costs its pages)
         u = np.subtract(r, r_part.repeat(per), out=r)
         u *= (2.0 / np.maximum(y1 * h, _TINY)).repeat(per)
-        np.clip(np.subtract(u, 1.0, out=u), -1.0, 1.0, out=u)
+        np.minimum(np.maximum(np.subtract(u, 1.0, out=u), -1.0, out=u), 1.0, out=u)
         x = coef[7].repeat(per)
         for cm in coef[6::-1]:
             x *= u

@@ -266,10 +266,8 @@ def _v_of_level(params: SolitonParams, branch: str, a: float) -> float:
     return min(max(math.log(y) if y > 0.0 else -math.inf, lo), hi)  # y underflows at extreme scales
 
 
-def _level_point(params: SolitonParams, branch: str, C: float, v, t=None):
-    """(a, t, k, psi, dpsi/dv) at the level coordinate v of the branch t = C + G(a), where both a and t are
-    explicit: t - C = k psi(u) with k = -1 / (4 mu gamma), or k = 1 / (4 mu a) and psi = 1 on the steady class.
-    A t given by the caller (a rise from a regular t = 0, where C + k psi cancels) is kept."""
+def _level_state(params: SolitonParams, branch: str, C: float, v, t=None):
+    """(a, t, k, psi, dpsi/dv) at the level coordinate v, with a and t as _level_point gives them."""
     a = _a_of_v(params.gamma, branch, v)
     if branch == _STEADY:
         k, ps, dps = 1.0 / (4.0 * params.mu * a), 1.0, -1.0
@@ -278,13 +276,20 @@ def _level_point(params: SolitonParams, branch: str, C: float, v, t=None):
     return a, C + k * ps if t is None else t, k, ps, dps
 
 
-def _level_slope(C: float, a, t, k, ps, dps):
-    """(dt/dv, dr/dv) at a _level_point, dr/dv = a |dt/dv| / sqrt(t)."""
+def _level_point(params: SolitonParams, branch: str, C: float, v, t=None):
+    """(a, t, dt/dv, dr/dv) at the level coordinate v of the branch t = C + G(a).
+
+    Both a and t are explicit in v: t - C = k psi(u) with k = -1 / (4 mu gamma),
+    or k = 1 / (4 mu a) and psi = 1 on the steady class; dr/dv = a |dt/dv| / sqrt(t).
+    A t given by the caller (a rise from a regular t = 0, where C + k psi cancels) is kept.
+    """
     import numpy as np
+    a, t, k, ps, dps = _level_state(params, branch, C, v, t)
     dt = k * dps
     if C == 0.0:  # toward a cusp end t = k psi underflows long before dr/dv does
-        return dt, a * np.sqrt(np.abs(k)) * np.abs(dps) / np.sqrt(np.abs(ps))
-    return dt, a * np.abs(dt) / np.sqrt(t)
+        return a, t, dt, a * np.sqrt(np.abs(k)) * np.abs(dps) / np.sqrt(np.abs(ps))
+    del ps, dps  # the arc table's quadrature sets the peak memory here
+    return a, t, dt, a * np.abs(dt) / np.sqrt(t)
 
 
 def _rise(params: SolitonParams, branch: str, v_lo: float, d):
