@@ -277,9 +277,9 @@ class _ArcTable:
         # r = 0 at the node nearest x = 0, where the branch turns, and sums
         # run outward from there: their rounding stays at the scale of the
         # turn, not of an infinitely far end cut at the edge of the v-range
-        incr, f = self._quad(self.x[:-1], self.x[1:])
+        self.incr, f = self._quad(self.x[:-1], self.x[1:])
         k = int(np.argmin(np.abs(self.x)))
-        self.r = np.concatenate([-np.cumsum(incr[:k][::-1])[::-1], [0.0], np.cumsum(incr[k:])])
+        self.r = np.concatenate([-np.cumsum(self.incr[:k][::-1])[::-1], [0.0], np.cumsum(self.incr[k:])])
         self._f, self.table_evals = f, self.evals
 
     # parts and worst (_parts) are made on first use: a distance-only table never needs them
@@ -578,10 +578,10 @@ def radial_distance(profile: ProfileA, t_from: float, t_to: float) -> float:
 
     Both levels lie in the closure of the metric's t-range; either may be a
     blow-up edge at finite distance (a geodesic boundary).  A cylinder or
-    cusp edge lies at infinite distance and raises.
+    cusp edge lies at infinite distance and raises.  The table's increments
+    are summed exactly (math.fsum), so only the quadrature rounds.
     """
-    r = _window_table(profile, t_from, t_to).r
-    return float(r[-1] - r[0])
+    return math.fsum(_window_table(profile, t_from, t_to).incr)
 
 
 def _window_table(profile: ProfileA, t_from: float, t_to: float, a_from=None, a_to=None) -> _ArcTable:

@@ -231,7 +231,7 @@ _FLOAT = SimpleNamespace(exp=math.exp, log=math.log, log1p=math.log1p, sqrt=math
 
 
 def _psi_v(branch: str, v, m):
-    """(psi, dpsi/dv, z) at the level coordinate v of a branch class; z = u on NEG and ABOVE, e^-v on BELOW.
+    """(psi, z) at the level coordinate v of a branch class; z = u on NEG and ABOVE, e^-v on BELOW (_dpsi takes it).
 
     Written so that each end of the class stays finite: the blow-up side up
     to _V_MAX, the decay side down to _V_MIN and the convergence side
@@ -239,12 +239,17 @@ def _psi_v(branch: str, v, m):
     """
     if branch == _NEG:
         u = m.exp(-v)
-        return m.psi(u, m.log1p(u)), -u * (u / (1.0 + u)), u
+        return m.psi(u, m.log1p(u)), u
     if branch == _ABOVE:
         u = -1.0 / (1.0 + m.exp(v))
-        return m.psi(u, m.minimum(v, 0.0) - m.log1p(m.exp(-abs(v)))), -u * u, u
+        return m.psi(u, m.minimum(v, 0.0) - m.log1p(m.exp(-abs(v)))), u
     em = m.exp(-v)
-    return v - 1.0 - em, 1.0 + em, em
+    return v - 1.0 - em, em
+
+
+def _dpsi(branch: str, z):
+    """dpsi/dv from the z of _psi_v."""
+    return -z * (z / (1.0 + z)) if branch == _NEG else -z * z if branch == _ABOVE else 1.0 + z
 
 
 def _a_of_v(g: float, branch: str, v, m=None):
@@ -267,13 +272,13 @@ def _v_of_level(params: SolitonParams, branch: str, a: float) -> float:
 
 
 def _level_state(params: SolitonParams, branch: str, C: float, v, t=None):
-    """(a, t, k, psi, dpsi/dv) at the level coordinate v, with a and t as _level_point gives them."""
+    """(a, t, k, psi, z) at the level coordinate v, with a and t as _level_point gives them (z: None if steady)."""
     a = _a_of_v(params.gamma, branch, v)
     if branch == _STEADY:
-        k, ps, dps = 1.0 / (4.0 * params.mu * a), 1.0, -1.0
+        k, ps, z = 1.0 / (4.0 * params.mu * a), 1.0, None
     else:
-        k, (ps, dps) = -1.0 / (4.0 * params.mu * params.gamma), _psi_v(branch, v, _array_ops())[:2]
-    return a, C + k * ps if t is None else t, k, ps, dps
+        k, (ps, z) = -1.0 / (4.0 * params.mu * params.gamma), _psi_v(branch, v, _array_ops())
+    return a, C + k * ps if t is None else t, k, ps, z
 
 
 def _level_point(params: SolitonParams, branch: str, C: float, v, t=None):
@@ -284,11 +289,11 @@ def _level_point(params: SolitonParams, branch: str, C: float, v, t=None):
     A t given by the caller (a rise from a regular t = 0, where C + k psi cancels) is kept.
     """
     import numpy as np
-    a, t, k, ps, dps = _level_state(params, branch, C, v, t)
-    dt = k * dps
+    a, t, k, ps, z = _level_state(params, branch, C, v, t)
+    dt = k * (dps := -1.0 if z is None else _dpsi(branch, z))  # psi = 1 on the steady class
     if C == 0.0:  # toward a cusp end t = k psi underflows long before dr/dv does
         return a, t, dt, a * np.sqrt(np.abs(k)) * np.abs(dps) / np.sqrt(np.abs(ps))
-    del ps, dps  # the arc table's quadrature sets the peak memory here
+    del ps, dps, z  # the arc table's quadrature sets the peak memory here
     return a, t, dt, a * np.abs(dt) / np.sqrt(t)
 
 
@@ -359,8 +364,8 @@ def _level_coordinate(params: SolitonParams, branch: str, dt):
     s = m.clip(s, -_S_MAX, _S_MAX if branch == _BELOW else -_TINY)
     v = m.clip(_level_guess(branch, s, m), lo, hi)
     for _ in range(2):  # q: the Newton step; psi''/psi' = -h, h = 1 + 1/(1 + u), 2 (1 + u), e^-v / (1 + e^-v)
-        q, dps, z = _psi_v(branch, v, m)
-        q = (q + s) / dps
+        q, z = _psi_v(branch, v, m)
+        q = (q + s) / (dps := _dpsi(branch, z))
         h = 1.0 + 1.0 / (1.0 + z) if branch == _NEG else 2.0 + 2.0 * z if branch == _ABOVE else z / dps
         h *= 0.5 * q  # in place on arrays: fresh pages cost more than the arithmetic
         h += 1.0

@@ -14,6 +14,7 @@ Only the G4 solve and entry_metric need an arc table: they import geometry
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import functools
 import logging
@@ -158,52 +159,76 @@ def _disk_profile(gamma: float) -> ProfileA:
     return integrate_profile(SolitonParams(2.0 * mu / gamma, mu), 0.0, 1.0, (0.0, math.inf))
 
 
+_DISK_NODES = 24  # Chebyshev-Lobatto nodes of the distance's proxy in _disk_gamma
+
+
 @functools.cache
-def _disk_ends(tag: str) -> tuple:
-    """(x, gamma, distance) at the low and high ends of _disk_gamma's bracket, once per tag and process."""
-    x_end = math.log(1e12)
-    return tuple((x, g := -math.expm1(x), disk_boundary_distance(g))
-                 for x in ((-x_end, -1e-9) if tag == G4_PLUS else (1e-9, x_end)))
+def _disk_nodes(tag: str) -> tuple:
+    """(s, barycentric weight, x, gamma, distance) at _DISK_NODES Chebyshev-Lobatto nodes in s = asinh(|x| / 4) over
+    _disk_gamma's bracket, ascending in x; the end nodes are the bracket's ends exactly.  Once per tag and process."""
+    n, x_end, sign = _DISK_NODES - 1, math.log(1e12), -1.0 if tag == G4_PLUS else 1.0
+    lo, hi = math.asinh(1e-9 / 4.0), math.asinh(x_end / 4.0)
+    nodes = [(s := 0.5 * (lo + hi) - 0.5 * (hi - lo) * math.cos(math.pi * j / n), (-1.0) ** j / (1 + (j % n == 0)),
+              x := sign * (1e-9 if j == 0 else x_end if j == n else 4.0 * math.sinh(s)),
+              g := -math.expm1(x), disk_boundary_distance(g)) for j in range(n + 1)]
+    return tuple(nodes[::-1] if sign < 0.0 else nodes)
+
+
+def _disk_proxy(nodes: tuple, s: float) -> tuple[float, float]:
+    """The barycentric interpolant (Berrut & Trefethen 2004) of the distance through the nodes, and its slope, at s."""
+    q = [w / (s - sj) for sj, w, *_ in nodes]
+    p = sum(qj * node[4] for qj, node in zip(q, nodes)) / (den := sum(q))
+    return p, sum(qj * (p - node[4]) / (s - node[0]) for qj, node in zip(q, nodes)) / den
 
 
 def _disk_gamma(tag: str, nu: float) -> tuple[float, float]:
     """The gamma = 1 - e^x of the boundary disk at distance nu, and that distance.
 
-    The distance rises with x = log(1 - gamma) over (log 1e-12, -1e-9) on
-    G4_PLUS and (1e-9, log 1e12) on G4_MINUS, like 1 + 1/(2|x|) toward
-    gamma -> 1 and near-linearly toward gamma -> -inf.  Chandrupatla's (1997)
-    bracketed iteration stops within 8 ulps of nu, below the distance's own
-    rounding, or on a bracket one ulp of gamma (dx = dgamma / (1 - gamma)) wide.
+    The distance rises with x = log(1 - gamma) over (log 1e-12, -1e-9) on G4_PLUS and (1e-9, log 1e12) on
+    G4_MINUS, like 1 + 1/(2|x|) toward gamma -> 1 and near-linearly toward gamma -> -inf.  The cached nodes
+    around nu (_disk_nodes) are the first bracket, the root of the proxy through all nodes (_disk_proxy) the
+    first iterate and a Newton step on its slope the second; then Chandrupatla's (1997) bracketed iteration
+    stops within 8 ulps of nu, below the distance's own rounding, or on a bracket one ulp of gamma
+    (dx = dgamma / (1 - gamma)) wide.  The result depends on (tag, nu) alone.
     """
     def point(x):
         g = -math.expm1(x)
         d = disk_boundary_distance(g)
         return x, d - nu, g, d
 
-    misses = _disk_ends.cache_info().misses
-    b, a = ((x, d - nu, g, d) for x, g, d in _disk_ends(tag))
-    cached = _disk_ends.cache_info().misses == misses
-    if not b[1] < 0.0 < a[1]:
-        raise RangeError(f"{tag} boundary distance is attainable only in ({b[3]:.9g}, {a[3]:.9g}); got {nu:g}")
-    c, t, n = a, 0.5, 0
+    misses, nodes = _disk_nodes.cache_info().misses, _disk_nodes(tag)
+    cold = _DISK_NODES * (_disk_nodes.cache_info().misses > misses)  # the nodes' distance evaluations
+    if not nodes[0][4] < nu < nodes[-1][4]:
+        raise RangeError(f"{tag} boundary distance is attainable only in ({nodes[0][4]:.9g}, {nodes[-1][4]:.9g}); "
+                         f"got {nu:g}")
+    k = next(j for j, node in enumerate(nodes) if node[4] >= nu)
+    b, a = ((x, d - nu, g, d) for _, _, x, g, d in nodes[k - 1:k + 1])
+    c, n = a, 0
     while True:
-        n += 1
-        new = point(a[0] + t * (b[0] - a[0]))
-        b, c = (b, a) if (new[1] > 0.0) == (a[1] > 0.0) else (a, b)
-        a = new
         (xa, fa, _, _), (xb, fb, _, _), (xc, fc, _, _) = a, b, c
         x, f, g, d = a if abs(fa) < abs(fb) else b
         tlim = (2.0 * math.ulp(x) + math.ulp(g) / (1.0 - g)) / abs(xb - xa)
         if abs(f) <= 8.0 * math.ulp(nu) or tlim > 0.5:
             if _log.isEnabledFor(logging.DEBUG):
-                _log.debug("%s gamma solve: %d iterations, %d distance evaluations, bracket ends cached: %s, |d - nu| "
-                           "= %r, bracket width %r in x", tag, n, n + 2 * (not cached), cached, abs(f), abs(xb - xa))
+                _log.debug("%s gamma solve: %d iterations, %d distance evaluations, nodes cached: %s, |d - nu| = %r, "
+                           "bracket width %r in x", tag, n, n + cold, not cold, abs(f), abs(xb - xa))
             return g, d
-        xi, phi = (xa - xb) / (xc - xb), (fa - fb) / (fc - fb)
-        t = 0.5  # inverse quadratic interpolation where Chandrupatla's test admits it
-        if phi * phi < xi and (1.0 - phi) ** 2 < 1.0 - xi:
-            t = fa / (fb - fa) * fc / (fb - fc) + (xc - xa) / (xb - xa) * fa / (fc - fa) * fb / (fc - fb)
-        t = min(1.0 - tlim, max(tlim, t))
+        t = 0.5
+        if n < 2:  # Newton in s: four steps from the bracket's secant to the proxy's root, then one from the probe
+            with contextlib.suppress(ArithmeticError):  # a step onto a node or past the float range bisects
+                s = math.asinh(abs(xa - fa * (xb - xa) / (fb - fa) if n == 0 else xa) / 4.0)
+                for _ in range(4 - 3 * n):
+                    p, dp = _disk_proxy(nodes, s)
+                    s -= (fa if n else p - nu) / dp
+                t = (math.copysign(4.0 * math.sinh(s), xa) - xa) / (xb - xa)
+        else:  # inverse quadratic interpolation where Chandrupatla's test admits it
+            xi, phi = (xa - xb) / (xc - xb), (fa - fb) / (fc - fb)
+            if phi * phi < xi and (1.0 - phi) ** 2 < 1.0 - xi:
+                t = fa / (fb - fa) * fc / (fb - fc) + (xc - xa) / (xb - xa) * fa / (fc - fa) * fb / (fc - fb)
+        n += 1
+        new = point(a[0] + min(1.0 - tlim, max(tlim, t)) * (b[0] - a[0]))
+        b, c = (b, a) if (new[1] > 0.0) == (a[1] > 0.0) else (a, b)
+        a = new
 
 
 def _blowup_anchor_profile(params: SolitonParams, T0: float) -> ProfileA:
@@ -266,8 +291,8 @@ def catalog(tag: str, nu: float) -> CatalogEntry:
     (2 pi, inf), and G10 (-2 nu^2, nu^2); the cusps G8 (-1, -gamma/2) and G11 (-1, nu^2), nu in
     (0, (8 * 2^-1022)^(-1/4)), with the blow-up exactly at t = 0, and the annuli G9 (-2/gamma, -1) and
     G12 (-2 nu^2, nu^2) at t = 1/4 (boundary length 2 pi), these four anchored at a = max(1e6, 4 |gamma|).
-    The boundary disks G4_PLUS and G4_MINUS put the blow-up at t = 1/4 and recover gamma from nu =
-    dist(center, boundary) by a bracketed root solve.
+    The boundary disks G4_PLUS and G4_MINUS put the blow-up at t = 1/4 and recover gamma from nu = dist(center,
+    boundary) by a root solve from cached nodes of the distance (_disk_gamma; the first per branch builds them).
     """
     nu = float(nu)
     if tag in (G4_PLUS, G4_MINUS):

@@ -237,12 +237,13 @@ class TestCatalog:
         with pytest.raises(DomainError):
             disk_boundary_distance(gamma)
 
-    @pytest.mark.parametrize("gamma", [0.2, 0.5, 0.8, -0.1, -2.0, -10.0])
+    @pytest.mark.parametrize("gamma", [0.05, 0.2, 0.5, 0.8, 0.95, 0.98, -0.1, -1.0, -2.0, -10.0, -100.0, -1000.0])
     def test_disk_boundary_distance_matches_mpmath(self, gamma):
-        # the oracle runs on the disk's own (lambda, mu), not on a mu rounded another way
+        # the oracle runs on the disk's own (lambda, mu), not on a mu rounded another way;
+        # the table's increments are summed exactly, so only the quadrature rounds
         p = _disk_profile(gamma).params
         ref = mp_disk_distance(p.lam, p.mu)
-        assert _ulps(disk_boundary_distance(gamma), ref) <= 6.0
+        assert _ulps(disk_boundary_distance(gamma), ref) <= 3.0
 
     @pytest.mark.parametrize("gamma", [1e-9, -1e-9, 1e-6, 0.5, -2.0])
     def test_disk_mu_matches_mpmath(self, gamma):
@@ -258,40 +259,71 @@ class TestCatalog:
     @pytest.mark.parametrize("tag,nu", [("G4_PLUS", 1.3), ("G4_MINUS", 2.2)])
     def test_g4_entry_realizes_nu(self, tag, nu):
         # the reported nu and the true boundary distance of the entry's disk
-        # (6 ulps of the distance, and its solve's stop within 8 ulps of nu)
+        # (3 ulps of the distance, and its solve's stop within 8 ulps of nu)
         entry = cached_entry(tag, nu)
         ref = mp_disk_distance(entry.params.lam, entry.params.mu)
-        assert _ulps(entry.nu, ref) <= 6.0
+        assert _ulps(entry.nu, ref) <= 3.0
         assert _ulps(nu, ref) <= 14.0
 
+    # each id keeps the budget of the solve that started from the two bracket ends and counted them
     @pytest.mark.parametrize("tag,nu,budget", [
-        ("G4_PLUS", 1.05, 19), ("G4_PLUS", 1.1, 15), ("G4_PLUS", 1.3, 13),
-        ("G4_PLUS", 1.38, 12), ("G4_PLUS", 1.45, 11), ("G4_PLUS", 1.5, 11),
-        ("G4_MINUS", 1.7, 19), ("G4_MINUS", 2.2, 17), ("G4_MINUS", 3.0, 14),
+        pytest.param(tag, nu, budget, id=f"{tag}-{nu}-{ends_budget}") for tag, nu, budget, ends_budget in [
+            ("G4_PLUS", 1.05, 4, 19), ("G4_PLUS", 1.1, 2, 15), ("G4_PLUS", 1.3, 2, 13),
+            ("G4_PLUS", 1.38, 2, 12), ("G4_PLUS", 1.45, 2, 11), ("G4_PLUS", 1.5, 2, 11),
+            ("G4_MINUS", 1.7, 2, 19), ("G4_MINUS", 2.2, 2, 17), ("G4_MINUS", 3.0, 2, 14)]
     ])
     def test_g4_solve_accuracy_and_budget(self, tag, nu, budget, monkeypatch):
-        # distance evaluations (about 0.4 ms each) stay within a per-nu budget;
-        # it counts the two bracket ends, which a warm solve takes from the cache
+        # distance evaluations (about 0.25 ms each) of a warm solve stay within a per-nu budget
+        # (near gamma -> 1, at nu = 1.05, the solve stops on a bracket one ulp of gamma wide)
         import soliton2d.taxonomy as tx
-        tx._disk_ends(tag)
+        tx._disk_nodes(tag)
         calls = []
         monkeypatch.setattr(tx, "disk_boundary_distance",
                             lambda g: calls.append(g) or disk_boundary_distance(g))
         entry = catalog(tag, nu)
-        assert len(calls) <= budget - 2
+        assert len(calls) <= budget
         assert abs(entry.nu - nu) <= 1e-13 * nu
         # the reported nu is the boundary distance of the entry's own disk
         assert entry.nu == radial_distance(entry.profile, 0.0, entry.profile.C)
 
+    @pytest.mark.parametrize("tag,lo,hi", [("G4_PLUS", 1.3, 1.45), ("G4_MINUS", 1.7, 3.0)])
+    def test_g4_warm_probes_on_atlas_range(self, tag, lo, hi, monkeypatch):
+        # the benchmark's nu ranges: the proxy's root and one Newton step on its slope
+        # leave at most 3 distance evaluations per warm solve on average
+        import soliton2d.taxonomy as tx
+        tx._disk_nodes(tag)
+        calls = []
+        monkeypatch.setattr(tx, "disk_boundary_distance",
+                            lambda g: calls.append(g) or disk_boundary_distance(g))
+        for i in range(20):
+            nu = lo + (hi - lo) * (i + 0.5) / 20
+            gamma, got = tx._disk_gamma(tag, nu)
+            assert abs(got - nu) <= 8 * math.ulp(nu)
+        assert len(calls) <= 3 * 20
+
+    @pytest.mark.parametrize("tag,nu", [("G4_PLUS", 1.3), ("G4_MINUS", 2.2)])
+    def test_g4_entry_independent_of_call_history(self, tag, nu):
+        # gamma and nu depend on (tag, nu) alone: cold, after other nu and after the node cache is cleared
+        import soliton2d.taxonomy as tx
+        tx._disk_nodes.cache_clear()
+        cold = catalog(tag, nu)
+        for other in (0.99 * nu, 1.01 * nu, nu * (1 + 1e-12)):
+            catalog(tag, other)
+        warm = catalog(tag, nu)
+        tx._disk_nodes.cache_clear()
+        cleared = catalog(tag, nu)
+        for entry in (warm, cleared):
+            assert (entry.params.gamma, entry.nu) == (cold.params.gamma, cold.nu)
+
     @pytest.mark.parametrize("tag,nu", [("G4_PLUS", 1.3), ("G4_MINUS", 2.2)])
     def test_g4_solve_debug_record(self, tag, nu, caplog, monkeypatch):
-        # the record counts the distance evaluations of this call: the bracket
-        # ends are computed once per tag and process (cold), then come from the cache (warm)
+        # the record counts the distance evaluations of this call: the nodes
+        # are computed once per tag and process (cold), then come from the cache (warm)
         import soliton2d.taxonomy as tx
         calls = []
         monkeypatch.setattr(tx, "disk_boundary_distance",
                             lambda g: calls.append(g) or disk_boundary_distance(g))
-        tx._disk_ends.cache_clear()
+        tx._disk_nodes.cache_clear()
         for cold in (True, False):
             calls.clear()
             caplog.clear()
@@ -300,23 +332,32 @@ class TestCatalog:
             (record,) = [rec for rec in caplog.records if rec.name == "soliton.taxonomy"]
             got_tag, iterations, evaluations, cached, miss, width = record.args
             assert (got_tag, evaluations, cached) == (tag, len(calls), not cold)
-            if cold:
-                assert iterations == evaluations - 2  # the two bracket ends come first
-            else:
-                assert iterations == evaluations == len(calls)
+            assert evaluations == iterations + tx._DISK_NODES * cold  # the nodes come first
             assert miss == abs(entry.nu - nu) <= 8 * math.ulp(nu)
-            assert 0.0 < width < 1e-6  # of the last bracket in x = log(1 - gamma)
+            # the last bracket in x = log(1 - gamma) lies inside the two nodes around nu: when both
+            # probes land on one side of the root, one end stays a node
+            nodes = tx._disk_nodes(tag)
+            k = next(j for j, node in enumerate(nodes) if node[4] >= nu)
+            assert 0.0 < width <= nodes[k][2] - nodes[k - 1][2]
 
     @pytest.mark.parametrize("tag", ["G4_PLUS", "G4_MINUS"])
     def test_g4_bracket_ends_cached_match_fresh(self, tag):
-        # the cached ends are the distances a fresh evaluation gives, and they set the range check
+        # every cached node is the distance a fresh evaluation gives; the end nodes are the
+        # bracket's ends exactly, and they set the range check
         import soliton2d.taxonomy as tx
-        ends = tx._disk_ends(tag)
-        for x, g, d in ends:
+        nodes = tx._disk_nodes(tag)
+        assert len(nodes) == tx._DISK_NODES
+        x_end = math.log(1e12)
+        assert [nodes[0][2], nodes[-1][2]] == ([-x_end, -1e-9] if tag == "G4_PLUS" else [1e-9, x_end])
+        for _, _, x, g, d in nodes:
             assert g == -math.expm1(x) and d == disk_boundary_distance(g)
-        assert tx._disk_ends(tag) is ends
-        with pytest.raises(RangeError, match=f"only in \\({ends[0][2]:.9g}, {ends[1][2]:.9g}\\)"):
-            catalog(tag, 0.5 * ends[0][2])
+        assert [node[2] for node in nodes] == sorted(node[2] for node in nodes)
+        assert tx._disk_nodes(tag) is nodes
+        with pytest.raises(RangeError) as info:
+            catalog(tag, 0.5)
+        assert str(info.value) == {
+            "G4_PLUS": "G4_PLUS boundary distance is attainable only in (1.01896044, 1.57079633); got 0.5",
+            "G4_MINUS": "G4_MINUS boundary distance is attainable only in (1.57079633, 14.5086577); got 0.5"}[tag]
 
     @pytest.mark.parametrize("tag,nu", [
         ("G4_PLUS", 1.01), ("G4_PLUS", 1.0189), ("G4_MINUS", 14.6), ("G4_MINUS", 1e3),
