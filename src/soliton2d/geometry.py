@@ -3,20 +3,18 @@
 In the coordinate t = b^2/4 the metric reads (a^2/t) dt^2 + 4t dtheta^2 with
 a = 1/b', so arc length is recovered from r(t) = r0 + int a(s)/sqrt(s) ds.
 The quadrature runs in the branch's own level coordinate v (ode.py), in
-which both a and t = C + G(a) are explicit.  Its nodes are 1/2 apart where
-dr/dv varies on the unit scale and grow where it is constant (toward a
-cylinder or cusp) or follows the cone law; a tail toward a geodesic boundary
-stops once the rest of r is below an ulp.  From a lower edge at or next to a
-regular t = 0 (smooth origin or cone vertex), where t = C + (t - C) would
-cancel, a near-edge piece runs up to a seam in x with x^2 = t_lo + c |v - v_lo|,
-in which a and t = t_lo + rise (ode._rise) are explicit too.  An edge's v comes
-from its level where the caller holds it (entry_metric), so no level is
-inverted, else from one float inversion of its time (radial_distance,
-build_warped_metric).  An edge next to a cusp (C = 0) starts on v at x = 0.
-Gauss curvature follows the algebraic identity K = lambda - 2 mu / a; the
-finite-difference route -b''/b is kept separate as an independent check.
-The geometry report (ends, completeness, curvature range) reads only the end
-levels; it is defined in ode.py, without numpy, and re-exported here.
+which both a and t = C + G(a) are explicit; from a lower edge at or next to a
+regular t = 0, where t = C + (t - C) would cancel, a near-edge piece explicit
+in x, x^2 = (t_lo + c |v - v_lo|) / c, runs up to a seam with t = t_lo + rise
+(ode._rise).  One rule places every node: a coarse grid geometric in offset
+from the table's start and from the centre of the band where dr/dv varies,
+then rounds that split each segment whose own error estimates miss half an
+ulp of max(1, |r|).  Edges' v come from their levels where the caller holds
+them (entry_metric), else from one float inversion of their times.  Gauss
+curvature follows the algebraic identity K = lambda - 2 mu / a; the
+finite-difference route -b''/b is kept separate as an independent check.  The
+geometry report reads only the end levels; it is defined in ode.py, without
+numpy, and re-exported here.
 """
 
 from __future__ import annotations
@@ -31,43 +29,29 @@ import numpy as np
 
 from .errors import DomainError, EdgeError, NotSmoothOriginError, RangeError, WindowEmptyError
 from .ode import (
+    _FLOAT,
     _MAX_SAMPLES,
     _V_MAX,
     _V_MIN,
     BLOW_UP,
-    CONE_END,
-    CONVERGES,
-    CUSP_END,
-    CYLINDER_END,
     DECAY_TO_ZERO,
-    EXPLODING_END,
-    GEODESIC_BOUNDARY,
-    NEGATIVE,
-    POSITIVE,
-    SMOOTH_POINT,
-    ZERO,
     EndDescriptor,
     GeometryReport,
     ProfileA,
     SolitonParams,
+    _a_of_v,
     _blowup_end,
     _branch_class,
-    _fate,
-    _inner_descriptor,
     _level_coordinate,
     _level_point,
     _level_state,
     _metric_t_interval,
-    _outer_descriptor,
-    _resolve,
     _rise,
     _slope_sign,
     _sorted_unique,
     _v_of_level,
     geometry_report,
     is_smooth_origin,
-    t0_sign,
-    t0_uncertainty,
 )
 
 _log = logging.getLogger("soliton.geometry")
@@ -117,60 +101,43 @@ def curvature_from_a(params: SolitonParams, a) -> float:
 #: Distance in v from a regular lower edge to the seam where the near-edge
 #: piece hands over to the level coordinate.  a changes by a factor of about
 #: e^0.5 there, so t = C + (t - C) no longer cancels, and the 1/sqrt(t)
-#: singularity at the edge stays half a unit of v away from the v nodes.
+#: singularity at the edge stays half a unit of v away from the v piece.
 _SEAM = 0.5
-_EDGE_SEGMENTS = 16  # Gauss-Legendre segments of the near-edge piece
 #: A decay end (t -> inf, a -> 0) lies at finite distance but is not a
 #: circle of the metric.  Its table stops 60 e-folds of a below the branch
 #: scale, where the rest of the tail is about e^-30 of the radius.
 _DECAY_SPAN = 60.0
-#: Past _V_FLAT from the branch's centre the e^-|v| terms of dr/dv are below
-#: an ulp: it is constant toward a cylinder or cusp and follows r ~ sqrt(v)
-#: toward a cone (out to _CONE_SPAN), and v nodes grow by 1.25 per segment.
-_V_FLAT = -math.log(math.ulp(1.0))
-_CONE_SPAN = 1.0e15
-#: x-range of the flat cone a == gamma, where t = x^2 and r = 2 gamma x are exact.
-_X_FLAT = 1.0e150
+_V_FLAT, _CONE_SPAN = -math.log(math.ulp(1.0)), 1.0e15  # e^-_V_FLAT is an ulp; a cone end is followed to v ~ 1e15
+_X_FLAT = 1.0e150  # x-range of the flat cone a == gamma, where t = x^2 and r = 2 gamma x are exact
 _MAX_PARTS = 32  # x_of_r splits a table segment into at most this many equal parts
+_MAX_SPLIT, _MAX_ROUNDS = 64, 8  # pieces of a segment per round at most, and rounds before RangeError
 _TINY, _EPS, _HUGE = np.finfo(float).tiny, np.finfo(float).eps, np.finfo(float).max
 _ROOTS = (1.0 / np.arange(1, 7))[:, None]
-_UNIT = np.linspace(0.0, 1.0, 9)  # the v offsets 1/8 apart over the first unit
+#: The coarse grid's offsets, 6 per factor 2 from 1/8 to the top of the float range
+_OFFSETS = 2.0 ** (np.arange(-18.0, 6138.0) / 6.0)
 
 
-def _parts(f, x, r):
-    """Parts of each segment (nodes x, r; f: dr/dx at its Gauss-Legendre points) for x_of_r,
-    and each segment's estimate over its tolerance.
-
-    There r = r_start + half y(tau), y = _ANTI @ f, with coefficients c_k ~ c1 rho^(k-1).  On n parts the
-    dropped c8 and the error of x_of_r's inverse polynomial (node values from a third-order Taylor step,
-    then interpolation: 12 rho^7 of tau on y = tau + rho tau^2) are 1 and 12 times half c1 rho^7 n^-8;
-    the estimate, 26 times that, keeps twice their sum below half an ulp of max(1, |r|) (r = 0 is a node)."""
+def _estimates(f, w):
+    """Absolute error estimates of x_of_r's inverse on one part and of the node value, per segment of width w
+    (f: dr/dx at its Gauss-Legendre points).  There r = r_start + half y(tau), y = _ANTI @ f, with c_k ~ c1 rho^(k-1).
+    On n parts the dropped c8 and the error of x_of_r's inverse polynomial (12 rho^7 of tau on y = tau + rho tau^2)
+    are 1 and 12 times half c1 rho^7 n^-8; the first estimate is 26 times that at n = 1.  The 7-point rule is exact
+    to degree 13, and the second is w c1 rho^14, rho no larger than the decay of the last coefficients."""
     c = np.abs(_ANTI @ f.T)
     with np.errstate(invalid="ignore", over="ignore"):
-        err = 13.0 * (x[1:] - x[:-1]) * c[1] * ((c[2:] / np.maximum(c[1], _TINY)) ** _ROOTS).max(axis=0) ** 7
+        rho = ((c[2:] / np.maximum(c[1], _TINY)) ** _ROOTS).max(axis=0)
+        tail = np.sqrt((c[6:] / np.maximum(c[4:6], _TINY)).max(axis=0))
+        err = np.array([13.0 * rho**7, np.minimum(rho, tail) ** 14]) * (w * c[1])
     err[np.isnan(err)] = 0.0  # nan to 0 here and inf to the largest float next, as np.nan_to_num
-    ratio = np.minimum(err, _HUGE, out=err) / (0.5 * _EPS * np.maximum(1.0, np.minimum(abs(r[:-1]), abs(r[1:]))))
+    return np.minimum(err, _HUGE, out=err)
+
+
+def _parts(f, x, r, ratio=None):
+    """x_of_r's parts of each segment (nodes x, r), 1 to _MAX_PARTS, and its inverse estimate over half an ulp of
+    max(1, |r|) (r = 0 is a node): n parts divide that by n^8."""
+    if ratio is None:
+        ratio = _estimates(f, x[1:] - x[:-1])[0] / (0.5 * _EPS * np.maximum(1.0, np.minimum(abs(r[:-1]), abs(r[1:]))))
     return np.minimum(np.maximum(np.ceil(ratio ** 0.125), 1.0), _MAX_PARTS).astype(int), ratio
-
-
-def _v_offsets(span: float, c: float, grow_lo: bool, grow_hi: bool):
-    """Offsets of the v nodes from the start of the v piece out to span, and
-    how many lie 1/2 apart within _V_FLAT of the offset c of the centre, in a
-    grown zone and 1/2 apart beyond _V_FLAT.  They are 1/8 apart over the
-    first unit (next to the seam), then 1/2 apart, except past _V_FLAT of c
-    on a side that grows.  There they grow by 1.25 per segment away from the
-    start, or on the far side away from c where c lies ahead of the start:
-    a cone law's singularity lies behind the start or within the band."""
-    lo = c - _V_FLAT if grow_lo else -math.inf
-    hi = max(c + _V_FLAT, 2.0) if grow_hi else math.inf
-    g = 1.25 ** np.arange(math.log(span + 2.0) / math.log(1.25))
-    s = np.concatenate([_UNIT, [1.5, span], 2.0 * g[2.0 * g < lo],
-                        np.arange(max(2.0, math.ceil(2.0 * lo) / 2.0 if grow_lo else 2.0), min(span, hi), 0.5),
-                        max(c, 0.0) + (hi - max(c, 0.0)) * g])
-    s = _sorted_unique(s[s <= span])
-    grown, beyond = ((s > 2.0) & (s < lo)) | (s > hi), np.abs(s - c) > _V_FLAT
-    n_grown, n_beyond = np.count_nonzero(grown), np.count_nonzero(beyond & ~grown)
-    return s, (s.size - n_grown - n_beyond, n_grown, n_beyond)
 
 
 class _ArcTable:
@@ -179,34 +146,32 @@ class _ArcTable:
     r = int a/sqrt(t) dt is taken over one coordinate x with a point map
     x -> (a, t, dr/dx).  From a lower edge t_lo at or near a regular t = 0
     (t rises by more than t_lo over the half unit of v to a seam), where
-    C + (t - C) would cancel, a near-edge piece runs up to the seam.  It is
-    explicit: x^2 = t_lo + c |v - v_lo| (c = |dt/dv| at the edge, so
-    x ~ sqrt(t)), a from v and t = t_lo + ode._rise; from 0 < t_lo its first
-    nodes grow geometrically, since dr/dx has a pole near x = 0.  On the flat
-    cone a == gamma the piece is the whole table, with t = x^2 and
-    dr/dx = 2 gamma.  Elsewhere x runs along the branch's level
-    coordinate v (v = sigma x + v_shift, sigma = sign dt/dv = sign a'; x = 0
-    at an edge next to a cusp, C = 0), in which a and t are explicit, with
-    nodes that follow dr/dv (_v_offsets).  An edge's v comes from its level
-    where the caller holds it, else from one float inversion of its time,
-    and so does the circle of x_at.  Cylinder and
-    cusp ends lie at v = _V_MAX, decay and cone ends at _DECAY_SPAN and
-    _CONE_SPAN.  A geodesic boundary (C > 0 at v = inf) is cut where the rest
-    of r is below an ulp of the part from ve = 1/2 (or the v piece's nearer
-    end), since r = 0 is no nearer it: int a dt from v to it is
-    log1p(e^-v) / (4 |mu|), over sqrt(t) with t between t(ve) and C.
+    C + (t - C) would cancel, an explicit near-edge piece runs up to the seam:
+    x^2 = (t_lo + c |v - v_lo|) / c (c = |dt/dv| at the edge, so x_c is about
+    sqrt(1/2) at every scale), a from v and t = t_lo + ode._rise; on the flat
+    cone a == gamma it is the whole table, with t = x^2 and dr/dx = 2 gamma.
+    Elsewhere x runs along the branch's level coordinate v (v = sigma x +
+    v_shift, sigma = sign a'; x = 0 at an edge next to a cusp, C = 0).  An
+    edge's v comes from its level where the caller holds it, else from one
+    float inversion of its time, as does the circle of x_at.  Cylinder and cusp
+    ends lie at v = _V_MAX, decay and cone ends at _DECAY_SPAN and _CONE_SPAN;
+    a geodesic boundary (C > 0 at v = inf) is cut where the rest of r, at most
+    log1p(e^-v) / (4 |mu|) over sqrt(t), is below an ulp of the part from
+    ve = 1/2 (or the v piece's nearer end).
 
-    Node values come from per-segment Gauss-Legendre; evaluation between
-    nodes adds the exact partial-segment quadrature, so r(x) and its inverse
-    are accurate to quadrature precision everywhere, not just at the nodes
-    (interpolated tables leave node-scale wiggles that finite differencing
-    downstream would amplify by 1/h^2).  x_of_r inverts sorted samples by
-    collocation on parts of the segments that hold them, as many parts as an
-    error estimate from the table's own quadrature asks for (`parts`; `worst`
-    is the largest estimate over its tolerance).  `start` names the table's
-    start, `evals` counts point-map evaluations (`table_evals` of them for the
-    table itself) and `segments` the (segments, parts, worst estimate over
-    them) of the last x_of_r.
+    One rule places the nodes: a coarse grid geometric in offset (_OFFSETS)
+    from the table's start and from the centre of the band where dr/dv varies,
+    whichever is nearer, then rounds that split each segment whose estimates
+    (_estimates) miss half an ulp of max(1, |r|), for its node value or for an
+    inverse in at most _MAX_PARTS parts, into the equal pieces they ask for (a
+    node estimate taken to fall like n^-13, two powers short of rho ~ width),
+    in one point-map call.  A table that still misses after _MAX_ROUNDS rounds,
+    or a piece an ulp of its x wide, raises RangeError.  Between nodes r(x)
+    adds the exact partial-segment quadrature (interpolation would leave
+    node-scale wiggles that differencing downstream amplifies by 1/h^2), and
+    x_of_r inverts it by collocation on `parts` of the segments.  Also kept:
+    `start`, `rounds`, `coarse` (segments), `worst` and `node_worst` (largest
+    estimates over their tolerance), `evals`, `table_evals` and `segments`.
     """
 
     def __init__(self, profile: ProfileA, t_lo: float, t_hi: float, a_lo=None, a_hi=None):
@@ -233,16 +198,18 @@ class _ArcTable:
             "a blow-up" if blow0 else "a cusp edge" if cusp else "an interior edge")
         nodes = []
         if t_c > t_lo:
-            x_lo = math.sqrt(t_lo)
-            if profile.is_constant:
-                self.x_c = math.sqrt(t_hi)
-            else:  # x^2 = t_lo + c |v - v_lo|, with a pole of dr/dx near x = 0 where t_lo > 0
+            if profile.is_constant:  # x^2 = t, dr/dx = 2 gamma
+                self.x2_lo, self.x_c, f0 = t_lo, math.sqrt(t_hi), 2.0 * profile.params.gamma
+            else:  # x^2 = x2_lo + |v - v_lo|, x2_lo = t_lo / c; dr/dx = 2 a sqrt(c) at the edge
                 span = _SEAM if t_hi >= t_c else abs(self._v_at(t_hi, a_hi) - self.v_lo)
-                self.x_c = math.sqrt(t_lo + self.c * span)
-                if t_lo > 0.0:
-                    nodes.append(x_lo * 1.25 ** np.arange(1.0, math.log(self.x_c / x_lo) / math.log(1.25)))
-            nodes.append(np.linspace(x_lo, self.x_c, _EDGE_SEGMENTS + 1))
-        n_edge, zones = sum(n.size for n in nodes), (0, 0, 0)
+                self.x2_lo, self.x_c = t_lo / self.c, math.sqrt(t_lo / self.c + span)
+                f0 = 2.0 * _a_of_v(p.gamma, self.branch, self.v_lo, _FLOAT) * math.sqrt(self.c)
+            # offsets from x_lo down to 1/16 of the piece, to where r spans 1, and from t_lo > 0 to x_lo: about
+            # that far behind the start lies a branch point of dr/dx, of relative size (x_lo / x_c)^2
+            x_lo = math.sqrt(self.x2_lo)
+            scale = max(f0, 1.0 / x_lo if x_lo * x_lo > _EPS * self.x_c * self.x_c else 0.0)
+            k = np.arange(-int(6.0 * math.log2(min(max((self.x_c - x_lo) * scale, 16.0), _HUGE))), 0.0)
+            nodes.append(np.concatenate(([x_lo], x_lo + (self.x_c - x_lo) * 2.0 ** (k / 6.0), [self.x_c])))
         if t_c < t_hi:
             tag1, steady = profile.tag1.kind, math.isinf(profile.params.gamma)
             if tag1 == BLOW_UP and t_hi == profile.t1:
@@ -256,36 +223,51 @@ class _ArcTable:
             if C > 0.0 and profile.a_ref > profile.params.gamma:  # a geodesic boundary at v = inf
                 ve = min(max(0.5, min(v0, v_end)), max(v0, v_end))  # r = 0 lies no nearer it
                 te = float(self._v_point(np.array([ve]))[1][0])
-                v_stop = math.ceil(2.0 * _V_FLAT + 2.0 * math.log(2.0 / np.logaddexp(0.0, -ve))
-                                   + abs(math.log(te / C))) / 2.0  # on the half-unit node grid
+                v_stop = _V_FLAT + math.log(2.0 / np.logaddexp(0.0, -ve)) + 0.5 * abs(math.log(te / C))
                 v0, v_end = min(v0, v_stop), min(v_end, v_stop)
             # x goes on from the near-edge piece, is 0 at a cusp-side edge, or is sigma v: small where r is
             x0 = self.x_c if nodes else 0.0 if cusp else self.sigma * v0
             self.v_shift = v0 - self.sigma * x0
-            # dr/dv is flat toward a cusp (C = 0) or cylinder (steady), where its e^-|v - c| terms
-            # centre on v = 0, or on the turn of t - C = e^-v / (4 mu); it follows a law toward a cone
-            flat = (C == 0.0) != steady
-            kind0, kind1 = (_fate(profile.params, profile.a_ref, forward).kind for forward in (False, True))
+            # dr/dv varies in a band about v = 0, or about the turn of t - C = e^-v / (4 mu) on the steady class;
+            # offsets run from the start below c / 2, c the centre's offset, and from the centre above it
             c = -math.log(4.0 * abs(profile.params.mu)) - math.log(abs(C)) if steady and C != 0.0 else 0.0
-            s, zones = _v_offsets(abs(v_end - v0), self.sigma * (c - v0), kind0 == CONVERGES or (blow0 and flat),
-                                  kind1 == CONVERGES or (kind1 == BLOW_UP and flat))
-            nodes.append(x0 + s)
-        self.x = _sorted_unique(np.concatenate(nodes))
-        if self.x.size < 2:
+            span, c = abs(v_end - v0), self.sigma * (c - v0)
+            o = _OFFSETS[:_OFFSETS.searchsorted(span)]
+            s = np.concatenate(([0.0], o[:o.searchsorted(c / 2.0)], c - o[:o.searchsorted(c / 2.0, "right")][::-1],
+                                [c], c + o) if c > 0.0 else ([0.0], o))
+            nodes.append(x0 + np.append(s[:s.searchsorted(span)], span))
+        x = _sorted_unique(np.concatenate(nodes))
+        if x.size < 2:
             raise RangeError(f"the arc table from t = {t_lo:g} to {t_hi:g} has one node: its span rounds to 0")
-        self.node_counts = (n_edge, *zones)  # near-edge piece and v zones
-        # r = 0 at the node nearest x = 0, where the branch turns, and sums
-        # run outward from there: their rounding stays at the scale of the
-        # turn, not of an infinitely far end cut at the edge of the v-range
-        self.incr, f = self._quad(self.x[:-1], self.x[1:])
-        k = int(np.argmin(np.abs(self.x)))
-        self.r = np.concatenate([-np.cumsum(self.incr[:k][::-1])[::-1], [0.0], np.cumsum(self.incr[k:])])
-        self._f, self.table_evals = f, self.evals
-
-    # parts and worst (_parts) are made on first use: a distance-only table never needs them
-    _estimate = functools.cached_property(lambda self: _parts(self._f, self.x, self.r))
-    parts = property(lambda self: self._estimate[0])
-    worst = property(lambda self: float(self._estimate[1].max()))
+        self.coarse, self.rounds = x.size - 1, 0
+        with np.errstate(over="ignore", invalid="ignore"):  # a point map past the float range: checked below
+            incr, f = self._quad(x[:-1], x[1:])
+            while True:
+                # r = 0 at the node nearest x = 0, where the branch turns, and sums
+                # run outward from there: their rounding stays at the scale of the
+                # turn, not of an infinitely far end cut at the edge of the v-range
+                k, r = int(np.argmin(np.abs(x))), np.zeros(x.size)
+                np.cumsum(incr[k:], out=r[k + 1:])
+                r[:k] = -np.cumsum(incr[:k][::-1])[::-1]
+                if not (math.isfinite(r[0]) and math.isfinite(r[-1])):  # every increment is >= 0
+                    raise RangeError(f"the arc table from t = {t_lo:g} to {t_hi:g} leaves the float range")
+                w = x[1:] - x[:-1]
+                ratio = _estimates(f, w) / (0.5 * _EPS * np.maximum(1.0, np.minimum(abs(r[:-1]), abs(r[1:]))))
+                if not ((ratio[0] > _MAX_PARTS**8).any() or (ratio[1] > 1.0).any()):
+                    break
+                n = np.minimum(np.ceil(np.maximum(ratio[0] ** 0.125 / _MAX_PARTS, ratio[1] ** (1 / 13))), _MAX_SPLIT)
+                if self.rounds == _MAX_ROUNDS or (w < n * np.spacing(np.maximum(abs(x[:-1]), abs(x[1:])))).any():
+                    raise RangeError(f"the arc table from t = {t_lo:g} to {t_hi:g} misses its tolerance after "
+                                     f"{self.rounds} rounds of splits: estimates up to {ratio[0].max():.3g} (inverse) "
+                                     f"and {ratio[1].max():.3g} (node value) of it")
+                n = np.maximum(n, 1.0).astype(int)
+                j = np.arange(n.size).repeat(n)  # the segment of each piece
+                x = np.append(x[:-1][j] + (w / n)[j] * (np.arange(j.size) - (n.cumsum() - n)[j]), x[-1])
+                fresh, incr, f = (n > 1)[j], incr[j], f[j]
+                incr[fresh], f[fresh] = self._quad(x[:-1][fresh], x[1:][fresh])
+                self.rounds += 1
+        self.x, self.incr, self.r, self._f, self.table_evals = x, incr, r, f, self.evals
+        (self.parts, self._ratio), (self.worst, self.node_worst) = _parts(f, x, r, ratio[0]), ratio.max(axis=1).tolist()
 
     def _v_at(self, t: float, a: Optional[float] = None) -> float:
         """Level coordinate of the circle at t, from its level a where the caller holds it, else from t - C."""
@@ -318,7 +300,7 @@ class _ArcTable:
 
     def _edge_v(self, x):
         """(v, t) on the near-edge piece, v explicit in x and t risen from t_lo (_rise)."""
-        p, d = self.profile.params, (self.sigma / self.c) * (x * x - self.t_lo)  # d = v - v_lo
+        p, d = self.profile.params, self.sigma * (x * x - self.x2_lo)  # d = v - v_lo
         return self.v_lo + d, self.t_lo + _rise(p, self.branch, self.v_lo, d)[0]
 
     def _edge_level(self, x):
@@ -328,14 +310,14 @@ class _ArcTable:
         return _level_state(self.profile.params, self.branch, self.profile.C, *self._edge_v(x))[:2]
 
     def _edge_map(self, x):
-        """(a, t, dr/dx) on the near-edge piece: explicit in v, with dr/dx = dr/dv 2x / c; on the
+        """(a, t, dr/dx) on the near-edge piece: explicit in v, with dr/dx = dr/dv 2x; on the
         flat cone t = x^2 and dr/dx = 2 gamma."""
         if self.profile.is_constant:
             a = np.full_like(x, self.profile.params.gamma)
             return a, x * x, 2.0 * a
-        with np.errstate(divide="ignore", invalid="ignore"):  # at x = t = 0 dr/dx is its limit 2a
+        with np.errstate(divide="ignore", invalid="ignore"):  # at x = t = 0 dr/dx is its limit 2 a sqrt(c)
             a, t, _, dr = _level_point(self.profile.params, self.branch, self.profile.C, *self._edge_v(x))
-            return a, t, np.where(t > 0.0, dr * (2.0 / self.c) * x, 2.0 * a)
+            return a, t, np.where(t > 0.0, dr * 2.0 * x, 2.0 * math.sqrt(self.c) * a)
 
     def _v_map(self, x):
         a, t, _, dr = self._v_point(self.sigma * x + self.v_shift)
@@ -347,7 +329,7 @@ class _ArcTable:
             x = math.sqrt(t)
         else:
             v = self._v_at(t)
-            x = math.sqrt(self.t_lo + self.c * abs(v - self.v_lo)) if self.x_c >= 0.0 else math.inf
+            x = math.sqrt(self.x2_lo + abs(v - self.v_lo)) if self.x_c >= 0.0 else math.inf
             if x > self.x_c and self.x[-1] > self.x_c:  # past the near-edge piece, on the v piece
                 x = self.sigma * (v - self.v_shift)
         return min(max(x, self.x[0]), self.x[-1])
@@ -383,7 +365,7 @@ class _ArcTable:
         held = np.concatenate((held, [r.size])) - np.concatenate(([0], held))
         seg = held.nonzero()[0] + 1  # the segments that hold samples, held[seg - 1] each, in n parts
         held, n, x_lo, x_hi = held[seg - 1], self.parts[seg - 1], self.x[seg - 1], self.x[seg]
-        self.segments = (seg.size, int(n.sum()), float(self._estimate[1][seg - 1].max()))
+        self.segments = (seg.size, int(n.sum()), float(self._ratio[seg - 1].max()))
         j, end = np.arange(seg.size).repeat(n), n.cumsum()  # the segment of each part, of half-width h
         h, x0, i2 = (0.5 * (x_hi - x_lo) / n)[j], x_lo[j], 2 * (np.arange(j.size) - (end - n)[j])
         mid, lo = x0 + (i2 + 1) * h, x0 + i2 * h  # a part's centre and start, x_lo for the first
@@ -524,11 +506,11 @@ def _sampled_metric(table: _ArcTable, r0: float, r_anchor: float, r_window, n: i
     if include_origin:
         a_vals[0] = 1.0
     if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("arc table from %s: %d near-edge nodes, v nodes %d 1/2 apart within _V_FLAT of the centre, "
-                   "%d grown and %d 1/2 apart beyond, seam x_c = %r; x_of_r: %d segments in %d parts, worst "
-                   "estimate %.3g of its tolerance; %d table and %d inverse point-map evaluations for %d samples",
-                   table.start, *table.node_counts, table.x_c, *table.segments, table.table_evals,
-                   table.evals - table.table_evals, n)
+        _log.debug("arc table from %s: %d split rounds from %d coarse to %d segments, worst node-value estimate "
+                   "%.3g of its tolerance, seam x_c = %r; x_of_r: %d segments in %d parts, worst estimate %.3g of "
+                   "its tolerance; %d table and %d inverse point-map evaluations for %d samples",
+                   table.start, table.rounds, table.coarse, table.x.size - 1, table.node_worst, table.x_c,
+                   *table.segments, table.table_evals, table.evals - table.table_evals, n)
     return WarpedMetric(
         params=profile.params,
         r=r,

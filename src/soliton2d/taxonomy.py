@@ -141,11 +141,15 @@ def disk_boundary_distance(gamma: float) -> float:
     The branch through a(0) = 1 above the separatrix, time-normalized so the
     blow-up sits at t = 1/4 (boundary length 2 pi); the distance is the
     radial distance from t = 0 to the blow-up time C.  Strictly decreasing
-    in gamma on each of (0, 1) and (-inf, 0).
+    in gamma on each of (0, 1) and (-inf, 0).  Where the disk or its arc
+    table leaves the float range, RangeError names gamma.
     """
     from .geometry import radial_distance
     prof = _disk_profile(gamma)
-    return radial_distance(prof, 0.0, prof.C)
+    try:
+        return radial_distance(prof, 0.0, prof.C)
+    except RangeError as err:
+        raise RangeError(f"no boundary disk at gamma = {gamma!r}: {err}") from err
 
 
 def _disk_profile(gamma: float) -> ProfileA:
@@ -156,6 +160,8 @@ def _disk_profile(gamma: float) -> ProfileA:
     its cancellation at small |gamma|.
     """
     mu = 4.0 * blow_up_time_closed(1.0, gamma)
+    if mu == 0.0:  # 4 gamma overflows
+        raise RangeError(f"no boundary disk at gamma = {gamma!r}: its mu underflows to 0")
     return integrate_profile(SolitonParams(2.0 * mu / gamma, mu), 0.0, 1.0, (0.0, math.inf))
 
 

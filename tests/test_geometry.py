@@ -374,10 +374,9 @@ class TestArcLengthInverse:
 
     def test_samples_on_nodes_and_sub_nodes(self):
         table = _cigar_table()
-        # the segments on both sides of the seam, each with samples on all
+        # the five segments in the most parts, each with samples on all
         # of the sub-nodes between its parts, and every table node alone
-        c = int(np.searchsorted(table.x, table.x_c))
-        segs = np.arange(c - 2, c + 3)
+        segs = np.sort(np.argsort(table.parts, kind="stable")[-5:]) + 1
         assert np.all(table.parts[segs - 1] > 1)  # so each of them is split
         x_sub = np.concatenate([table.x[s - 1] + (table.x[s] - table.x[s - 1]) * np.arange(1, n + 1) / n
                                 for s, n in zip(segs, table.parts[segs - 1])])
@@ -477,15 +476,14 @@ def test_debug_record_per_metric(caplog):
     with caplog.at_level(logging.DEBUG, logger="soliton.geometry"):
         build_warped_metric(prof, (0.0, 0.0), (0.0, 3.0), 2001)
     (record,) = [rec for rec in caplog.records if rec.name == "soliton.geometry"]
-    (start, n_edge, n_unit, n_grown, n_beyond, x_c, segments, parts, worst, table_evals, inverse_evals,
+    (start, rounds, coarse, n_segments, node_worst, x_c, segments, parts, worst, table_evals, inverse_evals,
      samples) = record.args
     table = _cigar_table()
     assert record.levelno == logging.DEBUG
-    assert (start, n_edge, x_c) == ("near-edge piece", geometry._EDGE_SEGMENTS + 1, table.x_c)
-    # the seam node ends the near-edge piece and starts the v piece
-    assert n_edge + n_unit + n_grown + n_beyond == table.x.size + 1
-    # the cylinder end grows; toward it dr/dv is flat past _V_FLAT, so no node lies 1/2 apart beyond
-    assert n_grown > 0 and n_beyond == 0
+    assert (start, x_c) == ("near-edge piece", table.x_c)
+    # the node rule's rounds and segments: the cigar's coarse grid meets every estimate, so no segment is split
+    assert (rounds, coarse, n_segments) == (table.rounds, table.coarse, table.x.size - 1) == (0, coarse, coarse)
+    assert node_worst == table.node_worst <= 1.0
     assert samples == 2001
     # every segment that holds a sample is split into its parts
     held = np.unique(np.clip(np.searchsorted(table.r, np.linspace(0.0, 3.0, samples)), 1, table.x.size - 1))
@@ -505,11 +503,15 @@ def test_debug_record_per_metric(caplog):
     (lambda: entry_metric(cached_entry("G12", 1.0)), "v from an interior edge"),
     (lambda: entry_metric(cached_entry("G6", math.pi)), "near-edge piece"),
 ], ids=["g9_blowup", "g11_cusp_window", "g12_annulus_window", "g6_origin"])
-def test_debug_record_names_the_start(build, start, caplog):
+def test_debug_record_names_the_start(build, start, caplog, inversions):
     with caplog.at_level(logging.DEBUG, logger="soliton.geometry"):
         build()
     (record,) = [rec for rec in caplog.records if rec.name == "soliton.geometry"]
-    assert record.args[0] == start and record.args[1] == (start == "near-edge piece") * (geometry._EDGE_SEGMENTS + 1)
+    ((table, _, _),) = inversions
+    assert record.args[0] == start
+    # rounds, coarse and final segments, as the table counts them, and no node estimate past its tolerance
+    assert record.args[1:5] == (table.rounds, table.coarse, table.x.size - 1, table.node_worst)
+    assert record.args[2] <= record.args[3] and record.args[4] <= 1.0
     assert math.isfinite(record.args[8]) and record.args[8] >= 0.0
 
 
@@ -764,19 +766,27 @@ def test_disk_distance_inverts_only_scalars(monkeypatch):
     assert sizes and set(sizes) == {1}
 
 
-def test_distance_only_tables_skip_the_inverse_parts(monkeypatch):
-    # x_of_r's parts are made on its first call: distances never make them
-    def refuse(*args):
-        raise AssertionError("_parts ran")
+def test_inverse_reads_the_tables_estimates(monkeypatch):
+    # the node rule estimates every segment as it builds the table, distance-only tables too; x_of_r takes its
+    # parts from those estimates and estimates nothing again
+    counts = []
+    estimates = geometry._estimates
 
-    monkeypatch.setattr(geometry, "_parts", refuse)
+    def counting(f, w):
+        counts.append(len(w))
+        return estimates(f, w)
+
+    monkeypatch.setattr(geometry, "_estimates", counting)
     for gamma in (0.5, 0.999, -2.0):
         disk_boundary_distance(gamma)
     for tag, t_from, t_to in (("G6", 0.0, 0.5), ("G10", 0.0, 0.5), ("G7", 1e-6, 2.0), ("G9", 0.25, 1.0)):
         prof = cached_entry(tag, FAMILY_SAMPLES[tag]).profile
         assert radial_distance(prof, t_from, t_to) > 0.0
-    with pytest.raises(AssertionError, match="_parts ran"):  # the inverse still needs them
-        build_warped_metric(cached_entry("G6", math.pi).profile, (0.0, 0.0), (0.0, 1.0), 11)
+    assert counts
+    table = geometry._ArcTable(cached_entry("G6", math.pi).profile, 0.0, math.inf)
+    counts.clear()
+    table.x_of_r(np.linspace(0.0, 1.0, 11))
+    assert counts == []
 
 
 @pytest.mark.parametrize("build", [
@@ -845,6 +855,68 @@ def test_one_node_table_raises(mu):
 ])
 def test_point_of_no_samples(make):
     assert [val.size for val in make().point(np.empty(0))] == [0, 0, 0]
+
+
+@pytest.mark.parametrize("mu", [1e-10, 1e-14, 1e-20, 1e-30, 1e-50, 1e-60])
+def test_smooth_origin_at_small_mu(mu):
+    # lambda = 0, a(0) = 1: b = tan(sqrt(mu) r) / sqrt(mu).  The near-edge piece runs to v - v_lo = 1/2, which
+    # is t ~ 1 / (8 mu): in 16 uniform segments the window (0, 0.2) lay in the first, some 2e13 wide in x at
+    # mu = 1e-30, and b came out 7.3e-5 off there and 2^20, 2^37 (1e6 and 1.4e11 off) at 1e-50 and 1e-60
+    prof = integrate_profile(make_params(0.0, mu), 0.0, 1.0, (0.0, math.inf))
+    m = build_warped_metric(prof, (0.0, 0.0), (0.0, 0.2), 5)
+    with mpmath.workdps(40):
+        ref = [float(mpmath.tan(mpmath.sqrt(mu) * mpmath.mpf(r)) / mpmath.sqrt(mu)) for r in m.r.tolist()]
+    assert np.max(np.abs(m.b - ref)) <= 4 * EPS
+
+
+def _tables_of(run, monkeypatch):
+    """The arc tables a call builds."""
+    tables, init = [], geometry._ArcTable.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        tables.append(self)
+
+    monkeypatch.setattr(geometry._ArcTable, "__init__", recording)
+    run()
+    return tables
+
+
+def _family_distance(tag):
+    # across the family's entry window, from the circle at its first sample to the one at its last
+    m = cached_metric(tag, FAMILY_SAMPLES[tag])
+    return radial_distance(m.profile, *sorted((float(m.t_of_r[0]), float(m.t_of_r[-1]))))
+
+
+@pytest.mark.parametrize("run", [
+    *(lambda tag=tag: entry_metric(cached_entry(tag, FAMILY_SAMPLES[tag])) for tag in FAMILY_TAGS),
+    *GROWN_WINDOWS,
+    *(lambda tag=tag: _family_distance(tag) for tag in FAMILY_TAGS),
+], ids=[f"entry_{tag}" for tag in FAMILY_TAGS] + ["grown_cigar_cylinder", "grown_g11_cusp", "grown_g6_cone"]
+    + [f"distance_{tag}" for tag in FAMILY_TAGS])
+def test_every_segment_meets_the_node_rule(run, monkeypatch):
+    # each segment's node value is within its estimate's tolerance, and its inverse needs at most _MAX_PARTS parts:
+    # the estimates taken again from the table's own dr/dx, nodes and node values
+    for table in _tables_of(run, monkeypatch):
+        err = geometry._estimates(table._f, np.diff(table.x))
+        tol = 0.5 * EPS * np.maximum(1.0, np.minimum(np.abs(table.r[:-1]), np.abs(table.r[1:])))
+        assert np.all(err[1] <= tol)
+        assert np.all(err[0] <= geometry._MAX_PARTS**8 * tol)  # n parts divide it by n^8
+        assert table.node_worst <= 1.0 and table.worst <= geometry._MAX_PARTS**8
+
+
+def test_split_rounds_refine_a_coarse_grid(monkeypatch):
+    # from a v grid of one node per factor 2 of offset the estimates ask for splits, and the rounds that meet them
+    # give the cigar's distances to the same 4 ulps as the finer coarse grid does (TestRadialDistance)
+    monkeypatch.setattr(geometry, "_OFFSETS", 2.0 ** np.arange(-3.0, 52.0))
+    prof, rounds = catalog("G1_CIGAR", 1.0).profile, []
+    for t_to in (0.05, 0.2, 0.2499, 0.25 - 1e-9):
+        with mpmath.workdps(40):
+            ref = float(mpmath.atanh(2 * mpmath.sqrt(t_to)))
+        (table,) = _tables_of(lambda: radial_distance(prof, 0.0, t_to), monkeypatch)
+        assert abs(math.fsum(table.incr) - ref) <= 4 * EPS * max(1.0, ref) and table.node_worst <= 1.0, t_to
+        rounds.append(table.rounds)
+    assert max(rounds) >= 1
 
 
 class TestRadialDistanceMpmath:

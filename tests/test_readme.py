@@ -1,12 +1,17 @@
 """The README's library quickstart and command-line examples run as written, in process."""
 
 import ast
+import math
+import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+from soliton2d import catalog, closed_form_profile, geometry, make_params
 from soliton2d.cli import run
+from soliton2d.ode import _metric_t_interval
+from soliton2d.taxonomy import _disk_profile
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -37,3 +42,17 @@ CLI_LINES = [line for line in _block("Command line", "```").splitlines() if line
 def test_command_line_example(line, capsys):
     assert run(shlex.split(line)[1:]) == 0
     assert capsys.readouterr().out
+
+
+def test_table_sizes():
+    # the arc-table sizes the README states, against tables built now: a node change cannot leave them stale
+    text = " ".join(README.split("For scale:", 1)[1].split("(`tests/test_readme.py`", 1)[0].split())
+    stated = re.fullmatch(r"the cigar's whole-branch table has (\d+) segments, a G4 boundary disk at "
+                          r"`gamma = 0\.5` (\d+) and the G6 cone's whole branch (\d+)", text)
+    sizes = [int(n) for n in stated.groups()]
+    cigar = closed_form_profile(make_params(0.0, -1.0), 1.0)
+    disk, cone = _disk_profile(0.5), catalog("G6", math.pi).profile
+    built = [geometry._ArcTable(cigar, *_metric_t_interval(cigar)), geometry._window_table(disk, 0.0, disk.C),
+             geometry._ArcTable(cone, *_metric_t_interval(cone))]
+    assert sizes == [table.x.size - 1 for table in built]
+    assert [table.rounds for table in built] == [0, 0, 0]  # "none of them needs a split round"

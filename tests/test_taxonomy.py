@@ -237,6 +237,13 @@ class TestCatalog:
         with pytest.raises(DomainError):
             disk_boundary_distance(gamma)
 
+    @pytest.mark.parametrize("gamma", [-2e295, -8.2e307])
+    def test_disk_past_the_float_range_raises_naming_gamma(self, gamma):
+        # -2e295 returned nan behind an overflow RuntimeWarning (an error under the suite's filter), and
+        # -8.2e307 raised MuZeroError "mu must be nonzero", where 4 gamma overflows and mu underflows to 0
+        with pytest.raises(RangeError, match=re.escape(f"gamma = {gamma!r}")):
+            disk_boundary_distance(gamma)
+
     @pytest.mark.parametrize("gamma", [0.05, 0.2, 0.5, 0.8, 0.95, 0.98, -0.1, -1.0, -2.0, -10.0, -100.0, -1000.0])
     def test_disk_boundary_distance_matches_mpmath(self, gamma):
         # the oracle runs on the disk's own (lambda, mu), not on a mu rounded another way;
