@@ -42,8 +42,8 @@ from .ode import (
     _a_of_v,
     _blowup_end,
     _branch_class,
+    _dpsi,
     _level_coordinate,
-    _level_point,
     _level_state,
     _metric_t_interval,
     _rise,
@@ -143,21 +143,22 @@ def _parts(f, x, r, ratio=None):
 class _ArcTable:
     """Cumulative arc length r(x) from the circle at t_lo to the one at t_hi.
 
-    r = int a/sqrt(t) dt is taken over one coordinate x with a point map
-    x -> (a, t, dr/dx).  From a lower edge t_lo at or near a regular t = 0
-    (t rises by more than t_lo over the half unit of v to a seam), where
-    C + (t - C) would cancel, an explicit near-edge piece runs up to the seam:
-    x^2 = (t_lo + c |v - v_lo|) / c (c = |dt/dv| at the edge, so x_c is about
-    sqrt(1/2) at every scale), a from v and t = t_lo + ode._rise; on the flat
-    cone a == gamma it is the whole table, with t = x^2 and dr/dx = 2 gamma.
-    Elsewhere x runs along the branch's level coordinate v (v = sigma x +
-    v_shift, sigma = sign a'; x = 0 at an edge next to a cusp, C = 0).  An
-    edge's v comes from its level where the caller holds it, else from one
-    float inversion of its time, as does the circle of x_at.  Cylinder and cusp
-    ends lie at v = _V_MAX, decay and cone ends at _DECAY_SPAN and _CONE_SPAN;
-    a geodesic boundary (C > 0 at v = inf) is cut where the rest of r, at most
-    log1p(e^-v) / (4 |mu|) over sqrt(t), is below an ulp of the part from
-    ve = 1/2 (or the v piece's nearer end).
+    r = int a/sqrt(t) dt is taken over one coordinate x, in pieces; each forms
+    its state at x once (_state), level reads a and t and point dr/dx from it.
+    From a lower edge t_lo at or near a regular t = 0 (t rises by more than
+    t_lo over the half unit of v to a seam), where C + (t - C) would cancel,
+    an explicit near-edge piece runs up to the seam: x^2 = (t_lo + c |v -
+    v_lo|) / c (c = |dt/dv| at the edge, so x_c is about sqrt(1/2) at every
+    scale), t = t_lo + ode._rise; on the flat cone a == gamma it is the whole
+    table, with t = x^2 and dr/dx = 2 gamma.  Elsewhere x runs along the
+    branch's level coordinate v (v = sigma x + v_shift, sigma = sign a'; x = 0
+    at an edge next to a cusp, C = 0).  An edge's v comes from its level where
+    the caller holds it, else from one float inversion of its time, as does
+    the circle of x_at.  Cylinder and cusp ends lie at v = _V_MAX, decay and
+    cone ends at _DECAY_SPAN and _CONE_SPAN; a geodesic boundary (C > 0 at v =
+    inf) is cut where the rest of r, at most log1p(e^-v) / (4 |mu|) over
+    sqrt(t), is below an ulp of the part from ve = 1/2 (or the v piece's
+    nearer end).
 
     One rule places the nodes: a coarse grid geometric in offset (_OFFSETS)
     from the table's start and from the centre of the band where dr/dv varies,
@@ -222,7 +223,7 @@ class _ArcTable:
                 v_end = self._v_at(t_hi, a_hi)
             if C > 0.0 and profile.a_ref > profile.params.gamma:  # a geodesic boundary at v = inf
                 ve = min(max(0.5, min(v0, v_end)), max(v0, v_end))  # r = 0 lies no nearer it
-                te = float(self._v_point(np.array([ve]))[1][0])
+                te = float(_level_state(p, self.branch, C, np.array([ve]))[1][0])
                 v_stop = _V_FLAT + math.log(2.0 / np.logaddexp(0.0, -ve)) + 0.5 * abs(math.log(te / C))
                 v0, v_end = min(v0, v_stop), min(v_end, v_stop)
             # x goes on from the near-edge piece, is 0 at a cusp-side edge, or is sigma v: small where r is
@@ -275,53 +276,50 @@ class _ArcTable:
             return _v_of_level(self.profile.params, self.branch, a)
         return _level_coordinate(self.profile.params, self.branch, float(t) - self.profile.C)
 
-    def _v_point(self, v):
-        return _level_point(self.profile.params, self.branch, self.profile.C, v)
-
     def point(self, x):
-        """(a, t, dr/dx) at the table coordinate x, on the near-edge piece
-        where x <= x_c and on the v piece elsewhere.  x is 1-d with every
-        x <= x_c first, as nondecreasing x has them; it may be empty."""
-        return self._map(x, self._edge_map, self._v_map)
+        """dr/dx at the table coordinate x, on the near-edge piece where x <= x_c and on the v piece elsewhere.
+        x is 1-d with every x <= x_c first, as nondecreasing x has them; it may be empty.  From the piece's state
+        (_state) dr/dv = a |dt/dv| / sqrt(t) (a sqrt|k| |dpsi/dv| / sqrt|psi| toward a cusp end, C = 0, where
+        t = k psi underflows long before dr/dv does); dr/dx = dr/dv 2x on the near-edge piece, with its limit
+        2 a sqrt(c) at x = t = 0, and 2 gamma on the flat cone."""
+        return self._map(x, self._slope)
+
+    def _slope(self, x, edge):
+        with np.errstate(**{"divide": "ignore", "invalid": "ignore"} if edge else {}):  # the limit at x = t = 0
+            a, t, k, ps, z = self._state(x, edge)
+            if k is None:
+                return 2.0 * a
+            dt = k * (dps := -1.0 if z is None else _dpsi(self.branch, z))  # psi = 1 on the steady class
+            if self.profile.C == 0.0:
+                return a * np.sqrt(np.abs(k)) * np.abs(dps) / np.sqrt(np.abs(ps))
+            del ps, dps, z  # the arc table's quadrature sets the peak memory here
+            dr = a * np.abs(dt) / np.sqrt(t)
+            return np.where(t > 0.0, dr * 2.0 * x, 2.0 * math.sqrt(self.c) * a) if edge else dr
 
     def level(self, x):
-        """(a, t) at x as point gives them, without dr/dx: the samples' point map."""
-        return self._map(x, self._edge_level, lambda x: _level_state(
-            self.profile.params, self.branch, self.profile.C, self.sigma * x + self.v_shift)[:2])
+        """(a, t) at x as point's state gives them: the samples' point map."""
+        return self._map(x, lambda x, edge: self._state(x, edge)[:2])
 
-    def _map(self, x, edge, v):
+    def _map(self, x, fn):
+        """fn(x, edge) on each piece of x, joined at the seam."""
         self.evals += x.size
         i = int(x.searchsorted(self.x_c, side="right"))
         if i == x.size and self.x_c >= 0.0:
-            return edge(x)
+            return fn(x, True)
         if i == 0:
-            return v(x)
-        return tuple(np.concatenate(pair) for pair in zip(edge(x[:i]), v(x[i:])))
+            return fn(x, False)
+        return np.concatenate((fn(x[:i], True), fn(x[i:], False)), axis=-1)
 
-    def _edge_v(self, x):
-        """(v, t) on the near-edge piece, v explicit in x and t risen from t_lo (_rise)."""
-        p, d = self.profile.params, self.sigma * (x * x - self.x2_lo)  # d = v - v_lo
-        return self.v_lo + d, self.t_lo + _rise(p, self.branch, self.v_lo, d)[0]
-
-    def _edge_level(self, x):
-        """(a, t) on the near-edge piece, as _edge_map gives them."""
+    def _state(self, x, edge):
+        """_level_state's (a, t, k, psi, z) on one piece: on the near-edge piece v is explicit in x and t risen
+        from t_lo (_rise), on the v piece v = sigma x + v_shift; on the flat cone a = gamma, t = x^2 (k: None)."""
+        p, C = self.profile.params, self.profile.C
+        if not edge:
+            return _level_state(p, self.branch, C, self.sigma * x + self.v_shift)
         if self.profile.is_constant:
-            return np.full_like(x, self.profile.params.gamma), x * x
-        return _level_state(self.profile.params, self.branch, self.profile.C, *self._edge_v(x))[:2]
-
-    def _edge_map(self, x):
-        """(a, t, dr/dx) on the near-edge piece: explicit in v, with dr/dx = dr/dv 2x; on the
-        flat cone t = x^2 and dr/dx = 2 gamma."""
-        if self.profile.is_constant:
-            a = np.full_like(x, self.profile.params.gamma)
-            return a, x * x, 2.0 * a
-        with np.errstate(divide="ignore", invalid="ignore"):  # at x = t = 0 dr/dx is its limit 2 a sqrt(c)
-            a, t, _, dr = _level_point(self.profile.params, self.branch, self.profile.C, *self._edge_v(x))
-            return a, t, np.where(t > 0.0, dr * 2.0 * x, 2.0 * math.sqrt(self.c) * a)
-
-    def _v_map(self, x):
-        a, t, _, dr = self._v_point(self.sigma * x + self.v_shift)
-        return a, t, dr
+            return np.full_like(x, p.gamma), x * x, None, None, None
+        d = self.sigma * (x * x - self.x2_lo)  # d = v - v_lo
+        return _level_state(p, self.branch, C, self.v_lo + d, self.t_lo + _rise(p, self.branch, self.v_lo, d)[0])
 
     def x_at(self, t: float) -> float:
         """Table coordinate of the circle at t, from its level (_v_at)."""
@@ -338,7 +336,7 @@ class _ArcTable:
         """Gauss-Legendre integral of dr/dx over each (x0, x1), and dr/dx at its 7 points."""
         half = 0.5 * (x1 - x0)
         pts = (0.5 * (x0 + x1))[:, None] + half[:, None] * _GL_X[None, :]
-        f = self.point(pts.ravel())[2].reshape(pts.shape)
+        f = self.point(pts.ravel()).reshape(pts.shape)
         return (f * _GL_W[None, :]).sum(axis=1) * half, f
 
     def r_of_x(self, x):
@@ -371,7 +369,7 @@ class _ArcTable:
         mid, lo = x0 + (i2 + 1) * h, x0 + i2 * h  # a part's centre and start, x_lo for the first
         hi = np.append(lo[1:], 0.0)  # its end: the next part's start, or the segment's end
         hi[end - 1] = x_hi
-        f = self.point((mid[:, None] + h[:, None] * _GL_X).ravel())[2].reshape(mid.size, -1)
+        f = self.point((mid[:, None] + h[:, None] * _GL_X).ravel()).reshape(mid.size, -1)
         # r at the sub-nodes, summed from the segment's start; rows are padded with empty parts
         rs = np.zeros((seg.size, n.max(initial=1) + 1))
         real = np.arange(rs.shape[1] - 1) < n[:, None]

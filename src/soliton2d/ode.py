@@ -156,7 +156,8 @@ class EndTag:
 #   BELOW (0 < y < 1): v = log(a/(gamma - a))   (decay, convergence)
 #
 # On BELOW, -psi = 1 - v + e^-v exactly.  Both a and t are explicit in v
-# (_level_point), so the arc-length quadrature of the metric runs in v too.
+# (_level_state), so the arc-length quadrature of the metric runs in v too:
+# its element dr/dv is formed from them in geometry._ArcTable.point.
 # Inverting t is a Lambert W problem (Corless et al. 1996): with w = -s and
 # p = 1 + u, NEG and ABOVE solve p - log p = 1 + w (the -1 and 0 branches of W
 # at -e^(-1-w)), BELOW has v = 1 - s + W0(e^(s-1)); see _level_coordinate.
@@ -272,29 +273,14 @@ def _v_of_level(params: SolitonParams, branch: str, a: float) -> float:
 
 
 def _level_state(params: SolitonParams, branch: str, C: float, v, t=None):
-    """(a, t, k, psi, z) at the level coordinate v, with a and t as _level_point gives them (z: None if steady)."""
+    """(a, t, k, psi, z) at the level coordinate v: t - C = k psi(u), k = -1 / (4 mu gamma), or k = 1 / (4 mu a)
+    and psi = 1 on the steady class (z: None); a t given by the caller (a rise from a regular t = 0) is kept."""
     a = _a_of_v(params.gamma, branch, v)
     if branch == _STEADY:
         k, ps, z = 1.0 / (4.0 * params.mu * a), 1.0, None
     else:
         k, (ps, z) = -1.0 / (4.0 * params.mu * params.gamma), _psi_v(branch, v, _array_ops())
     return a, C + k * ps if t is None else t, k, ps, z
-
-
-def _level_point(params: SolitonParams, branch: str, C: float, v, t=None):
-    """(a, t, dt/dv, dr/dv) at the level coordinate v of the branch t = C + G(a).
-
-    Both a and t are explicit in v: t - C = k psi(u) with k = -1 / (4 mu gamma),
-    or k = 1 / (4 mu a) and psi = 1 on the steady class; dr/dv = a |dt/dv| / sqrt(t).
-    A t given by the caller (a rise from a regular t = 0, where C + k psi cancels) is kept.
-    """
-    import numpy as np
-    a, t, k, ps, z = _level_state(params, branch, C, v, t)
-    dt = k * (dps := -1.0 if z is None else _dpsi(branch, z))  # psi = 1 on the steady class
-    if C == 0.0:  # toward a cusp end t = k psi underflows long before dr/dv does
-        return a, t, dt, a * np.sqrt(np.abs(k)) * np.abs(dps) / np.sqrt(np.abs(ps))
-    del ps, dps, z  # the arc table's quadrature sets the peak memory here
-    return a, t, dt, a * np.abs(dt) / np.sqrt(t)
 
 
 def _rise(params: SolitonParams, branch: str, v_lo: float, d):

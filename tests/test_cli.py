@@ -10,8 +10,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from soliton2d import make_params, variational, verify
-from soliton2d.cli import _build_parser, _UsageError, run
+from soliton2d import cli, make_params, variational, verify
+from soliton2d.cli import _build_parser, _fmt, _UsageError, run
 from soliton2d.geometry import WarpedMetric
 from soliton2d.ode import _separatrix_time
 
@@ -369,6 +369,16 @@ class TestDegenerateValues:
         assert (code, out) == (2, "") and err.startswith(f"soliton: out of memory in {cmd!r}: "), err
 
 
+class TestFormat:
+    @pytest.mark.parametrize("value, text", [(math.nan, '"nan"'), (None, "null")])
+    def test_json_value(self, value, text):
+        assert _fmt(value) == text
+
+    def test_unsupported_type_raises(self):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            _fmt(object())
+
+
 class TestConfigFile:
     def test_flags_override_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -434,6 +444,16 @@ class TestExitCodes:
     def test_unknown_flag(self, capsys):
         code, _, err = run_capture(["classify", "--nope", "1"], capsys)
         assert code == 1
+
+    def test_unexpected_exception_is_an_internal_failure(self, capsys, monkeypatch):
+        # a handler's bug exits 2 with one line on stderr, never a traceback
+        def broken(opts):
+            raise ZeroDivisionError("boom")
+
+        monkeypatch.setitem(cli._COMMANDS, "classify", (*cli._COMMANDS["classify"][:-1], broken))
+        code, out, err = run_capture(["classify", "--lambda", "0", "--mu", "-1", "--a0", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "soliton: internal failure in 'classify': ZeroDivisionError('boom')\n"
 
     def test_mu_zero_usage_error(self, capsys):
         code, _, err = run_capture(
@@ -639,6 +659,14 @@ class TestImportHygiene:
         with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
             soliton2d.nonexistent
         assert not hasattr(soliton2d, "numpy")
+
+    def test_submodule_on_first_access_and_dir(self):
+        # a layer not yet imported is imported by its first access; dir lists the layers and every export
+        out = _fresh("import sys, soliton2d as S\n"
+                     "print('soliton2d.verify' in sys.modules, S.verify is sys.modules['soliton2d.verify'],\n"
+                     "      dir(S) == sorted({*vars(S), *S.__all__, *S._MODULES}),\n"
+                     "      {'cli', 'catalog'} <= set(dir(S)))\n")
+        assert out.stdout.strip() == "False True True True"
 
     def test_max_samples_is_numpy_limit(self):
         from soliton2d import ode

@@ -149,11 +149,11 @@ class TestBuildWarpedMetric:
             return call
 
         def piece(name, real):
-            return lambda table, x: outside.append(name) if not depth[0] else real(table, x)
+            return lambda table, x, edge: outside.append(name) if not depth[0] else real(table, x, edge)
 
         for name in ("point", "level"):
             monkeypatch.setattr(geometry._ArcTable, name, counted(getattr(geometry._ArcTable, name)))
-        for name in ("_edge_map", "_v_map", "_edge_level"):
+        for name in ("_state", "_slope"):
             monkeypatch.setattr(geometry._ArcTable, name, piece(name, getattr(geometry._ArcTable, name)))
         prof = integrate_profile(make_params(0.0, -1.0), 0.0, 1.0, (0.0, math.inf))
         build_warped_metric(prof, (0.0, 0.0), (0.0, 5.0), 101)
@@ -218,7 +218,7 @@ def _newton_reference(table, r, steps=5):
     lo, hi = table.x[j - 1], table.x[j]
     x = np.clip(np.interp(r, table.r, table.x), lo, hi)
     for _ in range(steps):
-        x = np.clip(x - (table.r_of_x(x) - r) / table.point(x)[2], lo, hi)
+        x = np.clip(x - (table.r_of_x(x) - r) / table.point(x), lo, hi)
     return x
 
 
@@ -232,7 +232,7 @@ def _assert_inverts(table, r, x):
     r = np.clip(r, table.r[0], table.r[-1])
     x_ref = _newton_reference(table, r)
     r_scale = np.maximum(1.0, np.abs(r))
-    x_scale = np.maximum(np.maximum(1.0, np.abs(x_ref)), r_scale / table.point(x_ref)[2])
+    x_scale = np.maximum(np.maximum(1.0, np.abs(x_ref)), r_scale / table.point(x_ref))
     assert np.max(np.abs(x - x_ref) / x_scale) <= 8 * EPS
     assert np.max(np.abs(table.r_of_x(x) - r) / r_scale) <= 4 * EPS
 
@@ -854,7 +854,7 @@ def test_one_node_table_raises(mu):
     lambda: geometry._ArcTable(constant_profile(make_params(-2.0, -1.0), (0.0, 5.0)), 0.0, 5.0),  # edge alone
 ])
 def test_point_of_no_samples(make):
-    assert [val.size for val in make().point(np.empty(0))] == [0, 0, 0]
+    assert make().point(np.empty(0)).size == 0
 
 
 @pytest.mark.parametrize("mu", [1e-10, 1e-14, 1e-20, 1e-30, 1e-50, 1e-60])
@@ -917,6 +917,14 @@ def test_split_rounds_refine_a_coarse_grid(monkeypatch):
         assert abs(math.fsum(table.incr) - ref) <= 4 * EPS * max(1.0, ref) and table.node_worst <= 1.0, t_to
         rounds.append(table.rounds)
     assert max(rounds) >= 1
+
+
+def test_table_that_misses_after_its_rounds_raises(monkeypatch):
+    # the same coarse grid needs one split round at t = 0.2; with none allowed the table raises, typed
+    monkeypatch.setattr(geometry, "_OFFSETS", 2.0 ** np.arange(-3.0, 52.0))
+    monkeypatch.setattr(geometry, "_MAX_ROUNDS", 0)
+    with pytest.raises(RangeError, match="misses its tolerance after 0 rounds of splits"):
+        radial_distance(catalog("G1_CIGAR", 1.0).profile, 0.0, 0.2)
 
 
 class TestRadialDistanceMpmath:
@@ -1041,8 +1049,10 @@ class TestBlowUpEnds:
         # a rises with v on every branch class, so sign dt/dv = sign a'
         prof = integrate_profile(make_params(lam, mu), 0.0, a_ref, (-math.inf, math.inf))
         table = geometry._ArcTable(prof, *geometry._metric_t_interval(prof))
-        with np.errstate(all="ignore"):  # dr/dv is not read, and t < 0 at some v
-            dt_dv = table._v_point(np.linspace(-5.0, 5.0, 11))[2]
+        v = np.linspace(-5.0, 5.0, 11)
+        with np.errstate(all="ignore"):  # t < 0 at some v
+            k, z = table._state(table.sigma * (v - table.v_shift), False)[2::2]
+        dt_dv = k * (-1.0 if z is None else ode._dpsi(table.branch, z))  # psi = 1 on the steady class
         assert np.all(np.sign(dt_dv) == table.sigma)
         assert table.sigma == np.sign(prof.params.rhs(a_ref))
 

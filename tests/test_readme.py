@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from soliton2d import catalog, closed_form_profile, geometry, make_params
+from soliton2d import RangeError, catalog, closed_form_profile, geometry, make_params
 from soliton2d.cli import run
 from soliton2d.ode import _metric_t_interval
 from soliton2d.taxonomy import _disk_profile
@@ -56,3 +56,14 @@ def test_table_sizes():
              geometry._ArcTable(cone, *_metric_t_interval(cone))]
     assert sizes == [table.x.size - 1 for table in built]
     assert [table.rounds for table in built] == [0, 0, 0]  # "none of them needs a split round"
+
+
+def test_g4_range():
+    # the attainable distances the README states: catalog succeeds 1e-7 relative inside each end, raises outside
+    text = " ".join(README.split("The catalog attains", 1)[1].split("G4_MINUS:", 1)[0].split())
+    ends = re.fullmatch(r"`\(([\d.]+), ([\d.]+)\)` on G4_PLUS and `\(([\d.]+), ([\d.]+)\)` on", text).groups()
+    for tag, (lo, hi) in (("G4_PLUS", ends[:2]), ("G4_MINUS", ends[2:])):
+        for end, inward in ((float(lo), 1.0), (float(hi), -1.0)):
+            catalog(tag, end * (1.0 + inward * 1e-7))
+            with pytest.raises(RangeError, match="attainable only in"):
+                catalog(tag, end * (1.0 - inward * 1e-7))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from soliton2d import (
     DomainError,
+    FamilyLabel,
     RangeError,
     SolitonError,
     Rescale,
@@ -27,7 +28,7 @@ from soliton2d import (
     integrate_profile,
     make_params,
 )
-from soliton2d import geometry, taxonomy
+from soliton2d import geometry, ode, taxonomy
 from soliton2d.geometry import radial_distance
 from soliton2d.taxonomy import CATALOG_TABLE, FAMILY_TAGS, _disk_profile
 from conftest import FAMILY_SAMPLES, NU_SAMPLES, cached_entry, mp_time
@@ -86,6 +87,16 @@ class TestClassifyDecisionTable:
     def test_flat_separatrix(self):
         prof = integrate_profile(make_params(-2.0, -1.0), 0.0, 1.0, (0.0, 1.0))
         assert classify(prof).tag == "FLAT_SEPARATRIX"
+
+    def test_anchor_within_the_snap_of_gamma(self):
+        # a nonconstant branch through gamma (1 + 1e-14) lies within SEPARATRIX_SNAP of gamma = 2: the flat cone
+        p = make_params(1.0, 1.0)
+        a = p.gamma * (1.0 + 1e-14)
+        prof = ode.implicit_profile(p, 1.0, a, 1.0 - ode._separatrix_time(p, a), (-math.inf, math.inf))
+        assert not prof.is_constant and classify(prof).tag == "FLAT_SEPARATRIX"
+
+    def test_label_of_a_resolved_family_prints_its_tag(self):
+        assert str(FamilyLabel("G6")) == "G6"
 
     def test_t0_positive_families_from_translation(self):
         # same solution curve, anchored so the blow-up lands at t = 0.4 > 0
@@ -625,6 +636,44 @@ class TestEveryScale:
 
 def _moderate_scale():
     return st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([-1.0, 1.0]), st.floats(-2.0, 2.0))
+
+
+def _outcome(prof):
+    """(tag, report) of a profile, or (the SolitonError type either raised, None)."""
+    try:
+        return classify(prof).tag, geometry_report(prof)
+    except SolitonError as err:
+        return type(err), None
+
+
+class TestRescaleLaws:
+    """ROADMAP item 6 (a), its Rescale half: the image of a catalog entry under Rescale(beta), beta log-uniform in
+    [1e-40, 1e40], keeps its tag, completeness, curvature sign, bounded curvature and end kinds.  The K range and the
+    cusp and smooth-point curvatures scale by 1/beta^2, cone angles stay, cylinder radii and boundary lengths scale by
+    beta and the exploding-end nu by 1/beta, each to 4e-15 relative.  For curvatures, K = lambda - 2 mu / a is
+    relative to its terms' size |lambda| + |lambda - K|: the image's (lambda, mu) / beta^2 are rounded, which moves
+    a K that cancels by more (G4_PLUS at nu = 1.1: K = 0.0207 at lambda = 10.5 moves by 8e-14 of K)."""
+
+    _KEPT = ("complete_inner", "complete_outer", "complete", "curvature_sign", "bounded_curvature")
+    _POWER = {"angle": 0, "radius": 1, "length": 1, "curvature": -2, "nu": -1}  # each end field's power of beta
+
+    @settings(max_examples=300, deadline=None)
+    @given(tag=st.sampled_from(FAMILY_TAGS), j=st.integers(0, 2), log_beta=st.floats(-40.0, 40.0))
+    def test_laws(self, tag, j, log_beta):
+        beta, prof = 10.0**log_beta, cached_entry(tag, NU_SAMPLES[tag][j]).profile
+        (tag0, rep0), (tag1, rep1) = _outcome(prof), _outcome(apply_symmetry(prof, Rescale(beta)))
+        assert tag1 == tag0  # or both raise the same SolitonError type
+        if rep0 is None:
+            return
+        assert [getattr(rep1, f) for f in self._KEPT] == [getattr(rep0, f) for f in self._KEPT]
+        laws = [(rep0.K_inf, rep1.K_inf, -2), (rep0.K_sup, rep1.K_sup, -2)]
+        for end0, end1 in ((rep0.inner_end, rep1.inner_end), (rep0.outer_end, rep1.outer_end)):
+            assert (end1.kind, end1.to_json_dict().keys()) == (end0.kind, end0.to_json_dict().keys())
+            laws += [(x0, getattr(end1, f), n) for f, n in self._POWER.items() if (x0 := getattr(end0, f)) is not None]
+        lam = prof.params.lam
+        for x0, x1, n in laws:
+            want, size = x0 * beta**n, (abs(lam) + abs(lam - x0) if n == -2 else abs(x0)) * beta**n
+            assert x1 == want or abs(x1 - want) <= 4e-15 * size, (x0, x1, n)
 
 
 class TestCurvatureSign:
