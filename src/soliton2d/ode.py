@@ -697,9 +697,10 @@ def integrate_profile(
         if profile.t0 == 0.0 and profile.tag0.kind == TRUNCATED and is_smooth_origin(profile.a_at_zero()):
             profile = replace(profile, tag0=EndTag(SMOOTH_ORIGIN))
     if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("through a(%r) = %r: branch class %s, C = %r, ends %s and %s, a(0) from the anchor: %s", t_ref, a_ref,
-                   "separatrix" if profile.is_constant else _branch_class(params, a_ref), profile.C, profile.tag0,
-                   profile.tag1, t_ref == 0.0)
+        unc = math.nan if profile.is_constant else t0_uncertainty(profile)
+        _log.debug("through a(%r) = %r: branch class %s, C = %r, ends %s and %s, a(0) from the anchor: %s, C's rounding "
+                   + "bound %r" % unc, t_ref, a_ref, "separatrix" if profile.is_constant else _branch_class(params, a_ref),
+                   profile.C, profile.tag0, profile.tag1, t_ref == 0.0, extra={"c_uncertainty": unc})
     return profile
 
 
@@ -954,7 +955,7 @@ def geometry_report(profile: ProfileA) -> GeometryReport:
     if not all(math.isfinite(K) or a == 0.0 for K, a in ((K_in, a_in), (K_out, a_out))):  # infinite only at a = 0
         raise RangeError("the curvature range overflows")
 
-    return GeometryReport(
+    report = GeometryReport(
         complete_inner=complete_inner,
         complete_outer=complete_outer,
         complete=complete_inner and complete_outer,
@@ -964,3 +965,7 @@ def geometry_report(profile: ProfileA) -> GeometryReport:
         inner_end=inner,
         outer_end=outer,
     )
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("geometry report: levels a_in = %r, a_out = %r, ends %s and %s, K in [%r, %r], complete: %s", a_in,
+                   a_out, inner.kind, outer.kind, report.K_inf, report.K_sup, report.complete)
+    return report

@@ -32,7 +32,8 @@ from soliton2d import (
 from soliton2d import ode
 from soliton2d.geometry import EndDescriptor
 from soliton2d.taxonomy import FAMILY_TAGS
-from conftest import FAMILY_SAMPLES, NU_SAMPLES, cached_entry, cached_metric, mp_time
+from conftest import FAMILY_SAMPLES, NU_SAMPLES, cached_entry, cached_metric
+from reference import Branch, cigar_distance, steady_b
 
 
 class TestCurvatureFromA:
@@ -656,17 +657,16 @@ class TestRadialDistance:
             if not t_from < t_to:
                 continue
             with mpmath.workdps(40):
-                ref = float(mpmath.atanh(2 * mpmath.sqrt(t_to)) - mpmath.atanh(2 * mpmath.sqrt(t_from)))
+                ref = float(cigar_distance(t_to) - cigar_distance(t_from))
             got = radial_distance(prof, t_from, t_to)
             assert abs(got - ref) <= 4 * EPS * max(1.0, ref), (t_from, t_to)
 
 
 class TestNearEdgePiece:
-    """Tables that open at or next to a regular t = 0, on one branch of each class, against a
-    40-digit mpmath quadrature over the level a, where dr = a da / (sqrt(t(a)) |a'(a)|), from
-    edges at and near t = 0 to windows ending inside the near-edge piece (t_to = 0.04) and past
-    its seam: radial_distance, which reads the edges' v from their times, and the window table
-    of the same edges given by their levels.  Both open with the piece explicit in v."""
+    """Tables that open at or next to a regular t = 0, on one branch of each class, against the 40-digit
+    quadrature over the level a, from edges at and near t = 0 to windows ending inside the near-edge piece
+    (t_to = 0.04) and past its seam: radial_distance, which reads the edges' v from their times, and the window
+    table of the same edges given by their levels.  Both open with the piece explicit in v."""
 
     CASES = [("G2_EXPLODING", 1.0, 0.3), ("G10", 1.0, 0.4), ("G7", 3.0 * math.pi, 0.7), ("G6", math.pi, 1.8)]
 
@@ -675,26 +675,16 @@ class TestNearEdgePiece:
     def test_radial_distance_matches_mpmath(self, tag, nu, a_far, t_from):
         prof = catalog(tag, nu).profile
         with mpmath.workdps(40):
-            lam, mu, a_ref = (mpmath.mpf(x) for x in (prof.params.lam, prof.params.mu, prof.a_ref))
-
-            def t_of(a):  # the profile is anchored at t_ref = 0
-                with mpmath.extraprec(60):
-                    return mp_time(lam, mu, a) - mp_time(lam, mu, a_ref)
+            branch = Branch.of(prof.params.lam, prof.params.mu).through(0, prof.a_ref)  # anchored at t_ref = 0
 
             def level(t):
-                return a_ref if t == 0 else mpmath.findroot(lambda a: t_of(a) - t, (a_ref, a_far), solver="anderson")
-
-            def dr_da(y):  # at a = a_from + y; nodes that round onto a_from hold under 1e-20 of r
-                with mpmath.extraprec(60):
-                    a = a_from + y
-                    t = t_of(a)
-                    return a / (mpmath.sqrt(t) * abs(2 * lam * a**3 - 4 * mu * a**2)) if t > 0 else 0
+                return mpmath.mpf(prof.a_ref) if t == 0 else branch.level(t, (prof.a_ref, a_far), solver="anderson")
 
             a_from = level(t_from)
             for a_to in (level(mpmath.mpf(0.04)), mpmath.mpf(a_far)):
-                pts = [0] + [(a_to - a_from) * mpmath.mpf(2) ** -k for k in range(8, -1, -1)]
-                ref = float(abs(mpmath.quad(dr_da, pts)))
-                t_to = float(t_of(a_to))
+                ref = float(branch.distance([a_from] + [a_from + (a_to - a_from) * mpmath.mpf(2) ** -k
+                                                        for k in range(8, -1, -1)]))
+                t_to = float(branch.t(a_to))
                 table = geometry._window_table(prof, t_from, t_to, float(a_from), float(a_to))
                 assert table.start == "near-edge piece"
                 for got in (radial_distance(prof, t_from, t_to), float(table.r[-1] - table.r[0])):
@@ -865,7 +855,7 @@ def test_smooth_origin_at_small_mu(mu):
     prof = integrate_profile(make_params(0.0, mu), 0.0, 1.0, (0.0, math.inf))
     m = build_warped_metric(prof, (0.0, 0.0), (0.0, 0.2), 5)
     with mpmath.workdps(40):
-        ref = [float(mpmath.tan(mpmath.sqrt(mu) * mpmath.mpf(r)) / mpmath.sqrt(mu)) for r in m.r.tolist()]
+        ref = [float(steady_b(mu, r)) for r in m.r.tolist()]
     assert np.max(np.abs(m.b - ref)) <= 4 * EPS
 
 
@@ -912,7 +902,7 @@ def test_split_rounds_refine_a_coarse_grid(monkeypatch):
     prof, rounds = catalog("G1_CIGAR", 1.0).profile, []
     for t_to in (0.05, 0.2, 0.2499, 0.25 - 1e-9):
         with mpmath.workdps(40):
-            ref = float(mpmath.atanh(2 * mpmath.sqrt(t_to)))
+            ref = float(cigar_distance(t_to))
         (table,) = _tables_of(lambda: radial_distance(prof, 0.0, t_to), monkeypatch)
         assert abs(math.fsum(table.incr) - ref) <= 4 * EPS * max(1.0, ref) and table.node_worst <= 1.0, t_to
         rounds.append(table.rounds)
@@ -928,13 +918,9 @@ def test_table_that_misses_after_its_rounds_raises(monkeypatch):
 
 
 class TestRadialDistanceMpmath:
-    """radial_distance against a 40-digit mpmath quadrature of dr = a dt/sqrt(t).
-
-    The oracle runs over y = log|a - gamma|, where both a and the closed-form
-    t = t_ref + G(a) - G(a_ref) are explicit, so no level is inverted and the
-    cone or decay tail can be followed to t ~ 1e7.  dr/dy = |gamma / (4 mu a
-    sqrt(t))|.  In the level pairs None is the anchor (t = 0 on G6 and G10)
-    and inf the blow-up edge (the geodesic boundary of G9).
+    """radial_distance against the 40-digit quadrature over y = log|a - gamma|, where both a and t are explicit,
+    so no level is inverted and the cone or decay tail can be followed to t ~ 1e7.  In the level pairs None is
+    the anchor (t = 0 on G6 and G10) and inf the blow-up edge (the geodesic boundary of G9).
     """
 
     CASES = [
@@ -950,37 +936,22 @@ class TestRadialDistanceMpmath:
     def test_matches_mpmath(self, tag, nu, pairs):
         prof = catalog(tag, nu).profile
         with mpmath.workdps(40):
-            lam, mu = mpmath.mpf(prof.params.lam), mpmath.mpf(prof.params.mu)
-            g = 2 * mu / lam
-            sign = 1 if prof.a_ref > g else -1
-
-            def a_of(y):
-                return g + sign * mpmath.exp(y)
-
-            def G(y):
-                return ((y - mpmath.log(a_of(y))) / g + 1 / a_of(y)) / (4 * mu)
-
-            y_ref = mpmath.log(abs(prof.a_ref - g))
-
-            def t_of(y):  # 60 extra bits keep t > 0 at nodes next to the anchor
-                with mpmath.extraprec(60):
-                    return prof.t_ref + G(y) - G(y_ref)
-
-            def dr_dy(y):
-                return abs(g / (4 * mu * a_of(y) * mpmath.sqrt(t_of(y))))
-
+            branch = Branch.of(prof.params.lam, prof.params.mu)
+            side = 1 if prof.a_ref > branch.gamma else -1
+            y_ref = mpmath.log(abs(prof.a_ref - branch.gamma))
+            branch = branch.through(prof.t_ref, y_ref, side)
             for y1, y2 in pairs:
                 y2 = mpmath.mpf(y2)
                 if y1 == math.inf:  # breakpoints doubling their distance from y2 resolve far levels
                     t_from, pts = prof.t0, [y2] + [y2 + 2**k for k in range(10)] + [mpmath.inf]
                 else:
                     y1 = y_ref if y1 is None else mpmath.mpf(y1)
-                    t_from = float(t_of(y1))
+                    t_from = float(branch.t(y1, side))
                     # breakpoints 16 times closer to y1 each resolve long ranges
                     n = int(mpmath.log(abs(y2 - y1) + 1, 16)) + 1
                     pts = [y1] + [y1 + (y2 - y1) * mpmath.mpf(16) ** (k - n) for k in range(n + 1)]
-                ref = abs(mpmath.quad(dr_dy, pts))
-                got = radial_distance(prof, t_from, float(t_of(y2)))
+                ref = branch.distance(pts, side)
+                got = radial_distance(prof, t_from, float(branch.t(y2, side)))
                 assert abs(got - ref) <= 1e-12 * ref, (y1, y2)
 
     def test_boundary_from_far_along_the_cone(self):
@@ -991,19 +962,10 @@ class TestRadialDistanceMpmath:
         # once put this distance to the boundary 0.26 % off
         prof = integrate_profile(make_params(0.179, 5.57), 1.693, 90.09, (-math.inf, math.inf))
         with mpmath.workdps(40):
-            mu, g = mpmath.mpf(prof.params.mu), 2 * mpmath.mpf(prof.params.mu) / mpmath.mpf(prof.params.lam)
-
-            def G(y):  # t = C + G, with a = g + e^y above the separatrix
-                a = g + mpmath.exp(y)
-                return ((y - mpmath.log(a)) / g + 1 / a) / (4 * mu)
-
-            def dr_dy(y):
-                a = g + mpmath.exp(y)
-                return g / (4 * mu * a * mpmath.sqrt(abs(prof.C + G(y))))  # abs: t(y0) rounds to +-0
-
-            y0 = mpmath.findroot(lambda y: prof.C + G(y), -2345)  # t = 0
+            branch = Branch.of(prof.params.lam, prof.params.mu, prof.C)  # above the separatrix: side 1
+            y0 = branch.level(0, -2345, side=1)
             pts = [y0 + d for d in (0, 1, 10, 100, 1000)] + [-300, -100, -30, -10, 0, 10, 30, 100, mpmath.inf]
-            ref = mpmath.quad(dr_dy, pts)
+            ref = branch.distance(pts, side=1)
         got = radial_distance(prof, 0.0, prof.C)
         assert abs(got - ref) <= 1e-12 * ref
 

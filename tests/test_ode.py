@@ -23,6 +23,7 @@ from soliton2d import (
     Translate,
     apply_symmetry,
     blow_up_time_closed,
+    catalog,
     classify,
     closed_form_profile,
     constant_profile,
@@ -42,10 +43,12 @@ from soliton2d.ode import (
     _psi_float,
     _separatrix_time,
     implicit_profile,
+    t0_uncertainty,
 )
 from soliton2d import ode
 from soliton2d.verify import smooth_extension_check
-from conftest import mp_time
+import reference
+from reference import Branch
 
 
 def separable_time_oracle(mu, gamma, a_from, a_to):
@@ -505,7 +508,7 @@ def test_separatrix_time_matches_mpmath(neg, mu_exp, mu_sign, gamma_exp, focus, 
     a = abs(p.gamma) * (ratio if neg or focus else 1.0 + ratio)
     u, log1pu = -p.gamma / a, math.log1p(-p.gamma / a)
     with mpmath.workdps(40):
-        ref = float(mp_time(lam, mu, a))
+        ref = float(Branch.of(lam, mu).G(a))
     cancel = 2.0 * abs(log1pu) / abs(u - log1pu) if abs(u) >= 0.125 else 0.0
     assert abs(_separatrix_time(p, a) - ref) <= 2.0**-52 * abs(ref) * (3.0 + cancel), (a / abs(p.gamma), ref)
 
@@ -525,7 +528,7 @@ def test_separatrix_time_on_neg_levels_below_two_gamma():
         a = abs(p.gamma) * 2.0 * 10.0 ** (-3.0 * rng.random() ** 3)  # most levels near 2 |gamma|
         u = -p.gamma / a
         with mpmath.workdps(50):
-            ref = float(mp_time(lam, mu, a))
+            ref = float(Branch.of(lam, mu).G(a))
         bound = 2.0**-52 * abs(ref) * (2.5 + math.log1p(u) / (u - math.log1p(u)))
         worst = max(worst, abs(_separatrix_time(p, a) - ref) / bound)
     assert worst <= 1.0
@@ -573,13 +576,15 @@ def test_profile_at_zero_away_from_the_anchor():
 
 
 class TestProfileDebugRecord:
-    """One soliton.ode record per integrate_profile: branch class, C, end kinds and
-    whether a(0) came from the anchor."""
+    """One soliton.ode record per integrate_profile: branch class, C and its rounding bound, end kinds and
+    whether a(0) came from the anchor; and one per geometry_report: end levels and kinds, K range, completeness."""
 
-    @pytest.mark.parametrize("lam,mu,t_ref,a_ref,branch", [
+    CASES = [
         (-1.0, -1.0, 0.0, 1.0, "below"), (4.0, 1.0, 0.0, 1.0, "above"), (4.0, -1.0, 0.5, 1.0, "neg"),
         (0.0, -1.0, 0.0, 1.0, "steady"), (1.0, 1.0, 0.2, 2.0, "separatrix"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("lam,mu,t_ref,a_ref,branch", CASES)
     def test_record(self, lam, mu, t_ref, a_ref, branch, caplog):
         with caplog.at_level(logging.DEBUG, logger="soliton.ode"):
             prof = integrate_profile(make_params(lam, mu), t_ref, a_ref, (0.0, math.inf))
@@ -590,9 +595,32 @@ class TestProfileDebugRecord:
         assert C == prof.C or (math.isnan(C) and prof.is_constant)
         assert from_anchor == (t_ref == 0.0)
 
+    @pytest.mark.parametrize("lam,mu,t_ref,a_ref,branch", CASES)
+    def test_record_carries_the_rounding_bound_of_C(self, lam, mu, t_ref, a_ref, branch, caplog):
+        # the bound classify decides the sign of T0 = C against; nan on the separatrix, which has no C
+        with caplog.at_level(logging.DEBUG, logger="soliton.ode"):
+            prof = integrate_profile(make_params(lam, mu), t_ref, a_ref, (0.0, math.inf))
+        (record,) = [rec for rec in caplog.records if rec.name == "soliton.ode"]
+        unc = record.c_uncertainty
+        assert unc == t0_uncertainty(prof) > 0.0 if branch != "separatrix" else math.isnan(unc)
+        assert record.getMessage().endswith(f"C's rounding bound {unc!r}")
+
+    # the levels of a at t = 0 and at the outer end: a(0) = 1 or an initial blow-up, and a blow-up, gamma or decay
+    @pytest.mark.parametrize("tag,nu,a_in,a_out", [("G1_CIGAR", 1.0, 1.0, math.inf), ("G4_PLUS", 1.3, 1.0, math.inf),
+                                                   ("G9", 2.0, math.inf, "gamma"), ("G11", 1.0, math.inf, 0.0)])
+    def test_geometry_report_record(self, tag, nu, a_in, a_out, caplog):
+        prof = catalog(tag, nu).profile
+        caplog.clear()  # the catalog's own records, where the suite runs with --log-level=DEBUG
+        with caplog.at_level(logging.DEBUG, logger="soliton.ode"):
+            rep = geometry_report(prof)
+        (record,) = [rec for rec in caplog.records if rec.name == "soliton.ode"]
+        assert record.levelno == logging.DEBUG
+        assert record.args == (a_in, prof.params.gamma if a_out == "gamma" else a_out, rep.inner_end.kind,
+                               rep.outer_end.kind, rep.K_inf, rep.K_sup, rep.complete)
+
     def test_no_record_above_debug(self, caplog):
         with caplog.at_level(logging.INFO, logger="soliton.ode"):
-            integrate_profile(make_params(-1.0, -1.0), 0.0, 1.0, (0.0, math.inf))
+            geometry_report(integrate_profile(make_params(-1.0, -1.0), 0.0, 1.0, (0.0, math.inf)))
         assert not [rec for rec in caplog.records if rec.name == "soliton.ode"]
 
 
@@ -630,64 +658,32 @@ class TestMpmathOracles:
         with mpmath.workdps(40):
             prof = integrate_profile(SolitonParams(lam, mu), 0.0, a_ref, (-math.inf, math.inf))
             # the branch constant C = t_ref - G(a_ref) to a few ulps ...
-            C_exact = -mp_time(lam, mu, a_ref)
+            C_exact = -Branch.of(lam, mu).G(a_ref)
             assert abs(prof.C - C_exact) <= 4e-16 * abs(C_exact)
             # ... and a(t) on the branch t = C + G(a) through that C
-            C = mpmath.mpf(prof.C)
+            branch = Branch.of(lam, mu, prof.C)
             for level in self.levels(lam, mu, a_ref):
-                t = float(C + mp_time(lam, mu, level))
-                ref = mpmath.findroot(lambda a: C + mp_time(lam, mu, a) - t, mpmath.mpf(level))
+                t = float(branch.t(level))
+                ref = branch.level(t, mpmath.mpf(level))
                 assert abs(prof.a(t) - ref) <= 1e-13 * ref, (level, t)
 
     @pytest.mark.parametrize("gamma", [0.99, 0.5, 1e-3, 1e-9, -1e-6, -0.5, -1.0, -40.0, INFINITE])
     @pytest.mark.parametrize("mu", [1.0, -0.3])
     def test_blow_up_time_matches_mpmath(self, mu, gamma):
         with mpmath.workdps(40):
-            if math.isinf(gamma):
-                exact = -1 / (4 * mpmath.mpf(mu))
-            else:
-                g = mpmath.mpf(gamma)
-                exact = (-1 - mpmath.log(1 - g) / g) / (4 * mpmath.mpf(mu))
+            exact = reference.blow_up_time(mu, gamma)
             assert abs(blow_up_time_closed(mu, gamma) - exact) <= 1e-15 * abs(exact)
 
 
 class TestLevelInversion:
-    """ode._level_coordinate, in float and in array form, against 420-digit Lambert W on every class.
-
-    With w = -s, p = 1 + u: p = -W(-e^(-1-w)) on the -1 branch (NEG) and the 0 branch (ABOVE), and
-    v = 1 - s + W0(e^(s-1)) on BELOW; the steady class is closed form.  The bound is 2 ulps of the level
+    """ode._level_coordinate, in float and in array form, against 420-digit Lambert W on every class
+    (``reference.lambert_v``).  The bound is 2 ulps of the level
     a(v), plus its sensitivity |da/dv| to one ulp of v, to the rounding of s = 4 mu gamma dt
     (2^-52 |s|) and, where |u| >= 1/8, to one ulp of log1p(u): psi = u - log1p(u) cancels there, which
     limits any inversion that evaluates that psi (about 2x the rest of the bound at |u| just above 1/8).
     """
 
     CLASSES = ["neg", "above", "below", "steady"]
-
-    @staticmethod
-    def exact_v(branch, s):
-        if branch == "steady":
-            return -mpmath.log(s)
-        if branch == "below":
-            return 1 - s + mpmath.lambertw(mpmath.exp(s - 1)).real
-        p = -mpmath.lambertw(-mpmath.exp(-1 + s), -1 if branch == "neg" else 0).real
-        return -mpmath.log(p - 1) if branch == "neg" else mpmath.log(p) - mpmath.log(1 - p)
-
-    @staticmethod
-    def level(branch, g, v):
-        e = mpmath.exp(v)
-        if branch == "steady":
-            return e
-        return -g * e if branch == "neg" else g * (1 + e) if branch == "above" else g * e / (1 + e)
-
-    @classmethod
-    def minus_psi(cls, branch, v):
-        """s at the level coordinate v."""
-        if branch == "steady":
-            return mpmath.exp(-v)
-        if branch == "below":
-            return 1 - v + mpmath.exp(-v)
-        u = mpmath.exp(-v) if branch == "neg" else -1 / (1 + mpmath.exp(v))
-        return mpmath.log1p(u) - u
 
     @classmethod
     def cases(cls, branch, n=48, seed=0):
@@ -707,7 +703,7 @@ class TestLevelInversion:
                 continue
             lo, hi = max(ode._V_RANGE[branch][0], -720.0), min(ode._V_RANGE[branch][1], 720.0)
             v = mpmath.mpf(rng.uniform(-4.0, 6.0) if len(out) % 2 else rng.uniform(lo, hi))
-            dt = float(cls.minus_psi(branch, v) / (4 * mpmath.mpf(p.mu) * (1 if branch == "steady" else mpmath.mpf(p.gamma))))
+            dt = float(reference.minus_psi(branch, v) / (4 * mpmath.mpf(p.mu) * (1 if branch == "steady" else mpmath.mpf(p.gamma))))
             if dt != 0.0 and math.isfinite(dt):
                 out.append((p, dt))
         return out
@@ -717,10 +713,10 @@ class TestLevelInversion:
         g = mpmath.mpf(p.gamma) if branch != "steady" else None
         s = 4 * mpmath.mpf(p.mu) * (1 if branch == "steady" else g) * mpmath.mpf(dt)
         lo, hi = ode._V_RANGE[branch]
-        v = min(max(self.exact_v(branch, s), lo), hi)
-        a = self.level(branch, g, v)
-        dadv = abs(mpmath.diff(lambda x: self.level(branch, g, x), v))
-        dpsi = abs(mpmath.diff(lambda x: self.minus_psi(branch, x), v))
+        v = min(max(reference.lambert_v(branch, s), lo), hi)
+        a = reference.level_of_v(branch, g, v)
+        dadv = abs(mpmath.diff(lambda x: reference.level_of_v(branch, g, x), v))
+        dpsi = abs(mpmath.diff(lambda x: reference.minus_psi(branch, x), v))
         rounding = 2.0**-52 * abs(s)
         u = None if branch in ("below", "steady") else mpmath.exp(-v) if branch == "neg" else -1 / (1 + mpmath.exp(v))
         if u is not None and abs(u) >= 0.125:

@@ -31,28 +31,14 @@ from soliton2d import (
 from soliton2d import geometry, ode, taxonomy
 from soliton2d.geometry import radial_distance
 from soliton2d.taxonomy import CATALOG_TABLE, FAMILY_TAGS, _disk_profile
-from conftest import FAMILY_SAMPLES, NU_SAMPLES, cached_entry, mp_time
+from conftest import FAMILY_SAMPLES, NU_SAMPLES, cached_entry
+from reference import Branch, blow_up_time, ulps
 
 
-def mp_disk_distance(lam, mu):
-    """Distance from a(0) = 1 to the blow-up of the branch, 40-digit mpmath:
-    r = int_1^inf a da / (sqrt(t(a)) |a'(a)|) with t(a) = G(a) - G(1).  t is
-    evaluated with 60 extra bits so that it keeps its sign at quadrature
-    nodes next to a = 1."""
+def disk_distance(lam, mu):
+    """Distance from a(0) = 1 at t = 0 to the blow-up of the branch, 40 digits."""
     with mpmath.workdps(40):
-        lam, mu = mpmath.mpf(lam), mpmath.mpf(mu)
-
-        def f(a):
-            with mpmath.extraprec(60):
-                t = mp_time(lam, mu, a) - mp_time(lam, mu, 1)
-            return a / (mpmath.sqrt(t) * abs(2 * lam * a**3 - 4 * mu * a**2))
-
-        return mpmath.quad(f, [1, 2, 10, 100, mpmath.inf])
-
-
-def _ulps(x: float, ref) -> float:
-    """|x - ref| in ulps of ref (an mpmath reference, taken unrounded)."""
-    return float(abs(mpmath.mpf(x) - ref)) / math.ulp(float(ref))
+        return Branch.of(lam, mu).through(0, 1).distance([1, 2, 10, 100, mpmath.inf])
 
 
 class TestClassifyDecisionTable:
@@ -260,16 +246,16 @@ class TestCatalog:
         # the oracle runs on the disk's own (lambda, mu), not on a mu rounded another way;
         # the table's increments are summed exactly, so only the quadrature rounds
         p = _disk_profile(gamma).params
-        ref = mp_disk_distance(p.lam, p.mu)
-        assert _ulps(disk_boundary_distance(gamma), ref) <= 3.0
+        ref = disk_distance(p.lam, p.mu)
+        assert ulps(disk_boundary_distance(gamma), ref) <= 3.0
 
     @pytest.mark.parametrize("gamma", [1e-9, -1e-9, 1e-6, 0.5, -2.0])
     def test_disk_mu_matches_mpmath(self, gamma):
         # mu = -1 - log(1 - gamma)/gamma puts the disk's blow-up at t = 1/4;
-        # evaluated as written it cancels at small |gamma| (8e-8 off at 1e-9)
+        # evaluated as written it cancels at small |gamma| (8e-8 off at 1e-9).
+        # The blow-up time is T(1) / mu, so that mu is T(1) / 4 = T(1/4)
         with mpmath.workdps(40):
-            g = mpmath.mpf(gamma)
-            ref = float(-1 - mpmath.log(1 - g) / g)
+            ref = float(blow_up_time(0.25, gamma))
         prof = _disk_profile(gamma)
         assert abs(prof.params.mu - ref) <= 4 * np.spacing(abs(ref))
         assert abs(prof.C - 0.25) <= 4 * np.spacing(0.25)
@@ -279,9 +265,9 @@ class TestCatalog:
         # the reported nu and the true boundary distance of the entry's disk
         # (3 ulps of the distance, and its solve's stop within 8 ulps of nu)
         entry = cached_entry(tag, nu)
-        ref = mp_disk_distance(entry.params.lam, entry.params.mu)
-        assert _ulps(entry.nu, ref) <= 3.0
-        assert _ulps(nu, ref) <= 14.0
+        ref = disk_distance(entry.params.lam, entry.params.mu)
+        assert ulps(entry.nu, ref) <= 3.0
+        assert ulps(nu, ref) <= 14.0
 
     # each id keeps the budget of the solve that started from the two bracket ends and counted them
     @pytest.mark.parametrize("tag,nu,budget", [
@@ -481,7 +467,7 @@ class TestNormalizations:
                 assert prof.C == anchor and prof.t0_exact
                 assert prof.a_ref == max(1e6, 4.0 * abs(2.0 * mu / lam))
                 with mpmath.workdps(30):
-                    want = anchor + mp_time(lam, mu, prof.a_ref)
+                    want = anchor + Branch.of(lam, mu).G(prof.a_ref)
                 assert prof.t_ref == pytest.approx(float(want), rel=1e-13)
 
     @pytest.mark.parametrize("tag", NORMALIZATION)
@@ -497,35 +483,12 @@ class TestNormalizations:
 
 
 class TestEntryWindowLength:
-    """An entry metric's window is as long as its two levels are apart.
-
-    The oracle is a 40-digit mpmath quadrature of dr = a da / (sqrt(t) |a'|)
-    between the levels the arc table was given, on the branch of the stored
-    (mu, gamma): t = C + G(a), with C the catalog's exact blow-up time where
-    it placed one, else through the anchor (t = 0 exactly at a smooth
-    origin's level).  Edges read from their levels stay within 3 ulps (2.5
-    at most over the NU_SAMPLES entries); over those entries, edges inverted
-    from their times reached 191 ulps (G12 at nu = 2).
+    """An entry metric's window is as long as its two levels are apart: the 40-digit quadrature over a between
+    the levels the arc table was given, on the branch of the stored (mu, gamma) with C the catalog's exact
+    blow-up time where it placed one, else through the anchor (t = 0 exactly at a smooth origin's level).
+    Edges read from their levels stay within 3 ulps (2.5 at most over the NU_SAMPLES entries); over those
+    entries, edges inverted from their times reached 191 ulps (G12 at nu = 2).
     """
-
-    @staticmethod
-    def mp_length(prof, a_in, a_out):
-        with mpmath.workdps(40):
-            mu, g = mpmath.mpf(prof.params.mu), mpmath.mpf(prof.params.gamma)
-
-            def G(a):
-                return 1 / (4 * mu * a) if mpmath.isinf(g) else (mpmath.log(abs(a - g) / a) / g + 1 / a) / (4 * mu)
-
-            def f(a):
-                with mpmath.extraprec(60):  # t keeps its digits at nodes next to a t = 0 edge
-                    t = c + G(a)
-                slope = -4 * mu * a * a if mpmath.isinf(g) else 4 * mu * a * a * (a / g - 1)
-                return a / (mpmath.sqrt(t) * abs(slope))
-
-            with mpmath.extraprec(60):
-                c = mpmath.mpf(prof.C) if prof.t0_exact else prof.t_ref - G(mpmath.mpf(prof.a_ref))
-            lo, hi = sorted((mpmath.mpf(a_in), mpmath.mpf(a_out)))
-            return mpmath.quad(f, [lo * (hi / lo) ** (mpmath.mpf(k) / 8) for k in range(9)])
 
     @pytest.mark.parametrize("tag", list(FAMILY_SAMPLES))
     def test_matches_mpmath(self, tag, monkeypatch):
@@ -534,7 +497,13 @@ class TestEntryWindowLength:
         m = entry_metric(cached_entry(tag, FAMILY_SAMPLES[tag]), h=1e-3)
         (prof, _, _, a_in, a_out), = calls
         assert a_in is not None and a_out is not None  # both edges come from their levels
-        assert _ulps(float(m.r[-1]), self.mp_length(prof, a_in, a_out)) <= 3.0
+        with mpmath.workdps(40):
+            branch = Branch(prof.params.mu, prof.params.gamma, prof.C)
+            if not prof.t0_exact:
+                branch = branch.through(prof.t_ref, prof.a_ref)
+            lo, hi = sorted((mpmath.mpf(a_in), mpmath.mpf(a_out)))
+            ref = branch.distance([lo * (hi / lo) ** (mpmath.mpf(k) / 8) for k in range(9)])
+        assert ulps(float(m.r[-1]), ref) <= 3.0
 
 
 @pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, math.inf, 10.0, 1e-300, 1e-320, 5e-324])
@@ -711,7 +680,7 @@ class TestKnifeEdgeT0:
         # of 5.01e-18 named G10, while T0 = +3.9e-19
         lam, mu, a0, t0 = -1.0, 1.4681031351729255, 17.663582089491975, 0.0007222563217412513
         with mpmath.workdps(50):
-            T0 = mpmath.mpf(t0) - mp_time(lam, mu, a0)
+            T0 = mpmath.mpf(t0) - Branch.of(lam, mu).G(a0)
         assert 3.8e-19 < T0 < 4.0e-19
         label = classify(integrate_profile(make_params(lam, mu), t0, a0, (-math.inf, math.inf)))
         assert label.tag == "UNRESOLVED_T0_SIGN"
@@ -728,7 +697,7 @@ class TestKnifeEdgeT0:
         params = make_params(lam, mu)
         a0 = abs(params.gamma) * 10.0**y
         with mpmath.workdps(50):
-            G = mp_time(lam, mu, a0)
+            G = Branch.of(lam, mu).G(a0)
             t0 = float(G) + sign * 2**steps * math.ulp(float(G))
             T0 = mpmath.mpf(t0) - G
             label = classify(integrate_profile(params, t0, a0, (-math.inf, math.inf)))
