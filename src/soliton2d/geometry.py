@@ -140,6 +140,14 @@ def _parts(f, x, r, ratio=None):
     return np.minimum(np.maximum(np.ceil(ratio ** 0.125), 1.0), _MAX_PARTS).astype(int), ratio
 
 
+def _running_sum(d):
+    """np.cumsum(d) plus the running sum of its steps' rounding errors, each found exactly by TwoSum."""
+    c = np.cumsum(d)
+    bv = c[1:] - c[:-1]
+    c[1:] += np.cumsum((c[:-1] - (c[1:] - bv)) + (d[1:] - bv))
+    return c
+
+
 class _ArcTable:
     """Cumulative arc length r(x) from the circle at t_lo to the one at t_hi.
 
@@ -246,10 +254,11 @@ class _ArcTable:
             while True:
                 # r = 0 at the node nearest x = 0, where the branch turns, and sums
                 # run outward from there: their rounding stays at the scale of the
-                # turn, not of an infinitely far end cut at the edge of the v-range
+                # turn, not of an infinitely far end cut at the edge of the v-range,
+                # and at about an ulp, not the cumsum's drift over many segments
                 k, r = int(np.argmin(np.abs(x))), np.zeros(x.size)
-                np.cumsum(incr[k:], out=r[k + 1:])
-                r[:k] = -np.cumsum(incr[:k][::-1])[::-1]
+                r[k + 1:] = _running_sum(incr[k:])
+                r[:k] = -_running_sum(incr[:k][::-1])[::-1]
                 if not (math.isfinite(r[0]) and math.isfinite(r[-1])):  # every increment is >= 0
                     raise RangeError(f"the arc table from t = {t_lo:g} to {t_hi:g} leaves the float range")
                 w = x[1:] - x[:-1]

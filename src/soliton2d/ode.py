@@ -11,9 +11,9 @@ equation is separable: on every monotone branch t = C + G(a), with G the
 exact antiderivative of 1/a' normalized by G(inf) = 0.  So a branch blows up
 exactly at t = C, and decay to 0 or convergence to the separatrix takes
 infinite time.  This module represents profiles on their maximal intervals
-through that implicit solution, evaluates a(t) by inverting G (closed-form
-Lambert W guesses polished by two Halley steps, in float arithmetic for one
-float), and applies the scaling/translation symmetries of the solution space.
+through that implicit solution, evaluates a(t) by inverting G (one guess per
+branch class, within 0.14 of its level coordinate, and three Halley steps, in
+float arithmetic for one float), and applies its scaling/translation symmetries.
 Its geometry report reads the metric's ends and curvature range from the end
 levels alone, so the module loads without numpy; the array paths import it on
 first use.
@@ -202,33 +202,20 @@ def _psi_float(u: float, log1pu: float) -> float:
     return _psi_series(u) if abs(u) < _PSI_SMALL else u - log1pu
 
 
-def _pieces(cond, x, f, g, m):
-    """f(x, m) where cond, else g(x, m), each evaluated on its own elements only."""
-    import numpy as np
-    out = np.empty_like(x)
-    for part, fn in ((cond, f), (~cond, g)):
-        if part.all():
-            return fn(x, m)
-        if part.any():
-            out[part] = fn(x[part], m)
-    return out
-
-
 @functools.cache
 def _array_ops() -> SimpleNamespace:
     """The level inversion's functions on arrays, made on first use: numpy is imported there."""
     import numpy as np
-    return SimpleNamespace(exp=np.exp, log=np.log, log1p=np.log1p, sqrt=np.sqrt, minimum=np.minimum, psi=_psi,
-                           clip=lambda x, lo, hi: np.minimum(np.maximum(x, lo, out=x), hi, out=x), pieces=_pieces,
-                           errstate=np.errstate)
+    return SimpleNamespace(exp=np.exp, expm1=np.expm1, log=np.log, log1p=np.log1p, sqrt=np.sqrt, minimum=np.minimum,
+                           maximum=np.maximum, psi=_psi, errstate=np.errstate,
+                           clip=lambda x, lo, hi: np.minimum(np.maximum(x, lo, out=x), hi, out=x))
 
 
-# The same functions in float arithmetic (as _psi_float) on one float; float min and clip let a nan through, as
-# numpy does, and a float overflows to inf without a warning to silence.
-_FLOAT = SimpleNamespace(exp=math.exp, log=math.log, log1p=math.log1p, sqrt=math.sqrt, minimum=min, psi=_psi_float,
-                         clip=lambda x, lo, hi: lo if x < lo else hi if x > hi else x,
-                         pieces=lambda cond, x, f, g, m: f(x, m) if cond else g(x, m),
-                         errstate=lambda **_: contextlib.nullcontext())
+# The same functions in float arithmetic (as _psi_float) on one float; float min, max and clip let a nan in their
+# first argument through, as numpy does, and a float overflows to inf without a warning to silence.
+_FLOAT = SimpleNamespace(exp=math.exp, expm1=math.expm1, log=math.log, log1p=math.log1p, sqrt=math.sqrt, minimum=min,
+                         maximum=max, psi=_psi_float, errstate=lambda **_: contextlib.nullcontext(),
+                         clip=lambda x, lo, hi: lo if x < lo else hi if x > hi else x)
 
 
 def _psi_v(branch: str, v, m):
@@ -322,25 +309,26 @@ _V_RANGE = {
 
 
 def _level_guess(branch: str, s, m):
-    """First guess of v where psi = -s, to about 1e-2; each piece runs on its side of the switch only (its domain)."""
-    def _branch_series(r):  # u at r = +-sqrt(2w), where psi(u) = w near the branch point u = 0
-        return r * (1.0 + r * (1.0 / 3.0 + r * (1.0 / 36.0 - r / 270.0)))
-    if branch == _NEG:  # the branch-point series, or u = w + log(1 + u) iterated three times
-        return -m.log(m.pieces(s > -2.0, -s, lambda w, m: _branch_series(m.sqrt(2.0 * w)),
-                               lambda w, m: w + m.log1p(w + m.log1p(w + m.log1p(w))), m))
-    if branch == _ABOVE:  # v = log(1 + u) - log(-u) from the series, or from log p = c + p, c = -1 - w, iterated twice
-        return m.pieces(s > -1.0, -s, lambda w, m: m.log1p(u := _branch_series(-m.sqrt(2.0 * w))) - m.log(-u),
-                        lambda w, m: (lp := (c := -1.0 - w) + m.exp(c + m.exp(c))) - m.log1p(-m.exp(lp)), m)
-    # v = -L + e^-v iterated three times from v = -L; Winitzki's W0(x) = S (1 - log(1 + S) / (2 + S)),
-    # S = log(1 + x), at x = e^L (2003); or W0(e^L) = L - log L + log L / L + log L (log L - 2) / (2 L^2)
-    return m.pieces(s < -0.5, s - 1.0, lambda L, m: m.exp(L - m.exp(L - m.exp(L))) - L, lambda L, m: m.pieces(
-        L < 3.0, L, lambda L, m: (S := m.log1p(m.exp(L))) * (1.0 - m.log1p(S) / (2.0 + S)) - L,
-        lambda L, m: (lg := m.log(L)) * (1.0 + (lg - 2.0) / (2.0 * L)) / L - lg, m), m)
+    """First guess of v where psi = -s: one form per class over its whole s-range, within 0.14 of v (w = -s).
+    NEG: u = w + sqrt(2w), Chatzigeorgiou's bound on the -1 branch of W (2013), exact to first order at the
+    branch point and far from it (|v0 - v| <= 0.14).  ABOVE: y = -log(1 + u) solves y - 1 + e^-y = w; the
+    guess w + 1 - e^-sqrt(2w) keeps y ~ sqrt(2w) at the branch point and y ~ w + 1 far from it (0.10).  BELOW:
+    Winitzki's W0(e^L) = S (1 - log(1 + S) / (2 + S)), S = log(1 + e^L), L = s - 1 (2003), with -L taken out
+    without cancellation and S formed without overflow (0.077)."""
+    if branch == _NEG:
+        return -m.log(-s + m.sqrt(-2.0 * s))
+    if branch == _ABOVE:
+        y = -s - m.expm1(-m.sqrt(-2.0 * s))
+        return -y - m.log(-m.expm1(-y))  # e^v = -(1 + u) / u
+    L = s - 1.0
+    e = m.log1p(m.exp(-abs(L)))  # S - max(L, 0)
+    S = m.maximum(L, 0.0) + e
+    return e - m.minimum(L, 0.0) - m.log1p(S) * S / (2.0 + S)
 
 
 def _level_coordinate(params: SolitonParams, branch: str, dt):
     """The level coordinate v at times t with t - C = dt: vectorized, or in float arithmetic for a float dt.
-    s is clamped to |s| <= _S_MAX (on the blow-up classes to s < 0); then two Halley steps from _level_guess."""
+    s is clamped to |s| <= _S_MAX (on the blow-up classes to s < 0); then three Halley steps from _level_guess."""
     m, (lo, hi) = _FLOAT if isinstance(dt, float) else _array_ops(), _V_RANGE[branch]
     k = 4.0 * params.mu * (1.0 if branch == _STEADY else params.gamma)
     with m.errstate(over="ignore"):  # s overflows at extreme scales: it is clamped; k keeps its digits
@@ -349,7 +337,7 @@ def _level_coordinate(params: SolitonParams, branch: str, dt):
         return m.clip(-m.log(m.clip(s, _TINY, math.inf)), lo, hi)
     s = m.clip(s, -_S_MAX, _S_MAX if branch == _BELOW else -_TINY)
     v = m.clip(_level_guess(branch, s, m), lo, hi)
-    for _ in range(2):  # q: the Newton step; psi''/psi' = -h, h = 1 + 1/(1 + u), 2 (1 + u), e^-v / (1 + e^-v)
+    for _ in range(3):  # q: the Newton step; psi''/psi' = -h, h = 1 + 1/(1 + u), 2 (1 + u), e^-v / (1 + e^-v)
         q, z = _psi_v(branch, v, m)
         q = (q + s) / (dps := _dpsi(branch, z))
         h = 1.0 + 1.0 / (1.0 + z) if branch == _NEG else 2.0 + 2.0 * z if branch == _ABOVE else z / dps

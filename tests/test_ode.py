@@ -677,7 +677,8 @@ class TestMpmathOracles:
 
 class TestLevelInversion:
     """ode._level_coordinate, in float and in array form, against 420-digit Lambert W on every class
-    (``reference.lambert_v``).  The bound is 2 ulps of the level
+    (``reference.lambert_v``): one guess per class (_level_guess, tested on its own against a bound of 0.4 in
+    v) and three Halley steps.  The bound is 2 ulps of the level
     a(v), plus its sensitivity |da/dv| to one ulp of v, to the rounding of s = 4 mu gamma dt
     (2^-52 |s|) and, where |u| >= 1/8, to one ulp of log1p(u): psi = u - log1p(u) cancels there, which
     limits any inversion that evaluates that psi (about 2x the rest of the bound at |u| just above 1/8).
@@ -688,7 +689,7 @@ class TestLevelInversion:
     @classmethod
     def cases(cls, branch, n=48, seed=0):
         """(params, dt): mu and gamma at scales up to 1e+-300 (with a normal time scale 4 mu gamma), and
-        levels spread over the class's v-range, half of them within the switches and the psi cancellation."""
+        levels spread over the class's v-range, half of them at unit scale, where psi cancels."""
         rng = np.random.default_rng([seed, cls.CLASSES.index(branch)])
         out = []
         while len(out) < n:
@@ -739,8 +740,8 @@ class TestLevelInversion:
 
     @pytest.mark.parametrize("branch", CLASSES)
     def test_guess_switches_and_psi_cancellation(self, branch):
-        # both sides of each guess switch (w = 2 on NEG, 1 on ABOVE; L = s - 1 = -1.5 and 3 on BELOW) and
-        # |u| = 1/8, where psi = u - log1p(u) starts to cancel, at unit scale
+        # both sides of where the piecewise guesses once switched (w = 2 on NEG, 1 on ABOVE; L = s - 1 = -1.5
+        # and 3 on BELOW) and |u| = 1/8, where psi = u - log1p(u) starts to cancel, at unit scale
         p = make_params(*{"neg": (4.0, -1.0), "above": (4.0, 1.0), "below": (-1.0, -1.0), "steady": (0.0, -1.0)}[branch])
         k = 4.0 * p.mu * (1.0 if branch == "steady" else p.gamma)
         s_values = {"neg": [-2.0, -0.125 + math.log1p(0.125)], "above": [-1.0, 0.125 + math.log1p(-0.125)],
@@ -752,6 +753,23 @@ class TestLevelInversion:
                     for v in (ode._level_coordinate(p, branch, s / k), ode._level_coordinate(p, branch, np.array([s / k]))[0]):
                         got = float(ode._a_of_v(p.gamma, branch, np.array([v]))[0])
                         assert abs(got - a) <= bound, (s, v, float(a), bound)
+
+    @pytest.mark.parametrize("branch", ["neg", "above", "below"])
+    def test_guess_within_its_bound(self, branch):
+        # the first guess alone is within 0.4 of v (it reads 0.14, 0.10 and 0.077 at most), so that three Halley
+        # steps do not hide a worse one: over the class's v-range, at unit scale, and near +-_S_MAX and +-_TINY
+        lo, hi = max(ode._V_RANGE[branch][0], -720.0), min(ode._V_RANGE[branch][1], 720.0)
+        ends = [x * f for x in (ode._S_MAX, ode._TINY) for f in (-1.0, -0.5, -2.0 ** 0.5)]
+        with mpmath.workdps(420):
+            s_values = [float(reference.minus_psi(branch, mpmath.mpf(v)))
+                        for v in np.concatenate((np.linspace(lo, hi, 41), np.linspace(-4.0, 6.0, 41)))]
+            s_values += ends + ([-x for x in ends] if branch == "below" else [])
+            for s in s_values:
+                s = min(max(s, -ode._S_MAX), ode._S_MAX if branch == "below" else -ode._TINY)
+                v = float(reference.lambert_v(branch, mpmath.mpf(s)))
+                guesses = ode._level_guess(branch, s, ode._FLOAT), ode._level_guess(branch, np.array([s]), ode._array_ops())
+                for got in (guesses[0], guesses[1][0]):
+                    assert abs(got - v) <= 0.4, (s, got, v)
 
     SPECIAL_DT = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308, math.inf, -math.inf,
                   math.nan, 1e308, -1e308]
